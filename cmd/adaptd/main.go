@@ -51,9 +51,6 @@
 //	       [-loadgen-arrivals poisson|pareto] [-loadgen-zipf S]
 //	       [-loadgen-mix interactive=0.7,batch=0.2,background=0.1]
 //
-// (-batch and -seed remain as deprecated aliases for -loadgen-batch and
-// -loadgen-seed.)
-//
 // With -cache-dir, first-boot training runs against the persistent
 // simulation-result store (internal/store): a boot interrupted by SIGINT
 // mid-dataset resumes from the store on the next boot instead of
@@ -79,6 +76,7 @@ import (
 	"flag"
 	"fmt"
 	"log/slog"
+	"math"
 	"net"
 	"net/http"
 	"os"
@@ -118,6 +116,8 @@ func main() {
 		lgRequests = flag.Int("loadgen-requests", 2000, "loadgen: total requests")
 		lgConc     = flag.Int("loadgen-conc", 8, "loadgen: concurrent workers (closed mode)")
 		lgPool     = flag.Int("loadgen-pool", 64, "loadgen: distinct feature vectors (repeats exercise the cache)")
+		lgBatch    = flag.Int("loadgen-batch", 1, "loadgen: feature vectors per request (>= 2 uses the batch payload)")
+		lgSeed     = flag.Uint64("loadgen-seed", 1, "loadgen schedule seed")
 		lgMode     = flag.String("loadgen-mode", "closed", "loadgen replay discipline: closed (workers) or open (fixed arrival rate)")
 		rps        = flag.Float64("rps", 0, "loadgen: open-loop target arrivals per second (required with -loadgen-mode open)")
 		lgArrivals = flag.String("loadgen-arrivals", "poisson", "loadgen open-loop inter-arrival law: poisson or pareto (heavy-tailed)")
@@ -129,12 +129,6 @@ func main() {
 		shadowQ    = flag.Int("shadow-queue", 1024, "shadow duplication queue length (overflow drops duplicates)")
 		manifest   = flag.String("manifest", "", "write a run manifest to this file; defaults to manifest-adaptd.json under -cache-dir")
 	)
-	var lgBatch int
-	flag.IntVar(&lgBatch, "loadgen-batch", 1, "loadgen: feature vectors per request (>= 2 uses the batch payload)")
-	flag.IntVar(&lgBatch, "batch", 1, "deprecated alias for -loadgen-batch")
-	var lgSeed uint64
-	flag.Uint64Var(&lgSeed, "loadgen-seed", 1, "loadgen schedule seed")
-	flag.Uint64Var(&lgSeed, "seed", 1, "deprecated alias for -loadgen-seed")
 	admitRates := map[serve.Class]serve.ClassPolicy{}
 	flag.Func("admission-rate", "admission token bucket as class=RATE[:BURST], repeatable (implies -admission)", func(v string) error {
 		class, pol, err := parseRate(v)
@@ -266,9 +260,9 @@ func main() {
 		lg := serve.LoadGen{
 			Requests:    *lgRequests,
 			Concurrency: *lgConc,
-			Seed:        lgSeed,
-			Pool:        serve.SyntheticFeatures(eng.Dim(), *lgPool, lgSeed),
-			Batch:       lgBatch,
+			Seed:        *lgSeed,
+			Pool:        serve.SyntheticFeatures(eng.Dim(), *lgPool, *lgSeed),
+			Batch:       *lgBatch,
 			Mode:        *lgMode,
 			RPS:         *rps,
 			Arrivals:    *lgArrivals,
@@ -498,19 +492,27 @@ func parseRate(v string) (serve.Class, serve.ClassPolicy, error) {
 	}
 	rateStr, burstStr, hasBurst := strings.Cut(spec, ":")
 	rate, err := strconv.ParseFloat(rateStr, 64)
-	if err != nil || rate <= 0 {
+	if err != nil || !positiveFinite(rate) {
 		return 0, serve.ClassPolicy{}, fmt.Errorf("admission-rate %q: bad rate %q", v, rateStr)
 	}
 	pol := serve.ClassPolicy{Rate: rate}
 	if hasBurst {
 		burst, err := strconv.ParseFloat(burstStr, 64)
-		if err != nil || burst <= 0 {
+		if err != nil || !positiveFinite(burst) {
 			return 0, serve.ClassPolicy{}, fmt.Errorf("admission-rate %q: bad burst %q", v, burstStr)
 		}
 		pol.Burst = burst
 	}
 	return class, pol, nil
 }
+
+// finite reports whether x is neither NaN nor infinite. strconv.ParseFloat
+// accepts "NaN" and "Inf", and both slip past plain sign checks: a NaN
+// rate would silently switch the token bucket off.
+func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
+
+// positiveFinite reports whether x is a usable rate or burst.
+func positiveFinite(x float64) bool { return x > 0 && finite(x) }
 
 // parseMix parses a -loadgen-mix value: comma-separated class=share
 // pairs. Empty input returns the default 70/20/10 mix.
@@ -529,7 +531,7 @@ func parseMix(s string) (serve.ClassMix, error) {
 			return mix, fmt.Errorf("loadgen-mix %q: unknown class %q", s, name)
 		}
 		share, err := strconv.ParseFloat(shareStr, 64)
-		if err != nil || share < 0 {
+		if err != nil || share < 0 || !finite(share) {
 			return mix, fmt.Errorf("loadgen-mix %q: bad share %q", s, shareStr)
 		}
 		mix[class] = share

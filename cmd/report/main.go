@@ -6,7 +6,7 @@
 //
 //	report [-scale test|default] [-programs mcf,swim,...] [-phases N]
 //	       [-interval N] [-uniform N] [-skip-slow] [-cache-dir DIR]
-//	       [-warm-ckpt] [-surrogate] [-surrogate-audit FRAC]
+//	       [-surrogate] [-surrogate-audit FRAC]
 //	       [-fabric N] [-fabric-worker SPEC]
 //	       [-trace out.json] [-manifest out.json] [-span-summary]
 //	       [-log-json] [-log-level info]
@@ -67,7 +67,6 @@ func main() {
 		useSur     = flag.Bool("surrogate", false, "prune the design-space search with the learned surrogate (see README \"Surrogate search\")")
 		surAudit   = flag.Float64("surrogate-audit", 0, "override the surrogate audit fraction (0 keeps the default)")
 		cacheDir   = flag.String("cache-dir", "", "persistent result-store directory (reused across runs; empty disables)")
-		warmCkpt   = flag.Bool("warm-ckpt", false, "checkpoint simulation warmups and restore instead of re-executing them (with -cache-dir, persisted across runs; see README \"Warmup checkpoints\")")
 		fabricN    = flag.Int("fabric", 0, "shard the dataset build into N phase windows run against private stores under -cache-dir/fabric, merge, then build warm (requires -cache-dir; see README \"Distributed builds\")")
 		fabricSpec = flag.String("fabric-worker", "", "run one fabric shard spec (from report -fabric logs or fabric.Partition) against the private -cache-dir and exit")
 		tracePath  = flag.String("trace", "", "write a Chrome trace_event JSON of the run to this file")
@@ -179,9 +178,6 @@ func main() {
 			scfg.AuditFrac = *surAudit
 		}
 		extraOpts = append(extraOpts, experiment.WithSurrogate(scfg))
-	}
-	if *warmCkpt {
-		extraOpts = append(extraOpts, experiment.WithWarmupCheckpoints())
 	}
 
 	// Live progress/ETA for the long stages, annotated with the memo and
@@ -399,8 +395,7 @@ func main() {
 
 	hits, sims := experiment.MemoStats()
 	logger.Info("done", "elapsed", time.Since(start).Round(time.Second).String(),
-		"simulations", sims, "memoHits", hits,
-		"warmupInsts", cpu.WarmupInstructions(), "warmupRestores", cpu.WarmupRestores())
+		"simulations", sims, "memoHits", hits)
 	if st != nil {
 		s := st.Stats()
 		rate := 0.0
@@ -423,7 +418,6 @@ func main() {
 		m.SetDet("flags.skipSlow", *skipSlow)
 		m.SetDet("flags.surrogate", *useSur)
 		m.SetDet("flags.surrogateAudit", *surAudit)
-		m.SetDet("flags.warmCkpt", *warmCkpt)
 		m.SetDet("flags.fabric", *fabricN)
 		experiment.FillBuildManifest(m, ds)
 		tr.FillManifest(m)

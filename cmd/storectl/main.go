@@ -68,8 +68,8 @@ func merge(dst string, srcs []string) {
 	if err != nil {
 		die(err)
 	}
-	fmt.Printf("merged %d sources into %s: records=%d added=%d dedup=%d superseded=%d dropped=%d bytes=%d snapshots=%d\n",
-		ms.Sources, dst, ms.Records, ms.Added, ms.Dedup, ms.Superseded, ms.Dropped, ms.Bytes, ms.Snapshots)
+	fmt.Printf("merged %d sources into %s: records=%d added=%d dedup=%d superseded=%d dropped=%d bytes=%d\n",
+		ms.Sources, dst, ms.Records, ms.Added, ms.Dedup, ms.Superseded, ms.Dropped, ms.Bytes)
 }
 
 func verify(dirs []string) {
@@ -80,8 +80,8 @@ func verify(dirs []string) {
 			die(err)
 		}
 		if c.Ok() {
-			fmt.Printf("%s: ok records=%d segments=%d superseded=%d snapshots=%d bytes=%d simversion=%d\n",
-				dir, c.Live, c.Segments, c.Superseded, c.Snapshots, c.Bytes, c.SimVersion)
+			fmt.Printf("%s: ok records=%d segments=%d superseded=%d bytes=%d simversion=%d\n",
+				dir, c.Live, c.Segments, c.Superseded, c.Bytes, c.SimVersion)
 			continue
 		}
 		faults += len(c.Faults)
@@ -105,8 +105,8 @@ func stats(dirs []string) {
 		if c.HasStamp {
 			stamp = fmt.Sprintf("%d", c.SimVersion)
 		}
-		fmt.Printf("%s: records=%d segments=%d superseded=%d dropped=%d bytes=%d snapshots=%d snapshotbytes=%d simversion=%s\n",
-			dir, c.Live, c.Segments, c.Superseded, c.Dropped, c.Bytes, c.Snapshots, c.SnapshotBytes, stamp)
+		fmt.Printf("%s: records=%d segments=%d superseded=%d dropped=%d bytes=%d simversion=%s\n",
+			dir, c.Live, c.Segments, c.Superseded, c.Dropped, c.Bytes, stamp)
 	}
 }
 

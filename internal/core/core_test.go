@@ -15,7 +15,7 @@ import (
 // feature 0 indicates "memory bound" and feature 1 "compute bound", with
 // good configs that differ accordingly. It exercises the full training
 // path cheaply.
-func trainToyPredictor(t *testing.T, set counters.Set) *Predictor {
+func trainToyPredictor(t testing.TB, set counters.Set) *Predictor {
 	t.Helper()
 	d := counters.Dim(set)
 	memFeat := make([]float64, d)

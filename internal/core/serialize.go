@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/gob"
 	"fmt"
@@ -19,8 +18,7 @@ import (
 //
 // The on-disk format is a fixed magic + one version byte followed by a gob
 // payload, so LoadPredictor can reject corrupt or foreign files with a
-// clear error instead of a raw gob decode failure. Files written before
-// the header existed (bare gob) are still readable via a legacy path.
+// clear error instead of a raw gob decode failure.
 
 // wireMagic identifies a predictor file; wireVersion is the current format.
 var wireMagic = [4]byte{'A', 'D', 'P', 'T'}
@@ -54,28 +52,22 @@ func (p *Predictor) Save(w io.Writer) error {
 	return gob.NewEncoder(w).Encode(wire)
 }
 
-// LoadPredictor reads a predictor previously written by Save. It accepts
-// the current headered format and, as a legacy path, the bare-gob files
-// written before the format was versioned.
+// LoadPredictor reads a predictor previously written by Save. Files
+// without the magic + version header are rejected.
 func LoadPredictor(r io.Reader) (*Predictor, error) {
-	br := bufio.NewReader(r)
-	head, err := br.Peek(len(wireMagic) + 1)
-	switch {
-	case err == nil && bytes.Equal(head[:len(wireMagic)], wireMagic[:]):
-		if v := head[len(wireMagic)]; v != wireVersion {
-			return nil, fmt.Errorf("core: predictor format version %d not supported (want %d)", v, wireVersion)
-		}
-		if _, err := br.Discard(len(wireMagic) + 1); err != nil {
-			return nil, fmt.Errorf("core: reading predictor header: %w", err)
-		}
-	case err != nil && err != io.EOF && err != bufio.ErrBufferFull:
+	var head [len(wireMagic) + 1]byte
+	if _, err := io.ReadFull(r, head[:]); err != nil && err != io.EOF && err != io.ErrUnexpectedEOF {
 		return nil, fmt.Errorf("core: reading predictor header: %w", err)
-	default:
-		// No magic: fall through and try the legacy bare-gob format.
+	}
+	if !bytes.Equal(head[:len(wireMagic)], wireMagic[:]) {
+		return nil, fmt.Errorf("core: not a predictor file (missing %q header)", wireMagic)
+	}
+	if v := head[len(wireMagic)]; v != wireVersion {
+		return nil, fmt.Errorf("core: predictor format version %d not supported (want %d)", v, wireVersion)
 	}
 	var wire predictorWire
-	if err := gob.NewDecoder(br).Decode(&wire); err != nil {
-		return nil, fmt.Errorf("core: not a predictor file (missing %q header) and not a legacy gob predictor: %w", wireMagic, err)
+	if err := gob.NewDecoder(r).Decode(&wire); err != nil {
+		return nil, fmt.Errorf("core: corrupt predictor payload: %w", err)
 	}
 	if len(wire.Dims) != len(p0Models) || len(wire.Ks) != len(p0Models) || len(wire.Floats) != len(p0Models) {
 		return nil, fmt.Errorf("core: predictor has %d models, want %d", len(wire.Dims), len(p0Models))

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"encoding/gob"
+	"strings"
 	"testing"
 
 	"repro/internal/arch"
@@ -24,26 +25,22 @@ func TestSaveWritesVersionedHeader(t *testing.T) {
 	}
 }
 
-func TestLoadPredictorLegacyBareGob(t *testing.T) {
-	// Files written before the header existed are bare gob; they must
-	// still load.
+func TestLoadPredictorRejectsLegacyBareGob(t *testing.T) {
+	// Files written before the header existed were bare gob. Every model
+	// adaptd writes carries the header, so a headerless file is rejected
+	// even when its gob payload is a well-formed predictor.
 	pred := trainToyPredictor(t, counters.Basic)
-	wire := predictorWire{Set: int(pred.Set)}
-	for _, m := range pred.Models {
-		wire.Dims = append(wire.Dims, m.D)
-		wire.Ks = append(wire.Ks, m.K)
-		wire.Floats = append(wire.Floats, m.W)
-	}
 	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(wire); err != nil {
+	if err := pred.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := LoadPredictor(&buf)
-	if err != nil {
-		t.Fatalf("legacy bare-gob predictor rejected: %v", err)
+	bare := buf.Bytes()[len(wireMagic)+1:]
+	_, err := LoadPredictor(bytes.NewReader(bare))
+	if err == nil {
+		t.Fatal("legacy bare-gob predictor accepted")
 	}
-	if loaded.Set != pred.Set {
-		t.Errorf("set mismatch: %v vs %v", loaded.Set, pred.Set)
+	if !strings.Contains(err.Error(), "missing") {
+		t.Errorf("bare-gob rejection %q does not name the missing header", err)
 	}
 }
 

@@ -12,10 +12,6 @@ var (
 		"Correct-path instructions committed across all runs.")
 	obsCycles = obs.DefaultRegistry().Counter("repro_sim_cycles_total",
 		"Cycles simulated across all runs.")
-	obsWarmupInsts = obs.DefaultRegistry().Counter("repro_warmup_insts",
-		"Warmup instructions actually executed (not restored from a checkpoint).")
-	obsWarmupRestores = obs.DefaultRegistry().Counter("repro_warmup_restores",
-		"Warmup prefixes restored from a snapshot instead of re-executed.")
 )
 
 // SimulatedInstructions returns the process-wide committed-instruction
@@ -23,13 +19,3 @@ var (
 // their timing section. Telemetry only: nothing may feed it back into
 // simulation or search decisions.
 func SimulatedInstructions() uint64 { return obsInsts.Value() }
-
-// WarmupInstructions returns the process-wide count of warmup
-// instructions actually executed; WarmupRestores counts warmup prefixes
-// restored from a snapshot instead. Both land in the run manifest's
-// timing section (they depend on snapshot-store warm state) and nothing
-// may feed them back into simulation or search decisions.
-func WarmupInstructions() uint64 { return obsWarmupInsts.Value() }
-
-// WarmupRestores returns the process-wide count of snapshot restores.
-func WarmupRestores() uint64 { return obsWarmupRestores.Value() }

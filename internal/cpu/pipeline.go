@@ -186,11 +186,9 @@ func (s *Sim) Run(src Source, n int, opts Options) (*Result, error) {
 		warm.StartStall = 0
 		warm.FlushCaches = opts.FlushCaches
 		warm.ExtraEnergyPJ = 0
-		wres, err := s.Run(src, opts.WarmupInsts, warm)
-		if err != nil {
+		if _, err := s.Run(src, opts.WarmupInsts, warm); err != nil {
 			return nil, err
 		}
-		obsWarmupInsts.Add(wres.Committed)
 		opts.FlushCaches = false
 	}
 	if opts.FlushCaches {

@@ -211,11 +211,6 @@ type Dataset struct {
 	// plain build.
 	sur *surrogateState
 
-	// ckpt, when non-nil, is the warmup-checkpoint state (see
-	// WithWarmupCheckpoints in ckpt.go). nil keeps every code path
-	// byte-identical to the plain build.
-	ckpt *ckptState
-
 	// inSearch marks the three-stage search window of Build; exact
 	// in-sample simulations inside it are the search budget the
 	// repro_sims_exact counter (and the surrogate's >=2x claim) measures.
@@ -235,7 +230,6 @@ type buildOptions struct {
 	workers     int
 	surrogate   *surrogate.Config
 	searchLimit int
-	warmCkpt    bool
 }
 
 // WithStore attaches a persistent result store to the build (nil is
@@ -304,9 +298,6 @@ func Build(ctx context.Context, sc Scale, opts ...Option) (*Dataset, error) {
 	}
 	if bo.surrogate != nil {
 		ds.sur = newSurrogateState(*bo.surrogate, sc.Seed)
-	}
-	if bo.warmCkpt {
-		ds.ckpt = &ckptState{cache: map[store.Key][]byte{}}
 	}
 
 	tr := obs.DefaultTracer()
@@ -384,24 +375,7 @@ func Build(ctx context.Context, sc Scale, opts ...Option) (*Dataset, error) {
 	}
 	profRes := make([]*cpu.Result, len(ds.Phases))
 	profErr := make([]error, len(ds.Phases))
-	profCap := make([][]byte, len(ds.Phases))
-	profKey := make([]store.Key, len(ds.Phases))
-	profCk := make([]bool, len(ds.Phases))
 	if ds.workers > 1 && len(ds.Phases) > 1 {
-		// With checkpoints on, snapshot fetches happen here — before the
-		// fan-out — and captured snapshots are handed back for the ordered
-		// loop below to commit: the snapshot cache and sidecar are only
-		// ever touched from sequential sections, so the sidecar's bytes
-		// stay identical for any worker count.
-		profSnap := make([][]byte, len(ds.Phases))
-		if ds.ckpt != nil {
-			for i, id := range ds.Phases {
-				if key, ok := ds.ckptKey(id, arch.Profiling(), ds.traces[id], profOpts); ok {
-					profCk[i], profKey[i] = true, key
-					profSnap[i] = ds.ckptFetch(key)
-				}
-			}
-		}
 		work := make(chan int, len(ds.Phases))
 		for i := range ds.Phases {
 			work <- i
@@ -417,13 +391,6 @@ func Build(ctx context.Context, sc Scale, opts ...Option) (*Dataset, error) {
 			go func() {
 				defer wg.Done()
 				for i := range work {
-					if profCk[i] {
-						profRes[i], profCap[i], profErr[i] = ckptExec(arch.Profiling(), ds.traces[ds.Phases[i]], profOpts, profSnap[i])
-						if profErr[i] == nil {
-							obsSims.Inc()
-						}
-						continue
-					}
 					profRes[i], profErr[i] = ds.simulate(ds.Phases[i], arch.Profiling(), profOpts, false)
 				}
 			}()
@@ -439,9 +406,6 @@ func Build(ctx context.Context, sc Scale, opts ...Option) (*Dataset, error) {
 		res, err := profRes[i], profErr[i]
 		if res == nil && err == nil {
 			res, err = ds.simulate(id, arch.Profiling(), profOpts, false)
-		}
-		if err == nil && profCk[i] {
-			err = ds.ckptCommit(profKey[i], profCap[i])
 		}
 		if err != nil {
 			psp.Finish()
@@ -535,15 +499,6 @@ type batchElem struct {
 	res  *cpu.Result
 	err  error
 	kind uint8 // 0 memo hit, 1 store hit, 2 simulate
-
-	// Warmup-checkpoint state for kind-2 elems when checkpointing is on
-	// (ck). snap is the known snapshot prefetched at classification time
-	// (nil runs the warmup); captured is the snapshot that warmup
-	// produced, handed back for the ordered side-effect loop to commit.
-	ck       bool
-	skey     store.Key
-	snap     []byte
-	captured []byte
 }
 
 // runBatch evaluates cfgs on one phase in sample mode. With one worker it
@@ -590,17 +545,6 @@ func (ds *Dataset) runBatch(id PhaseID, cfgs []arch.Config) error {
 			}
 		}
 		elems[i].kind = 2
-		// Snapshot prefetch happens here, sequentially: within a batch
-		// every kind-2 config is distinct and the key pins the full
-		// config, so batch "groups" by warmup key are singletons — each
-		// elem is its own leader, warming once and committing below. If
-		// the key projection is ever narrowed (see store.SnapshotKey),
-		// later elems of a group restore what earlier elems committed in
-		// the preceding batch, never mid-batch.
-		if key, ok := ds.ckptKey(id, cfg, insts, opts); ok {
-			elems[i].ck, elems[i].skey = true, key
-			elems[i].snap = ds.ckptFetch(key)
-		}
 		nmiss++
 	}
 	if nmiss > 0 {
@@ -622,10 +566,6 @@ func (ds *Dataset) runBatch(id PhaseID, cfgs []arch.Config) error {
 				defer wg.Done()
 				for i := range work {
 					e := &elems[i]
-					if e.ck {
-						e.res, e.captured, e.err = ckptExec(e.cfg, insts, opts, e.snap)
-						continue
-					}
 					sim, err := cpu.New(e.cfg)
 					if err != nil {
 						e.err = err
@@ -658,11 +598,6 @@ func (ds *Dataset) runBatch(id PhaseID, cfgs []arch.Config) error {
 				key := store.Fingerprint(id.Program, id.Phase, e.cfg, len(insts), opts.WarmupInsts)
 				if err := ds.store.Put(key, e.res); err != nil {
 					return fmt.Errorf("experiment: persisting %s result: %w", id, err)
-				}
-			}
-			if e.ck {
-				if err := ds.ckptCommit(e.skey, e.captured); err != nil {
-					return err
 				}
 			}
 		}
@@ -732,26 +667,13 @@ func (ds *Dataset) simulate(id PhaseID, cfg arch.Config, opts cpu.Options, inSam
 			return res, nil
 		}
 	}
-	var res *cpu.Result
-	if skey, ck := ds.ckptKey(id, cfg, insts, opts); ck {
-		r, captured, err := ckptExec(cfg, insts, opts, ds.ckptFetch(skey))
-		if err != nil {
-			return nil, err
-		}
-		if err := ds.ckptCommit(skey, captured); err != nil {
-			return nil, err
-		}
-		res = r
-	} else {
-		sim, err := cpu.New(cfg)
-		if err != nil {
-			return nil, err
-		}
-		r, err := sim.Run(cpu.NewSliceSource(insts), len(insts), opts)
-		if err != nil {
-			return nil, err
-		}
-		res = r
+	sim, err := cpu.New(cfg)
+	if err != nil {
+		return nil, err
+	}
+	res, err := sim.Run(cpu.NewSliceSource(insts), len(insts), opts)
+	if err != nil {
+		return nil, err
 	}
 	obsSims.Inc()
 	if inSample && !opts.Collect {

@@ -3,7 +3,6 @@ package experiment
 import (
 	"strings"
 
-	"repro/internal/cpu"
 	"repro/internal/obs"
 	"repro/internal/store"
 )
@@ -35,7 +34,6 @@ func FillBuildManifest(m *obs.Manifest, ds *Dataset) {
 	m.SetDet("sharedConfigs", len(ds.SharedConfigs))
 	m.SetDet("simCount", ds.SimCount())
 	m.SetDet("surrogate", ds.sur != nil)
-	m.SetDet("warmupCheckpoints", ds.ckpt != nil)
 	if sum := ds.SurrogateSummary(); sum != nil {
 		m.SetDet("surrogate.pruned", sum.Pruned)
 		m.SetDet("surrogate.audited", sum.Audited)
@@ -50,10 +48,4 @@ func FillBuildManifest(m *obs.Manifest, ds *Dataset) {
 	m.SetTiming("memoHits", float64(hits))
 	m.SetTiming("simulationsRun", float64(sims))
 	m.SetTiming("searchSims", float64(SearchSimCount()))
-	// Timing, not deterministic, even though they are integers: how many
-	// warmup instructions actually executed (vs restored from a
-	// checkpoint) depends on snapshot-store warm state, exactly like the
-	// store hit counters above.
-	m.SetTiming("warmupInsts", float64(cpu.WarmupInstructions()))
-	m.SetTiming("warmupRestores", float64(cpu.WarmupRestores()))
 }

@@ -109,8 +109,8 @@ func (lg LoadGen) Schedule() ([]Arrival, error) {
 	case "", "closed":
 	case "open":
 		open = true
-		if lg.RPS <= 0 {
-			return nil, fmt.Errorf("serve: open-loop loadgen needs -rps > 0")
+		if !(lg.RPS > 0) || math.IsInf(lg.RPS, 1) {
+			return nil, fmt.Errorf("serve: open-loop loadgen needs a finite -rps > 0, got %v", lg.RPS)
 		}
 		if lg.Batch > 1 {
 			return nil, fmt.Errorf("serve: open-loop loadgen does not support batch payloads")
@@ -130,6 +130,9 @@ func (lg LoadGen) Schedule() ([]Arrival, error) {
 	// Zipf popularity over pool indices via the inverse CDF: cumulative
 	// weights once, a binary search per draw. ZipfS <= 0 keeps the legacy
 	// uniform draws (and their exact rng consumption).
+	if math.IsNaN(lg.ZipfS) || math.IsInf(lg.ZipfS, 0) {
+		return nil, fmt.Errorf("serve: loadgen Zipf exponent must be finite, got %v", lg.ZipfS)
+	}
 	var cum []float64
 	if lg.ZipfS > 0 {
 		cum = make([]float64, len(lg.Pool))
@@ -147,8 +150,8 @@ func (lg LoadGen) Schedule() ([]Arrival, error) {
 	var mixCum [NumClasses]float64
 	mixTotal := 0.0
 	for c := Class(0); c < NumClasses; c++ {
-		if mix[c] < 0 {
-			return nil, fmt.Errorf("serve: negative class mix share for %s", c)
+		if !(mix[c] >= 0) || math.IsInf(mix[c], 1) {
+			return nil, fmt.Errorf("serve: class mix share for %s must be finite and non-negative, got %v", c, mix[c])
 		}
 		mixTotal += mix[c]
 		mixCum[c] = mixTotal

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/arch"
@@ -264,6 +265,16 @@ func TestLoadGenValidation(t *testing.T) {
 		{Requests: 1, Pool: pool, Mode: "ajar"},                    // unknown mode
 		{Requests: 1, Pool: pool, Arrivals: "bursty"},              // unknown law
 		{Requests: 1, Pool: pool, Mix: ClassMix{0, -1, 0}},         // negative share
+		// Non-finite values would give a NaN or zero mean gap, or a
+		// share the class draw silently ignores.
+		{Requests: 1, Pool: pool, Mode: "open", RPS: math.NaN()},
+		{Requests: 1, Pool: pool, Mode: "open", RPS: math.Inf(1)},
+		{Requests: 1, Pool: pool, Mode: "open", RPS: math.Inf(1), Arrivals: "pareto"},
+		{Requests: 1, Pool: pool, Mix: ClassMix{1, math.NaN(), 0}},
+		{Requests: 1, Pool: pool, Mix: ClassMix{math.Inf(1), 0, 0}},
+		{Requests: 1, Pool: pool, Mode: "open", RPS: 10, Mix: ClassMix{math.NaN(), 1, 1}},
+		{Requests: 1, Pool: pool, ZipfS: math.NaN()},
+		{Requests: 1, Pool: pool, ZipfS: math.Inf(1)},
 	}
 	for i, lg := range cases {
 		if _, err := lg.Schedule(); err == nil {

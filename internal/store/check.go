@@ -24,18 +24,11 @@ type logScan struct {
 	Faults    []string // human-readable fault descriptions with offsets
 }
 
-// scanLogFile walks one result log tolerantly, invoking visit for every
-// record whose framing and CRC check out. Faults are described, never
-// fatal: framing damage ends the walk (torn tail), payload damage skips
-// one record. The returned error covers I/O failures only.
+// scanLogFile walks one log tolerantly, invoking visit for every record
+// whose framing and CRC check out. Faults are described, never fatal:
+// framing damage ends the walk (torn tail), payload damage skips one
+// record. The returned error covers I/O failures only.
 func scanLogFile(path string, visit func(off int64, key Key, payload []byte, crc uint32)) (*logScan, error) {
-	return scanLogFileAs(path, fileMagic, maxPayload, visit)
-}
-
-// scanLogFileAs is scanLogFile generalised over the log kind: result logs
-// and the warmup-snapshot sidecar share the record framing but differ in
-// file magic and payload bound.
-func scanLogFileAs(path, magic string, maxLen int64, visit func(off int64, key Key, payload []byte, crc uint32)) (*logScan, error) {
 	ls := &logScan{Path: path}
 	f, err := os.Open(path)
 	if err != nil {
@@ -59,9 +52,9 @@ func scanLogFileAs(path, magic string, maxLen int64, visit func(off int64, key K
 	if _, err := f.ReadAt(hdr[:], 0); err != nil {
 		return nil, fmt.Errorf("store: reading %s header: %w", path, err)
 	}
-	if string(hdr[:4]) != magic {
+	if string(hdr[:4]) != fileMagic {
 		ls.BadHeader = true
-		fault("%s: not a store log of the expected kind (bad magic)", path)
+		fault("%s: not a result store log (bad magic)", path)
 		return ls, nil
 	}
 	if v := binary.LittleEndian.Uint32(hdr[4:]); v != formatVersion {
@@ -82,7 +75,7 @@ func scanLogFileAs(path, magic string, maxLen int64, visit func(off int64, key K
 		}
 		plen := int64(binary.LittleEndian.Uint32(rh[:4]))
 		crc := binary.LittleEndian.Uint32(rh[4:])
-		if plen < keySize || plen > maxLen || off+recHeaderSize+plen > size {
+		if plen < keySize || plen > maxPayload || off+recHeaderSize+plen > size {
 			ls.TornTail = true
 			fault("%s: implausible record framing at offset %d (payload length %d)", path, off, plen)
 			return ls, nil
@@ -118,13 +111,7 @@ type DirCheck struct {
 	Superseded int
 	Dropped    int
 	Bytes      int64
-
-	// Warmup-snapshot sidecar (snapshots.log; absent is not a fault —
-	// stores that never checkpoint have none).
-	Snapshots     int   // live snapshot records
-	SnapshotBytes int64 // sidecar file size
-
-	Faults []string // every fault found, dir-level first
+	Faults     []string // every fault found, dir-level first
 }
 
 // Ok reports whether the audit found nothing wrong.
@@ -185,29 +172,5 @@ func CheckDir(dir string) (*DirCheck, error) {
 		c.Faults = append(c.Faults, ls.Faults...)
 	}
 	c.Live = len(seen)
-
-	// The warmup-snapshot sidecar is audited with the same framing and
-	// CRC discipline — a flipped snapshot byte is a fault exactly like a
-	// flipped result byte — but its payloads are opaque cpu.Snapshot
-	// bytes, so there is no value decode to validate beyond non-emptiness.
-	snapPath := SnapLog(dir)
-	if _, err := os.Stat(snapPath); err == nil {
-		snapSeen := map[Key]bool{}
-		ls, err := scanLogFileAs(snapPath, snapFileMagic, maxSnapPayload, func(off int64, key Key, payload []byte, _ uint32) {
-			snapSeen[key] = true
-			if len(payload) <= keySize {
-				c.Faults = append(c.Faults, fmt.Sprintf("%s: empty snapshot value at offset %d", snapPath, off))
-			}
-		})
-		if err != nil {
-			return nil, err
-		}
-		c.Logs = append(c.Logs, ls)
-		c.Dropped += ls.Dropped
-		c.Snapshots = len(snapSeen)
-		c.SnapshotBytes = ls.Bytes
-		c.Bytes += ls.Bytes
-		c.Faults = append(c.Faults, ls.Faults...)
-	}
 	return c, nil
 }

@@ -30,7 +30,6 @@ type MergeStats struct {
 	Superseded int   // within-directory shadowed records skipped
 	Dropped    int   // corrupt or torn records skipped while reading
 	Bytes      int64 // size of the merged destination log
-	Snapshots  int   // live warmup snapshots in the merged sidecar
 }
 
 // Merge unions the live records of the source store directories (and the
@@ -72,8 +71,6 @@ func Merge(dstDir string, srcDirs ...string) (MergeStats, error) {
 
 	union := map[Key][]byte{}
 	origin := map[Key]string{}
-	snapUnion := map[Key][]byte{}
-	snapOrigin := map[Key]string{}
 
 	// The destination's own records participate like a source: they must
 	// agree with everything merged over them.
@@ -81,13 +78,9 @@ func Merge(dstDir string, srcDirs ...string) (MergeStats, error) {
 	if err != nil {
 		return ms, err
 	}
-	dstSnaps, dstSnapDropped, err := liveSnapRecords(dstDir)
-	if err != nil {
-		return ms, err
-	}
 	ms.Superseded += dstStats.Superseded
-	ms.Dropped += dstStats.Dropped + dstSnapDropped
-	if len(dstLive) > 0 || len(dstSnaps) > 0 {
+	ms.Dropped += dstStats.Dropped
+	if len(dstLive) > 0 {
 		if err := requireSimVersion(dstDir); err != nil {
 			return ms, err
 		}
@@ -96,32 +89,19 @@ func Merge(dstDir string, srcDirs ...string) (MergeStats, error) {
 		union[k] = p
 		origin[k] = dstDir
 	}
-	for k, p := range dstSnaps {
-		snapUnion[k] = p
-		snapOrigin[k] = dstDir
-	}
 
 	for _, src := range srcDirs {
 		ms.Sources++
-		live, snaps, st, err := func() (map[Key][]byte, map[Key][]byte, liveStats, error) {
+		live, st, err := func() (map[Key][]byte, liveStats, error) {
 			srcLock, err := acquireLock(filepath.Join(src, lockFileName))
 			if err != nil {
-				return nil, nil, liveStats{}, err
+				return nil, liveStats{}, err
 			}
 			defer srcLock.Close()
 			if err := requireSimVersion(src); err != nil {
-				return nil, nil, liveStats{}, err
+				return nil, liveStats{}, err
 			}
-			live, st, err := liveDirRecords(src)
-			if err != nil {
-				return nil, nil, st, err
-			}
-			snaps, snapDropped, err := liveSnapRecords(src)
-			if err != nil {
-				return nil, nil, st, err
-			}
-			st.Dropped += snapDropped
-			return live, snaps, st, nil
+			return liveDirRecords(src)
 		}()
 		if err != nil {
 			return ms, err
@@ -143,21 +123,6 @@ func Merge(dstDir string, srcDirs ...string) (MergeStats, error) {
 			union[k] = p
 			origin[k] = src
 			ms.Added++
-		}
-		// Warmup snapshots merge under the identical discipline: the same
-		// key must name bit-identical bytes everywhere, or someone changed
-		// warm-state physics without a SimVersion bump.
-		for _, k := range sortedKeys(snaps) {
-			p := snaps[k]
-			if have, ok := snapUnion[k]; ok {
-				if bytes.Equal(have, p) {
-					continue
-				}
-				return ms, fmt.Errorf("store: merge conflict on snapshot key %s: %s and %s hold different warmup snapshots for the same inputs (SimVersion %d) — a physics change without a SimVersion bump; refusing to merge",
-					hex.EncodeToString(k[:8]), snapOrigin[k], src, SimVersion)
-			}
-			snapUnion[k] = p
-			snapOrigin[k] = src
 		}
 	}
 
@@ -205,14 +170,6 @@ func Merge(dstDir string, srcDirs ...string) (MergeStats, error) {
 		for _, p := range segs {
 			os.Remove(p)
 		}
-	}
-	// The snapshot sidecar merges with the same key-sorted temp+rename
-	// idiom, so any source order yields the byte-identical sidecar too.
-	if len(snapUnion) > 0 {
-		if err := writeSnapLog(dstDir, snapUnion); err != nil {
-			return ms, err
-		}
-		ms.Snapshots = len(snapUnion)
 	}
 	want := []byte(strconv.Itoa(SimVersion) + "\n")
 	if err := os.WriteFile(filepath.Join(dstDir, simVersionFileName), want, 0o644); err != nil {
@@ -305,48 +262,6 @@ func AdoptSegment(dir, srcLog string) (string, error) {
 	}
 	obsSegmentsAdopted.Inc()
 	return name, nil
-}
-
-// writeSnapLog writes records as dstDir's snapshot sidecar, key-sorted,
-// through a temp file + atomic rename. The caller holds the dstDir lock.
-func writeSnapLog(dstDir string, records map[Key][]byte) error {
-	tmp, err := os.CreateTemp(dstDir, snapFileName+".merge-*")
-	if err != nil {
-		return fmt.Errorf("store: snapshot merge temp file: %w", err)
-	}
-	defer os.Remove(tmp.Name()) // no-op after the rename succeeds
-	var hdr [headerSize]byte
-	copy(hdr[:4], snapFileMagic)
-	binary.LittleEndian.PutUint32(hdr[4:], formatVersion)
-	if _, err := tmp.Write(hdr[:]); err != nil {
-		tmp.Close()
-		return fmt.Errorf("store: snapshot merge header: %w", err)
-	}
-	var rh [recHeaderSize]byte
-	for _, k := range sortedKeys(records) {
-		payload := records[k]
-		binary.LittleEndian.PutUint32(rh[:4], uint32(len(payload)))
-		binary.LittleEndian.PutUint32(rh[4:], crc32.Checksum(payload, castagnoli))
-		if _, err := tmp.Write(rh[:]); err != nil {
-			tmp.Close()
-			return fmt.Errorf("store: snapshot merge write: %w", err)
-		}
-		if _, err := tmp.Write(payload); err != nil {
-			tmp.Close()
-			return fmt.Errorf("store: snapshot merge write: %w", err)
-		}
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("store: snapshot merge sync: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("store: snapshot merge close: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), SnapLog(dstDir)); err != nil {
-		return fmt.Errorf("store: snapshot merge rename: %w", err)
-	}
-	return nil
 }
 
 // requireSimVersion rejects directories whose sidecar stamp is missing or

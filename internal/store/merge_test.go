@@ -10,7 +10,7 @@ import (
 
 // buildDir creates a store directory holding the records keys[i] ->
 // fakeResult(vals[i]) in order, via the normal Put path.
-func buildDir(t *testing.T, keys []int, vals []int) string {
+func buildDir(t testing.TB, keys []int, vals []int) string {
 	t.Helper()
 	dir := t.TempDir()
 	s, err := Open(dir)

@@ -27,10 +27,6 @@ var (
 		"Live records written by store merges.")
 	obsSegmentsAdopted = obs.DefaultRegistry().Counter("repro_store_segments_adopted_total",
 		"Sealed segments adopted into store directories.")
-	obsSnapHits = obs.DefaultRegistry().Counter("repro_store_snapshot_hits_total",
-		"Warmup snapshots answered from the persistent store.")
-	obsSnapPuts = obs.DefaultRegistry().Counter("repro_store_snapshot_puts_total",
-		"Warmup snapshots appended to store sidecar logs.")
 )
 
 // ProcessStats returns the process-lifetime store counters (all stores

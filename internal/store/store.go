@@ -111,17 +111,6 @@ type Stats struct {
 	// the head without updating them).
 	Segments      int // sealed segment files indexed at open
 	MergedRecords int // live records served from segments at open
-
-	// Warmup-snapshot sidecar activity (snapshots.log). Tracked apart
-	// from the result counters: sidecar damage must never mark the
-	// result log dirty, and the two record kinds are reported separately
-	// by storectl stats.
-	SnapshotRecords      int    // live snapshot records in the sidecar
-	SnapshotHits         uint64 // GetSnapshot calls answered from the sidecar
-	SnapshotMisses       uint64 // GetSnapshot calls with no (valid) record
-	SnapshotDropped      int    // corrupt or truncated snapshot records discarded
-	SnapshotBytesRead    uint64 // payload bytes served by snapshot hits
-	SnapshotBytesWritten uint64 // payload bytes appended by snapshot puts
 }
 
 // FillManifest records the stats into a run manifest's timing section.
@@ -143,11 +132,6 @@ func (s Stats) FillManifest(m *obs.Manifest, elapsedSeconds float64) {
 	m.SetTiming("storeMergedRecords", float64(s.MergedRecords))
 	m.SetTiming("storeBytesRead", float64(s.BytesRead))
 	m.SetTiming("storeBytesWritten", float64(s.BytesWritten))
-	// Snapshot sidecar traffic is warm-state-dependent like everything
-	// else here: a warm replay restores where a cold run executed.
-	m.SetTiming("storeSnapshotRecords", float64(s.SnapshotRecords))
-	m.SetTiming("storeSnapshotHits", float64(s.SnapshotHits))
-	m.SetTiming("storeSnapshotMisses", float64(s.SnapshotMisses))
 	if elapsedSeconds > 0 {
 		m.SetTiming("storeBytesPerSec", float64(s.BytesRead+s.BytesWritten)/elapsedSeconds)
 	}
@@ -167,12 +151,6 @@ type Store struct {
 	end      int64 // head append offset (start of the next record header)
 	stale    int64 // payload bytes of superseded/skipped records
 	stats    Stats
-
-	// Warmup-snapshot sidecar (snapshots.log): created lazily by the
-	// first PutSnapshot, indexed at Open when present.
-	snapF     *os.File
-	snapIndex map[Key]recLoc
-	snapEnd   int64
 }
 
 // Open opens (creating if needed) the store in dir, takes the advisory
@@ -192,7 +170,7 @@ func Open(dir string) (*Store, error) {
 		lock.Close()
 		return nil, fmt.Errorf("store: opening log: %w", err)
 	}
-	s := &Store{dir: dir, f: f, lock: lock, index: map[Key]recLoc{}, snapIndex: map[Key]recLoc{}}
+	s := &Store{dir: dir, f: f, lock: lock, index: map[Key]recLoc{}}
 	// The span carries no args: record counts differ between cold and
 	// warm opens, and the span tree (and its manifest digest) must stay
 	// byte-identical across replays of the same configuration. Counts are
@@ -206,10 +184,6 @@ func Open(dir string) (*Store, error) {
 		return nil, err
 	}
 	if err := s.scan(); err != nil {
-		s.Close()
-		return nil, err
-	}
-	if err := s.scanSnapshots(); err != nil {
 		s.Close()
 		return nil, err
 	}
@@ -729,15 +703,6 @@ func (s *Store) Close() error {
 		}
 	}
 	s.segs = nil
-	if s.snapF != nil {
-		if err := s.snapF.Sync(); err != nil && firstErr == nil {
-			firstErr = err
-		}
-		if err := s.snapF.Close(); err != nil && firstErr == nil {
-			firstErr = err
-		}
-		s.snapF = nil
-	}
 	if s.lock != nil {
 		// Closing the fd drops the flock; the lock file itself stays
 		// (removing it would race a concurrent Open).

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
-# Simulator hot-path benchmark harness: runs the sim-core, cache-model
-# and dataset-build benchmarks, prints a before/after table against the
-# recorded baseline (scripts/bench_baseline.txt) and writes the
+# Simulator hot-path benchmark harness: runs the sim-core and cache-model
+# benchmarks, prints a before/after table against the recorded
+# pre-overhaul baseline (scripts/bench_baseline.txt) and writes the
 # machine-readable comparison to BENCH_sim.json. See README "Performance".
 #
 #   scripts/bench.sh                  # ~1 min
@@ -26,15 +26,6 @@ go test -run XXX -bench 'BenchmarkSimRun|BenchmarkSimRunCollect' \
 echo "== go test -bench, cache model (benchtime $benchtime) =="
 go test -run XXX -bench 'BenchmarkCacheAccess|BenchmarkHierarchyAccess|BenchmarkProfilerObserve' \
     -benchmem -benchtime "$benchtime" ./internal/cache | tee -a "$raw"
-
-echo "== go test -bench, dataset build cold vs warmup-checkpointed (6 builds each) =="
-# End-to-end test-scale dataset builds against a store: cold re-executes
-# every warmup, warm-ckpt restores them from the snapshot sidecar (README
-# "Warmup checkpoints"). The recorded baseline carries the pre-checkpoint
-# build cost under both names, so the warm-ckpt row's speedup is the
-# amortisation win.
-go test -run XXX -bench 'BenchmarkDatasetBuild' \
-    -benchtime 6x ./internal/experiment | tee -a "$raw"
 
 echo
 echo "== cmd/report -scale test -skip-slow wall clock (best of 3) =="

@@ -133,72 +133,6 @@ if ! grep -q 'surrogate summary' "$sur_on_err"; then
 fi
 echo "surrogate smoke: search sims $off_sims -> $on_sims"
 
-echo "== warmup checkpoint smoke =="
-# Warmup checkpoints are an amortisation, never an approximation (README
-# "Warmup checkpoints"): -warm-ckpt runs must stay byte-identical to the
-# baseline report cold and warm, the second (warm) pass must restore
-# warmups from the snapshot sidecar instead of re-executing them (>=2x
-# fewer executed warmup instructions than the checkpoint-off baseline),
-# checkpoint-off runs must leave no sidecar behind, and a flipped
-# snapshot byte must fail storectl verify exactly like a flipped result
-# byte.
-ckpt_dir=$(mktemp -d /tmp/verify-ckpt.XXXXXX)
-ckpt1_out=$(mktemp /tmp/verify-ckpt1.XXXXXX)
-ckpt2_out=$(mktemp /tmp/verify-ckpt2.XXXXXX)
-ckpt2_err=$(mktemp /tmp/verify-ckpt2err.XXXXXX)
-bad_snap_dir=$(mktemp -d /tmp/verify-badsnap.XXXXXX)
-trap 'rm -rf "$trace_out" "$cache_dir" "$cold_out" "$warm_out" "$warm_err" "$sur_off_out" "$sur_off_err" "$sur_on_out" "$sur_on_err" "$cold_man" "$warm_man" "$fab_dir" "$fab_out" "$fab_err" "$merged_dir" "$replay_out" "$replay_err" "$replay_man" "$bad_dir" "$ckpt_dir" "$ckpt1_out" "$ckpt2_out" "$ckpt2_err" "$bad_snap_dir"' EXIT
-if [ -e "$cache_dir/snapshots.log" ]; then
-    echo "ckpt smoke: checkpoint-off runs wrote a snapshot sidecar" >&2
-    exit 1
-fi
-go run ./cmd/report -scale test -skip-slow -warm-ckpt -cache-dir "$ckpt_dir" >"$ckpt1_out" 2>/dev/null
-if ! cmp -s "$ckpt1_out" "$cold_out"; then
-    echo "ckpt smoke: cold -warm-ckpt stdout differs from the baseline report" >&2
-    diff "$ckpt1_out" "$cold_out" | head -20 >&2
-    exit 1
-fi
-if [ ! -s "$ckpt_dir/snapshots.log" ]; then
-    echo "ckpt smoke: cold -warm-ckpt run wrote no snapshot sidecar" >&2
-    exit 1
-fi
-go run ./cmd/report -scale test -skip-slow -warm-ckpt -cache-dir "$ckpt_dir" >"$ckpt2_out" 2>"$ckpt2_err"
-if ! cmp -s "$ckpt2_out" "$cold_out"; then
-    echo "ckpt smoke: warm -warm-ckpt stdout differs from the baseline report" >&2
-    diff "$ckpt2_out" "$cold_out" | head -20 >&2
-    exit 1
-fi
-ckpt_restores=$(grep -o 'warmupRestores=[0-9]*' "$ckpt2_err" | tail -1 | cut -d= -f2)
-if [ -z "$ckpt_restores" ] || [ "$ckpt_restores" -eq 0 ]; then
-    echo "ckpt smoke: warm pass restored no warmups (warmupRestores='$ckpt_restores')" >&2
-    exit 1
-fi
-base_warm=$(grep -o 'warmupInsts=[0-9]*' "$sur_off_err" | tail -1 | cut -d= -f2)
-ckpt_warm=$(grep -o 'warmupInsts=[0-9]*' "$ckpt2_err" | tail -1 | cut -d= -f2)
-if [ -z "$base_warm" ] || [ -z "$ckpt_warm" ] || [ "$base_warm" -eq 0 ]; then
-    echo "ckpt smoke: missing warmupInsts in report logs (base='$base_warm' ckpt='$ckpt_warm')" >&2
-    exit 1
-fi
-if [ $((2 * ckpt_warm)) -gt "$base_warm" ]; then
-    echo "ckpt smoke: executed warmup insts only dropped ${base_warm} -> ${ckpt_warm} (< 2x)" >&2
-    exit 1
-fi
-# storectl must account for the sidecar and catch snapshot corruption.
-if ! go run ./cmd/storectl stats "$ckpt_dir" | grep -q 'snapshots=[1-9]'; then
-    echo "ckpt smoke: storectl stats reports no snapshot records" >&2
-    exit 1
-fi
-go run ./cmd/storectl verify "$ckpt_dir"
-cp "$ckpt_dir/results.log" "$ckpt_dir/simversion" "$ckpt_dir/snapshots.log" "$bad_snap_dir/"
-snap_byte=$(od -An -tu1 -j58 -N1 "$bad_snap_dir/snapshots.log" | tr -d ' ')
-printf "$(printf '\\%03o' $((snap_byte ^ 255)))" \
-    | dd of="$bad_snap_dir/snapshots.log" bs=1 seek=58 count=1 conv=notrunc 2>/dev/null
-if go run ./cmd/storectl verify "$bad_snap_dir" >/dev/null 2>&1; then
-    echo "ckpt smoke: storectl verify missed a flipped snapshot byte" >&2
-    exit 1
-fi
-echo "ckpt smoke: cold/warm byte-identical, $ckpt_restores restores, warmup insts $base_warm -> $ckpt_warm, snapshot corruption caught"
-
 echo "== fabric sharded-build smoke =="
 # A 2-shard fabric build (shard, merge, warm final build) must reproduce
 # the plain sequential run exactly: byte-identical stdout, and the fleet
@@ -293,10 +227,10 @@ echo "== adaptd batch loadgen smoke =="
 # clean report plus a populated batch-size histogram in the metrics dump.
 model_dir=$(mktemp -d /tmp/verify-adaptd.XXXXXX)
 loadgen_out=$(mktemp /tmp/verify-loadgen.XXXXXX)
-trap 'rm -rf "$trace_out" "$cache_dir" "$cold_out" "$warm_out" "$warm_err" "$sur_off_out" "$sur_off_err" "$sur_on_out" "$sur_on_err" "$cold_man" "$warm_man" "$fab_dir" "$fab_out" "$fab_err" "$merged_dir" "$replay_out" "$replay_err" "$replay_man" "$bad_dir" "$ckpt_dir" "$ckpt1_out" "$ckpt2_out" "$ckpt2_err" "$bad_snap_dir" "$model_dir" "$loadgen_out"' EXIT
+trap 'rm -rf "$trace_out" "$cache_dir" "$cold_out" "$warm_out" "$warm_err" "$sur_off_out" "$sur_off_err" "$sur_on_out" "$sur_on_err" "$cold_man" "$warm_man" "$fab_dir" "$fab_out" "$fab_err" "$merged_dir" "$replay_out" "$replay_err" "$replay_man" "$bad_dir" "$model_dir" "$loadgen_out"' EXIT
 go run ./cmd/adaptd -model "$model_dir/adaptd.model" -counter-set basic \
     -train-scale test -cache-dir "$cache_dir" \
-    -loadgen -loadgen-requests 512 -batch 64 >"$loadgen_out" 2>/dev/null
+    -loadgen -loadgen-requests 512 -loadgen-batch 64 >"$loadgen_out" 2>/dev/null
 if ! grep -q 'requests=512 ok=512 rejected=0 clientErr=0 serverErr=0 transportErr=0' "$loadgen_out"; then
     echo "batch loadgen smoke: report shows errors or losses" >&2
     grep 'requests=' "$loadgen_out" >&2 || cat "$loadgen_out" >&2
@@ -337,7 +271,7 @@ echo "== adaptd open-loop admission/shadow smoke =="
 # report windowed latency quantiles, and the self-shadow must agree with
 # the active model exactly.
 open_out=$(mktemp /tmp/verify-openloop.XXXXXX)
-trap 'rm -rf "$trace_out" "$cache_dir" "$cold_out" "$warm_out" "$warm_err" "$sur_off_out" "$sur_off_err" "$sur_on_out" "$sur_on_err" "$cold_man" "$warm_man" "$fab_dir" "$fab_out" "$fab_err" "$merged_dir" "$replay_out" "$replay_err" "$replay_man" "$bad_dir" "$ckpt_dir" "$ckpt1_out" "$ckpt2_out" "$ckpt2_err" "$bad_snap_dir" "$model_dir" "$loadgen_out" "$open_out"' EXIT
+trap 'rm -rf "$trace_out" "$cache_dir" "$cold_out" "$warm_out" "$warm_err" "$sur_off_out" "$sur_off_err" "$sur_on_out" "$sur_on_err" "$cold_man" "$warm_man" "$fab_dir" "$fab_out" "$fab_err" "$merged_dir" "$replay_out" "$replay_err" "$replay_man" "$bad_dir" "$model_dir" "$loadgen_out" "$open_out"' EXIT
 go run ./cmd/adaptd -model "$model_dir/adaptd.model" -counter-set basic \
     -shadow "$model_dir/adaptd.model" \
     -admission -admission-rate background=20:5 \

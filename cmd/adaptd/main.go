@@ -41,7 +41,6 @@
 //	adaptd [-addr :8080] [-model adaptd.model] [-counter-set advanced|basic]
 //	       [-quantized] [-train-scale test|default] [-cache-dir DIR]
 //	       [-cache 4096] [-max-inflight 64] [-timeout 5s] [-max-body N]
-//	       [-coalesce-window 0] [-coalesce-max 64]
 //	       [-admission] [-slo-p99 0] [-admission-rate class=RATE[:BURST]]...
 //	       [-shadow candidate.model] [-shadow-queue 1024]
 //	       [-debug] [-log-json] [-log-level info] [-manifest out.json]
@@ -107,8 +106,6 @@ func main() {
 		maxInfl    = flag.Int("max-inflight", 64, "concurrent predicts before 429 backpressure")
 		timeout    = flag.Duration("timeout", 5*time.Second, "per-request deadline")
 		maxBody    = flag.Int64("max-body", 1<<20, "request body byte limit")
-		coWindow   = flag.Duration("coalesce-window", 0, "micro-batching window for concurrent single predicts (0 disables)")
-		coMax      = flag.Int("coalesce-max", 64, "max vectors per coalesced kernel call")
 		debug      = flag.Bool("debug", false, "mount /debug/pprof/, /debug/vars and /debug/trace")
 		logJSON    = flag.Bool("log-json", false, "emit logs as JSON instead of text")
 		logLevel   = flag.String("log-level", "info", "log level: debug, info, warn or error")
@@ -187,7 +184,6 @@ func main() {
 		serve.WithMaxBody(*maxBody),
 		serve.WithTimeout(*timeout),
 		serve.WithMaxInflight(*maxInfl),
-		serve.WithCoalescing(*coWindow, *coMax),
 		serve.WithTracer(tracer),
 		serve.WithShadowQueue(*shadowQ),
 	}
@@ -234,8 +230,6 @@ func main() {
 		man.SetDet("modelVersion", eng.Version())
 		man.SetDet("cacheSize", *cacheSize)
 		man.SetDet("maxInflight", *maxInfl)
-		man.SetDet("coalesceWindowNS", int64(*coWindow))
-		man.SetDet("coalesceMax", *coMax)
 		man.SetDet("admission", admission)
 		man.SetDet("sloP99NS", int64(*sloP99))
 		man.SetDet("shadow", *shadowPath)

@@ -1,8 +1,8 @@
 // Command obsdiff compares two run manifests written by report, adaptd
 // or the bench harness (-manifest / REPRO_MANIFEST). The deterministic
 // sections must match exactly — the first differing field is named and
-// the command exits 1, which is how verify.sh proves that a cold and a
-// warm replay of the same configuration describe the same computation.
+// the command exits 1, which is how two replays of the same configuration
+// (cold and warm store, say) are shown to describe the same computation.
 // Timing sections are informational: shared keys are printed as a
 // before/after table, and wall-clock keys ("...Seconds") are summarised
 // as a benchdiff-style geometric-mean speedup.
@@ -96,7 +96,9 @@ func pctChange(old, new float64) float64 {
 }
 
 // renderField resolves a dotted path ("deterministic.scale.seed", "tool")
-// into the value it names, for the mismatch report. Best-effort: paths it
+// into the value it names, for the mismatch report. Manifest keys may
+// themselves contain dots ("flags.fabric"), so each level consumes the
+// longest prefix of the remaining path that is an existing key. Paths it
 // cannot walk (array indices, missing keys) render as "<absent>".
 func renderField(m *obs.Manifest, path string) string {
 	if path == "tool" {
@@ -104,18 +106,31 @@ func renderField(m *obs.Manifest, path string) string {
 	}
 	var cur any = map[string]any{"deterministic": m.Deterministic}
 	for rest := path; rest != ""; {
-		key, tail, _ := strings.Cut(rest, ".")
-		rest = tail
 		mp, ok := cur.(map[string]any)
 		if !ok {
 			return "<absent>"
 		}
-		cur, ok = mp[key]
+		key, tail, ok := longestKey(mp, rest)
 		if !ok {
 			return "<absent>"
 		}
+		cur, rest = mp[key], tail
 	}
 	return fmt.Sprintf("%v", cur)
+}
+
+// longestKey returns the longest dot-delimited prefix of path that is a
+// key of mp, and the remainder of path after it.
+func longestKey(mp map[string]any, path string) (key, rest string, ok bool) {
+	for end := len(path); end > 0; end = strings.LastIndex(path[:end], ".") {
+		if _, ok := mp[path[:end]]; ok {
+			if end < len(path) {
+				rest = path[end+1:]
+			}
+			return path[:end], rest, true
+		}
+	}
+	return "", "", false
 }
 
 func die(err error) {

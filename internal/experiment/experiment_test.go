@@ -320,36 +320,6 @@ func TestScaleDefaults(t *testing.T) {
 	}
 }
 
-func TestBuildDatasetDeterministic(t *testing.T) {
-	sc := TestScale()
-	sc.Programs = []string{"gzip", "eon"}
-	sc.PhasesPerProgram = 1
-	sc.UniformSamples = 6
-	sc.LocalSamples = 2
-	a, err := Build(context.Background(), sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Build(context.Background(), sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.BestStatic != b.BestStatic {
-		t.Errorf("best static differs: %v vs %v", a.BestStatic, b.BestStatic)
-	}
-	for _, id := range a.Phases {
-		if a.Best[id] != b.Best[id] {
-			t.Errorf("%s best differs", id)
-		}
-		fa, fb := a.FeaturesAdv[id], b.FeaturesAdv[id]
-		for i := range fa {
-			if fa[i] != fb[i] {
-				t.Fatalf("%s feature %d differs: %v vs %v", id, i, fa[i], fb[i])
-			}
-		}
-	}
-}
-
 func TestRatioMeanOfStaticIsOne(t *testing.T) {
 	ds := testDataset(t)
 	if r := ds.RatioMean(ds.Phases, Static(ds.BestStatic)); r < 0.999 || r > 1.001 {

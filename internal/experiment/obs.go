@@ -40,8 +40,8 @@ var (
 )
 
 // SearchSimCount returns the process-lifetime count of exact simulations
-// spent on search candidates (repro_sims_exact) — what cmd/report logs so
-// scripts/verify.sh can compare surrogate-off and -on runs.
+// spent on search candidates (repro_sims_exact) — what cmd/report logs as
+// searchSims and what the build-contract tests meter per build.
 func SearchSimCount() uint64 { return obsSimsExact.Value() }
 
 // MemoStats returns the process-lifetime memoisation hits and misses

@@ -71,24 +71,6 @@ func TestWithSearchLimitPrefix(t *testing.T) {
 	}
 }
 
-// TestWithSearchLimitFullIsNoOp: a limit covering every phase (or <= 0)
-// leaves the build byte-identical to one without the option.
-func TestWithSearchLimitFullIsNoOp(t *testing.T) {
-	sc := TestScale()
-	ctx := context.Background()
-	plain, err := Build(ctx, sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	limited, err := Build(ctx, sc, WithSearchLimit(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := limited.Digest(), plain.Digest(); got != want {
-		t.Fatalf("WithSearchLimit(0) digest %s != plain digest %s", got, want)
-	}
-}
-
 // TestPhaseIDsOrder pins the canonical phase order Partition windows cut:
 // programs in Scale order, phases 0..PhasesPerProgram-1 within each.
 func TestPhaseIDsOrder(t *testing.T) {

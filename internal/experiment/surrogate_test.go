@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/arch"
 	"repro/internal/counters"
-	"repro/internal/store"
 	"repro/internal/surrogate"
 )
 
@@ -91,105 +90,6 @@ func TestSurrogateReducesExactSims(t *testing.T) {
 		if row.Oracle < row.PerProgram-1e-9 {
 			t.Errorf("%s: oracle %f < per-program %f", row.Program, row.Oracle, row.PerProgram)
 		}
-	}
-}
-
-// TestSurrogateDeterministic asserts the surrogate build is reproducible:
-// the same seed gives the same shortlist — hence the same sample space,
-// bests and counters — for any worker count.
-func TestSurrogateDeterministic(t *testing.T) {
-	sc := TestScale()
-	sc.Programs = []string{"mcf", "swim", "crafty"}
-	sc.UniformSamples = 8
-	sc.LocalSamples = 3
-	sc.SweepParams = DefaultScale().SweepParams[:2] // exercise stage 3 too
-
-	cfg := surrogate.Config{}
-	a, err := Build(context.Background(), sc, WithSurrogate(cfg))
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Build(context.Background(), sc, WithSurrogate(cfg))
-	if err != nil {
-		t.Fatal(err)
-	}
-	w, err := Build(context.Background(), sc, WithSurrogate(cfg), WithWorkers(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, other := range map[string]*Dataset{"rerun": b, "workers=4": w} {
-		if a.BestStatic != other.BestStatic {
-			t.Errorf("%s: best static differs: %v vs %v", name, a.BestStatic, other.BestStatic)
-		}
-		for _, id := range a.Phases {
-			if a.Best[id] != other.Best[id] {
-				t.Errorf("%s: %s best differs", name, id)
-			}
-			if !reflect.DeepEqual(a.SampleSpace(id), other.SampleSpace(id)) {
-				t.Errorf("%s: %s sample space differs", name, id)
-			}
-		}
-		sa, so := a.SurrogateSummary(), other.SurrogateSummary()
-		if sa.Exact != so.Exact || sa.Pruned != so.Pruned || sa.Audited != so.Audited {
-			t.Errorf("%s: summaries differ: %+v vs %+v", name, sa, so)
-		}
-	}
-}
-
-// TestSurrogateWarmStoreIdentical pins the design rule that makes the
-// surrogate compose with the persistent store: the shortlist is selected
-// before the store is consulted, so a warm rebuild chooses the same
-// configurations — every one a store hit, zero fresh simulations — and
-// reproduces the dataset exactly.
-func TestSurrogateWarmStoreIdentical(t *testing.T) {
-	sc := TestScale()
-	sc.Programs = []string{"mcf", "gzip"}
-	sc.UniformSamples = 8
-	sc.LocalSamples = 3
-
-	dir := t.TempDir()
-	st1, err := store.Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cold, err := Build(context.Background(), sc, WithStore(st1), WithSurrogate(surrogate.Config{}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := st1.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	st2, err := store.Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st2.Close()
-	before := SearchSimCount()
-	_, misses0 := MemoStats()
-	warm, err := Build(context.Background(), sc, WithStore(st2), WithSurrogate(surrogate.Config{}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := SearchSimCount() - before; d != 0 {
-		t.Errorf("warm surrogate build ran %d fresh search simulations, want 0", d)
-	}
-	if cold.BestStatic != warm.BestStatic {
-		t.Errorf("best static differs cold/warm: %v vs %v", cold.BestStatic, warm.BestStatic)
-	}
-	for _, id := range cold.Phases {
-		if cold.Best[id] != warm.Best[id] {
-			t.Errorf("%s: best differs cold/warm", id)
-		}
-		if !reflect.DeepEqual(cold.SampleSpace(id), warm.SampleSpace(id)) {
-			t.Errorf("%s: sample space differs cold/warm", id)
-		}
-	}
-	// The warm build still pays for profiling (never stored); but every
-	// measurement simulation must have been answered from disk.
-	_, misses1 := MemoStats()
-	if fresh := misses1 - misses0; fresh != uint64(len(warm.Phases)) {
-		t.Errorf("warm build ran %d simulations, want %d (profiling only)", fresh, len(warm.Phases))
 	}
 }
 

@@ -72,6 +72,40 @@ func TestSpecStringRoundTrip(t *testing.T) {
 	}
 }
 
+// FuzzParseSpec feeds arbitrary text to Parse: it must never panic, and
+// every spec it accepts must round-trip through String.
+func FuzzParseSpec(f *testing.F) {
+	for _, spec := range Partition(experiment.TestScale(), 3) {
+		f.Add(spec.String())
+	}
+	for _, seed := range []string{
+		"",
+		"v1:0/2:0-4",
+		"v2:0/2:0-4:0123456789abcdef",
+		"v1:2/2:0-4:0123456789abcdef",
+		"v1:0/2:4-4:0123456789abcdef",
+		"v1:0/2:0-4:short",
+		"v1:x/2:0-4:0123456789abcdef",
+		"v1:0/2:0-4:0123456789abcdef:extra",
+		"v1:+0/02:0-4:0123456789abcdef",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, text string) {
+		spec, err := Parse(text)
+		if err != nil {
+			return
+		}
+		again, err := Parse(spec.String())
+		if err != nil {
+			t.Fatalf("Parse(%q) accepted %+v, but its String %q does not parse: %v", text, spec, spec.String(), err)
+		}
+		if again != spec {
+			t.Fatalf("round trip of %q: %+v != %+v", text, again, spec)
+		}
+	})
+}
+
 func TestValidateRejectsWrongScale(t *testing.T) {
 	sc := experiment.TestScale()
 	spec := Partition(sc, 2)[0]
@@ -86,79 +120,6 @@ func TestValidateRejectsWrongScale(t *testing.T) {
 	big.Hi = len(sc.PhaseIDs()) + 1
 	if err := big.Validate(sc); err == nil {
 		t.Fatal("Validate accepted a window past the phase list")
-	}
-}
-
-// TestShardedBuildIdentity is the package's tentpole contract: an n-way
-// fabric build (shards + merge + warm final build) must reproduce the
-// plain sequential build exactly — same Dataset.Digest, the fleet paying
-// in total exactly the sequential build's search simulations, and the
-// final warm build paying zero.
-func TestShardedBuildIdentity(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs several full TestScale builds")
-	}
-	sc := experiment.TestScale()
-	ctx := context.Background()
-
-	seqDir := t.TempDir()
-	seqStore, err := store.Open(seqDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	before := experiment.SearchSimCount()
-	seq, err := experiment.Build(ctx, sc, experiment.WithStore(seqStore))
-	if err != nil {
-		t.Fatal(err)
-	}
-	seqSims := experiment.SearchSimCount() - before
-	if err := seqStore.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if seqSims == 0 {
-		t.Fatal("sequential build paid no search sims; the test cannot discriminate")
-	}
-
-	dstDir := filepath.Join(t.TempDir(), "fabric-dst")
-	dr, err := Drive(ctx, sc, 3, dstDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(dr.Shards) != 3 {
-		t.Fatalf("Drive ran %d shards, want 3", len(dr.Shards))
-	}
-	if dr.FreshSearchSims != seqSims {
-		t.Fatalf("fabric paid %d fresh search sims, sequential build paid %d — units were re-simulated or skipped", dr.FreshSearchSims, seqSims)
-	}
-	// Each shard must have paid something: a zero shard means its window
-	// replayed entirely from the seed, i.e. the partition is degenerate.
-	for _, sh := range dr.Shards {
-		if sh.FreshSearchSims == 0 {
-			t.Fatalf("shard %d/%d paid no fresh search sims", sh.Spec.Index, sh.Spec.Shards)
-		}
-	}
-
-	merged, err := store.Open(dstDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	before = experiment.SearchSimCount()
-	warm, err := experiment.Build(ctx, sc, experiment.WithStore(merged))
-	if err != nil {
-		t.Fatal(err)
-	}
-	warmSims := experiment.SearchSimCount() - before
-	if err := merged.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if warmSims != 0 {
-		t.Fatalf("warm final build paid %d fresh search sims, want 0 — the merged registry is missing records", warmSims)
-	}
-	if got, want := warm.Digest(), seq.Digest(); got != want {
-		t.Fatalf("warm fabric build digest %s != sequential build digest %s", got, want)
-	}
-	if got, want := warm.SimCount(), seq.SimCount(); got != want {
-		t.Fatalf("warm fabric build memoised %d results, sequential build %d", got, want)
 	}
 }
 

@@ -7,9 +7,7 @@ import (
 	"io"
 	"net/http"
 	"strings"
-	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/arch"
 	"repro/internal/counters"
@@ -205,83 +203,6 @@ func TestPredictBatchAndFeaturesMutuallyExclusive(t *testing.T) {
 	}
 	if !strings.Contains(string(data), "mutually exclusive") {
 		t.Errorf("unhelpful error: %s", data)
-	}
-}
-
-// TestCoalescingByteIdentical fires concurrent single-vector requests at a
-// coalescing server and a plain one: every response body must match, and
-// the coalescing server must actually have batched something.
-func TestCoalescingByteIdentical(t *testing.T) {
-	co, coTS := newTestServer(t, WithCoalescing(2*time.Millisecond, 8), WithMaxInflight(64))
-	_, plainTS := newTestServer(t, WithMaxInflight(64))
-	d := counters.Dim(counters.Basic)
-	pool := SyntheticFeatures(d, 16, 7)
-
-	// Collect the expected body for each distinct vector from the plain
-	// server (cache off on both servers: every request recomputes, so
-	// responses are position-independent).
-	want := make([]string, len(pool))
-	for i, f := range pool {
-		body, err := json.Marshal(PredictRequest{Features: f})
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, data := postPath(t, plainTS, "/v1/predict?probs=1", body)
-		want[i] = string(data)
-	}
-
-	var wg sync.WaitGroup
-	errs := make(chan error, 64)
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < 8; i++ {
-				idx := (w*8 + i) % len(pool)
-				body, err := json.Marshal(PredictRequest{Features: pool[idx]})
-				if err != nil {
-					errs <- err
-					return
-				}
-				resp, err := http.Post(coTS.URL+"/v1/predict?probs=1", "application/json", bytes.NewReader(body))
-				if err != nil {
-					errs <- err
-					continue
-				}
-				data, _ := io.ReadAll(resp.Body)
-				resp.Body.Close()
-				if resp.StatusCode != http.StatusOK {
-					errs <- fmt.Errorf("coalesced predict -> %d: %s", resp.StatusCode, data)
-					continue
-				}
-				if string(data) != want[idx] {
-					errs <- fmt.Errorf("coalesced response for vector %d differs from unbatched:\n%s\nvs\n%s", idx, data, want[idx])
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Error(err)
-	}
-	if co.metrics.coalesced.Value() == 0 {
-		t.Error("no requests went through the coalescer")
-	}
-	if co.metrics.batchSize.Count() == 0 {
-		t.Error("coalescer recorded no kernel calls in the batch-size histogram")
-	}
-}
-
-// TestCoalescerCloseFallsBack asserts requests after Close still answer
-// (direct kernel) rather than hanging.
-func TestCoalescerCloseFallsBack(t *testing.T) {
-	s, ts := newTestServer(t, WithCoalescing(time.Millisecond, 0))
-	s.Close()
-	d := counters.Dim(counters.Basic)
-	resp, data := postPredict(t, ts, predictBody(t, d, 1))
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("predict after Close -> %d: %s", resp.StatusCode, data)
 	}
 }
 

@@ -34,8 +34,8 @@ var latencyBuckets = []float64{
 }
 
 // batchSizeBuckets are the upper bounds of the kernel batch-size
-// histogram: powers of two up to the default coalescing cap and beyond,
-// so the exposition shows how well micro-batching is amortising calls.
+// histogram: powers of two, so the exposition shows how many cache misses
+// each batch request amortises into one kernel call.
 var batchSizeBuckets = []float64{1, 2, 4, 8, 16, 32, 64, 128, 256}
 
 // metrics is the server's instrumentation, held in a per-server
@@ -57,7 +57,6 @@ type metrics struct {
 	batches       *obs.Counter
 	batchRequests *obs.Counter
 	batchItems    *obs.Counter
-	coalesced     *obs.Counter
 	promotes      *obs.Counter
 	classRequests *obs.CounterVec
 	shed          *obs.CounterVec
@@ -86,11 +85,10 @@ func newMetrics(cacheLen func() int) *metrics {
 		saturated: reg.Counter("adaptd_saturated_total", "Requests rejected with 429 by the concurrency limiter."),
 		reloads:   reg.Counter("adaptd_reloads_total", "Successful predictor hot-swaps."),
 		batchSize: reg.Histogram("adaptd_batch_size",
-			"Feature vectors evaluated per batched kernel call (batch requests and coalesced singles).", batchSizeBuckets),
+			"Feature vectors evaluated per batched kernel call (the cache misses of one batch request).", batchSizeBuckets),
 		batches:       reg.Counter("adaptd_batches_total", "Batched kernel calls."),
 		batchRequests: reg.Counter("adaptd_batch_requests_total", "Predict requests that carried a batch payload."),
 		batchItems:    reg.Counter("adaptd_batch_items_total", "Feature vectors received inside batch payloads."),
-		coalesced:     reg.Counter("adaptd_coalesced_total", "Single-vector predicts answered through the micro-batching coalescer."),
 		promotes:      reg.Counter("adaptd_promotes_total", "Shadow models promoted to active."),
 		classRequests: reg.CounterVec("adaptd_class_requests_total", "Predict requests received, by admission class.", "class"),
 		shed:          reg.CounterVec("adaptd_admission_shed_total", "Predict requests shed by admission control, by class and reason.", "class", "reason"),

@@ -24,10 +24,6 @@ type options struct {
 	// maxInflight bounds concurrent predict requests; excess requests are
 	// rejected with 429 (default 64).
 	maxInflight int
-	// coWindow/coMax configure server-side micro-batching (see
-	// WithCoalescing). coWindow 0 disables coalescing.
-	coWindow time.Duration
-	coMax    int
 	// debug mounts the introspection endpoints (see WithDebug).
 	debug bool
 	// tracer, when non-nil, records one detached span per request.
@@ -47,7 +43,7 @@ type options struct {
 
 // Option configures a Server. The zero configuration (no options) is a
 // plain server with defaults: 1 MiB bodies, 5s timeout, 64 in-flight,
-// no cache, no coalescing, no admission control, no shadow.
+// no cache, no admission control, no shadow.
 type Option func(*options)
 
 // withDefaults fills unset fields.
@@ -95,15 +91,6 @@ func WithTimeout(d time.Duration) Option {
 // rejected with 429 (default 64).
 func WithMaxInflight(n int) Option {
 	return func(o *options) { o.maxInflight = n }
-}
-
-// WithCoalescing enables server-side micro-batching: single-vector
-// predicts that miss the decision cache are held up to window and
-// evaluated together in one batched kernel call of at most max vectors
-// (max <= 0 means 64). Grouping is timing-dependent; results are not —
-// every response is byte-identical to the unbatched path.
-func WithCoalescing(window time.Duration, max int) Option {
-	return func(o *options) { o.coWindow, o.coMax = window, max }
 }
 
 // WithDebug mounts the introspection endpoints on the handler: pprof

@@ -44,7 +44,6 @@ type Server struct {
 	engine  atomic.Pointer[Engine]
 	cache   *decisionCache
 	metrics *metrics
-	co      *coalescer
 	adm     *admission
 	shadow  *shadowState
 	sem     chan struct{}
@@ -70,9 +69,6 @@ func New(e *Engine, opts ...Option) *Server {
 	s.metrics = newMetrics(s.cache.len)
 	s.engine.Store(e)
 	s.setActiveSource(o.activeSource)
-	if o.coWindow > 0 {
-		s.co = newCoalescer(o.coWindow, o.coMax, s.metrics, o.tracer)
-	}
 	if o.admission != nil {
 		s.adm = newAdmission(*o.admission, o.maxInflight, func() float64 {
 			return s.metrics.predictP99()
@@ -85,15 +81,10 @@ func New(e *Engine, opts ...Option) *Server {
 	return s
 }
 
-// Close stops the coalescer's dispatcher and the shadow worker, if they
-// were started. The server keeps answering (in-flight and later coalesced
-// requests fall back to the direct kernel; shadow duplicates queue until
-// full, then drop); Close is goroutine hygiene for shutdown and tests,
-// not a way to refuse traffic.
+// Close stops the shadow worker, if one was started. The server keeps
+// answering (shadow duplicates queue until full, then drop); Close is
+// goroutine hygiene for shutdown and tests, not a way to refuse traffic.
 func (s *Server) Close() {
-	if s.co != nil {
-		s.co.close()
-	}
 	if s.shadow != nil {
 		s.shadow.close()
 	}
@@ -326,9 +317,9 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 }
 
 // resolveSingle answers one feature vector through the decision cache and,
-// on a miss, the coalescer (when enabled) or the direct kernel. Every
-// resolved decision — hit or miss — is duplicated to the shadow evaluator
-// with a non-blocking enqueue; the primary path never waits on it.
+// on a miss, the kernel. Every resolved decision — hit or miss — is
+// duplicated to the shadow evaluator with a non-blocking enqueue; the
+// primary path never waits on it.
 func (s *Server) resolveSingle(eng *Engine, features []float64) (entry *cacheEntry, hit bool) {
 	if entry, hit := s.cache.get(cacheKey(features)); hit && entry.eng == eng {
 		s.metrics.hits.Inc()
@@ -337,14 +328,7 @@ func (s *Server) resolveSingle(eng *Engine, features []float64) (entry *cacheEnt
 		}
 		return entry, true
 	}
-	var cfg arch.Config
-	var probs [arch.NumParams][]float64
-	if s.co != nil {
-		cfg, probs = s.co.predict(eng, features)
-		s.metrics.coalesced.Inc()
-	} else {
-		cfg, probs = eng.Predict(features)
-	}
+	cfg, probs := eng.Predict(features)
 	entry = &cacheEntry{key: cacheKey(features), eng: eng, config: cfg, probs: probs}
 	s.cache.put(entry)
 	s.metrics.misses.Inc()

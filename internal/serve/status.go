@@ -41,12 +41,11 @@ type CacheStatus struct {
 	HitRate float64 `json:"hitRate"`
 }
 
-// BatchStatus summarises batching and coalescing.
+// BatchStatus summarises batch payloads and batched kernel calls.
 type BatchStatus struct {
-	Requests  uint64 `json:"requests"`
-	Items     uint64 `json:"items"`
-	Kernels   uint64 `json:"kernels"`
-	Coalesced uint64 `json:"coalesced"`
+	Requests uint64 `json:"requests"`
+	Items    uint64 `json:"items"`
+	Kernels  uint64 `json:"kernels"`
 }
 
 // RouteLatency is one route's windowed latency quantiles (seconds, over
@@ -102,10 +101,9 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 			HitRate: s.metrics.hitRate(),
 		},
 		Batch: BatchStatus{
-			Requests:  s.metrics.batchRequests.Value(),
-			Items:     s.metrics.batchItems.Value(),
-			Kernels:   s.metrics.batches.Value(),
-			Coalesced: s.metrics.coalesced.Value(),
+			Requests: s.metrics.batchRequests.Value(),
+			Items:    s.metrics.batchItems.Value(),
+			Kernels:  s.metrics.batches.Value(),
 		},
 	}
 	var total, errs, serverErrs uint64

@@ -170,7 +170,7 @@ func main() {
 	defer stop()
 
 	bootStart := time.Now()
-	pred, err := bootPredictor(ctx, logger, *modelPath, set, *trainScale, *cacheDir)
+	pred, trained, err := bootPredictor(ctx, logger, *modelPath, set, *trainScale, *cacheDir)
 	if err != nil {
 		die(err)
 	}
@@ -218,8 +218,9 @@ func main() {
 	logger.Info("serving model", "mode", mode, "counters", eng.Set().String(),
 		"weights", eng.WeightCount(), "dim", eng.Dim(), "debug", *debug)
 
-	// The manifest's deterministic section holds the serving configuration
-	// and the model fingerprint; boot time (which covers first-boot
+	// The manifest's deterministic section holds the serving configuration,
+	// the model fingerprint and, on a first boot that trained the model,
+	// its per-parameter convergence; boot time (which covers first-boot
 	// training when the model file was absent) is timing.
 	var man *obs.Manifest
 	if manifestPath != "" {
@@ -233,6 +234,9 @@ func main() {
 		man.SetDet("admission", admission)
 		man.SetDet("sloP99NS", int64(*sloP99))
 		man.SetDet("shadow", *shadowPath)
+		if trained {
+			experiment.FillTrainManifest(man, pred)
+		}
 		man.SetTiming("bootSeconds", time.Since(bootStart).Seconds())
 	}
 	writeManifest := func() {
@@ -299,23 +303,23 @@ func main() {
 
 // bootPredictor loads the model file if it exists; otherwise it trains one
 // through the experiment harness at the requested scale (cancellable via
-// ctx) and saves it. With cacheDir, the training dataset is built against
-// the persistent result store there, so an interrupted first boot resumes
-// mid-dataset instead of restarting.
-func bootPredictor(ctx context.Context, logger *slog.Logger, path string, set counters.Set, scaleName, cacheDir string) (*core.Predictor, error) {
+// ctx), saves it and reports that it trained. With cacheDir, the training
+// dataset is built against the persistent result store there, so an
+// interrupted first boot resumes mid-dataset instead of restarting.
+func bootPredictor(ctx context.Context, logger *slog.Logger, path string, set counters.Set, scaleName, cacheDir string) (*core.Predictor, bool, error) {
 	if f, err := os.Open(path); err == nil {
 		defer f.Close()
 		pred, err := core.LoadPredictor(f)
 		if err != nil {
-			return nil, fmt.Errorf("loading %s: %w (delete it to retrain)", path, err)
+			return nil, false, fmt.Errorf("loading %s: %w (delete it to retrain)", path, err)
 		}
 		if pred.Set != set {
-			return nil, fmt.Errorf("model %s was trained on the %q counter set but -counter-set is %q; retrain or switch the flag", path, pred.Set, set)
+			return nil, false, fmt.Errorf("model %s was trained on the %q counter set but -counter-set is %q; retrain or switch the flag", path, pred.Set, set)
 		}
 		logger.Info("loaded predictor", "path", path)
-		return pred, nil
+		return pred, false, nil
 	} else if !errors.Is(err, os.ErrNotExist) {
-		return nil, fmt.Errorf("opening %s: %w", path, err)
+		return nil, false, fmt.Errorf("opening %s: %w", path, err)
 	}
 
 	sc := experiment.TestScale()
@@ -328,7 +332,7 @@ func bootPredictor(ctx context.Context, logger *slog.Logger, path string, set co
 		if st, err = store.Open(cacheDir); err != nil {
 			// ErrLocked already names the lock path and what to do about
 			// it; the flag context is all that's missing.
-			return nil, fmt.Errorf("opening -cache-dir: %w", err)
+			return nil, false, fmt.Errorf("opening -cache-dir: %w", err)
 		}
 		defer st.Close()
 		logger.Info("result store open", "dir", cacheDir, "records", st.Len())
@@ -342,7 +346,7 @@ func bootPredictor(ctx context.Context, logger *slog.Logger, path string, set co
 	defer experiment.SetProgress(nil)
 	ds, err := experiment.Build(ctx, sc, experiment.WithStore(st))
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
 	if st != nil {
 		s := st.Stats()
@@ -351,18 +355,18 @@ func bootPredictor(ctx context.Context, logger *slog.Logger, path string, set co
 	}
 	pred, err := ds.TrainAllCtx(ctx, set)
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
 	f, err := os.Create(path)
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
 	defer f.Close()
 	if err := pred.Save(f); err != nil {
-		return nil, err
+		return nil, false, err
 	}
 	logger.Info("trained and saved predictor", "path", path, "weights", pred.WeightCount())
-	return pred, nil
+	return pred, true, nil
 }
 
 // runLoadgen serves on a local listener and fires the seeded load

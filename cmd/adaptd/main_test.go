@@ -6,8 +6,9 @@ import (
 	"repro/internal/serve"
 )
 
-func TestParseRate(t *testing.T) {
-	valid := []struct {
+// The flag-syntax tables double as the fuzz targets' seed corpora.
+var (
+	rateValid = []struct {
 		in    string
 		class serve.Class
 		pol   serve.ClassPolicy
@@ -17,17 +18,7 @@ func TestParseRate(t *testing.T) {
 		{"batch=0.5:1", serve.ClassBatch, serve.ClassPolicy{Rate: 0.5, Burst: 1}},
 		{"interactive=1e3", serve.ClassInteractive, serve.ClassPolicy{Rate: 1000}},
 	}
-	for _, tc := range valid {
-		class, pol, err := parseRate(tc.in)
-		if err != nil {
-			t.Errorf("parseRate(%q): %v", tc.in, err)
-			continue
-		}
-		if class != tc.class || pol != tc.pol {
-			t.Errorf("parseRate(%q) = %v %+v, want %v %+v", tc.in, class, pol, tc.class, tc.pol)
-		}
-	}
-	for _, in := range []string{
+	rateInvalid = []string{
 		"",
 		"background",
 		"=20",
@@ -46,15 +37,8 @@ func TestParseRate(t *testing.T) {
 		"background=20:-5",
 		"background=20:NaN",
 		"background=20:Inf",
-	} {
-		if class, pol, err := parseRate(in); err == nil {
-			t.Errorf("parseRate(%q) accepted: %v %+v", in, class, pol)
-		}
 	}
-}
-
-func TestParseMix(t *testing.T) {
-	valid := []struct {
+	mixValid = []struct {
 		in   string
 		want serve.ClassMix
 	}{
@@ -63,17 +47,7 @@ func TestParseMix(t *testing.T) {
 		{"interactive=0.7, batch=0.2,background=0.1", serve.DefaultClassMix()},
 		{"batch=0,background=3", serve.ClassMix{serve.ClassBackground: 3}},
 	}
-	for _, tc := range valid {
-		got, err := parseMix(tc.in)
-		if err != nil {
-			t.Errorf("parseMix(%q): %v", tc.in, err)
-			continue
-		}
-		if got != tc.want {
-			t.Errorf("parseMix(%q) = %v, want %v", tc.in, got, tc.want)
-		}
-	}
-	for _, in := range []string{
+	mixInvalid = []string{
 		"interactive",
 		"=1",
 		"bulk=1",
@@ -83,9 +57,87 @@ func TestParseMix(t *testing.T) {
 		"batch=0.2,background=NaN",
 		"interactive=Inf",
 		"interactive=-Inf",
-	} {
+	}
+)
+
+func TestParseRate(t *testing.T) {
+	for _, tc := range rateValid {
+		class, pol, err := parseRate(tc.in)
+		if err != nil {
+			t.Errorf("parseRate(%q): %v", tc.in, err)
+			continue
+		}
+		if class != tc.class || pol != tc.pol {
+			t.Errorf("parseRate(%q) = %v %+v, want %v %+v", tc.in, class, pol, tc.class, tc.pol)
+		}
+	}
+	for _, in := range rateInvalid {
+		if class, pol, err := parseRate(in); err == nil {
+			t.Errorf("parseRate(%q) accepted: %v %+v", in, class, pol)
+		}
+	}
+}
+
+func TestParseMix(t *testing.T) {
+	for _, tc := range mixValid {
+		got, err := parseMix(tc.in)
+		if err != nil {
+			t.Errorf("parseMix(%q): %v", tc.in, err)
+			continue
+		}
+		if got != tc.want {
+			t.Errorf("parseMix(%q) = %v, want %v", tc.in, got, tc.want)
+		}
+	}
+	for _, in := range mixInvalid {
 		if mix, err := parseMix(in); err == nil {
 			t.Errorf("parseMix(%q) accepted: %v", in, mix)
 		}
 	}
+}
+
+// FuzzParseRate holds -admission-rate parsing to its contract on any
+// input: no panic, and an accepted policy has a positive finite rate and
+// a finite, non-negative burst.
+func FuzzParseRate(f *testing.F) {
+	for _, tc := range rateValid {
+		f.Add(tc.in)
+	}
+	for _, in := range rateInvalid {
+		f.Add(in)
+	}
+	f.Fuzz(func(t *testing.T, in string) {
+		class, pol, err := parseRate(in)
+		if err != nil {
+			return
+		}
+		if class < 0 || class >= serve.NumClasses {
+			t.Fatalf("parseRate(%q) class %d out of range", in, class)
+		}
+		if !positiveFinite(pol.Rate) || !finite(pol.Burst) || pol.Burst < 0 {
+			t.Fatalf("parseRate(%q) accepted %+v", in, pol)
+		}
+	})
+}
+
+// FuzzParseMix holds -loadgen-mix parsing to its contract on any input:
+// no panic, and every accepted share is finite and non-negative.
+func FuzzParseMix(f *testing.F) {
+	for _, tc := range mixValid {
+		f.Add(tc.in)
+	}
+	for _, in := range mixInvalid {
+		f.Add(in)
+	}
+	f.Fuzz(func(t *testing.T, in string) {
+		mix, err := parseMix(in)
+		if err != nil {
+			return
+		}
+		for class, share := range mix {
+			if !finite(share) || share < 0 {
+				t.Fatalf("parseMix(%q) accepted share %v for class %d", in, share, class)
+			}
+		}
+	})
 }

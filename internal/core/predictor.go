@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/arch"
 	"repro/internal/counters"
+	"repro/internal/obs"
 	"repro/internal/softmax"
 )
 
@@ -27,6 +28,9 @@ type PhaseExample struct {
 // Predictor maps a phase's hardware-counter features to the predicted best
 // configuration, one independent soft-max model per parameter (paper
 // eq. 1: parameters are conditionally independent given the counters).
+// A freshly trained predictor carries each model's convergence record in
+// Models[param].Stats; the wire format does not, so a loaded one has zero
+// stats.
 type Predictor struct {
 	Set    counters.Set
 	Models [arch.NumParams]*softmax.Model
@@ -41,7 +45,8 @@ func TrainPredictor(set counters.Set, phases []PhaseExample, opts softmax.Option
 
 // TrainPredictorCtx is TrainPredictor with cooperative cancellation,
 // checked between the fourteen per-parameter trainings (each is a full
-// conjugate-gradient run, so this is the useful granularity).
+// conjugate-gradient run, so this is the useful granularity). Each
+// training runs under its own "train <Param>" span.
 func TrainPredictorCtx(ctx context.Context, set counters.Set, phases []PhaseExample, opts softmax.Options) (*Predictor, error) {
 	if len(phases) == 0 {
 		return nil, errors.New("core: no training phases")
@@ -68,7 +73,9 @@ func TrainPredictorCtx(ctx context.Context, set counters.Set, phases []PhaseExam
 				exs = append(exs, softmax.Example{X: ph.Features, Y: k})
 			}
 		}
+		sp := obs.DefaultTracer().Start("train " + param.String())
 		m, err := softmax.Train(d, arch.DomainSize(param), exs, opts)
+		sp.Finish()
 		if err != nil {
 			return nil, fmt.Errorf("core: training %s model: %w", param, err)
 		}

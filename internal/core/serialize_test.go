@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/arch"
 	"repro/internal/counters"
+	"repro/internal/softmax"
 )
 
 func TestSaveWritesVersionedHeader(t *testing.T) {
@@ -103,5 +104,30 @@ func TestLoadPredictorRejectsForeignShape(t *testing.T) {
 	}
 	if _, err := LoadPredictor(&buf); err == nil {
 		t.Fatal("foreign-shape predictor accepted")
+	}
+}
+
+// TestConvergenceStaysOffTheWire: a trained predictor carries each
+// model's convergence record, and the saved form does not, so a loaded
+// predictor has the same weights and zero stats.
+func TestConvergenceStaysOffTheWire(t *testing.T) {
+	pred := trainToyPredictor(t, counters.Basic)
+	for param, m := range pred.Models {
+		if st := m.Stats; st.Iters == 0 || st.Evals < st.Iters {
+			t.Errorf("%s: implausible convergence record %+v", arch.Param(param), st)
+		}
+	}
+	var buf bytes.Buffer
+	if err := pred.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := LoadPredictor(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for param, m := range loaded.Models {
+		if m.Stats != (softmax.TrainStats{}) {
+			t.Errorf("%s: loaded model carries stats %+v", arch.Param(param), m.Stats)
+		}
 	}
 }

@@ -3,6 +3,9 @@ package experiment
 import (
 	"strings"
 
+	"repro/internal/arch"
+	"repro/internal/core"
+	"repro/internal/counters"
 	"repro/internal/obs"
 	"repro/internal/store"
 )
@@ -15,7 +18,8 @@ import (
 // including the surrogate's selection statistics, which depend only on
 // the seed. Timing: the simulation/memoisation counters, which depend on
 // store warm state (a warm replay pays for fewer simulations — that is
-// the point) and so must never be diffed exactly.
+// the point) and so must never be diffed exactly. Every predictor TrainAll
+// has trained so far adds its convergence record (FillTrainManifest).
 func FillBuildManifest(m *obs.Manifest, ds *Dataset) {
 	sc := ds.Scale
 	m.SetDet("scale.programs", strings.Join(sc.Programs, ","))
@@ -44,8 +48,28 @@ func FillBuildManifest(m *obs.Manifest, ds *Dataset) {
 		m.SetDet("surrogate.calibMAE", sum.CalibMAE)
 		m.SetTiming("surrogateExactSims", float64(sum.Exact))
 	}
+	for _, set := range []counters.Set{counters.Advanced, counters.Basic} {
+		if p, ok := ds.trained[set]; ok {
+			FillTrainManifest(m, p)
+		}
+	}
 	hits, sims := MemoStats()
 	m.SetTiming("memoHits", float64(hits))
 	m.SetTiming("simulationsRun", float64(sims))
 	m.SetTiming("searchSims", float64(SearchSimCount()))
+}
+
+// FillTrainManifest records a trained predictor's per-parameter
+// convergence in the manifest's deterministic section, under
+// train.<set>.<Param>.{iters,evals,objective,gradNorm}. Training is
+// deterministic, so any numerics change shows up in an obsdiff.
+func FillTrainManifest(m *obs.Manifest, p *core.Predictor) {
+	for param := arch.Param(0); param < arch.NumParams; param++ {
+		st := p.Models[param].Stats
+		key := "train." + p.Set.String() + "." + param.String() + "."
+		m.SetDet(key+"iters", st.Iters)
+		m.SetDet(key+"evals", st.Evals)
+		m.SetDet(key+"objective", st.Objective)
+		m.SetDet(key+"gradNorm", st.GradNorm)
+	}
 }

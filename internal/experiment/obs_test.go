@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/counters"
 	"repro/internal/obs"
 )
@@ -57,7 +58,7 @@ func TestPipelineSpanTreeDeterministic(t *testing.T) {
 	for _, want := range []string{
 		"experiment.build-dataset", "tracegen", "search mcf/0",
 		"best-static", "good-sets", "profile swim/0",
-		"experiment.loocv basic", "fold mcf", "fold swim",
+		"experiment.loocv basic", "fold mcf", "fold swim", "train Width",
 	} {
 		if !strings.Contains(first, want) {
 			t.Errorf("span tree missing %q:\n%s", want, first)
@@ -98,5 +99,36 @@ func TestMemoStatsAdvance(t *testing.T) {
 	}
 	if h1 <= h0 {
 		t.Errorf("memo-hit counter did not advance: %d -> %d", h0, h1)
+	}
+}
+
+// TestTrainManifestDeterministic: every TrainAll predictor's per-parameter
+// convergence joins the manifest's deterministic section, and two
+// trainings on the same phases record identical values.
+func TestTrainManifestDeterministic(t *testing.T) {
+	ds := testDataset(t)
+	if _, err := ds.TrainAll(counters.Basic); err != nil {
+		t.Fatal(err)
+	}
+	m := obs.NewManifest("report")
+	FillBuildManifest(m, ds)
+	iters, ok := m.Deterministic["train.basic.Width.iters"].(int)
+	if !ok || iters <= 0 {
+		t.Fatalf("train.basic.Width.iters = %v, want a positive count", m.Deterministic["train.basic.Width.iters"])
+	}
+	for _, key := range []string{"evals", "objective", "gradNorm"} {
+		if _, ok := m.Deterministic["train.basic.Depth."+key]; !ok {
+			t.Errorf("manifest lacks train.basic.Depth.%s", key)
+		}
+	}
+	p, err := core.TrainPredictor(counters.Basic, ds.phaseExamples(counters.Basic, ds.Phases), TrainOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	again := obs.NewManifest("report")
+	FillBuildManifest(again, ds)
+	FillTrainManifest(again, p)
+	if d := obs.DiffDeterministic(m, again); d != "" {
+		t.Errorf("retraining changed deterministic field %q", d)
 	}
 }

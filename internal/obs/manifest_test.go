@@ -113,3 +113,53 @@ func mustRead(t *testing.T, path string) string {
 	}
 	return string(data)
 }
+
+// FuzzLoadManifest feeds arbitrary bytes to LoadManifest: it must never
+// panic, and anything it accepts must survive a write/load round trip
+// with an identical deterministic section and timing map.
+func FuzzLoadManifest(f *testing.F) {
+	seed := filepath.Join(f.TempDir(), "seed.json")
+	if err := sampleManifest().WriteFile(seed); err != nil {
+		f.Fatal(err)
+	}
+	data, err := os.ReadFile(seed)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(data)
+	f.Add([]byte(`{}`))
+	f.Add([]byte(`{"tool":"adaptd","deterministic":null,"timing":null}`))
+	f.Add([]byte(`{"deterministic":{"a":[1,{"b":null}]},"timing":{"x":1e308}}`))
+	f.Add([]byte(`{"timing":{"x":"NaN"}}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dir := t.TempDir()
+		in := filepath.Join(dir, "in.json")
+		if err := os.WriteFile(in, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		m, err := LoadManifest(in)
+		if err != nil {
+			return
+		}
+		out := filepath.Join(dir, "out.json")
+		if err := m.WriteFile(out); err != nil {
+			t.Fatalf("accepted manifest does not write back: %v", err)
+		}
+		again, err := LoadManifest(out)
+		if err != nil {
+			t.Fatalf("written manifest does not load: %v", err)
+		}
+		if d := DiffDeterministic(m, again); d != "" {
+			t.Fatalf("round trip changed deterministic field %q", d)
+		}
+		if len(again.Timing) != len(m.Timing) {
+			t.Fatalf("round trip changed timing keys: %v -> %v", m.Timing, again.Timing)
+		}
+		for k, v := range m.Timing {
+			if again.Timing[k] != v {
+				t.Fatalf("round trip changed timing %q: %v -> %v", k, v, again.Timing[k])
+			}
+		}
+		TimingGeomeanSpeedup(TimingDeltas(m, again))
+	})
+}

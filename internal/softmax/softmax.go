@@ -49,6 +49,9 @@ func DefaultOptions() Options {
 type Model struct {
 	D, K int
 	W    []float64
+	// Stats is the convergence record of the Train run that produced W;
+	// zero for models built by NewModel or loaded from disk.
+	Stats TrainStats
 }
 
 // NewModel returns an untrained model with all weights set to init.
@@ -160,9 +163,29 @@ func (m *Model) Probabilities(x []float64) []float64 {
 	return s
 }
 
+// TrainStats records how a training run converged. Every field is a pure
+// function of the examples and options, so it is safe to pin and diff.
+type TrainStats struct {
+	// Iters counts conjugate-gradient iterations that accepted a step.
+	Iters int
+	// Evals counts line-search objective evaluations.
+	Evals int
+	// Objective is the final regularised negative log-likelihood.
+	Objective float64
+	// GradNorm is the final gradient norm.
+	GradNorm float64
+}
+
 // Train fits a model to the examples by maximising the regularised data
 // log-likelihood (paper eq. 6-7) with Polak-Ribiere conjugate gradients
-// and a backtracking line search. Training is deterministic.
+// and a backtracking line search. Training is deterministic; the returned
+// model's Stats record its convergence.
+//
+// Consecutive examples sharing one feature vector are trained as a single
+// group weighted by its per-class label counts: the same likelihood, with
+// scores computed once per group instead of once per example. Scores are
+// linear in the weights, so the line search evaluates every trial step in
+// score space from the scores at W and along the search direction.
 func Train(d, k int, examples []Example, opts Options) (*Model, error) {
 	if len(examples) == 0 {
 		return nil, errors.New("softmax: no training examples")
@@ -186,41 +209,39 @@ func Train(d, k int, examples []Example, opts Options) (*Model, error) {
 		opts.Tol = 1e-5
 	}
 
+	pr := newProblem(k, opts.Lambda, examples)
 	n := d * k
 	grad := make([]float64, n)
 	prevGrad := make([]float64, n)
 	dir := make([]float64, n)
-	trial := make([]float64, n)
-	scores := make([]float64, k)
 
-	f := objective(m, examples, opts.Lambda, grad, scores)
+	f := pr.objGrad(m.W, grad)
 	for i := range dir {
 		dir[i] = -grad[i]
 	}
+	gg := dot(grad, grad)
 	alpha := 1.0 / (1 + float64(len(examples)))
+	st := &m.Stats
 
 	for it := 0; it < opts.MaxIter; it++ {
-		gnorm := norm(grad)
-		if gnorm < opts.Tol {
+		if math.Sqrt(gg) < opts.Tol {
 			break
 		}
 		// Ensure a descent direction; restart on failure.
-		if dot(grad, dir) >= 0 {
+		slope := dot(grad, dir)
+		if slope >= 0 {
 			for i := range dir {
 				dir[i] = -grad[i]
 			}
+			slope = dot(grad, dir)
 		}
-		// Backtracking line search (Armijo).
-		slope := dot(grad, dir)
+		// Backtracking line search (Armijo), in score space.
+		pr.line(m.W, dir)
 		step := alpha * 4
-		var fNew float64
 		accepted := false
 		for ls := 0; ls < 40; ls++ {
-			for i := range trial {
-				trial[i] = m.W[i] + step*dir[i]
-			}
-			fNew = objectiveAt(trial, m, examples, opts.Lambda, scores)
-			if fNew <= f+1e-4*step*slope {
+			st.Evals++
+			if pr.lineValue(step) <= f+1e-4*step*slope {
 				accepted = true
 				break
 			}
@@ -229,17 +250,24 @@ func Train(d, k int, examples []Example, opts Options) (*Model, error) {
 		if !accepted {
 			break // no further progress possible along any tried step
 		}
+		st.Iters++
 		alpha = step
-		copy(m.W, trial)
-		copy(prevGrad, grad)
-		f = objective(m, examples, opts.Lambda, grad, scores)
-
-		// Polak-Ribiere beta with automatic restart.
-		num := 0.0
-		for i := range grad {
-			num += grad[i] * (grad[i] - prevGrad[i])
+		for i := range m.W {
+			m.W[i] += step * dir[i]
 		}
-		den := dot(prevGrad, prevGrad)
+		grad, prevGrad = prevGrad, grad
+		f = pr.objGrad(m.W, grad)
+
+		// Polak-Ribiere beta with automatic restart; gg is the new
+		// gradient's squared norm for the next stopping check.
+		num, den := 0.0, 0.0
+		gg = 0
+		for i, g := range grad {
+			pg := prevGrad[i]
+			num += g * (g - pg)
+			den += pg * pg
+			gg += g * g
+		}
 		beta := 0.0
 		if den > 0 {
 			beta = num / den
@@ -251,79 +279,178 @@ func Train(d, k int, examples []Example, opts Options) (*Model, error) {
 			dir[i] = -grad[i] + beta*dir[i]
 		}
 	}
+	st.Objective = f
+	st.GradNorm = math.Sqrt(gg)
 	return m, nil
 }
 
-// objective computes f = -L + lambda*||W||^2 and the gradient into grad.
-func objective(m *Model, examples []Example, lambda float64, grad, scores []float64) float64 {
+// group is a run of consecutive examples sharing one feature vector: the
+// sufficient statistics of their contribution to the likelihood.
+type group struct {
+	x      []float64
+	nz     []int     // indices of x's nonzero features
+	counts []float64 // per-class label counts
+	total  float64   // number of examples in the run
+}
+
+// problem is the regularised objective f = -L + lambda*||W||^2 over the
+// grouped examples, plus the line-search state along one direction.
+type problem struct {
+	k      int
+	lambda float64
+	groups []group
+	// s0 and sd hold each group's K scores at W and along the direction;
+	// wd and dd are W.dir and dir.dir, and reg is lambda*||W||^2.
+	s0, sd  []float64
+	reg     float64
+	wd, dd  float64
+	scratch []float64
+}
+
+// newProblem groups consecutive examples whose vectors are the same slice
+// or hold the same values.
+func newProblem(k int, lambda float64, examples []Example) *problem {
+	pr := &problem{k: k, lambda: lambda, scratch: make([]float64, k)}
+	for _, ex := range examples {
+		if n := len(pr.groups); n > 0 && sameVector(pr.groups[n-1].x, ex.X) {
+			g := &pr.groups[n-1]
+			g.counts[ex.Y]++
+			g.total++
+			continue
+		}
+		g := group{x: ex.X, counts: make([]float64, k), total: 1}
+		for i, xi := range ex.X {
+			if xi != 0 {
+				g.nz = append(g.nz, i)
+			}
+		}
+		g.counts[ex.Y] = 1
+		pr.groups = append(pr.groups, g)
+	}
+	pr.s0 = make([]float64, len(pr.groups)*k)
+	pr.sd = make([]float64, len(pr.groups)*k)
+	return pr
+}
+
+// sameVector reports whether a and b hold the same values. Identity is
+// checked first because callers usually pass one slice for every example
+// of a phase.
+func sameVector(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	if len(a) == 0 || &a[0] == &b[0] {
+		return true
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// scores writes the group's K scores under weights w into out.
+func (pr *problem) scores(g *group, w, out []float64) {
+	k := pr.k
+	for c := range out {
+		out[c] = 0
+	}
+	for _, i := range g.nz {
+		xi := g.x[i]
+		for c, wc := range w[i*k : i*k+k] {
+			out[c] += wc * xi
+		}
+	}
+}
+
+// nll returns the group's negative log-likelihood at scores s and its
+// log-partition logZ.
+func (g *group) nll(s []float64) (f, logZ float64) {
+	maxS := math.Inf(-1)
+	for _, v := range s {
+		if v > maxS {
+			maxS = v
+		}
+	}
+	for _, v := range s {
+		logZ += math.Exp(v - maxS)
+	}
+	logZ = math.Log(logZ) + maxS
+	for c, n := range g.counts {
+		if n != 0 {
+			f -= n * (s[c] - logZ)
+		}
+	}
+	return f, logZ
+}
+
+// objGrad returns the objective at w and writes its gradient into grad,
+// scoring each group once and leaving the scores in s0 for the line
+// search. The likelihood gradient of a group is (total*sigma_k -
+// count_k) * x, accumulated row by row over the nonzero features only.
+func (pr *problem) objGrad(w, grad []float64) float64 {
+	k := pr.k
 	for i := range grad {
 		grad[i] = 0
 	}
+	coeff := pr.scratch
 	f := 0.0
-	for _, ex := range examples {
-		m.Scores(ex.X, scores)
-		maxS := math.Inf(-1)
-		for _, v := range scores {
-			if v > maxS {
-				maxS = v
-			}
+	for gi := range pr.groups {
+		g := &pr.groups[gi]
+		s := pr.s0[gi*k : gi*k+k]
+		pr.scores(g, w, s)
+		gf, logZ := g.nll(s)
+		f += gf
+		for c, v := range s {
+			coeff[c] = g.total*math.Exp(v-logZ) - g.counts[c]
 		}
-		logZ := 0.0
-		for _, v := range scores {
-			logZ += math.Exp(v - maxS)
-		}
-		logZ = math.Log(logZ) + maxS
-		f -= scores[ex.Y] - logZ
-		// Gradient of -log-likelihood: (sigma_k - delta_k) * x.
-		for k := range scores {
-			p := math.Exp(scores[k] - logZ)
-			coeff := p
-			if k == ex.Y {
-				coeff -= 1
-			}
-			if coeff == 0 {
-				continue
-			}
-			for i, xi := range ex.X {
-				if xi != 0 {
-					grad[i*m.K+k] += coeff * xi
-				}
+		for _, i := range g.nz {
+			xi := g.x[i]
+			row := grad[i*k : i*k+k]
+			for c, cc := range coeff {
+				row[c] += cc * xi
 			}
 		}
 	}
-	for i, w := range m.W {
-		f += lambda * w * w
-		grad[i] += 2 * lambda * w
+	pr.reg = 0
+	for i, wi := range w {
+		pr.reg += pr.lambda * wi * wi
+		grad[i] += 2 * pr.lambda * wi
 	}
-	return f
+	return f + pr.reg
 }
 
-// objectiveAt evaluates the objective at weights w without touching m.W
-// and without computing the gradient.
-func objectiveAt(w []float64, m *Model, examples []Example, lambda float64, scores []float64) float64 {
-	saved := m.W
-	m.W = w
+// line prepares lineValue along dir from w. It relies on s0 holding the
+// scores at w, as the last objGrad call left them.
+func (pr *problem) line(w, dir []float64) {
+	k := pr.k
+	for gi := range pr.groups {
+		pr.scores(&pr.groups[gi], dir, pr.sd[gi*k:gi*k+k])
+	}
+	pr.wd, pr.dd = 0, 0
+	for i, di := range dir {
+		pr.wd += w[i] * di
+		pr.dd += di * di
+	}
+}
+
+// lineValue returns the objective at w + t*dir in O(groups*K): the scores
+// there are s0 + t*sd, and the regulariser expands to
+// lambda*(||W||^2 + 2t W.dir + t^2 ||dir||^2).
+func (pr *problem) lineValue(t float64) float64 {
+	k := pr.k
+	s := pr.scratch
 	f := 0.0
-	for _, ex := range examples {
-		m.Scores(ex.X, scores)
-		maxS := math.Inf(-1)
-		for _, v := range scores {
-			if v > maxS {
-				maxS = v
-			}
+	for gi := range pr.groups {
+		s0, sd := pr.s0[gi*k:gi*k+k], pr.sd[gi*k:gi*k+k]
+		for c := range s {
+			s[c] = s0[c] + t*sd[c]
 		}
-		logZ := 0.0
-		for _, v := range scores {
-			logZ += math.Exp(v - maxS)
-		}
-		logZ = math.Log(logZ) + maxS
-		f -= scores[ex.Y] - logZ
+		gf, _ := pr.groups[gi].nll(s)
+		f += gf
 	}
-	for _, wi := range w {
-		f += lambda * wi * wi
-	}
-	m.W = saved
-	return f
+	return f + pr.reg + pr.lambda*(2*t*pr.wd+t*t*pr.dd)
 }
 
 func dot(a, b []float64) float64 {
@@ -333,8 +460,6 @@ func dot(a, b []float64) float64 {
 	}
 	return s
 }
-
-func norm(a []float64) float64 { return math.Sqrt(dot(a, a)) }
 
 // Quantized is the 8-bit fixed-point form of a model, matching the
 // perceptron-style hardware implementation the paper sketches in §VIII

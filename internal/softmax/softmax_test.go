@@ -401,3 +401,205 @@ func TestSoftmaxInPlaceMatchesProbabilities(t *testing.T) {
 		}
 	}
 }
+
+// referenceObjective is the per-example form of the training objective
+// f = -L + lambda*||W||^2 and its gradient: every example scored on its
+// own, with no grouping and no score-space shortcuts. The trainer must
+// agree with it to rounding.
+func referenceObjective(w []float64, d, k int, examples []Example, lambda float64, grad []float64) float64 {
+	m := &Model{D: d, K: k, W: w}
+	for i := range grad {
+		grad[i] = 0
+	}
+	f := 0.0
+	for _, ex := range examples {
+		s := m.Scores(ex.X, nil)
+		maxS := math.Inf(-1)
+		for _, v := range s {
+			maxS = math.Max(maxS, v)
+		}
+		logZ := 0.0
+		for _, v := range s {
+			logZ += math.Exp(v - maxS)
+		}
+		logZ = math.Log(logZ) + maxS
+		f -= s[ex.Y] - logZ
+		for c := range s {
+			coeff := math.Exp(s[c] - logZ)
+			if c == ex.Y {
+				coeff--
+			}
+			for i, xi := range ex.X {
+				grad[i*k+c] += coeff * xi
+			}
+		}
+	}
+	for i, wi := range w {
+		f += lambda * wi * wi
+		grad[i] += 2 * lambda * wi
+	}
+	return f
+}
+
+// duplicatedExamples draws phases the way core emits them: nVec random
+// sparse vectors, each repeated for 1..maxGood labels in a row, sharing
+// one slice.
+func duplicatedExamples(d, k, nVec, maxGood int, rng *rand.Rand) []Example {
+	var exs []Example
+	for _, x := range randomBatch(d, nVec, rng) {
+		for g := 1 + rng.IntN(maxGood); g > 0; g-- {
+			exs = append(exs, Example{X: x, Y: rng.IntN(k)})
+		}
+	}
+	return exs
+}
+
+func randomWeights(n int, rng *rand.Rand) []float64 {
+	w := make([]float64, n)
+	for i := range w {
+		w[i] = rng.NormFloat64()
+	}
+	return w
+}
+
+func relClose(a, b, tol float64) bool {
+	return math.Abs(a-b) <= tol*math.Max(1, math.Max(math.Abs(a), math.Abs(b)))
+}
+
+// TestObjGradMatchesReference pins the fused, grouped objective and
+// gradient to the per-example reference.
+func TestObjGradMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewPCG(31, 37))
+	const d, k, lambda = 40, 6, 0.5
+	for trial := 0; trial < 5; trial++ {
+		exs := duplicatedExamples(d, k, 7, 5, rng)
+		w := randomWeights(d*k, rng)
+		pr := newProblem(k, lambda, exs)
+		if len(pr.groups) != 7 {
+			t.Fatalf("%d groups from 7 consecutive runs", len(pr.groups))
+		}
+		grad := make([]float64, d*k)
+		refGrad := make([]float64, d*k)
+		f := pr.objGrad(w, grad)
+		ref := referenceObjective(w, d, k, exs, lambda, refGrad)
+		if !relClose(f, ref, 1e-12) {
+			t.Errorf("trial %d: objective %v, reference %v", trial, f, ref)
+		}
+		for i := range grad {
+			if !relClose(grad[i], refGrad[i], 1e-12) {
+				t.Fatalf("trial %d: gradient[%d] %v, reference %v", trial, i, grad[i], refGrad[i])
+			}
+		}
+	}
+}
+
+// TestLineValueMatchesDirect checks the score-space line search: the value
+// at step t equals the direct objective at W + t*dir.
+func TestLineValueMatchesDirect(t *testing.T) {
+	rng := rand.New(rand.NewPCG(41, 43))
+	const d, k, lambda = 40, 6, 0.5
+	exs := duplicatedExamples(d, k, 7, 5, rng)
+	w := randomWeights(d*k, rng)
+	dir := randomWeights(d*k, rng)
+	pr := newProblem(k, lambda, exs)
+	grad := make([]float64, d*k)
+	pr.objGrad(w, grad)
+	pr.line(w, dir)
+	trial := make([]float64, d*k)
+	for _, step := range []float64{0, 1e-3, 0.0625, 0.5, 1, 3} {
+		for i := range trial {
+			trial[i] = w[i] + step*dir[i]
+		}
+		want := referenceObjective(trial, d, k, exs, lambda, grad)
+		if got := pr.lineValue(step); !relClose(got, want, 1e-12) {
+			t.Errorf("step %v: line value %v, direct objective %v", step, got, want)
+		}
+	}
+}
+
+// TestTrainNonConsecutiveDuplicates interleaves examples that share a
+// vector, so grouping cannot merge them: the model must still be valid,
+// make the same decisions as the grouped order, and report a final
+// objective that matches the reference at its weights.
+func TestTrainNonConsecutiveDuplicates(t *testing.T) {
+	rng := rand.New(rand.NewPCG(47, 53))
+	const d, k = 12, 4
+	xs := randomBatch(d, 4, rng)
+	var grouped, interleaved []Example
+	for i, x := range xs {
+		for _, y := range []int{i % k, (i + 1) % k} {
+			grouped = append(grouped, Example{X: x, Y: y})
+		}
+	}
+	for _, y := range []int{0, 1} {
+		for i, x := range xs {
+			// A copy, so identity cannot short-circuit the comparison.
+			interleaved = append(interleaved, Example{X: append([]float64(nil), x...), Y: (i + y) % k})
+		}
+	}
+	if n := len(newProblem(k, 0.5, interleaved).groups); n != len(interleaved) {
+		t.Fatalf("interleaved examples formed %d groups, want %d", n, len(interleaved))
+	}
+	opts := DefaultOptions()
+	a, err := Train(d, k, grouped, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := Train(d, k, interleaved, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	grad := make([]float64, d*k)
+	for _, m := range []*Model{a, b} {
+		for _, w := range m.W {
+			if math.IsNaN(w) || math.IsInf(w, 0) {
+				t.Fatalf("non-finite weight %v", w)
+			}
+		}
+		if m.Stats.Iters == 0 || m.Stats.Evals < m.Stats.Iters {
+			t.Errorf("implausible stats %+v", m.Stats)
+		}
+		if ref := referenceObjective(m.W, d, k, grouped, opts.Lambda, grad); !relClose(m.Stats.Objective, ref, 1e-9) {
+			t.Errorf("stats objective %v, reference at trained weights %v", m.Stats.Objective, ref)
+		}
+	}
+	for _, x := range xs {
+		if pa, pb := a.Predict(x), b.Predict(x); pa != pb {
+			t.Errorf("grouped order predicts %d, interleaved %d", pa, pb)
+		}
+	}
+}
+
+// BenchmarkTrain trains one model at the TestScale advanced shape: 8 phase
+// vectors of 437 features (~184 nonzero), 26 examples, and the 17-class
+// ROB-size domain.
+func BenchmarkTrain(b *testing.B) {
+	const d, k, nnz = 437, 17, 184
+	rng := rand.New(rand.NewPCG(59, 61))
+	var exs []Example
+	for v := 0; v < 8; v++ {
+		x := make([]float64, d)
+		for _, i := range rng.Perm(d)[:nnz] {
+			x[i] = rng.Float64()
+		}
+		for g := 0; g < 3+v/6; g++ {
+			exs = append(exs, Example{X: x, Y: rng.IntN(k)})
+		}
+	}
+	if len(exs) != 26 {
+		b.Fatalf("%d examples, want 26", len(exs))
+	}
+	opts := DefaultOptions()
+	opts.MaxIter = 150
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m, err := Train(d, k, exs, opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		trainSink = m
+	}
+}
+
+var trainSink *Model

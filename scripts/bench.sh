@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Simulator hot-path benchmark harness: runs the sim-core and cache-model
-# benchmarks, prints a before/after table against the recorded
+# Hot-path benchmark harness: runs the sim-core, cache-model and soft-max
+# training benchmarks, prints a before/after table against the recorded
 # pre-overhaul baseline (scripts/bench_baseline.txt) and writes the
 # machine-readable comparison to BENCH_sim.json. See README "Performance".
 #
@@ -26,6 +26,10 @@ go test -run XXX -bench 'BenchmarkSimRun|BenchmarkSimRunCollect' \
 echo "== go test -bench, cache model (benchtime $benchtime) =="
 go test -run XXX -bench 'BenchmarkCacheAccess|BenchmarkHierarchyAccess|BenchmarkProfilerObserve' \
     -benchmem -benchtime "$benchtime" ./internal/cache | tee -a "$raw"
+
+echo "== go test -bench, soft-max training (benchtime $benchtime) =="
+go test -run XXX -bench 'BenchmarkTrain' \
+    -benchmem -benchtime "$benchtime" ./internal/softmax | tee -a "$raw"
 
 echo
 echo "== cmd/report -scale test -skip-slow wall clock (best of 3) =="

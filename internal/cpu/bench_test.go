@@ -19,7 +19,8 @@ func benchTrace(b *testing.B, program string, phase, n int) []trace.Inst {
 }
 
 // benchSim times Sim.Run end to end and reports ns per simulated
-// instruction — the sim-core throughput number scripts/bench.sh tracks.
+// instruction — the sim-core throughput kernel. perfbench/run.sh's
+// build-mid workload is the end-to-end number it must move.
 func benchSim(b *testing.B, program string, cfg arch.Config, opts Options) {
 	const n = 8000
 	insts := benchTrace(b, program, 0, n)

@@ -1,0 +1,261 @@
+package serve
+
+import (
+	"bytes"
+	"encoding/json"
+	"io"
+	"strconv"
+	"sync"
+)
+
+// maxPooledBody caps the buffer capacity a predict decoder returns to the
+// pool: a one-off 1 MiB batch body must not pin its buffer for the
+// process lifetime. An advanced-set single vector is about 9 KB.
+const maxPooledBody = 64 << 10
+
+// predictDecoder is the pooled state of one /v1/predict body decode: the
+// raw body and a scratch slice for the floats of the array being scanned.
+// Nothing a decoded PredictRequest holds may point into either — the
+// shadow evaluator keeps Features after the handler returns.
+type predictDecoder struct {
+	buf    bytes.Buffer
+	floats []float64
+}
+
+var predictDecoders = sync.Pool{New: func() any { return new(predictDecoder) }}
+
+// decodePredict decodes a /v1/predict body into req with exactly the
+// result — value or error — of json.NewDecoder(body).Decode(req), which
+// stays the specification. The body is read whole into a pooled buffer
+// and, when it is a PredictRequest object in the strict subset of JSON
+// the fast path recognises, scanned without reflection: exact lowercase
+// keys, each at most once; arrays of JSON numbers; escape-free ASCII
+// strings. Every other body — a read or size-limit error, unknown or
+// case-variant keys, duplicates, null, escapes, an out-of-range number —
+// goes byte for byte to encoding/json: the bytes read so far, then the
+// rest of the body.
+func decodePredict(body io.Reader, req *PredictRequest) error {
+	d := predictDecoders.Get().(*predictDecoder)
+	defer func() {
+		if d.buf.Cap() <= maxPooledBody {
+			predictDecoders.Put(d)
+		}
+	}()
+	d.buf.Reset()
+	if _, err := d.buf.ReadFrom(body); err == nil {
+		if fast, ok := d.scan(d.buf.Bytes()); ok {
+			*req = fast
+			return nil
+		}
+	}
+	return json.NewDecoder(io.MultiReader(bytes.NewReader(d.buf.Bytes()), body)).Decode(req)
+}
+
+// scan decodes b when its first JSON value is an object the fast path
+// recognises; ok is false for anything else. Bytes after that object are
+// ignored, as json.Decoder ignores them.
+func (d *predictDecoder) scan(b []byte) (req PredictRequest, ok bool) {
+	i := skipSpace(b, 0)
+	if i >= len(b) || b[i] != '{' {
+		return req, false
+	}
+	i = skipSpace(b, i+1)
+	if i < len(b) && b[i] == '}' {
+		return req, true
+	}
+	var seen [4]bool
+	for {
+		end := scanString(b, i)
+		if end < 0 {
+			return req, false
+		}
+		key := b[i:end]
+		i = skipSpace(b, end)
+		if i >= len(b) || b[i] != ':' {
+			return req, false
+		}
+		i = skipSpace(b, i+1)
+		var field int
+		switch string(key) {
+		case `"features"`:
+			field = 0
+			req.Features, i = d.scanFloats(b, i)
+		case `"batch"`:
+			field = 1
+			req.Batch, i = d.scanBatch(b, i)
+		case `"set"`:
+			field = 2
+			req.Set, i = scanText(b, i)
+		case `"class"`:
+			field = 3
+			req.Class, i = scanText(b, i)
+		default:
+			return req, false
+		}
+		if i < 0 || seen[field] {
+			return req, false
+		}
+		seen[field] = true
+		i = skipSpace(b, i)
+		if i >= len(b) {
+			return req, false
+		}
+		switch b[i] {
+		case ',':
+			i = skipSpace(b, i+1)
+		case '}':
+			return req, true
+		default:
+			return req, false
+		}
+	}
+}
+
+// scanBatch scans an array of number arrays starting at b[i]. It returns
+// the end offset, or -1 when the value is outside the fast path.
+func (d *predictDecoder) scanBatch(b []byte, i int) ([][]float64, int) {
+	if i >= len(b) || b[i] != '[' {
+		return nil, -1
+	}
+	rows := [][]float64{}
+	i = skipSpace(b, i+1)
+	if i < len(b) && b[i] == ']' {
+		return rows, i + 1
+	}
+	for {
+		var row []float64
+		if row, i = d.scanFloats(b, i); i < 0 {
+			return nil, -1
+		}
+		rows = append(rows, row)
+		if i = skipSpace(b, i); i >= len(b) {
+			return nil, -1
+		}
+		switch b[i] {
+		case ',':
+			i = skipSpace(b, i+1)
+		case ']':
+			return rows, i + 1
+		default:
+			return nil, -1
+		}
+	}
+}
+
+// scanFloats scans an array of JSON numbers starting at b[i] into a fresh
+// slice of exactly its length (non-nil when empty, as encoding/json
+// leaves it). Each literal is checked against the JSON number grammar,
+// then converted by strconv.ParseFloat — the call encoding/json makes —
+// so the values are bit-identical; a literal ParseFloat refuses (out of
+// range) leaves the whole body to encoding/json and its error.
+func (d *predictDecoder) scanFloats(b []byte, i int) ([]float64, int) {
+	if i >= len(b) || b[i] != '[' {
+		return nil, -1
+	}
+	fs := d.floats[:0]
+	i = skipSpace(b, i+1)
+	if i < len(b) && b[i] == ']' {
+		return []float64{}, i + 1
+	}
+	for {
+		end := scanNumber(b, i)
+		if end < 0 {
+			return nil, -1
+		}
+		f, err := strconv.ParseFloat(string(b[i:end]), 64)
+		if err != nil {
+			return nil, -1
+		}
+		fs = append(fs, f)
+		if i = skipSpace(b, end); i >= len(b) {
+			return nil, -1
+		}
+		switch b[i] {
+		case ',':
+			i = skipSpace(b, i+1)
+		case ']':
+			d.floats = fs
+			return append([]float64(nil), fs...), i + 1
+		default:
+			return nil, -1
+		}
+	}
+}
+
+// scanText scans a string value starting at b[i] and returns it copied
+// out of b.
+func scanText(b []byte, i int) (string, int) {
+	end := scanString(b, i)
+	if end < 0 {
+		return "", -1
+	}
+	return string(b[i+1 : end-1]), end
+}
+
+// scanString returns the end of the string literal starting at b[i],
+// closing quote included, or -1 unless it is printable ASCII without
+// escapes, which decodes to exactly its bytes.
+func scanString(b []byte, i int) int {
+	if i >= len(b) || b[i] != '"' {
+		return -1
+	}
+	for j := i + 1; j < len(b); j++ {
+		switch c := b[j]; {
+		case c == '"':
+			return j + 1
+		case c == '\\' || c < 0x20 || c > 0x7e:
+			return -1
+		}
+	}
+	return -1
+}
+
+// scanNumber returns the end of the JSON number starting at b[i]
+// (-?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?), or -1.
+func scanNumber(b []byte, i int) int {
+	if i < len(b) && b[i] == '-' {
+		i++
+	}
+	switch {
+	case i < len(b) && b[i] == '0':
+		i++
+	case i < len(b) && '1' <= b[i] && b[i] <= '9':
+		i = skipDigits(b, i+1)
+	default:
+		return -1
+	}
+	if i < len(b) && b[i] == '.' {
+		j := skipDigits(b, i+1)
+		if j == i+1 {
+			return -1
+		}
+		i = j
+	}
+	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
+		i++
+		if i < len(b) && (b[i] == '+' || b[i] == '-') {
+			i++
+		}
+		j := skipDigits(b, i)
+		if j == i {
+			return -1
+		}
+		i = j
+	}
+	return i
+}
+
+func skipDigits(b []byte, i int) int {
+	for i < len(b) && '0' <= b[i] && b[i] <= '9' {
+		i++
+	}
+	return i
+}
+
+// skipSpace skips JSON whitespace.
+func skipSpace(b []byte, i int) int {
+	for i < len(b) && (b[i] == ' ' || b[i] == '\t' || b[i] == '\n' || b[i] == '\r') {
+		i++
+	}
+	return i
+}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"strings"
@@ -13,11 +14,9 @@ import (
 	"repro/internal/counters"
 )
 
-// FuzzPredictBody posts arbitrary bodies, single and batch, to
-// /v1/predict: every response must be a 2xx decision or a 4xx JSON error
-// envelope — never a 5xx, a malformed body or a dropped connection (which
-// is what a handler panic turns into).
-func FuzzPredictBody(f *testing.F) {
+// predictBodySeeds is the /v1/predict body corpus both fuzz targets start
+// from.
+func predictBodySeeds() []string {
 	d := counters.Dim(counters.Basic)
 	vec := make([]float64, d)
 	vec[0], vec[d-1] = 1, 1
@@ -29,7 +28,7 @@ func FuzzPredictBody(f *testing.F) {
 		huge[i] = 1e308 * float64(1-2*(i%2))
 	}
 	extreme, _ := json.Marshal(PredictRequest{Features: huge})
-	for _, seed := range []string{
+	return []string{
 		string(single),
 		string(batch),
 		string(both),
@@ -41,7 +40,15 @@ func FuzzPredictBody(f *testing.F) {
 		`{"features": [1], "set": "advanced"}`,
 		`{"features": [1], "class": "vip"}`,
 		`null`,
-	} {
+	}
+}
+
+// FuzzPredictBody posts arbitrary bodies, single and batch, to
+// /v1/predict: every response must be a 2xx decision or a 4xx JSON error
+// envelope — never a 5xx, a malformed body or a dropped connection (which
+// is what a handler panic turns into).
+func FuzzPredictBody(f *testing.F) {
+	for _, seed := range predictBodySeeds() {
 		f.Add([]byte(seed), false)
 		f.Add([]byte(seed), true)
 	}
@@ -92,6 +99,51 @@ func FuzzPredictBody(f *testing.F) {
 		}
 		if ndjson := strings.Contains(resp.Header.Get("Content-Type"), "ndjson"); !ndjson && docs != 1 {
 			t.Fatalf("single predict returned %d documents", docs)
+		}
+	})
+}
+
+// FuzzDecodePredict feeds every body to encoding/json — the specification
+// — and to decodePredict, whole and through a MaxBytesReader that cuts it
+// in half: both must return the same error text, and on success equal
+// requests (floats by bit pattern, nil and empty slices apart).
+func FuzzDecodePredict(f *testing.F) {
+	for _, seed := range append(predictBodySeeds(),
+		`{"Features": [1, 2]}`,
+		`{"features": [1], "features": [2, 3]}`,
+		`{"features": [1], "batch": [[1]]}`,
+		`{"features": [1E+2, -0, 0, 1e-400, 5e-324]}`,
+		`{"features": [1e999]}`,
+		`{"features": [01]}`,
+		`{"features": [.5]}`,
+		`{"features": [+1]}`,
+		`{"features": [NaN]}`,
+		`{"features": [1]} trailing garbage`,
+		`{"features": null, "batch": [null, [1], []], "set": null, "class": null}`,
+		`{"set": "basic", "class": "batch", "extra": {"a": [1, {}]}}`,
+		` {} `,
+	) {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		for _, limit := range []int64{-1, int64(len(body) / 2)} {
+			open := func() io.Reader {
+				if limit < 0 {
+					return bytes.NewReader(body)
+				}
+				return http.MaxBytesReader(nil, io.NopCloser(bytes.NewReader(body)), limit)
+			}
+			var want, got PredictRequest
+			wantErr := json.NewDecoder(open()).Decode(&want)
+			gotErr := decodePredict(open(), &got)
+			if fmt.Sprint(wantErr) != fmt.Sprint(gotErr) {
+				t.Fatalf("limit %d, body %q: error %v, encoding/json says %v", limit, body, gotErr, wantErr)
+			}
+			if wantErr == nil {
+				if diff := diffPredict(want, got); diff != "" {
+					t.Fatalf("limit %d, body %q: %s", limit, body, diff)
+				}
+			}
 		}
 	})
 }

@@ -248,7 +248,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 
 	var req PredictRequest
 	body := http.MaxBytesReader(w, r.Body, s.opt.maxBody)
-	if err := json.NewDecoder(body).Decode(&req); err != nil {
+	if err := decodePredict(body, &req); err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
 			writeError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", s.opt.maxBody)

@@ -1,10 +1,15 @@
 // Command benchdiff is a benchstat-style before/after comparator for
-// `go test -bench` output, stdlib only. scripts/bench.sh uses it to emit
-// BENCH_sim.json; it is also useful on its own when iterating on the
-// simulator hot path:
+// `go test -bench` output, stdlib only, for comparing one kernel at the
+// parent and the child commit on the same host. Build each commit's test
+// binary once and run the two alternately from the package directory:
 //
-//	go test -bench SimRun -benchmem ./internal/cpu > new.txt
+//	go test -c -o /tmp/old.test ./internal/serve   # at the parent
+//	go test -c -o /tmp/new.test ./internal/serve   # at the child
+//	/tmp/old.test -test.run '^$' -test.bench PredictHit -test.benchmem -test.cpu 2 > old.txt
+//	/tmp/new.test -test.run '^$' -test.bench PredictHit -test.benchmem -test.cpu 2 > new.txt
 //	go run ./scripts/benchdiff old.txt new.txt
+//
+// End-to-end numbers come from perfbench/run.sh, not from here.
 //
 // Usage:
 //
@@ -119,37 +124,14 @@ type jsonDoc struct {
 	Benchmarks []jsonBench `json:"benchmarks"`
 	// GeomeanSpeedup covers the benchmarks present on both sides.
 	GeomeanSpeedup float64 `json:"geomean_speedup,omitempty"`
-	// Extra carries caller-supplied scalars (-extra key=value), e.g. the
-	// end-to-end report wall clock bench.sh measures outside `go test`.
-	Extra map[string]float64 `json:"extra,omitempty"`
-}
-
-// extraFlags collects repeated -extra key=value pairs.
-type extraFlags map[string]float64
-
-func (e extraFlags) String() string { return "" }
-
-func (e extraFlags) Set(s string) error {
-	k, v, ok := strings.Cut(s, "=")
-	if !ok {
-		return fmt.Errorf("want key=value, got %q", s)
-	}
-	f, err := strconv.ParseFloat(v, 64)
-	if err != nil {
-		return err
-	}
-	e[k] = f
-	return nil
 }
 
 func main() {
 	asJSON := flag.Bool("json", false, "emit the comparison as JSON instead of a table")
 	threshold := flag.Float64("threshold", 0,
 		"exit 1 if the geomean speedup regresses by more than this percent (0 disables; needs old.txt)")
-	extra := extraFlags{}
-	flag.Var(extra, "extra", "extra key=value scalar to embed in the JSON document (repeatable)")
 	flag.Usage = func() {
-		fmt.Fprintln(os.Stderr, "usage: benchdiff [-json] [-threshold PCT] [-extra k=v]... [old.txt] new.txt")
+		fmt.Fprintln(os.Stderr, "usage: benchdiff [-json] [-threshold PCT] [old.txt] new.txt")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -182,9 +164,6 @@ func main() {
 
 	doc := buildDoc(oldB, newB, order)
 	doc.OldFile, doc.NewFile = oldPath, newPath
-	if len(extra) > 0 {
-		doc.Extra = extra
-	}
 
 	if *asJSON {
 		enc := json.NewEncoder(os.Stdout)

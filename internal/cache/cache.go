@@ -8,6 +8,7 @@ package cache
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/stats"
 )
@@ -75,12 +76,46 @@ func NewCache(sizeKB, ways, lineBytes int) (*Cache, error) {
 	for ls := lineBytes; ls > 1; ls >>= 1 {
 		c.lineShift++
 	}
-	c.tags = make([]uint64, sets*ways)
-	c.lru = make([]uint8, sets*ways)
+	n := sets * ways
+	if a, ok := arrayPool(n).Get().(*lineArrays); ok {
+		c.tags, c.lru = a.tags, a.lru
+		clear(c.lru)
+	} else {
+		c.tags, c.lru = make([]uint64, n), make([]uint8, n)
+	}
 	for i := range c.tags {
 		c.tags[i] = invalidTag
 	}
 	return c, nil
+}
+
+// lineArrays is a cache's per-line storage, recycled through arrayPool.
+type lineArrays struct {
+	tags []uint64
+	lru  []uint8
+}
+
+// arrayPools maps a line count to the *sync.Pool of *lineArrays that
+// Release fills and NewCache drains.
+var arrayPools sync.Map
+
+func arrayPool(lines int) *sync.Pool {
+	if p, ok := arrayPools.Load(lines); ok {
+		return p.(*sync.Pool)
+	}
+	p, _ := arrayPools.LoadOrStore(lines, new(sync.Pool))
+	return p.(*sync.Pool)
+}
+
+// Release hands the cache's line arrays to a later NewCache with the same
+// line count, which resets them exactly as a fresh allocation would start.
+// c must not be used afterwards.
+func (c *Cache) Release() {
+	if c.tags == nil {
+		return
+	}
+	arrayPool(len(c.tags)).Put(&lineArrays{c.tags, c.lru})
+	c.tags, c.lru = nil, nil
 }
 
 // MustNewCache is NewCache but panics on error.
@@ -187,6 +222,13 @@ func NewHierarchy(icacheKB, dcacheKB, l2KB int) (*Hierarchy, error) {
 		return nil, fmt.Errorf("L2: %w", err)
 	}
 	return &Hierarchy{L1I: l1i, L1D: l1d, L2: l2}, nil
+}
+
+// Release releases every level's line arrays (see Cache.Release).
+func (h *Hierarchy) Release() {
+	h.L1I.Release()
+	h.L1D.Release()
+	h.L2.Release()
 }
 
 // AccessData looks up a data address through the hierarchy and returns the

@@ -222,6 +222,19 @@ func New(cfg arch.Config) (*Sim, error) {
 	return s, nil
 }
 
+// Release hands the Sim's run-state arena and cache line arrays to later
+// Sims, so a caller that builds one Sim per simulation — the dataset
+// build — does not allocate and collect them every time. Results the Sim
+// returned stay valid; the Sim must not be used afterwards.
+func (s *Sim) Release() {
+	s.hier.Release()
+	if st := s.scratch; st != nil {
+		st.cnt = nil
+		s.scratch = nil
+		statePool.Put(st)
+	}
+}
+
 // derive refreshes every config- and model-derived constant the cycle
 // loop reads. Called on New and Reconfigure.
 func (s *Sim) derive() {

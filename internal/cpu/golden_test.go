@@ -221,9 +221,20 @@ func computeDigests(t *testing.T) ([]string, map[string]string) {
 		order = append(order, name)
 		digests[name] = c.digest()
 	}
+	// Each case releases its Sim, so later cases run on run-state arenas
+	// and cache line arrays recycled from earlier cases' configurations:
+	// the pinned digests, recorded on fresh allocations, gate recycling.
 	for _, gc := range goldenCases() {
 		insts := mkTrace(t, gc.program, gc.phase, gc.n)
-		res := runOn(t, gc.cfg, insts, gc.opts)
+		sim, err := New(gc.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := sim.Run(NewSliceSource(insts), len(insts), gc.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sim.Release()
 		var c canon
 		c.result(res)
 		order = append(order, gc.name)

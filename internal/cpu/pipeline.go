@@ -2,6 +2,7 @@ package cpu
 
 import (
 	"errors"
+	"sync"
 
 	"repro/internal/cache"
 	"repro/internal/power"
@@ -115,12 +116,22 @@ type runState struct {
 // fbLen returns the number of fetched-but-undispatched instructions.
 func (st *runState) fbLen() int { return len(st.fetchBuf) - st.fbHead }
 
+// statePool holds run-state arenas released by finished Sims (see
+// Sim.Release).
+var statePool sync.Pool
+
 // getState returns the Sim's scratch run state, reset for a fresh run
-// with slice capacities preserved.
+// with slice capacities preserved. A Sim's first run takes an arena from
+// statePool when one is there: the reset below is the same one a Sim
+// already relies on between its warmup and measured runs, and the ROB
+// ring reuses slots within a run the same way.
 func (s *Sim) getState() *runState {
 	st := s.scratch
 	if st == nil {
-		st = &runState{}
+		st, _ = statePool.Get().(*runState)
+		if st == nil {
+			st = &runState{}
+		}
 		s.scratch = st
 	}
 	if len(st.rob) != s.robSize {

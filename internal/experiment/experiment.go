@@ -7,7 +7,7 @@
 // per-experiment index).
 //
 // Everything is parameterised by Scale, because the paper's 300,000
-// ten-million-instruction simulations are far beyond a single-core budget:
+// ten-million-instruction simulations are far beyond one small host's budget:
 // tests run a tiny scale, benchmarks a moderate one. All randomness is
 // seeded; a Dataset build is deterministic for a given Scale.
 package experiment
@@ -16,9 +16,9 @@ import (
 	"context"
 	"fmt"
 	"math/rand/v2"
+	"runtime"
 	"sort"
 	"strconv"
-	"sync"
 
 	"repro/internal/arch"
 	"repro/internal/core"
@@ -74,7 +74,7 @@ func TestScale() Scale {
 }
 
 // DefaultScale returns the benchmark-harness scale: the full suite at a
-// budget a single core can sustain.
+// budget a small host can sustain.
 func DefaultScale() Scale {
 	return Scale{
 		Programs:         trace.Benchmarks(),
@@ -202,9 +202,9 @@ type Dataset struct {
 
 	trained map[counters.Set]*core.Predictor // TrainAll memo
 
-	// workers bounds the simulation fan-out (see WithWorkers); 1 means
-	// the fully sequential build.
-	workers int
+	// pool runs the build's independent simulations (see simPool). It is
+	// closed when Build returns; a closed pool runs everything inline.
+	pool *simPool
 
 	// sur, when non-nil, is the surrogate-guided pruning state (see
 	// WithSurrogate). nil keeps every code path byte-identical to the
@@ -243,14 +243,16 @@ func WithStore(st *store.Store) Option {
 	return func(o *buildOptions) { o.store = st }
 }
 
-// WithWorkers bounds the build's simulation fan-out: independent
-// simulations within one batch (the shared uniform sample, each sweep
-// batch, and the profiling pass) run on up to n goroutines. All side
-// effects — memo inserts, sample-space promotion, best updates, store
-// appends and telemetry spans — are applied strictly in the sequential
-// build's order, so any worker count produces the byte-identical dataset
-// and store log. Values below 1 (and the default) mean fully sequential,
-// the right choice on a one-core machine.
+// WithWorkers overrides the build's worker count, which defaults to
+// runtime.GOMAXPROCS(0): at most n simulations run at once, on n-1 helper
+// goroutines plus the one running Build. Trace generation, the stage-1
+// shared sample of every phase and the profiling pass are queued when the
+// build starts; each sweep batch is fanned out as the search reaches it.
+// All side effects — memo inserts, sample-space promotion, best updates,
+// store appends and telemetry spans — are applied on Build's goroutine in
+// the sequential build's order, so any worker count produces the
+// byte-identical dataset, span tree and store log. n = 1 is the fully
+// sequential build; values below 1 mean the default.
 func WithWorkers(n int) Option {
 	return func(o *buildOptions) { o.workers = n }
 }
@@ -273,12 +275,16 @@ func WithSearchLimit(n int) Option {
 // between phases (the per-phase granularity keeps a SIGINT during adaptd's
 // first-boot training prompt without threading ctx into the simulator's
 // inner loop); a cancelled build returns ctx.Err() wrapped with the stage
-// it was in. Behaviour beyond that is opted into per call — see WithStore,
-// WithWorkers and WithSurrogate.
+// it was in, after its pool's helpers have finished the simulations they
+// were running. Behaviour beyond that is opted into per call — see
+// WithStore, WithWorkers and WithSurrogate.
 func Build(ctx context.Context, sc Scale, opts ...Option) (*Dataset, error) {
 	var bo buildOptions
 	for _, opt := range opts {
 		opt(&bo)
+	}
+	if bo.workers < 1 {
+		bo.workers = runtime.GOMAXPROCS(0)
 	}
 	sc = sc.withDefaults()
 	ds := &Dataset{
@@ -291,11 +297,9 @@ func Build(ctx context.Context, sc Scale, opts ...Option) (*Dataset, error) {
 		FeaturesBasic: map[PhaseID][]float64{},
 		ProfileRes:    map[PhaseID]*cpu.Result{},
 		store:         bo.store,
-		workers:       bo.workers,
+		pool:          newSimPool(ctx, bo.workers),
 	}
-	if ds.workers < 1 {
-		ds.workers = 1
-	}
+	defer ds.pool.close()
 	if bo.surrogate != nil {
 		ds.sur = newSurrogateState(*bo.surrogate, sc.Seed)
 	}
@@ -306,29 +310,58 @@ func Build(ctx context.Context, sc Scale, opts ...Option) (*Dataset, error) {
 		SetArg("phases-per-program", strconv.Itoa(sc.PhasesPerProgram))
 	defer root.Finish()
 
-	// Phase list and traces. A search limit (fabric shard worker) keeps
-	// only the prefix — phases past the limit are never touched.
+	// Phase list. A search limit (fabric shard worker) keeps only the
+	// prefix — phases past the limit are never touched.
 	phaseIDs := sc.PhaseIDs()
-	limit := len(phaseIDs)
 	partial := bo.searchLimit > 0
-	if partial && bo.searchLimit < limit {
-		limit = bo.searchLimit
+	if partial && bo.searchLimit < len(phaseIDs) {
+		phaseIDs = phaseIDs[:bo.searchLimit]
 	}
+	var rng *rand.Rand
+	ds.SharedConfigs, rng = sharedSample(sc)
+
+	// Queue the work that is fixed before the search starts, in phase
+	// order: every trace, then every phase's stage-1 shared sample, then
+	// the profiling runs. The search loop below consumes it in the same
+	// order. A surrogate build chooses its stage-1 simulations from what
+	// earlier phases taught the model, so it cannot run stage 1 ahead.
+	traces := make([]*traceJob, len(phaseIDs))
+	for i, id := range phaseIDs {
+		traces[i] = newTraceJob(id, sc.IntervalInsts)
+		ds.pool.submit(false, traces[i].task)
+	}
+	measure := cpu.Options{WarmupInsts: sc.WarmupInsts}
+	stage1 := make([][]*simJob, len(phaseIDs))
+	if ds.sur == nil {
+		for i, id := range phaseIDs {
+			for _, cfg := range ds.SharedConfigs {
+				stage1[i] = append(stage1[i], ds.spawn(false, id, cfg, measure, traces[i].get))
+			}
+		}
+	}
+	var profiles []*simJob
+	if !partial {
+		profOpts := cpu.Options{
+			Collect:     true,
+			SampledSets: sc.SampledSets,
+			WarmupInsts: sc.WarmupInsts,
+		}
+		for i, id := range phaseIDs {
+			profiles = append(profiles, ds.spawn(false, id, arch.Profiling(), profOpts, traces[i].get))
+		}
+	}
+
 	sp := tr.Start("tracegen")
-	for _, id := range phaseIDs[:limit] {
-		g, err := trace.NewGenerator(id.Program, id.Phase)
-		if err != nil {
+	for i, id := range phaseIDs {
+		await(traces, i)
+		if err := traces[i].err; err != nil {
 			sp.Finish()
 			return nil, err
 		}
-		ds.traces[id] = g.Interval(sc.IntervalInsts)
+		ds.traces[id] = traces[i].insts
 		ds.Phases = append(ds.Phases, id)
 	}
 	sp.Finish()
-
-	// Stage 1: shared uniform sample.
-	var rng *rand.Rand
-	ds.SharedConfigs, rng = sharedSample(sc)
 
 	// Simulate shared configs on every phase; refine per phase.
 	ds.inSearch = true
@@ -339,7 +372,7 @@ func Build(ctx context.Context, sc Scale, opts ...Option) (*Dataset, error) {
 			return nil, fmt.Errorf("experiment: search cancelled: %w", err)
 		}
 		psp := tr.Start("search " + id.String())
-		if err := ds.searchPhase(id, rng); err != nil {
+		if err := ds.searchPhase(id, rng, stage1[i]); err != nil {
 			psp.Finish()
 			sp.Finish()
 			return nil, fmt.Errorf("experiment: phase %s: %w", id, err)
@@ -363,56 +396,24 @@ func Build(ctx context.Context, sc Scale, opts ...Option) (*Dataset, error) {
 	ds.computeGoodSets()
 	sp.Finish()
 
-	// Profile every phase on the profiling configuration. Profiling runs
-	// are pure — never memoised, never stored — so with WithWorkers they
-	// fan out as-is; spans, assignments and progress still land in phase
-	// order, keeping the span tree and the dataset byte-identical.
+	// Profile every phase on the profiling configuration. The runs were
+	// queued with the rest of the up-front work; spans, assignments and
+	// progress land in phase order here.
 	sp = tr.Start("profile")
-	profOpts := cpu.Options{
-		Collect:     true,
-		SampledSets: sc.SampledSets,
-		WarmupInsts: sc.WarmupInsts,
-	}
-	profRes := make([]*cpu.Result, len(ds.Phases))
-	profErr := make([]error, len(ds.Phases))
-	if ds.workers > 1 && len(ds.Phases) > 1 {
-		work := make(chan int, len(ds.Phases))
-		for i := range ds.Phases {
-			work <- i
-		}
-		close(work)
-		nw := ds.workers
-		if nw > len(ds.Phases) {
-			nw = len(ds.Phases)
-		}
-		var wg sync.WaitGroup
-		for w := 0; w < nw; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range work {
-					profRes[i], profErr[i] = ds.simulate(ds.Phases[i], arch.Profiling(), profOpts, false)
-				}
-			}()
-		}
-		wg.Wait()
-	}
 	for i, id := range ds.Phases {
 		if err := ctx.Err(); err != nil {
 			sp.Finish()
 			return nil, fmt.Errorf("experiment: profiling cancelled: %w", err)
 		}
 		psp := tr.Start("profile " + id.String())
-		res, err := profRes[i], profErr[i]
-		if res == nil && err == nil {
-			res, err = ds.simulate(id, arch.Profiling(), profOpts, false)
-		}
-		if err != nil {
+		await(profiles, i)
+		if err := ds.apply(profiles[i], false); err != nil {
 			psp.Finish()
 			sp.Finish()
 			return nil, fmt.Errorf("experiment: profiling %s: %w", id, err)
 		}
 		psp.Finish()
+		res := profiles[i].res
 		ds.ProfileRes[id] = res
 		ds.FeaturesAdv[id] = counters.Features(res, counters.Advanced)
 		ds.FeaturesBasic[id] = counters.Features(res, counters.Basic)
@@ -463,14 +464,17 @@ type entry struct {
 	inSample bool
 }
 
-// searchPhase runs the three-stage search for one phase.
-func (ds *Dataset) searchPhase(id PhaseID, rng *rand.Rand) error {
+// searchPhase runs the three-stage search for one phase. stage1 holds the
+// phase's shared-sample jobs, queued on the pool when the build started;
+// surrogate builds pass none and choose stage 1 themselves.
+func (ds *Dataset) searchPhase(id PhaseID, rng *rand.Rand, stage1 []*simJob) error {
 	if ds.sur != nil {
 		return ds.searchPhaseSurrogate(id, rng)
 	}
-	// Stage 1: the shared uniform sample — a fixed batch, fanned across
-	// the worker pool.
-	if err := ds.runBatch(id, ds.SharedConfigs); err != nil {
+	// Stage 1: the shared uniform sample. The phase's memo is still empty
+	// and the shared configurations are distinct, so every job is the
+	// lookup the sequential SampleResult loop would make.
+	if err := ds.applyBatch(id, ds.SharedConfigs, stage1); err != nil {
 		return err
 	}
 	// Stage 2: local neighbours of the incumbent. Inherently sequential:
@@ -492,114 +496,163 @@ func (ds *Dataset) searchPhase(id PhaseID, rng *rand.Rand) error {
 	return nil
 }
 
-// batchElem classifies one batch configuration: already memoised, answered
-// by the store, or needing a fresh simulation.
-type batchElem struct {
-	cfg  arch.Config
-	res  *cpu.Result
-	err  error
-	kind uint8 // 0 memo hit, 1 store hit, 2 simulate
-}
-
-// runBatch evaluates cfgs on one phase in sample mode. With one worker it
-// is exactly the sequential SampleResult loop. With more, it classifies
-// every configuration first (no side effects), fans the fresh simulations
-// across the pool, then applies all side effects — sample-space promotion,
-// best updates, memo inserts and store appends — strictly in cfgs order:
-// the dataset and the store log come out byte-identical to the sequential
-// build for any worker count.
+// runBatch evaluates cfgs on one phase in sample mode, with exactly the
+// effects of the sequential SampleResult loop: every configuration that is
+// neither memoised nor a repeat within the batch is evaluated on the pool,
+// ahead of the work queued at the start of the build, and applyBatch
+// applies the results in cfgs order.
 func (ds *Dataset) runBatch(id PhaseID, cfgs []arch.Config) error {
-	if ds.workers <= 1 || len(cfgs) < 2 {
-		for _, cfg := range cfgs {
-			if _, err := ds.SampleResult(id, cfg); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
 	insts, ok := ds.traces[id]
 	if !ok {
 		return fmt.Errorf("experiment: unknown phase %s", id)
 	}
-	opts := cpu.Options{WarmupInsts: ds.Scale.WarmupInsts}
-	elems := make([]batchElem, len(cfgs))
-	batchSeen := make(map[arch.Config]bool, len(cfgs))
-	nmiss := 0
+	ready := func() ([]trace.Inst, error) { return insts, nil }
+	measure := cpu.Options{WarmupInsts: ds.Scale.WarmupInsts}
+	jobs := make([]*simJob, len(cfgs))
+	seen := make(map[arch.Config]bool, len(cfgs))
 	for i, cfg := range cfgs {
-		elems[i].cfg = cfg
-		if batchSeen[cfg] {
-			continue // duplicate: kind 0 resolves via SampleResult after the first lands
+		if seen[cfg] {
+			continue
 		}
-		batchSeen[cfg] = true
-		if m := ds.results[id]; m != nil {
-			if _, hit := m[cfg]; hit {
-				continue // kind 0
-			}
+		seen[cfg] = true
+		if _, hit := ds.results[id][cfg]; !hit {
+			jobs[i] = ds.spawn(true, id, cfg, measure, ready)
 		}
-		if ds.store != nil {
-			key := store.Fingerprint(id.Program, id.Phase, cfg, len(insts), opts.WarmupInsts)
-			if res, hit := ds.store.Get(key); hit {
-				elems[i].kind = 1
-				elems[i].res = res
-				continue
-			}
-		}
-		elems[i].kind = 2
-		nmiss++
 	}
-	if nmiss > 0 {
-		work := make(chan int, nmiss)
-		for i := range elems {
-			if elems[i].kind == 2 {
-				work <- i
-			}
+	return ds.applyBatch(id, cfgs, jobs)
+}
+
+// applyBatch applies the side effects of evaluating cfgs on one phase in
+// sample mode — sample-space promotion, best updates, memo inserts and
+// store appends — strictly in cfgs order, so the dataset and the store log
+// come out byte-identical for any worker count. jobs[i] is cfgs[i]'s
+// evaluation on the pool, or nil for a memo hit or a repeat within the
+// batch, which SampleResult replays once its first occurrence has landed.
+func (ds *Dataset) applyBatch(id PhaseID, cfgs []arch.Config, jobs []*simJob) error {
+	var queued []*simJob
+	for _, j := range jobs {
+		if j != nil {
+			queued = append(queued, j)
 		}
-		close(work)
-		nw := ds.workers
-		if nw > nmiss {
-			nw = nmiss
-		}
-		var wg sync.WaitGroup
-		for w := 0; w < nw; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range work {
-					e := &elems[i]
-					sim, err := cpu.New(e.cfg)
-					if err != nil {
-						e.err = err
-						continue
-					}
-					e.res, e.err = sim.Run(cpu.NewSliceSource(insts), len(insts), opts)
-				}
-			}()
-		}
-		wg.Wait()
 	}
-	for i := range elems {
-		e := &elems[i]
-		switch e.kind {
-		case 0:
-			// Memo hit: SampleResult replays the promotion side effects.
-			if _, err := ds.SampleResult(id, e.cfg); err != nil {
+	k := 0
+	for i, j := range jobs {
+		if j == nil {
+			if _, err := ds.SampleResult(id, cfgs[i]); err != nil {
 				return err
 			}
-		case 1:
-			ds.memoize(id, e.cfg, e.res, true)
-		default:
-			if e.err != nil {
-				return fmt.Errorf("experiment: phase %s: %w", id, e.err)
-			}
-			obsSims.Inc()
-			ds.countExact()
-			ds.memoize(id, e.cfg, e.res, true)
-			if ds.store != nil {
-				key := store.Fingerprint(id.Program, id.Phase, e.cfg, len(insts), opts.WarmupInsts)
-				if err := ds.store.Put(key, e.res); err != nil {
-					return fmt.Errorf("experiment: persisting %s result: %w", id, err)
-				}
-			}
+			continue
+		}
+		await(queued, k)
+		k++
+		if err := ds.apply(j, true); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// traceJob generates one phase's measured interval.
+type traceJob struct {
+	*task
+	insts []trace.Inst
+	err   error
+}
+
+func newTraceJob(id PhaseID, n int) *traceJob {
+	j := &traceJob{}
+	j.task = newTask(func() {
+		g, err := trace.NewGenerator(id.Program, id.Phase)
+		if err != nil {
+			j.err = err
+			return
+		}
+		j.insts = g.Interval(n)
+	})
+	return j
+}
+
+// get waits for the trace (generating it here if nobody has started).
+func (j *traceJob) get() ([]trace.Inst, error) {
+	j.wait()
+	return j.insts, j.err
+}
+
+// simJob is one simulation of a phase under a configuration, split in two:
+// eval, which has no side effects and may run on any executor, and
+// Dataset.apply, which the search loop calls in the sequential build's
+// order.
+type simJob struct {
+	*task
+	id     PhaseID
+	cfg    arch.Config
+	opts   cpu.Options
+	key    store.Key
+	res    *cpu.Result
+	err    error
+	stored bool // answered by the result store, not the simulator
+}
+
+// eval looks a measurement-mode run up in st and, on a miss, simulates
+// it. Profiling runs (opts.Collect) always simulate: their RawCounters are
+// not part of the record format.
+func (j *simJob) eval(st *store.Store, insts []trace.Inst) {
+	if !j.opts.Collect && st != nil {
+		j.key = store.Fingerprint(j.id.Program, j.id.Phase, j.cfg, len(insts), j.opts.WarmupInsts)
+		if res, ok := st.Get(j.key); ok {
+			j.res, j.stored = res, true
+			return
+		}
+	}
+	sim, err := cpu.New(j.cfg)
+	if err != nil {
+		j.err = err
+		return
+	}
+	j.res, j.err = sim.Run(cpu.NewSliceSource(insts), len(insts), j.opts)
+	sim.Release()
+}
+
+// spawn creates the job for (id, cfg) and hands it to the pool. insts
+// supplies the phase's trace, waiting for it if need be.
+func (ds *Dataset) spawn(urgent bool, id PhaseID, cfg arch.Config, opts cpu.Options, insts func() ([]trace.Inst, error)) *simJob {
+	j := &simJob{id: id, cfg: cfg, opts: opts}
+	st := ds.store
+	j.task = newTask(func() {
+		in, err := insts()
+		if err != nil {
+			j.err = err
+			return
+		}
+		j.eval(st, in)
+	})
+	ds.pool.submit(urgent, j.task)
+	return j
+}
+
+// apply records an evaluated job: a stored result is memoised, a fresh
+// measurement-mode one is counted, memoised and appended to the store
+// right away (so an interrupted build loses nothing already paid for).
+// Profiling runs are counted only — never memoised, never stored.
+func (ds *Dataset) apply(j *simJob, inSample bool) error {
+	if j.err != nil {
+		return j.err
+	}
+	if j.stored {
+		ds.memoize(j.id, j.cfg, j.res, inSample)
+		return nil
+	}
+	obsSims.Inc()
+	if j.opts.Collect {
+		return nil
+	}
+	if inSample {
+		ds.countExact()
+	}
+	ds.memoize(j.id, j.cfg, j.res, inSample)
+	if ds.store != nil {
+		if err := ds.store.Put(j.key, j.res); err != nil {
+			return fmt.Errorf("experiment: persisting %s result: %w", j.id, err)
 		}
 	}
 	return nil
@@ -647,47 +700,22 @@ func (ds *Dataset) updateBest(id PhaseID, cfg arch.Config, res *cpu.Result) {
 	}
 }
 
-// simulate runs and memoises one (phase, config) simulation. With a
-// store attached, measurement-mode runs are read-through/write-behind:
-// a stored result short-circuits the simulator, a fresh one is appended
-// to the log right away (so an interrupted build loses nothing already
-// paid for). Profiling runs (opts.Collect) are never cached — their
-// RawCounters are not part of the record format — and, as before, never
-// memoised.
+// simulate runs and memoises one (phase, config) simulation on the
+// calling goroutine. With a store attached, measurement-mode runs are
+// read-through/write-behind: a stored result short-circuits the
+// simulator, a fresh one is appended to the log right away. Profiling
+// runs (opts.Collect) are never cached and never memoised (see apply).
 func (ds *Dataset) simulate(id PhaseID, cfg arch.Config, opts cpu.Options, inSample bool) (*cpu.Result, error) {
 	insts, ok := ds.traces[id]
 	if !ok {
 		return nil, fmt.Errorf("experiment: unknown phase %s", id)
 	}
-	var key store.Key
-	if !opts.Collect && ds.store != nil {
-		key = store.Fingerprint(id.Program, id.Phase, cfg, len(insts), opts.WarmupInsts)
-		if res, ok := ds.store.Get(key); ok {
-			ds.memoize(id, cfg, res, inSample)
-			return res, nil
-		}
-	}
-	sim, err := cpu.New(cfg)
-	if err != nil {
+	j := &simJob{id: id, cfg: cfg, opts: opts}
+	j.eval(ds.store, insts)
+	if err := ds.apply(j, inSample); err != nil {
 		return nil, err
 	}
-	res, err := sim.Run(cpu.NewSliceSource(insts), len(insts), opts)
-	if err != nil {
-		return nil, err
-	}
-	obsSims.Inc()
-	if inSample && !opts.Collect {
-		ds.countExact()
-	}
-	if !opts.Collect { // only cache the measurement-mode results
-		ds.memoize(id, cfg, res, inSample)
-		if ds.store != nil {
-			if err := ds.store.Put(key, res); err != nil {
-				return nil, fmt.Errorf("experiment: persisting %s result: %w", id, err)
-			}
-		}
-	}
-	return res, nil
+	return j.res, nil
 }
 
 // memoize records one measurement-mode result in the in-memory table,

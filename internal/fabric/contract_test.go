@@ -32,7 +32,7 @@ func (s storeState) String() string { return [...]string{"none", "cold", "warm"}
 
 // contractCell is one combination of build options in TestBuildContracts.
 type contractCell struct {
-	workers   int
+	workers   int // 0: Build's default, runtime.GOMAXPROCS(0)
 	surrogate bool
 	store     storeState
 	fabric    bool // 2 shards via Drive, then the final build; needs a store
@@ -43,16 +43,21 @@ func (c contractCell) String() string {
 	if c.fabric {
 		fab = "2shards"
 	}
-	return fmt.Sprintf("workers=%d/surrogate=%t/store=%s/fabric=%s", c.workers, c.surrogate, c.store, fab)
+	workers := "default"
+	if c.workers > 0 {
+		workers = fmt.Sprint(c.workers)
+	}
+	return fmt.Sprintf("workers=%s/surrogate=%t/store=%s/fabric=%s", workers, c.surrogate, c.store, fab)
 }
 
-// contractCells enumerates the matrix: workers {1, 3} × surrogate {off,
-// on} × store {none, cold, warm} × fabric {off, 2 shards}, fabric only
-// with a store (shards need a directory). A cold cell precedes its warm
-// cell, and every workers=1 cell precedes its workers=3 twin.
+// contractCells enumerates the matrix: workers {1, 3, default} ×
+// surrogate {off, on} × store {none, cold, warm} × fabric {off, 2
+// shards}, fabric only with a store (shards need a directory). The
+// default is what adaptd, report and perfbench build with. A cold cell
+// precedes its warm cell, and every workers=1 cell precedes its twins.
 func contractCells() []contractCell {
 	var cells []contractCell
-	for _, w := range []int{1, 3} {
+	for _, w := range []int{1, 3, 0} {
 		for _, sur := range []bool{false, true} {
 			for _, st := range []storeState{noStore, coldStore, warmStore} {
 				for _, fab := range []bool{false, true} {
@@ -121,7 +126,8 @@ func contractScale() experiment.Scale {
 // features, and the same fresh search simulations — paid by the build
 // (no store, cold), by the shards in total (fabric), or not at all (warm
 // replays and every final build after Drive, which also never miss the
-// store). Store logs are byte-identical across worker counts, and the
+// store). Store logs are byte-identical across worker counts, every
+// store's hit and miss counts match the workers=1 cell's, and the
 // rendered tables are byte-identical for every store state. One cell
 // runs with the process tracer on and checks its Chrome trace export.
 func TestBuildContracts(t *testing.T) {
@@ -140,7 +146,10 @@ func TestBuildContracts(t *testing.T) {
 		return ds, experiment.SearchSimCount() - before
 	}
 	optsFor := func(c contractCell) []experiment.Option {
-		opts := []experiment.Option{experiment.WithWorkers(c.workers)}
+		var opts []experiment.Option
+		if c.workers > 0 {
+			opts = append(opts, experiment.WithWorkers(c.workers))
+		}
 		if c.surrogate {
 			opts = append(opts, experiment.WithSurrogate(surrogate.Config{}))
 		}
@@ -165,14 +174,19 @@ func TestBuildContracts(t *testing.T) {
 	}
 
 	// Store directories live under the parent test, so a warm cell replays
-	// what its cold cell wrote; logs holds the workers=1 store logs.
+	// what its cold cell wrote; twins holds each workers=1 cell's store log
+	// and the hit and miss counts of every store it opened.
+	type storeTrail struct {
+		log   []byte
+		stats []store.Stats
+	}
 	root := t.TempDir()
-	logs := map[contractCell][]byte{}
+	twins := map[contractCell]storeTrail{}
 	traced := contractCell{workers: 3, surrogate: true, store: coldStore, fabric: true}
 
 	cells := contractCells()
-	if len(cells) != 20 {
-		t.Fatalf("matrix has %d cells, want 20", len(cells))
+	if len(cells) != 30 {
+		t.Fatalf("matrix has %d cells, want 30", len(cells))
 	}
 	for _, c := range cells {
 		t.Run(c.String(), func(t *testing.T) {
@@ -191,6 +205,7 @@ func TestBuildContracts(t *testing.T) {
 			dir := filepath.Join(root, fmt.Sprintf("w%d-sur%t-fab%t", c.workers, c.surrogate, c.fabric))
 
 			var paid uint64
+			var trail storeTrail
 			if c.fabric {
 				dr, err := Drive(ctx, sc, 2, dir, opts...)
 				if err != nil {
@@ -204,6 +219,7 @@ func TestBuildContracts(t *testing.T) {
 					if c.store == warmStore && sh.Store.Misses != 0 {
 						t.Errorf("warm shard %d/%d missed its store %d times", sh.Spec.Index, sh.Spec.Shards, sh.Store.Misses)
 					}
+					trail.stats = append(trail.stats, sh.Store)
 				}
 			}
 			var st *store.Store
@@ -224,9 +240,11 @@ func TestBuildContracts(t *testing.T) {
 				// Only warm builds must never miss: after a cold Drive, the
 				// surrogate's best-static validation simulates pruned shared
 				// configs out of sample, a stage shards never run.
-				if m := st.Stats().Misses; c.store == warmStore && m != 0 {
-					t.Errorf("warm build missed the store %d times", m)
+				stats := st.Stats()
+				if c.store == warmStore && stats.Misses != 0 {
+					t.Errorf("warm build missed the store %d times", stats.Misses)
 				}
+				trail.stats = append(trail.stats, stats)
 				if err := st.Close(); err != nil {
 					t.Fatal(err)
 				}
@@ -259,18 +277,31 @@ func TestBuildContracts(t *testing.T) {
 			if c.store == noStore {
 				return
 			}
-			log, err := os.ReadFile(store.HeadLog(dir))
-			if err != nil {
+			var err error
+			if trail.log, err = os.ReadFile(store.HeadLog(dir)); err != nil {
 				t.Fatal(err)
 			}
 			twin := c
 			twin.workers = 1
-			if c == twin {
-				logs[c] = log
-			} else if want, ok := logs[twin]; !ok {
-				t.Error("no workers=1 log to compare against")
-			} else if !bytes.Equal(log, want) {
-				t.Errorf("results.log differs from the workers=1 log: %d bytes vs %d", len(log), len(want))
+			want, ok := twins[twin]
+			switch {
+			case c == twin:
+				twins[c] = trail
+			case !ok:
+				t.Error("no workers=1 cell to compare against")
+			default:
+				if !bytes.Equal(trail.log, want.log) {
+					t.Errorf("results.log differs from the workers=1 log: %d bytes vs %d", len(trail.log), len(want.log))
+				}
+				// A pool that looked a result up twice, or simulated one
+				// the store held, moves these counts.
+				for i := range trail.stats {
+					got, w := trail.stats[i], want.stats[i]
+					if got.Hits != w.Hits || got.Misses != w.Misses {
+						t.Errorf("store %d of %d: %d hits, %d misses; workers=1 %d hits, %d misses",
+							i+1, len(trail.stats), got.Hits, got.Misses, w.Hits, w.Misses)
+					}
+				}
 			}
 		})
 	}

@@ -24,11 +24,15 @@ echo "== go test =="
 go test ./...
 
 echo "== go test -race =="
-# The packages with real concurrency: the WithWorkers build fan-out and
+# The packages with real concurrency: the build's simulation pool and
 # the contract matrix (experiment, fabric), request handling and the
 # shadow worker (serve), and the atomic metrics, store and surrogate.
 go test -race ./internal/experiment ./internal/fabric ./internal/serve \
     ./internal/obs ./internal/store ./internal/surrogate
+# The default worker count is GOMAXPROCS: race-check the default build's
+# identity and its pool shutdown both at one worker and pipelined.
+go test -race -cpu 1,2 -run 'TestDefaultWorkersMatchSequential|TestBuildStopsPoolOnExit' \
+    ./internal/experiment
 
 echo "== adaptd open-loop admission/shadow smoke =="
 # First-boot a model, shadow it with the same file, rate-limit only the

@@ -7,7 +7,6 @@
 //	report [-scale test|default] [-programs mcf,swim,...] [-phases N]
 //	       [-interval N] [-uniform N] [-skip-slow] [-cache-dir DIR]
 //	       [-surrogate] [-surrogate-audit FRAC]
-//	       [-fabric N] [-fabric-worker SPEC]
 //	       [-trace out.json] [-manifest out.json] [-span-summary]
 //	       [-log-json] [-log-level info]
 //	       [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
@@ -21,15 +20,6 @@
 // manifest whose deterministic section replays byte-identically — compare
 // two with cmd/obsdiff. -span-summary prints a per-stage self/total time
 // rollup of the span tree to stderr.
-//
-// -fabric N shards the dataset build into N phase windows (internal/
-// fabric), runs them against private stores under -cache-dir/fabric,
-// merges the partial stores into -cache-dir, then runs the normal
-// pipeline warm — byte-identical stdout to the plain sequential run.
-// -fabric-worker SPEC runs exactly one shard against the private
-// -cache-dir and exits: the distributed form, one process per shard, any
-// host, nothing shared but store directories (merge them afterwards with
-// storectl). See README "Distributed builds".
 package main
 
 import (
@@ -48,7 +38,6 @@ import (
 	"repro/internal/counters"
 	"repro/internal/cpu"
 	"repro/internal/experiment"
-	"repro/internal/fabric"
 	"repro/internal/obs"
 	"repro/internal/power"
 	"repro/internal/render"
@@ -58,24 +47,22 @@ import (
 
 func main() {
 	var (
-		scaleName  = flag.String("scale", "default", "test or default scale preset")
-		programs   = flag.String("programs", "", "comma-separated benchmark subset (default: preset)")
-		phases     = flag.Int("phases", 0, "phases per program (default: preset)")
-		interval   = flag.Int("interval", 0, "instructions per phase interval (default: preset)")
-		uniform    = flag.Int("uniform", 0, "shared uniform samples (default: preset)")
-		skipSlow   = flag.Bool("skip-slow", false, "skip Figure 1 and Table IV (the slowest experiments)")
-		useSur     = flag.Bool("surrogate", false, "prune the design-space search with the learned surrogate (see README \"Surrogate search\")")
-		surAudit   = flag.Float64("surrogate-audit", 0, "override the surrogate audit fraction (0 keeps the default)")
-		cacheDir   = flag.String("cache-dir", "", "persistent result-store directory (reused across runs; empty disables)")
-		fabricN    = flag.Int("fabric", 0, "shard the dataset build into N phase windows run against private stores under -cache-dir/fabric, merge, then build warm (requires -cache-dir; see README \"Distributed builds\")")
-		fabricSpec = flag.String("fabric-worker", "", "run one fabric shard spec (from report -fabric logs or fabric.Partition) against the private -cache-dir and exit")
-		tracePath  = flag.String("trace", "", "write a Chrome trace_event JSON of the run to this file")
-		manifest   = flag.String("manifest", "", "write a run manifest (deterministic + timing sections) to this file; defaults to manifest-report.json under -cache-dir")
-		spanSum    = flag.Bool("span-summary", false, "print a per-stage span time rollup to stderr at exit")
-		logJSON    = flag.Bool("log-json", false, "emit logs as JSON instead of text")
-		logLevel   = flag.String("log-level", "info", "log level: debug, info, warn or error")
-		cpuProf    = flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file (go tool pprof)")
-		memProf    = flag.String("memprofile", "", "write a heap profile at exit to this file (go tool pprof)")
+		scaleName = flag.String("scale", "default", "test or default scale preset")
+		programs  = flag.String("programs", "", "comma-separated benchmark subset (default: preset)")
+		phases    = flag.Int("phases", 0, "phases per program (default: preset)")
+		interval  = flag.Int("interval", 0, "instructions per phase interval (default: preset)")
+		uniform   = flag.Int("uniform", 0, "shared uniform samples (default: preset)")
+		skipSlow  = flag.Bool("skip-slow", false, "skip Figure 1 and Table IV (the slowest experiments)")
+		useSur    = flag.Bool("surrogate", false, "prune the design-space search with the learned surrogate (see README \"Surrogate search\")")
+		surAudit  = flag.Float64("surrogate-audit", 0, "override the surrogate audit fraction (0 keeps the default)")
+		cacheDir  = flag.String("cache-dir", "", "persistent result-store directory (reused across runs; empty disables)")
+		tracePath = flag.String("trace", "", "write a Chrome trace_event JSON of the run to this file")
+		manifest  = flag.String("manifest", "", "write a run manifest (deterministic + timing sections) to this file; defaults to manifest-report.json under -cache-dir")
+		spanSum   = flag.Bool("span-summary", false, "print a per-stage span time rollup to stderr at exit")
+		logJSON   = flag.Bool("log-json", false, "emit logs as JSON instead of text")
+		logLevel  = flag.String("log-level", "info", "log level: debug, info, warn or error")
+		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file (go tool pprof)")
+		memProf   = flag.String("memprofile", "", "write a heap profile at exit to this file (go tool pprof)")
 	)
 	flag.Parse()
 
@@ -168,22 +155,19 @@ func main() {
 		sc.UniformSamples = *uniform
 	}
 
-	// extraOpts are the build options shared by every build this process
-	// runs — fabric shards and the final pipeline alike. The store is not
-	// among them: each build attaches its own.
-	var extraOpts []experiment.Option
+	var opts []experiment.Option
 	if *useSur {
 		scfg := surrogate.DefaultConfig()
 		if *surAudit > 0 {
 			scfg.AuditFrac = *surAudit
 		}
-		extraOpts = append(extraOpts, experiment.WithSurrogate(scfg))
+		opts = append(opts, experiment.WithSurrogate(scfg))
 	}
 
 	// Live progress/ETA for the long stages, annotated with the memo and
 	// store hit rates so a stalled-looking run is distinguishable from a
-	// cache-warm one. st is nil until the final store opens; fabric shard
-	// builds report memo rates only.
+	// cache-warm one. st stays nil without -cache-dir, and then only memo
+	// rates are reported.
 	var st *store.Store
 	prog := &obs.Progress{Logger: logger}
 	experiment.SetProgress(func(stage string, done, total int) {
@@ -201,55 +185,6 @@ func main() {
 	})
 	defer experiment.SetProgress(nil)
 
-	// Fabric worker mode: run exactly one shard against the private
-	// store and exit — the pipeline belongs to whoever merges the shards.
-	if *fabricSpec != "" {
-		if *fabricN > 0 {
-			die(fmt.Errorf("-fabric and -fabric-worker are mutually exclusive"))
-		}
-		if *cacheDir == "" {
-			die(fmt.Errorf("-fabric-worker needs a private -cache-dir to persist its shard's results"))
-		}
-		spec, err := fabric.Parse(*fabricSpec)
-		if err != nil {
-			die(err)
-		}
-		start := time.Now()
-		res, err := fabric.RunShard(context.Background(), sc, spec, *cacheDir, extraOpts...)
-		if err != nil {
-			die(err)
-		}
-		logger.Info("fabric shard done", "spec", spec.String(),
-			"phases", spec.Phases(), "freshSearchSims", res.FreshSearchSims,
-			"storeHits", res.Store.Hits, "storeMisses", res.Store.Misses,
-			"elapsed", time.Since(start).Round(time.Second).String())
-		writeTrace()
-		stopProfiles()
-		return
-	}
-
-	// Fabric driver mode: run every shard in-process sequentially, merge
-	// the partial stores into -cache-dir, then fall through to the normal
-	// pipeline, which replays warm from the merged store.
-	if *fabricN > 0 {
-		if *cacheDir == "" {
-			die(fmt.Errorf("-fabric needs -cache-dir: the shard stores live under it and the merged registry becomes the build's warm store"))
-		}
-		logger.Info("fabric build", "shards", *fabricN, "dir", *cacheDir)
-		dres, err := fabric.Drive(context.Background(), sc, *fabricN, *cacheDir, extraOpts...)
-		if err != nil {
-			die(err)
-		}
-		for _, sh := range dres.Shards {
-			logger.Info("fabric shard done", "spec", sh.Spec.String(),
-				"phases", sh.Spec.Phases(), "freshSearchSims", sh.FreshSearchSims,
-				"storeHits", sh.Store.Hits, "storeMisses", sh.Store.Misses)
-		}
-		logger.Info("fabric merged", "records", dres.Merge.Records,
-			"added", dres.Merge.Added, "dedup", dres.Merge.Dedup,
-			"dropped", dres.Merge.Dropped, "shardSearchSims", dres.FreshSearchSims)
-	}
-
 	if *cacheDir != "" {
 		var err error
 		if st, err = store.Open(*cacheDir); err != nil {
@@ -259,7 +194,7 @@ func main() {
 		logger.Info("result store open", "dir", *cacheDir, "records", st.Len())
 	}
 
-	opts := append(append([]experiment.Option{}, extraOpts...), experiment.WithStore(st))
+	opts = append(opts, experiment.WithStore(st))
 
 	start := time.Now()
 	logger.Info("building dataset",
@@ -418,7 +353,6 @@ func main() {
 		m.SetDet("flags.skipSlow", *skipSlow)
 		m.SetDet("flags.surrogate", *useSur)
 		m.SetDet("flags.surrogateAudit", *surAudit)
-		m.SetDet("flags.fabric", *fabricN)
 		experiment.FillBuildManifest(m, ds)
 		tr.FillManifest(m)
 		elapsed := time.Since(start).Seconds()

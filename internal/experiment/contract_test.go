@@ -1,4 +1,4 @@
-package fabric
+package experiment_test
 
 import (
 	"bytes"
@@ -35,37 +35,26 @@ type contractCell struct {
 	workers   int // 0: Build's default, runtime.GOMAXPROCS(0)
 	surrogate bool
 	store     storeState
-	fabric    bool // 2 shards via Drive, then the final build; needs a store
 }
 
 func (c contractCell) String() string {
-	fab := "off"
-	if c.fabric {
-		fab = "2shards"
-	}
 	workers := "default"
 	if c.workers > 0 {
 		workers = fmt.Sprint(c.workers)
 	}
-	return fmt.Sprintf("workers=%s/surrogate=%t/store=%s/fabric=%s", workers, c.surrogate, c.store, fab)
+	return fmt.Sprintf("workers=%s/surrogate=%t/store=%s", workers, c.surrogate, c.store)
 }
 
 // contractCells enumerates the matrix: workers {1, 3, default} ×
-// surrogate {off, on} × store {none, cold, warm} × fabric {off, 2
-// shards}, fabric only with a store (shards need a directory). The
-// default is what adaptd, report and perfbench build with. A cold cell
-// precedes its warm cell, and every workers=1 cell precedes its twins.
+// surrogate {off, on} × store {none, cold, warm}. The default is what
+// adaptd, report and perfbench build with. A cold cell precedes its warm
+// cell, and every workers=1 cell precedes its twins.
 func contractCells() []contractCell {
 	var cells []contractCell
 	for _, w := range []int{1, 3, 0} {
 		for _, sur := range []bool{false, true} {
 			for _, st := range []storeState{noStore, coldStore, warmStore} {
-				for _, fab := range []bool{false, true} {
-					if fab && st == noStore {
-						continue
-					}
-					cells = append(cells, contractCell{w, sur, st, fab})
-				}
+				cells = append(cells, contractCell{w, sur, st})
 			}
 		}
 	}
@@ -108,9 +97,9 @@ func renderPipeline(t *testing.T, ds *experiment.Dataset) string {
 }
 
 // contractScale is TestScale with three programs and one stage-3 sweep:
-// enough phases for two non-trivial shards, all three search stages
-// batched across workers and pruned by the surrogate, and small enough
-// that the LOOCV behind each rendered cell stays cheap.
+// all three search stages batched across workers and pruned by the
+// surrogate, and small enough that the LOOCV behind each rendered cell
+// stays cheap.
 func contractScale() experiment.Scale {
 	sc := experiment.TestScale()
 	sc.Programs = sc.Programs[:3]
@@ -119,17 +108,17 @@ func contractScale() experiment.Scale {
 }
 
 // TestBuildContracts checks the repository's dataset identity contracts
-// with one test body over every combination of worker count, surrogate,
-// store state and fabric sharding. Each cell must reproduce the
-// sequential, storeless build with the same surrogate setting: the same
-// Dataset.Digest, manifest deterministic section, good sets and profiling
-// features, and the same fresh search simulations — paid by the build
-// (no store, cold), by the shards in total (fabric), or not at all (warm
-// replays and every final build after Drive, which also never miss the
-// store). Store logs are byte-identical across worker counts, every
-// store's hit and miss counts match the workers=1 cell's, and the
-// rendered tables are byte-identical for every store state. One cell
-// runs with the process tracer on and checks its Chrome trace export.
+// with one test body over every combination of worker count, surrogate
+// and store state. Each cell must reproduce the sequential, storeless
+// build with the same surrogate setting: the same Dataset.Digest,
+// manifest deterministic section, good sets and profiling features, and
+// the same fresh search simulations — paid by the build (no store, cold)
+// or not at all (warm replays, which also never miss the store). Store
+// logs are byte-identical across worker counts, every store's hit and
+// miss counts match the workers=1 cell's, every store directory passes
+// store.CheckDir with one live record per indexed record, and the
+// rendered tables are byte-identical for every store state. One cell runs
+// with the process tracer on and checks its Chrome trace export.
 func TestBuildContracts(t *testing.T) {
 	sc := contractScale()
 	ctx := context.Background()
@@ -175,18 +164,18 @@ func TestBuildContracts(t *testing.T) {
 
 	// Store directories live under the parent test, so a warm cell replays
 	// what its cold cell wrote; twins holds each workers=1 cell's store log
-	// and the hit and miss counts of every store it opened.
+	// and its store's hit and miss counts.
 	type storeTrail struct {
 		log   []byte
-		stats []store.Stats
+		stats store.Stats
 	}
 	root := t.TempDir()
 	twins := map[contractCell]storeTrail{}
-	traced := contractCell{workers: 3, surrogate: true, store: coldStore, fabric: true}
+	traced := contractCell{workers: 3, surrogate: true, store: coldStore}
 
 	cells := contractCells()
-	if len(cells) != 30 {
-		t.Fatalf("matrix has %d cells, want 30", len(cells))
+	if len(cells) != 18 {
+		t.Fatalf("matrix has %d cells, want 18", len(cells))
 	}
 	for _, c := range cells {
 		t.Run(c.String(), func(t *testing.T) {
@@ -202,26 +191,9 @@ func TestBuildContracts(t *testing.T) {
 					tr.Reset()
 				}()
 			}
-			dir := filepath.Join(root, fmt.Sprintf("w%d-sur%t-fab%t", c.workers, c.surrogate, c.fabric))
+			dir := filepath.Join(root, fmt.Sprintf("w%d-sur%t", c.workers, c.surrogate))
 
-			var paid uint64
 			var trail storeTrail
-			if c.fabric {
-				dr, err := Drive(ctx, sc, 2, dir, opts...)
-				if err != nil {
-					t.Fatal(err)
-				}
-				paid = dr.FreshSearchSims
-				for _, sh := range dr.Shards {
-					if c.store == coldStore && sh.FreshSearchSims == 0 {
-						t.Errorf("shard %d/%d paid no fresh search sims: degenerate partition", sh.Spec.Index, sh.Spec.Shards)
-					}
-					if c.store == warmStore && sh.Store.Misses != 0 {
-						t.Errorf("warm shard %d/%d missed its store %d times", sh.Spec.Index, sh.Spec.Shards, sh.Store.Misses)
-					}
-					trail.stats = append(trail.stats, sh.Store)
-				}
-			}
 			var st *store.Store
 			if c.store != noStore {
 				var err error
@@ -229,24 +201,23 @@ func TestBuildContracts(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			ds, buildPaid := build(t, st, opts)
-			got := newContractBuild(t, ds, c.store != noStore && !c.fabric)
-			if !c.fabric {
-				paid = buildPaid
-			} else if buildPaid != 0 {
-				t.Errorf("final build after Drive paid %d fresh search sims, want 0", buildPaid)
-			}
+			ds, paid := build(t, st, opts)
+			got := newContractBuild(t, ds, c.store != noStore)
 			if st != nil {
-				// Only warm builds must never miss: after a cold Drive, the
-				// surrogate's best-static validation simulates pruned shared
-				// configs out of sample, a stage shards never run.
-				stats := st.Stats()
-				if c.store == warmStore && stats.Misses != 0 {
-					t.Errorf("warm build missed the store %d times", stats.Misses)
+				trail.stats = st.Stats()
+				if c.store == warmStore && trail.stats.Misses != 0 {
+					t.Errorf("warm build missed the store %d times", trail.stats.Misses)
 				}
-				trail.stats = append(trail.stats, stats)
 				if err := st.Close(); err != nil {
 					t.Fatal(err)
+				}
+				check, err := store.CheckDir(dir)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !check.Ok() || check.Live != trail.stats.Records {
+					t.Errorf("store audit: faults %v, %d live records; the store indexed %d",
+						check.Faults, check.Live, trail.stats.Records)
 				}
 			}
 
@@ -295,12 +266,9 @@ func TestBuildContracts(t *testing.T) {
 				}
 				// A pool that looked a result up twice, or simulated one
 				// the store held, moves these counts.
-				for i := range trail.stats {
-					got, w := trail.stats[i], want.stats[i]
-					if got.Hits != w.Hits || got.Misses != w.Misses {
-						t.Errorf("store %d of %d: %d hits, %d misses; workers=1 %d hits, %d misses",
-							i+1, len(trail.stats), got.Hits, got.Misses, w.Hits, w.Misses)
-					}
+				if got, w := trail.stats, want.stats; got.Hits != w.Hits || got.Misses != w.Misses {
+					t.Errorf("%d store hits, %d misses; workers=1 %d hits, %d misses",
+						got.Hits, got.Misses, w.Hits, w.Misses)
 				}
 			}
 		})

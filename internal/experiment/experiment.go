@@ -138,16 +138,9 @@ func (sc Scale) withDefaults() Scale {
 	return sc
 }
 
-// Resolved returns the scale with every defaulted field made explicit —
-// the exact configuration Build runs. Fabric shard specs fingerprint this
-// form, so a driver and a worker with nominally different zero values
-// still agree on what they are building.
-func (sc Scale) Resolved() Scale { return sc.withDefaults() }
-
 // PhaseIDs returns the build's phase list — programs in configured order,
 // phases in index order within each program, after defaulting. This is the
-// canonical order Build simulates in and the order fabric shard windows
-// index into.
+// canonical order Build simulates, searches and profiles in.
 func (sc Scale) PhaseIDs() []PhaseID {
 	sc = sc.withDefaults()
 	out := make([]PhaseID, 0, len(sc.Programs)*sc.PhasesPerProgram)
@@ -226,10 +219,9 @@ type Dataset struct {
 type Option func(*buildOptions)
 
 type buildOptions struct {
-	store       *store.Store
-	workers     int
-	surrogate   *surrogate.Config
-	searchLimit int
+	store     *store.Store
+	workers   int
+	surrogate *surrogate.Config
 }
 
 // WithStore attaches a persistent result store to the build (nil is
@@ -255,18 +247,6 @@ func WithStore(st *store.Store) Option {
 // sequential build; values below 1 mean the default.
 func WithWorkers(n int) Option {
 	return func(o *buildOptions) { o.workers = n }
-}
-
-// WithSearchLimit stops the build after the design-space search of the
-// first n phases (in PhaseIDs order) and skips every later stage —
-// best-static, good sets, profiling, features. The returned Dataset is
-// deliberately partial: fabric shard workers (internal/fabric) use it to
-// pay for exactly their phase window's simulations while the shared
-// prefix [0, lo) replays warm from a seeded store, keeping the rng stream
-// and every result byte-identical to the plain sequential build. Values
-// <= 0 (and the default) run the full build.
-func WithSearchLimit(n int) Option {
-	return func(o *buildOptions) { o.searchLimit = n }
 }
 
 // Build runs the full data-gathering pipeline at the given scale: the
@@ -310,13 +290,7 @@ func Build(ctx context.Context, sc Scale, opts ...Option) (*Dataset, error) {
 		SetArg("phases-per-program", strconv.Itoa(sc.PhasesPerProgram))
 	defer root.Finish()
 
-	// Phase list. A search limit (fabric shard worker) keeps only the
-	// prefix — phases past the limit are never touched.
 	phaseIDs := sc.PhaseIDs()
-	partial := bo.searchLimit > 0
-	if partial && bo.searchLimit < len(phaseIDs) {
-		phaseIDs = phaseIDs[:bo.searchLimit]
-	}
 	var rng *rand.Rand
 	ds.SharedConfigs, rng = sharedSample(sc)
 
@@ -339,16 +313,14 @@ func Build(ctx context.Context, sc Scale, opts ...Option) (*Dataset, error) {
 			}
 		}
 	}
-	var profiles []*simJob
-	if !partial {
-		profOpts := cpu.Options{
-			Collect:     true,
-			SampledSets: sc.SampledSets,
-			WarmupInsts: sc.WarmupInsts,
-		}
-		for i, id := range phaseIDs {
-			profiles = append(profiles, ds.spawn(false, id, arch.Profiling(), profOpts, traces[i].get))
-		}
+	profOpts := cpu.Options{
+		Collect:     true,
+		SampledSets: sc.SampledSets,
+		WarmupInsts: sc.WarmupInsts,
+	}
+	profiles := make([]*simJob, len(phaseIDs))
+	for i, id := range phaseIDs {
+		profiles[i] = ds.spawn(false, id, arch.Profiling(), profOpts, traces[i].get)
 	}
 
 	sp := tr.Start("tracegen")
@@ -382,12 +354,6 @@ func Build(ctx context.Context, sc Scale, opts ...Option) (*Dataset, error) {
 	}
 	sp.Finish()
 	ds.inSearch = false
-
-	// A limited build stops here: everything downstream of the search is
-	// the final (merged-store) build's job.
-	if partial {
-		return ds, nil
-	}
 
 	sp = tr.Start("best-static")
 	ds.computeBestStatic()
@@ -426,10 +392,8 @@ func Build(ctx context.Context, sc Scale, opts ...Option) (*Dataset, error) {
 // sharedSample draws the stage-1 shared uniform candidate pool (always
 // anchored on the paper's published baseline so comparisons have a common
 // anchor) and returns the rng advanced exactly past those draws. The
-// per-phase search stages continue on the same stream — the pool and the
-// stream position are one deterministic unit, which is what lets a fabric
-// shard worker replay the search prefix bit-for-bit before paying for its
-// own window.
+// per-phase search stages continue on the same stream, so the pool and
+// the stream position are one deterministic unit.
 func sharedSample(sc Scale) ([]arch.Config, *rand.Rand) {
 	rng := rand.New(rand.NewPCG(sc.Seed, 0x5ca1ab1e))
 	seen := map[arch.Config]bool{}
@@ -445,15 +409,6 @@ func sharedSample(sc Scale) ([]arch.Config, *rand.Rand) {
 		add(arch.Random(rng))
 	}
 	return shared, rng
-}
-
-// SharedSample returns the stage-1 shared uniform sample a build at sc
-// evaluates on every phase — the deterministically known-upfront slice of
-// the search's work units, exposed for the fabric work partitioner and for
-// tests.
-func SharedSample(sc Scale) []arch.Config {
-	shared, _ := sharedSample(sc.withDefaults())
-	return shared
 }
 
 // entry is one memoised simulation result, tagged by whether it belongs to

@@ -190,9 +190,9 @@ func TimingDeltas(old, new *Manifest) []TimingDelta {
 }
 
 // TimingOnly returns the timing keys present in exactly one of the two
-// manifests, each list sorted. New counters (store composition, fabric
-// stats) surface here when diffing against a manifest from an older
-// build, instead of silently vanishing from the shared-key table.
+// manifests, each list sorted. Counters added or removed between builds
+// surface here when diffing manifests from different builds, instead of
+// silently vanishing from the shared-key table.
 func TimingOnly(old, new *Manifest) (onlyOld, onlyNew []string) {
 	for k := range old.Timing {
 		if _, ok := new.Timing[k]; !ok {

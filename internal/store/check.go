@@ -1,4 +1,4 @@
-// Read-only auditing for storectl: walk a store directory's logs
+// Read-only auditing for storectl: walk a store directory's head log
 // validating framing, CRCs, payload decodability and the SimVersion
 // stamp, describing every fault instead of repairing anything.
 package store
@@ -10,26 +10,21 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
 )
 
 // logScan reports one tolerant walk over a single log file.
 type logScan struct {
-	Path      string
-	Records   int      // records whose framing and CRC checked out
-	Dropped   int      // CRC-damaged records skipped
-	Bytes     int64    // file size
-	BadHeader bool     // magic/version preamble unreadable or wrong
-	TornTail  bool     // framing damage ended the walk early
-	Faults    []string // human-readable fault descriptions with offsets
+	Dropped int      // CRC-damaged records skipped
+	Bytes   int64    // file size
+	Faults  []string // human-readable fault descriptions with offsets
 }
 
 // scanLogFile walks one log tolerantly, invoking visit for every record
 // whose framing and CRC check out. Faults are described, never fatal:
 // framing damage ends the walk (torn tail), payload damage skips one
 // record. The returned error covers I/O failures only.
-func scanLogFile(path string, visit func(off int64, key Key, payload []byte, crc uint32)) (*logScan, error) {
-	ls := &logScan{Path: path}
+func scanLogFile(path string, visit func(off int64, key Key, payload []byte)) (*logScan, error) {
+	ls := &logScan{}
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("store: opening %s: %w", path, err)
@@ -44,7 +39,6 @@ func scanLogFile(path string, visit func(off int64, key Key, payload []byte, crc
 		ls.Faults = append(ls.Faults, fmt.Sprintf(format, args...))
 	}
 	if size < headerSize {
-		ls.BadHeader = true
 		fault("%s: shorter than the %d-byte log header", path, headerSize)
 		return ls, nil
 	}
@@ -53,12 +47,10 @@ func scanLogFile(path string, visit func(off int64, key Key, payload []byte, crc
 		return nil, fmt.Errorf("store: reading %s header: %w", path, err)
 	}
 	if string(hdr[:4]) != fileMagic {
-		ls.BadHeader = true
 		fault("%s: not a result store log (bad magic)", path)
 		return ls, nil
 	}
 	if v := binary.LittleEndian.Uint32(hdr[4:]); v != formatVersion {
-		ls.BadHeader = true
 		fault("%s: log format v%d, this binary reads v%d", path, v, formatVersion)
 		return ls, nil
 	}
@@ -66,7 +58,6 @@ func scanLogFile(path string, visit func(off int64, key Key, payload []byte, crc
 	var rh [recHeaderSize]byte
 	for off < size {
 		if off+recHeaderSize > size {
-			ls.TornTail = true
 			fault("%s: torn record header at offset %d (%d trailing bytes)", path, off, size-off)
 			return ls, nil
 		}
@@ -76,7 +67,6 @@ func scanLogFile(path string, visit func(off int64, key Key, payload []byte, crc
 		plen := int64(binary.LittleEndian.Uint32(rh[:4]))
 		crc := binary.LittleEndian.Uint32(rh[4:])
 		if plen < keySize || plen > maxPayload || off+recHeaderSize+plen > size {
-			ls.TornTail = true
 			fault("%s: implausible record framing at offset %d (payload length %d)", path, off, plen)
 			return ls, nil
 		}
@@ -93,8 +83,7 @@ func scanLogFile(path string, visit func(off int64, key Key, payload []byte, crc
 		}
 		var key Key
 		copy(key[:], payload[:keySize])
-		visit(off, key, payload, crc)
-		ls.Records++
+		visit(off, key, payload)
 		off = next
 	}
 	return ls, nil
@@ -105,8 +94,6 @@ type DirCheck struct {
 	Dir        string
 	SimVersion int // sidecar stamp value (0 when missing)
 	HasStamp   bool
-	Logs       []*logScan // segments in scan order, then the head
-	Segments   int
 	Live       int // distinct keys after supersede resolution
 	Superseded int
 	Dropped    int
@@ -136,41 +123,30 @@ func CheckDir(dir string) (*DirCheck, error) {
 	if !ok {
 		c.Faults = append(c.Faults, fmt.Sprintf("%s: no simversion stamp — open the store once (any report/adaptd run) to stamp it", dir))
 	} else if v != SimVersion {
-		c.Faults = append(c.Faults, fmt.Sprintf("%s: stamped simversion %d but this binary simulates version %d — records will never match; merge refuses mixed stores", dir, v, SimVersion))
+		c.Faults = append(c.Faults, fmt.Sprintf("%s: stamped simversion %d but this binary simulates version %d — records will never match", dir, v, SimVersion))
 	}
 
-	segs, err := filepath.Glob(filepath.Join(dir, segmentGlob))
-	if err != nil {
-		return nil, fmt.Errorf("store: listing segments: %w", err)
-	}
-	sort.Strings(segs)
-	c.Segments = len(segs)
-	logs := segs
 	head := HeadLog(dir)
-	if _, err := os.Stat(head); err == nil {
-		logs = append(logs, head)
-	} else {
+	if _, err := os.Stat(head); err != nil {
 		c.Faults = append(c.Faults, fmt.Sprintf("%s: no head log (%s)", dir, dataFileName))
+		return c, nil
 	}
 	seen := map[Key]bool{}
-	for _, path := range logs {
-		ls, err := scanLogFile(path, func(off int64, key Key, payload []byte, _ uint32) {
-			if seen[key] {
-				c.Superseded++
-			}
-			seen[key] = true
-			if _, err := decodeResult(payload[keySize:]); err != nil {
-				c.Faults = append(c.Faults, fmt.Sprintf("%s: undecodable record value at offset %d: %v", path, off, err))
-			}
-		})
-		if err != nil {
-			return nil, err
+	ls, err := scanLogFile(head, func(off int64, key Key, payload []byte) {
+		if seen[key] {
+			c.Superseded++
 		}
-		c.Logs = append(c.Logs, ls)
-		c.Dropped += ls.Dropped
-		c.Bytes += ls.Bytes
-		c.Faults = append(c.Faults, ls.Faults...)
+		seen[key] = true
+		if _, err := decodeResult(payload[keySize:]); err != nil {
+			c.Faults = append(c.Faults, fmt.Sprintf("%s: undecodable record value at offset %d: %v", head, off, err))
+		}
+	})
+	if err != nil {
+		return nil, err
 	}
+	c.Dropped = ls.Dropped
+	c.Bytes = ls.Bytes
+	c.Faults = append(c.Faults, ls.Faults...)
 	c.Live = len(seen)
 	return c, nil
 }

@@ -65,7 +65,7 @@ func FuzzStoreOpen(f *testing.F) {
 		}
 		for k, loc := range locs {
 			raw := make([]byte, loc.plen)
-			if _, err := s.fileFor(loc).ReadAt(raw, loc.off); err != nil {
+			if _, err := s.f.ReadAt(raw, loc.off); err != nil {
 				t.Fatalf("indexed record unreadable: %v", err)
 			}
 			want, decErr := decodeResult(raw[keySize:])

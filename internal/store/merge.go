@@ -1,14 +1,11 @@
-// Merge/adopt: the multi-party half of the store. A fabric build (see
-// internal/fabric) leaves behind many partial store directories that share
-// nothing but this file format; Merge unions them into one canonical
-// registry and AdoptSegment seeds one store with another's records at
-// file-copy cost. Both are crash-safe via the same temp-file + atomic
-// rename idiom as compaction, and both refuse to mix simulator versions.
+// Merge: union store directories built apart (on different hosts, or
+// by runs that did not share a -cache-dir) into one canonical head log.
+// Crash-safe via the same temp-file + atomic rename idiom as compaction,
+// and it refuses to mix simulator versions.
 package store
 
 import (
 	"bytes"
-	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
@@ -28,7 +25,7 @@ type MergeStats struct {
 	Added      int   // records the destination did not already hold
 	Dedup      int   // identical duplicates collapsed across inputs
 	Superseded int   // within-directory shadowed records skipped
-	Dropped    int   // corrupt or torn records skipped while reading
+	Dropped    int   // CRC-damaged records skipped while reading
 	Bytes      int64 // size of the merged destination log
 }
 
@@ -47,13 +44,12 @@ type MergeStats struct {
 //   - Every directory that holds records must carry the current
 //     SimVersion stamp (the sidecar Open writes).
 //   - The output is written sorted by key through a temp file + atomic
-//     rename, so any source order produces the byte-identical log, and
-//     the destination's old segments are removed only after the rename
-//     (a crash in between leaves harmless duplicates the next Open
-//     compacts away).
+//     rename, so any source order produces the byte-identical log.
 //
-// Corrupt records in the inputs (torn tails, flipped bytes) are skipped
-// exactly as Open's scan would skip them, and counted in Dropped.
+// Only head logs are read; other files in the directories are neither
+// merged nor touched. Corrupt records in the inputs (torn tails, flipped
+// bytes) are skipped exactly as Open's scan would skip them, and
+// CRC-damaged ones are counted in Dropped.
 func Merge(dstDir string, srcDirs ...string) (MergeStats, error) {
 	var ms MergeStats
 	sp := obs.DefaultTracer().Start("store.merge").
@@ -74,12 +70,10 @@ func Merge(dstDir string, srcDirs ...string) (MergeStats, error) {
 
 	// The destination's own records participate like a source: they must
 	// agree with everything merged over them.
-	dstLive, dstStats, err := liveDirRecords(dstDir)
+	dstLive, err := liveHeadRecords(dstDir, &ms)
 	if err != nil {
 		return ms, err
 	}
-	ms.Superseded += dstStats.Superseded
-	ms.Dropped += dstStats.Dropped
 	if len(dstLive) > 0 {
 		if err := requireSimVersion(dstDir); err != nil {
 			return ms, err
@@ -92,22 +86,20 @@ func Merge(dstDir string, srcDirs ...string) (MergeStats, error) {
 
 	for _, src := range srcDirs {
 		ms.Sources++
-		live, st, err := func() (map[Key][]byte, liveStats, error) {
+		live, err := func() (map[Key][]byte, error) {
 			srcLock, err := acquireLock(filepath.Join(src, lockFileName))
 			if err != nil {
-				return nil, liveStats{}, err
+				return nil, err
 			}
 			defer srcLock.Close()
 			if err := requireSimVersion(src); err != nil {
-				return nil, liveStats{}, err
+				return nil, err
 			}
-			return liveDirRecords(src)
+			return liveHeadRecords(src, &ms)
 		}()
 		if err != nil {
 			return ms, err
 		}
-		ms.Superseded += st.Superseded
-		ms.Dropped += st.Dropped
 		// Sorted iteration keeps Added/Dedup accounting (and the first
 		// divergence named on error) independent of map order.
 		for _, k := range sortedKeys(live) {
@@ -132,28 +124,17 @@ func Merge(dstDir string, srcDirs ...string) (MergeStats, error) {
 		return ms, fmt.Errorf("store: merge temp file: %w", err)
 	}
 	defer os.Remove(tmp.Name()) // no-op after the rename succeeds
-	var hdr [headerSize]byte
-	copy(hdr[:4], fileMagic)
-	binary.LittleEndian.PutUint32(hdr[4:], formatVersion)
-	if _, err := tmp.Write(hdr[:]); err != nil {
-		tmp.Close()
-		return ms, fmt.Errorf("store: merge header: %w", err)
-	}
-	size := int64(headerSize)
-	var rh [recHeaderSize]byte
+	buf := []byte(fileMagic)
+	buf = binary.LittleEndian.AppendUint32(buf, formatVersion)
 	for _, k := range keys {
 		payload := union[k]
-		binary.LittleEndian.PutUint32(rh[:4], uint32(len(payload)))
-		binary.LittleEndian.PutUint32(rh[4:], crc32.Checksum(payload, castagnoli))
-		if _, err := tmp.Write(rh[:]); err != nil {
-			tmp.Close()
-			return ms, fmt.Errorf("store: merge write: %w", err)
-		}
-		if _, err := tmp.Write(payload); err != nil {
-			tmp.Close()
-			return ms, fmt.Errorf("store: merge write: %w", err)
-		}
-		size += recHeaderSize + int64(len(payload))
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(payload)))
+		buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(payload, castagnoli))
+		buf = append(buf, payload...)
+	}
+	if _, err := tmp.Write(buf); err != nil {
+		tmp.Close()
+		return ms, fmt.Errorf("store: merge write: %w", err)
 	}
 	if err := tmp.Sync(); err != nil {
 		tmp.Close()
@@ -165,103 +146,15 @@ func Merge(dstDir string, srcDirs ...string) (MergeStats, error) {
 	if err := os.Rename(tmp.Name(), HeadLog(dstDir)); err != nil {
 		return ms, fmt.Errorf("store: merge rename: %w", err)
 	}
-	// The destination's old segments are folded into the new head now.
-	if segs, err := filepath.Glob(filepath.Join(dstDir, segmentGlob)); err == nil {
-		for _, p := range segs {
-			os.Remove(p)
-		}
-	}
 	want := []byte(strconv.Itoa(SimVersion) + "\n")
 	if err := os.WriteFile(filepath.Join(dstDir, simVersionFileName), want, 0o644); err != nil {
 		return ms, fmt.Errorf("store: stamping simversion: %w", err)
 	}
 	ms.Records = len(keys)
-	ms.Bytes = size
+	ms.Bytes = int64(len(buf))
 	obsMerges.Inc()
 	obsMergeRecords.Add(uint64(len(keys)))
 	return ms, nil
-}
-
-// AdoptSegment copies the valid records of srcLog into dir as a sealed
-// read-only segment named by content digest — adopting the same log twice
-// lands on the same file, so re-runs are idempotent. The copy is
-// sanitised (framing damage truncates, CRC-damaged records are skipped)
-// and committed by temp file + atomic rename. The fabric driver uses this
-// to seed a shard worker's private store with its predecessors' records
-// at file-copy cost; record-level reconciliation is Merge's job.
-func AdoptSegment(dir, srcLog string) (string, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return "", fmt.Errorf("store: creating %s: %w", dir, err)
-	}
-	lock, err := acquireLock(filepath.Join(dir, lockFileName))
-	if err != nil {
-		return "", err
-	}
-	defer lock.Close()
-	if v, ok := readSimVersion(dir); ok && v != SimVersion {
-		return "", fmt.Errorf("store: %s is stamped simversion %d but this binary simulates version %d — refusing to adopt records into it", dir, v, SimVersion)
-	}
-
-	tmp, err := os.CreateTemp(dir, "segment-*.tmp")
-	if err != nil {
-		return "", fmt.Errorf("store: adopt temp file: %w", err)
-	}
-	defer os.Remove(tmp.Name())
-	h := sha256.New()
-	var hdr [headerSize]byte
-	copy(hdr[:4], fileMagic)
-	binary.LittleEndian.PutUint32(hdr[4:], formatVersion)
-	if _, err := tmp.Write(hdr[:]); err != nil {
-		tmp.Close()
-		return "", fmt.Errorf("store: adopt header: %w", err)
-	}
-	var writeErr error
-	var rh [recHeaderSize]byte
-	scan, err := scanLogFile(srcLog, func(_ int64, _ Key, payload []byte, crc uint32) {
-		if writeErr != nil {
-			return
-		}
-		binary.LittleEndian.PutUint32(rh[:4], uint32(len(payload)))
-		binary.LittleEndian.PutUint32(rh[4:], crc)
-		h.Write(rh[:])
-		h.Write(payload)
-		if _, err := tmp.Write(rh[:]); err != nil {
-			writeErr = err
-			return
-		}
-		if _, err := tmp.Write(payload); err != nil {
-			writeErr = err
-		}
-	})
-	if err == nil && writeErr != nil {
-		err = writeErr
-	}
-	if err == nil && scan.BadHeader {
-		err = fmt.Errorf("store: %s is not a result store log", srcLog)
-	}
-	if err != nil {
-		tmp.Close()
-		return "", fmt.Errorf("store: adopting %s: %w", srcLog, err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return "", fmt.Errorf("store: adopt sync: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return "", fmt.Errorf("store: adopt close: %w", err)
-	}
-	name := "segment-" + hex.EncodeToString(h.Sum(nil))[:16] + ".log"
-	if err := os.Rename(tmp.Name(), filepath.Join(dir, name)); err != nil {
-		return "", fmt.Errorf("store: adopt rename: %w", err)
-	}
-	if _, ok := readSimVersion(dir); !ok {
-		want := []byte(strconv.Itoa(SimVersion) + "\n")
-		if err := os.WriteFile(filepath.Join(dir, simVersionFileName), want, 0o644); err != nil {
-			return "", fmt.Errorf("store: stamping simversion: %w", err)
-		}
-	}
-	obsSegmentsAdopted.Inc()
-	return name, nil
 }
 
 // requireSimVersion rejects directories whose sidecar stamp is missing or
@@ -277,50 +170,29 @@ func requireSimVersion(dir string) error {
 	return nil
 }
 
-// liveStats summarises a liveDirRecords pass.
-type liveStats struct {
-	Superseded int
-	Dropped    int
-	Logs       int
-}
-
-// liveDirRecords reads a directory's live records without opening it as a
-// Store: sealed segments in sorted name order, then the head log, later
-// records superseding earlier ones and damage skipped exactly as Open's
-// scan would — but strictly read-only, nothing is repaired or truncated.
-// The caller holds the directory lock.
-func liveDirRecords(dir string) (map[Key][]byte, liveStats, error) {
-	var st liveStats
+// liveHeadRecords reads a directory's live head-log records without
+// opening it as a Store: later records supersede earlier ones and damage
+// is skipped exactly as Open's scan would — but strictly read-only,
+// nothing is repaired or truncated. A directory without a head log holds
+// no records. Superseded and dropped counts accumulate into ms. The
+// caller holds the directory lock.
+func liveHeadRecords(dir string, ms *MergeStats) (map[Key][]byte, error) {
 	live := map[Key][]byte{}
-	segs, err := filepath.Glob(filepath.Join(dir, segmentGlob))
-	if err != nil {
-		return nil, st, fmt.Errorf("store: listing segments: %w", err)
-	}
-	sort.Strings(segs)
-	logs := segs
 	head := HeadLog(dir)
-	if _, err := os.Stat(head); err == nil {
-		logs = append(logs, head)
+	if _, err := os.Stat(head); err != nil {
+		return live, nil
 	}
-	for _, path := range logs {
-		scan, err := scanLogFile(path, func(_ int64, key Key, payload []byte, _ uint32) {
-			if _, ok := live[key]; ok {
-				st.Superseded++
-			}
-			p := make([]byte, len(payload))
-			copy(p, payload)
-			live[key] = p
-		})
-		if err != nil {
-			return nil, st, err
+	scan, err := scanLogFile(head, func(_ int64, key Key, payload []byte) {
+		if _, ok := live[key]; ok {
+			ms.Superseded++
 		}
-		st.Logs++
-		st.Dropped += scan.Dropped
-		if scan.BadHeader {
-			st.Dropped++
-		}
+		live[key] = payload
+	})
+	if err != nil {
+		return nil, err
 	}
-	return live, st, nil
+	ms.Dropped += scan.Dropped
+	return live, nil
 }
 
 // sortedKeys returns the map's keys in ascending byte order — the one

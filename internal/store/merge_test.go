@@ -8,26 +8,6 @@ import (
 	"testing"
 )
 
-// buildDir creates a store directory holding the records keys[i] ->
-// fakeResult(vals[i]) in order, via the normal Put path.
-func buildDir(t testing.TB, keys []int, vals []int) string {
-	t.Helper()
-	dir := t.TempDir()
-	s, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, k := range keys {
-		if err := s.Put(fakeKey(k), fakeResult(vals[i])); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	return dir
-}
-
 func TestMergeUnionsDisjointStores(t *testing.T) {
 	a := buildDir(t, []int{0, 1, 2}, []int{0, 1, 2})
 	b := buildDir(t, []int{3, 4}, []int{3, 4})
@@ -168,7 +148,7 @@ func TestMergeRecoversCorruptSource(t *testing.T) {
 	}
 }
 
-// TestMergeDeterministicAnyOrder pins the satellite-6 guarantee: the
+// TestMergeDeterministicAnyOrder pins the ordering guarantee: the
 // merged log is byte-identical for any source order (keys are written
 // sorted, never in map-iteration or argument order).
 func TestMergeDeterministicAnyOrder(t *testing.T) {
@@ -212,133 +192,6 @@ func TestMergeIntoExistingStore(t *testing.T) {
 	defer s.Close()
 	if s.Len() != 3 {
 		t.Fatalf("merged store has %d records, want 3", s.Len())
-	}
-}
-
-func TestAdoptSegmentAndOpen(t *testing.T) {
-	src := buildDir(t, []int{0, 1, 2}, []int{0, 1, 2})
-	dir := t.TempDir()
-	name, err := AdoptSegment(dir, HeadLog(src))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.HasPrefix(name, "segment-") || !strings.HasSuffix(name, ".log") {
-		t.Fatalf("segment name %q not of the segment-*.log form", name)
-	}
-	// Idempotent: adopting the same log lands on the same file.
-	name2, err := AdoptSegment(dir, HeadLog(src))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if name2 != name {
-		t.Fatalf("re-adopt produced %q, want %q", name2, name)
-	}
-	segs, _ := filepath.Glob(filepath.Join(dir, segmentGlob))
-	if len(segs) != 1 {
-		t.Fatalf("%d segment files after double adopt, want 1", len(segs))
-	}
-
-	s, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := s.Stats()
-	if st.Segments != 1 || st.MergedRecords != 3 || s.Len() != 3 {
-		t.Fatalf("open stats = %+v len=%d, want 1 segment serving 3 records", st, s.Len())
-	}
-	for i := 0; i < 3; i++ {
-		if _, ok := s.Get(fakeKey(i)); !ok {
-			t.Fatalf("adopted record %d unreadable", i)
-		}
-	}
-	// New appends go to the head and shadow nothing; compaction folds
-	// the segment into the head and deletes it.
-	if err := s.Put(fakeKey(3), fakeResult(3)); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	segs, _ = filepath.Glob(filepath.Join(dir, segmentGlob))
-	if len(segs) != 0 {
-		t.Fatalf("%d segment files survived compaction, want 0", len(segs))
-	}
-	s, err = Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	if s.Len() != 4 || s.Stats().Segments != 0 {
-		t.Fatalf("after compaction: len=%d segments=%d, want 4 and 0", s.Len(), s.Stats().Segments)
-	}
-}
-
-func TestCheckDirFlagsCorruption(t *testing.T) {
-	dir := buildDir(t, []int{0, 1, 2}, []int{0, 1, 2})
-	c, err := CheckDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !c.Ok() || c.Live != 3 {
-		t.Fatalf("clean store: faults=%v live=%d, want none and 3", c.Faults, c.Live)
-	}
-
-	// Flip one byte inside a record payload: exactly one fault.
-	path := HeadLog(dir)
-	recs := recordOffsets(t, path)
-	f, err := os.OpenFile(path, os.O_RDWR, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	flipAt := recs[1][0] + recHeaderSize + keySize + 4
-	buf := make([]byte, 1)
-	if _, err := f.ReadAt(buf, flipAt); err != nil {
-		t.Fatal(err)
-	}
-	buf[0] ^= 0xff
-	if _, err := f.WriteAt(buf, flipAt); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-	c, err = CheckDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.Ok() || c.Dropped != 1 || c.Live != 2 {
-		t.Fatalf("corrupt store: ok=%v dropped=%d live=%d, want a fault, 1 dropped, 2 live", c.Ok(), c.Dropped, c.Live)
-	}
-	if !strings.Contains(strings.Join(c.Faults, "\n"), "CRC mismatch") {
-		t.Fatalf("faults %v do not name the CRC mismatch", c.Faults)
-	}
-
-	// A stamp mismatch is a fault too.
-	dir2 := buildDir(t, []int{0}, []int{0})
-	if err := os.WriteFile(filepath.Join(dir2, simVersionFileName), []byte("999\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	c, err = CheckDir(dir2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.Ok() || !strings.Contains(strings.Join(c.Faults, "\n"), "simversion 999") {
-		t.Fatalf("stamp mismatch not flagged: faults=%v", c.Faults)
-	}
-}
-
-// TestOpenStampsSimVersion checks Open writes (and refreshes) the sidecar.
-func TestOpenStampsSimVersion(t *testing.T) {
-	dir := t.TempDir()
-	s, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.Close()
-	v, ok := readSimVersion(dir)
-	if !ok || v != SimVersion {
-		t.Fatalf("stamp after open = (%d, %v), want (%d, true)", v, ok, SimVersion)
 	}
 }
 

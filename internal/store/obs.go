@@ -25,8 +25,6 @@ var (
 		"Store merge operations completed.")
 	obsMergeRecords = obs.DefaultRegistry().Counter("repro_store_merge_records_total",
 		"Live records written by store merges.")
-	obsSegmentsAdopted = obs.DefaultRegistry().Counter("repro_store_segments_adopted_total",
-		"Sealed segments adopted into store directories.")
 )
 
 // ProcessStats returns the process-lifetime store counters (all stores

@@ -53,15 +53,9 @@ const (
 	// simVersionFileName is a sidecar stamp naming the SimVersion of the
 	// store's latest writer. SimVersion is baked into every record key
 	// (not recoverable from the records themselves), so the stamp is what
-	// lets Merge and CheckDir refuse to mix stores whose records were
+	// lets CheckDir flag, and Merge refuse, a store whose records were
 	// produced under different simulator physics.
 	simVersionFileName = "simversion"
-
-	// segmentGlob matches sealed read-only segment logs: merged or
-	// adopted record sets that Open indexes alongside the head log
-	// (results.log). Segments are written once (AdoptSegment) and only
-	// ever removed by compaction, which folds them into a fresh head.
-	segmentGlob = "segment-*.log"
 
 	// fileHeader is the 8-byte log preamble: 4-byte magic + uint32
 	// format version (little-endian). The format version covers the
@@ -84,14 +78,11 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // ErrLocked reports that another process holds the store's lock file.
 var ErrLocked = errors.New("store: directory locked by another process")
 
-// recLoc locates one live record's payload within one of the store's
-// logs: src < 0 is the head log (results.log), src >= 0 indexes the
-// sealed segment opened at that position.
+// recLoc locates one live record's payload within the log.
 type recLoc struct {
 	off  int64  // payload offset (past the record header)
 	plen int32  // payload length (key + value)
 	crc  uint32 // payload CRC-32C, re-verified on every read
-	src  int32  // -1 = head log, else segment index
 }
 
 // Stats is a point-in-time snapshot of one store's activity since Open.
@@ -104,13 +95,6 @@ type Stats struct {
 	Dropped      int    // corrupt or truncated records discarded
 	Superseded   int    // records shadowed by a newer write of their key
 	Compactions  int    // compaction passes completed
-
-	// Store composition at open time: how much of this directory arrived
-	// via the fabric merge/adopt paths rather than local appends. Both
-	// describe what Open found (a later compaction folds segments into
-	// the head without updating them).
-	Segments      int // sealed segment files indexed at open
-	MergedRecords int // live records served from segments at open
 }
 
 // FillManifest records the stats into a run manifest's timing section.
@@ -125,11 +109,6 @@ func (s Stats) FillManifest(m *obs.Manifest, elapsedSeconds float64) {
 		m.SetTiming("storeHitRate", float64(s.Hits)/float64(s.Hits+s.Misses))
 	}
 	m.SetTiming("storeRecords", float64(s.Records))
-	// Composition counts are warm-state-dependent too (a replay against
-	// an already-compacted store sees zero segments), so they stay out of
-	// the deterministic section with the rest.
-	m.SetTiming("storeSegments", float64(s.Segments))
-	m.SetTiming("storeMergedRecords", float64(s.MergedRecords))
 	m.SetTiming("storeBytesRead", float64(s.BytesRead))
 	m.SetTiming("storeBytesWritten", float64(s.BytesWritten))
 	if elapsedSeconds > 0 {
@@ -141,16 +120,14 @@ func (s Stats) FillManifest(m *obs.Manifest, elapsedSeconds float64) {
 // use; the process-level single-writer guarantee comes from the lock
 // file, not from Go-side synchronisation.
 type Store struct {
-	mu       sync.Mutex
-	dir      string
-	f        *os.File
-	lock     *os.File
-	segs     []*os.File // sealed segment logs, scan order (nil = unreadable)
-	segNames []string   // segment paths, aligned with segs
-	index    map[Key]recLoc
-	end      int64 // head append offset (start of the next record header)
-	stale    int64 // payload bytes of superseded/skipped records
-	stats    Stats
+	mu    sync.Mutex
+	dir   string
+	f     *os.File
+	lock  *os.File
+	index map[Key]recLoc
+	end   int64 // append offset (start of the next record header)
+	stale int64 // payload bytes of superseded/skipped records
+	stats Stats
 }
 
 // Open opens (creating if needed) the store in dir, takes the advisory
@@ -177,21 +154,9 @@ func Open(dir string) (*Store, error) {
 	// available from Stats and the repro_store_* metrics instead.
 	sp := obs.DefaultTracer().Start("store.open")
 	defer sp.Finish()
-	// Sealed segments first, then the head: scan order is supersede
-	// order, so local appends always shadow merged/adopted records.
-	if err := s.scanSegments(); err != nil {
-		s.Close()
-		return nil, err
-	}
 	if err := s.scan(); err != nil {
 		s.Close()
 		return nil, err
-	}
-	s.stats.Segments = len(s.segNames)
-	for _, loc := range s.index {
-		if loc.src >= 0 {
-			s.stats.MergedRecords++
-		}
 	}
 	if err := s.writeSimVersion(); err != nil {
 		s.Close()
@@ -209,8 +174,9 @@ func Open(dir string) (*Store, error) {
 	return s, nil
 }
 
-// HeadLog returns the path of dir's primary append log — what a fabric
-// driver adopts into the next shard's store as a sealed segment.
+// HeadLog returns the path of dir's append log, results.log — the one
+// file Open, CheckDir and Merge read. Any other file in the directory (such as
+// a snapshots.log or segment-*.log left by older builds) is ignored.
 func HeadLog(dir string) string { return filepath.Join(dir, dataFileName) }
 
 // writeSimVersion stamps the directory with this binary's SimVersion. The
@@ -256,89 +222,6 @@ func acquireLock(path string) (*os.File, error) {
 		return nil, fmt.Errorf("%w: %s is held by another process — stop the other report/adaptd/adaptsim/storectl run using this store directory, or point this one at a different directory", ErrLocked, path)
 	}
 	return lf, nil
-}
-
-// scanSegments opens and indexes every sealed segment log in the
-// directory, in sorted name order (segment names are content digests, so
-// the order is arbitrary but stable — segments never contain conflicting
-// records, Merge guarantees that).
-func (s *Store) scanSegments() error {
-	names, err := filepath.Glob(filepath.Join(s.dir, segmentGlob))
-	if err != nil {
-		return fmt.Errorf("store: listing segments: %w", err)
-	}
-	sort.Strings(names)
-	for _, path := range names {
-		f, err := os.Open(path)
-		if err != nil {
-			return fmt.Errorf("store: opening segment %s: %w", path, err)
-		}
-		src := int32(len(s.segs))
-		s.segs = append(s.segs, f)
-		s.segNames = append(s.segNames, path)
-		s.scanSegment(f, src)
-	}
-	return nil
-}
-
-// scanSegment indexes one sealed read-only segment. Unlike the head scan,
-// damage never truncates anything here (Open does not own a segment's
-// bytes the way it owns the head): framing damage drops the tail records,
-// payload damage drops one record — either marks the store dirty, so the
-// compaction that follows folds the survivors into a clean head and
-// deletes the segment.
-func (s *Store) scanSegment(f *os.File, src int32) {
-	size, err := f.Seek(0, io.SeekEnd)
-	if err != nil || size < headerSize {
-		s.dropRecord(0)
-		return
-	}
-	var hdr [headerSize]byte
-	if _, err := f.ReadAt(hdr[:], 0); err != nil {
-		s.dropRecord(0)
-		return
-	}
-	if string(hdr[:4]) != fileMagic || binary.LittleEndian.Uint32(hdr[4:]) != formatVersion {
-		s.dropRecord(0)
-		return
-	}
-	off := int64(headerSize)
-	var rh [recHeaderSize]byte
-	for off < size {
-		if off+recHeaderSize > size {
-			s.dropRecord(0)
-			return
-		}
-		if _, err := f.ReadAt(rh[:], off); err != nil {
-			s.dropRecord(0)
-			return
-		}
-		plen := int64(binary.LittleEndian.Uint32(rh[:4]))
-		crc := binary.LittleEndian.Uint32(rh[4:])
-		if plen < keySize || plen > maxPayload || off+recHeaderSize+plen > size {
-			s.dropRecord(0)
-			return
-		}
-		payload := make([]byte, plen)
-		if _, err := f.ReadAt(payload, off+recHeaderSize); err != nil {
-			s.dropRecord(plen)
-			return
-		}
-		next := off + recHeaderSize + plen
-		if crc32.Checksum(payload, castagnoli) != crc {
-			s.dropRecord(plen)
-			off = next
-			continue
-		}
-		var key Key
-		copy(key[:], payload[:keySize])
-		if old, ok := s.index[key]; ok {
-			s.stats.Superseded++
-			s.stale += int64(old.plen) + recHeaderSize
-		}
-		s.index[key] = recLoc{off: off + recHeaderSize, plen: int32(plen), crc: crc, src: src}
-		off = next
-	}
 }
 
 // scan validates the header and replays the log into the index. Framing
@@ -411,7 +294,7 @@ func (s *Store) scan() error {
 			s.stats.Superseded++
 			s.stale += int64(old.plen) + recHeaderSize
 		}
-		s.index[key] = recLoc{off: off + recHeaderSize, plen: int32(plen), crc: crc, src: -1}
+		s.index[key] = recLoc{off: off + recHeaderSize, plen: int32(plen), crc: crc}
 		off = next
 	}
 	s.end = off
@@ -466,13 +349,8 @@ func (s *Store) Get(key Key) (*cpu.Result, bool) {
 		s.miss()
 		return nil, false
 	}
-	f := s.fileFor(loc)
-	if f == nil {
-		s.evict(key, loc)
-		return nil, false
-	}
 	payload := make([]byte, loc.plen)
-	if _, err := f.ReadAt(payload, loc.off); err != nil {
+	if _, err := s.f.ReadAt(payload, loc.off); err != nil {
 		s.evict(key, loc)
 		return nil, false
 	}
@@ -490,17 +368,6 @@ func (s *Store) Get(key Key) (*cpu.Result, bool) {
 	obsHits.Inc()
 	obsBytesRead.Add(uint64(loc.plen))
 	return res, true
-}
-
-// fileFor resolves a record location to the log holding it.
-func (s *Store) fileFor(loc recLoc) *os.File {
-	if loc.src < 0 {
-		return s.f
-	}
-	if int(loc.src) >= len(s.segs) {
-		return nil
-	}
-	return s.segs[loc.src]
 }
 
 // miss accounts one failed lookup.
@@ -541,7 +408,7 @@ func (s *Store) Put(key Key, res *cpu.Result) error {
 		s.stats.Superseded++
 		s.stale += int64(old.plen) + recHeaderSize
 	}
-	s.index[key] = recLoc{off: s.end + recHeaderSize, plen: int32(len(payload)), crc: crc, src: -1}
+	s.index[key] = recLoc{off: s.end + recHeaderSize, plen: int32(len(payload)), crc: crc}
 	s.end += int64(len(rec))
 	s.stats.Records = len(s.index)
 	s.stats.BytesWritten += uint64(len(payload))
@@ -549,11 +416,10 @@ func (s *Store) Put(key Key, res *cpu.Result) error {
 	return nil
 }
 
-// Compact rewrites the store to a single head log containing exactly the
-// live records (in their original scan order: segments first, then head
-// appends) via a temp file and an atomic rename, then deletes the folded
-// segment files. Callers rarely need this directly: Open compacts
-// automatically when the scan found garbage or shadowed records.
+// Compact rewrites the log to contain exactly the live records, in their
+// original log order, via a temp file and an atomic rename. Callers
+// rarely need this directly: Open compacts automatically when the scan
+// found garbage or shadowed records.
 func (s *Store) Compact() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -569,19 +435,8 @@ func (s *Store) compactLocked() error {
 	for k := range s.index {
 		keys = append(keys, k)
 	}
-	// Scan order: segment records in segment order, head records last.
-	rank := func(loc recLoc) int64 {
-		if loc.src < 0 {
-			return int64(len(s.segs))
-		}
-		return int64(loc.src)
-	}
 	sort.Slice(keys, func(i, j int) bool {
-		li, lj := s.index[keys[i]], s.index[keys[j]]
-		if ri, rj := rank(li), rank(lj); ri != rj {
-			return ri < rj
-		}
-		return li.off < lj.off
+		return s.index[keys[i]].off < s.index[keys[j]].off
 	})
 
 	tmp, err := os.CreateTemp(s.dir, dataFileName+".compact-*")
@@ -602,13 +457,8 @@ func (s *Store) compactLocked() error {
 	var rh [recHeaderSize]byte
 	for _, k := range keys {
 		loc := s.index[k]
-		f := s.fileFor(loc)
-		if f == nil {
-			s.dropRecord(int64(loc.plen))
-			continue
-		}
 		payload := make([]byte, loc.plen)
-		if _, err := f.ReadAt(payload, loc.off); err != nil {
+		if _, err := s.f.ReadAt(payload, loc.off); err != nil {
 			tmp.Close()
 			return fmt.Errorf("store: compaction read: %w", err)
 		}
@@ -627,7 +477,7 @@ func (s *Store) compactLocked() error {
 			tmp.Close()
 			return fmt.Errorf("store: compaction write: %w", err)
 		}
-		newIndex[k] = recLoc{off: off + recHeaderSize, plen: loc.plen, crc: loc.crc, src: -1}
+		newIndex[k] = recLoc{off: off + recHeaderSize, plen: loc.plen, crc: loc.crc}
 		off += recHeaderSize + int64(loc.plen)
 	}
 	if err := tmp.Sync(); err != nil {
@@ -653,17 +503,6 @@ func (s *Store) compactLocked() error {
 	s.stats.Records = len(s.index)
 	s.stats.Compactions++
 	obsCompactions.Inc()
-	// The segments are folded into the new head; remove them. Rename
-	// happened first, so a crash anywhere in here leaves duplicates that
-	// the next Open's supersede accounting detects and re-compacts away.
-	for i, f := range s.segs {
-		if f != nil {
-			f.Close()
-		}
-		os.Remove(s.segNames[i])
-	}
-	s.segs = nil
-	s.segNames = nil
 	return nil
 }
 
@@ -695,14 +534,6 @@ func (s *Store) Close() error {
 		}
 		s.f = nil
 	}
-	for _, f := range s.segs {
-		if f != nil {
-			if err := f.Close(); err != nil && firstErr == nil {
-				firstErr = err
-			}
-		}
-	}
-	s.segs = nil
 	if s.lock != nil {
 		// Closing the fd drops the flock; the lock file itself stays
 		// (removing it would race a concurrent Open).

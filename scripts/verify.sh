@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Tier-1 verification gate: build, vet, formatting, the full test suite
-# (which includes the build-contract matrix, internal/fabric
+# (which includes the build-contract matrix, internal/experiment
 # TestBuildContracts, and the simulator golden digests), the concurrent
 # packages under the race detector, and one adaptd end-to-end smoke.
 set -euo pipefail
@@ -25,10 +25,10 @@ go test ./...
 
 echo "== go test -race =="
 # The packages with real concurrency: the build's simulation pool and
-# the contract matrix (experiment, fabric), request handling and the
-# shadow worker (serve), and the atomic metrics, store and surrogate.
-go test -race ./internal/experiment ./internal/fabric ./internal/serve \
-    ./internal/obs ./internal/store ./internal/surrogate
+# the contract matrix (experiment), request handling and the shadow
+# worker (serve), and the atomic metrics, store and surrogate.
+go test -race ./internal/experiment ./internal/serve ./internal/obs \
+    ./internal/store ./internal/surrogate
 # The default worker count is GOMAXPROCS: race-check the default build's
 # identity and its pool shutdown both at one worker and pipelined.
 go test -race -cpu 1,2 -run 'TestDefaultWorkersMatchSequential|TestBuildStopsPoolOnExit' \

@@ -8,7 +8,7 @@
 //	storectl verify DIR [DIR...]      validate framing, CRCs, record
 //	                                  values and the SimVersion stamp;
 //	                                  exits 1 on any fault
-//	storectl stats DIR [DIR...]       print record/byte counts
+//	storectl stats DIR [DIR...]       print record/profile/byte counts
 //
 // merge is crash-safe (temp file + atomic rename), collapses identical
 // duplicate records, and refuses divergent duplicates (same key,
@@ -58,7 +58,7 @@ func usage() {
 	fmt.Fprint(os.Stderr, `usage:
   storectl merge DST SRC [SRC...]   union SRC stores (and DST's own records) into DST
   storectl verify DIR [DIR...]      audit framing, CRCs, values and SimVersion (exit 1 on faults)
-  storectl stats DIR [DIR...]       print record/byte counts
+  storectl stats DIR [DIR...]       print record/profile/byte counts
 `)
 }
 
@@ -79,8 +79,8 @@ func verify(dirs []string) {
 			die(err)
 		}
 		if c.Ok() {
-			fmt.Printf("%s: ok records=%d superseded=%d bytes=%d simversion=%d\n",
-				dir, c.Live, c.Superseded, c.Bytes, c.SimVersion)
+			fmt.Printf("%s: ok records=%d profiles=%d superseded=%d bytes=%d simversion=%d\n",
+				dir, c.Live, c.Profiles, c.Superseded, c.Bytes, c.SimVersion)
 			continue
 		}
 		faults += len(c.Faults)
@@ -104,8 +104,8 @@ func stats(dirs []string) {
 		if c.HasStamp {
 			stamp = fmt.Sprintf("%d", c.SimVersion)
 		}
-		fmt.Printf("%s: records=%d superseded=%d dropped=%d bytes=%d simversion=%s\n",
-			dir, c.Live, c.Superseded, c.Dropped, c.Bytes, stamp)
+		fmt.Printf("%s: records=%d profiles=%d superseded=%d dropped=%d bytes=%d simversion=%s\n",
+			dir, c.Live, c.Profiles, c.Superseded, c.Dropped, c.Bytes, stamp)
 	}
 }
 

@@ -402,6 +402,26 @@ func (p *Profiler) Observe(addr uint32) {
 // Observations returns how many accesses have been recorded.
 func (p *Profiler) Observations() uint64 { return p.clock }
 
+// Finish returns the profile alone: the four histograms and the
+// observation count, without the last-touch tables and LRU stack that only
+// collection reads. The histograms are shared, not copied. A finished
+// profile is read-only: Observe must not be called on it.
+func (p *Profiler) Finish() *Profiler {
+	return FinishedProfile(p.clock, p.StackDist, p.BlockReuse, p.SetReuse, p.ReducedSets)
+}
+
+// FinishedProfile assembles a finished profile from its parts, exactly as
+// Finish returns it; the result store rebuilds stored profiles with it.
+func FinishedProfile(observations uint64, stackDist, blockReuse, setReuse, reducedSets *stats.Histogram) *Profiler {
+	return &Profiler{
+		clock:       observations,
+		StackDist:   stackDist,
+		BlockReuse:  blockReuse,
+		SetReuse:    setReuse,
+		ReducedSets: reducedSets,
+	}
+}
+
 // FillFrom re-inserts the resident blocks of old into c, emulating a
 // bitline-segmentation resize: lines whose (new) set still exists survive
 // the reconfiguration, the rest fall out via replacement. Tags store full

@@ -193,6 +193,26 @@ func TestProfilerStreamHasColdMisses(t *testing.T) {
 	}
 }
 
+// TestProfilerFinishKeepsResults checks that a finished profile keeps the
+// histograms and the observation count and drops the collection tables.
+func TestProfilerFinishKeepsResults(t *testing.T) {
+	p, _ := NewProfiler(32, 32, 8, 64)
+	for i := 0; i < 5000; i++ {
+		p.Observe(uint32(i*97) % (64 << 10))
+	}
+	f := p.Finish()
+	if f.Observations() != p.Observations() {
+		t.Errorf("finished profile has %d observations, want %d", f.Observations(), p.Observations())
+	}
+	if f.StackDist != p.StackDist || f.BlockReuse != p.BlockReuse ||
+		f.SetReuse != p.SetReuse || f.ReducedSets != p.ReducedSets {
+		t.Error("finished profile does not hold the collected histograms")
+	}
+	if f.lastBlock != nil || f.lastSet != nil || f.lastReduced != nil || f.stack != nil {
+		t.Error("finished profile still holds collection tables")
+	}
+}
+
 func TestProfilerBlockVsSetReuse(t *testing.T) {
 	// Two blocks that conflict in the same set: set reuse distance is
 	// short (every access hits the same set), block reuse longer.

@@ -307,7 +307,9 @@ func (c *collector) observeFetch(pc uint32) {
 	c.l2.Observe(pc)
 }
 
-// finish computes the scalar counters and returns the finished set.
+// finish computes the scalar counters and returns the finished set. Its
+// cache profiles hold only their histograms and observation counts: the
+// collector is per run, so nothing reads the collection tables again.
 func (c *collector) finish(s *Sim, res *Result) *RawCounters {
 	c.flushRun()
 	if c.iqOccSum > 0 {
@@ -329,6 +331,9 @@ func (c *collector) finish(s *Sim, res *Result) *RawCounters {
 		c.raw.CPI = float64(res.Cycles) / float64(res.Committed)
 	}
 	out := c.raw
+	out.ICache = c.icache.Finish()
+	out.DCache = c.dcache.Finish()
+	out.L2 = c.l2.Finish()
 	return &out
 }
 
@@ -340,6 +345,5 @@ func EmptyRawCounters() *RawCounters {
 	if err != nil {
 		panic(err) // the profiling configuration is always valid
 	}
-	out := c.raw
-	return &out
+	return c.finish(nil, &Result{})
 }

@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/arch"
 	"repro/internal/counters"
+	"repro/internal/cpu"
 	"repro/internal/experiment"
 	"repro/internal/obs"
 	"repro/internal/store"
@@ -111,10 +112,12 @@ func contractScale() experiment.Scale {
 // with one test body over every combination of worker count, surrogate
 // and store state. Each cell must reproduce the sequential, storeless
 // build with the same surrogate setting: the same Dataset.Digest,
-// manifest deterministic section, good sets and profiling features, and
-// the same fresh search simulations — paid by the build (no store, cold)
-// or not at all (warm replays, which also never miss the store). Store
-// logs are byte-identical across worker counts, every store's hit and
+// manifest deterministic section, good sets, profiling results and
+// features, and the same fresh search simulations — paid by the build (no
+// store, cold) or not at all (warm replays, which never miss the store
+// and simulate nothing, profiling runs and rendered predictions
+// included). Store logs are byte-identical across worker counts, every
+// store's hit and
 // miss counts match the workers=1 cell's, every store directory passes
 // store.CheckDir with one live record per indexed record, and the
 // rendered tables are byte-identical for every store state. One cell runs
@@ -201,8 +204,12 @@ func TestBuildContracts(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
+			insts := cpu.SimulatedInstructions()
 			ds, paid := build(t, st, opts)
 			got := newContractBuild(t, ds, c.store != noStore)
+			if simulated := cpu.SimulatedInstructions() - insts; c.store == warmStore && simulated != 0 {
+				t.Errorf("warm build and render simulated %d instructions, want none", simulated)
+			}
 			if st != nil {
 				trail.stats = st.Stats()
 				if c.store == warmStore && trail.stats.Misses != 0 {
@@ -233,6 +240,9 @@ func TestBuildContracts(t *testing.T) {
 			if !reflect.DeepEqual(got.ds.FeaturesAdv, ref.ds.FeaturesAdv) ||
 				!reflect.DeepEqual(got.ds.FeaturesBasic, ref.ds.FeaturesBasic) {
 				t.Error("profiling features differ from the reference")
+			}
+			if !reflect.DeepEqual(got.ds.ProfileRes, ref.ds.ProfileRes) {
+				t.Error("profiling results differ from the reference")
 			}
 			wantPaid := ref.sims
 			if c.store == warmStore {

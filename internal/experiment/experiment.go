@@ -172,11 +172,14 @@ type Dataset struct {
 	SharedConfigs []arch.Config
 
 	results map[PhaseID]map[arch.Config]*entry
-	traces  map[PhaseID][]trace.Inst
+	// traces holds each phase's measured interval as a lazy job: a
+	// simulation waits for its trace only when the store does not hold
+	// its result, so a fully stored phase never needs its trace.
+	traces map[PhaseID]*traceJob
 
 	// store, when non-nil, is the persistent result cache behind the
-	// in-memory memo table: measurement-mode simulations are answered
-	// from it when possible and appended to it when not. It supplies
+	// in-memory memo table: simulations, profiling runs included, are
+	// answered from it when possible and appended to it when not. It supplies
 	// result *values* only — the in-sample flag is always decided by
 	// the caller, so a store hit and a fresh simulation are
 	// indistinguishable to the search protocol and the oracle.
@@ -226,11 +229,11 @@ type buildOptions struct {
 
 // WithStore attaches a persistent result store to the build (nil is
 // allowed and disables it, so callers can pass an optional store through
-// unconditionally). Every measurement-mode simulation is first looked up
-// in the store and, on a miss, appended to it immediately after running —
-// a build interrupted mid-dataset resumes where it stopped on the next
-// run, and a repeat run at the same scale replays from disk instead of
-// simulating.
+// unconditionally). Every simulation, profiling runs included, is first
+// looked up in the store and, on a miss, appended to it immediately after
+// running — a build interrupted mid-dataset resumes where it stopped on
+// the next run, and a repeat run at the same scale replays from disk
+// instead of simulating.
 func WithStore(st *store.Store) Option {
 	return func(o *buildOptions) { o.store = st }
 }
@@ -270,7 +273,7 @@ func Build(ctx context.Context, sc Scale, opts ...Option) (*Dataset, error) {
 	ds := &Dataset{
 		Scale:         sc,
 		results:       map[PhaseID]map[arch.Config]*entry{},
-		traces:        map[PhaseID][]trace.Inst{},
+		traces:        map[PhaseID]*traceJob{},
 		Best:          map[PhaseID]arch.Config{},
 		Good:          map[PhaseID][]arch.Config{},
 		FeaturesAdv:   map[PhaseID][]float64{},
@@ -297,19 +300,28 @@ func Build(ctx context.Context, sc Scale, opts ...Option) (*Dataset, error) {
 	// Queue the work that is fixed before the search starts, in phase
 	// order: every trace, then every phase's stage-1 shared sample, then
 	// the profiling runs. The search loop below consumes it in the same
-	// order. A surrogate build chooses its stage-1 simulations from what
-	// earlier phases taught the model, so it cannot run stage 1 ahead.
-	traces := make([]*traceJob, len(phaseIDs))
-	for i, id := range phaseIDs {
-		traces[i] = newTraceJob(id, sc.IntervalInsts)
-		ds.pool.submit(false, traces[i].task)
+	// order. The trace stage only validates each phase and queues its
+	// trace; no job waits for a trace unless the store misses. A
+	// surrogate build chooses its stage-1 simulations from what earlier
+	// phases taught the model, so it cannot run stage 1 ahead.
+	sp := tr.Start("tracegen")
+	for _, id := range phaseIDs {
+		tj, err := newTraceJob(id, sc.IntervalInsts)
+		if err != nil {
+			sp.Finish()
+			return nil, err
+		}
+		ds.pool.submit(false, tj.task)
+		ds.traces[id] = tj
+		ds.Phases = append(ds.Phases, id)
 	}
+	sp.Finish()
 	measure := cpu.Options{WarmupInsts: sc.WarmupInsts}
 	stage1 := make([][]*simJob, len(phaseIDs))
 	if ds.sur == nil {
 		for i, id := range phaseIDs {
 			for _, cfg := range ds.SharedConfigs {
-				stage1[i] = append(stage1[i], ds.spawn(false, id, cfg, measure, traces[i].get))
+				stage1[i] = append(stage1[i], ds.spawn(false, id, cfg, measure))
 			}
 		}
 	}
@@ -320,20 +332,8 @@ func Build(ctx context.Context, sc Scale, opts ...Option) (*Dataset, error) {
 	}
 	profiles := make([]*simJob, len(phaseIDs))
 	for i, id := range phaseIDs {
-		profiles[i] = ds.spawn(false, id, arch.Profiling(), profOpts, traces[i].get)
+		profiles[i] = ds.spawn(false, id, arch.Profiling(), profOpts)
 	}
-
-	sp := tr.Start("tracegen")
-	for i, id := range phaseIDs {
-		await(traces, i)
-		if err := traces[i].err; err != nil {
-			sp.Finish()
-			return nil, err
-		}
-		ds.traces[id] = traces[i].insts
-		ds.Phases = append(ds.Phases, id)
-	}
-	sp.Finish()
 
 	// Simulate shared configs on every phase; refine per phase.
 	ds.inSearch = true
@@ -457,11 +457,9 @@ func (ds *Dataset) searchPhase(id PhaseID, rng *rand.Rand, stage1 []*simJob) err
 // ahead of the work queued at the start of the build, and applyBatch
 // applies the results in cfgs order.
 func (ds *Dataset) runBatch(id PhaseID, cfgs []arch.Config) error {
-	insts, ok := ds.traces[id]
-	if !ok {
+	if _, ok := ds.traces[id]; !ok {
 		return fmt.Errorf("experiment: unknown phase %s", id)
 	}
-	ready := func() ([]trace.Inst, error) { return insts, nil }
 	measure := cpu.Options{WarmupInsts: ds.Scale.WarmupInsts}
 	jobs := make([]*simJob, len(cfgs))
 	seen := make(map[arch.Config]bool, len(cfgs))
@@ -471,7 +469,7 @@ func (ds *Dataset) runBatch(id PhaseID, cfgs []arch.Config) error {
 		}
 		seen[cfg] = true
 		if _, hit := ds.results[id][cfg]; !hit {
-			jobs[i] = ds.spawn(true, id, cfg, measure, ready)
+			jobs[i] = ds.spawn(true, id, cfg, measure)
 		}
 	}
 	return ds.applyBatch(id, cfgs, jobs)
@@ -507,30 +505,29 @@ func (ds *Dataset) applyBatch(id PhaseID, cfgs []arch.Config, jobs []*simJob) er
 	return nil
 }
 
-// traceJob generates one phase's measured interval.
+// traceJob generates one phase's measured interval of n instructions.
 type traceJob struct {
 	*task
+	n     int
 	insts []trace.Inst
-	err   error
 }
 
-func newTraceJob(id PhaseID, n int) *traceJob {
-	j := &traceJob{}
-	j.task = newTask(func() {
-		g, err := trace.NewGenerator(id.Program, id.Phase)
-		if err != nil {
-			j.err = err
-			return
-		}
-		j.insts = g.Interval(n)
-	})
-	return j
+// newTraceJob validates the phase and builds its generator; the interval
+// itself is generated when the job runs.
+func newTraceJob(id PhaseID, n int) (*traceJob, error) {
+	g, err := trace.NewGenerator(id.Program, id.Phase)
+	if err != nil {
+		return nil, err
+	}
+	j := &traceJob{n: n}
+	j.task = newTask(func() { j.insts = g.Interval(n) })
+	return j, nil
 }
 
 // get waits for the trace (generating it here if nobody has started).
-func (j *traceJob) get() ([]trace.Inst, error) {
+func (j *traceJob) get() []trace.Inst {
 	j.wait()
-	return j.insts, j.err
+	return j.insts
 }
 
 // simJob is one simulation of a phase under a configuration, split in two:
@@ -542,23 +539,29 @@ type simJob struct {
 	id     PhaseID
 	cfg    arch.Config
 	opts   cpu.Options
+	trace  *traceJob
 	key    store.Key
 	res    *cpu.Result
 	err    error
 	stored bool // answered by the result store, not the simulator
 }
 
-// eval looks a measurement-mode run up in st and, on a miss, simulates
-// it. Profiling runs (opts.Collect) always simulate: their RawCounters are
-// not part of the record format.
-func (j *simJob) eval(st *store.Store, insts []trace.Inst) {
-	if !j.opts.Collect && st != nil {
-		j.key = store.Fingerprint(j.id.Program, j.id.Phase, j.cfg, len(insts), j.opts.WarmupInsts)
+// eval looks the run up in st — a profiling run (opts.Collect) under its
+// own key — and only on a miss waits for the phase's trace and
+// simulates it.
+func (j *simJob) eval(st *store.Store) {
+	if st != nil {
+		if j.opts.Collect {
+			j.key = store.ProfileFingerprint(j.id.Program, j.id.Phase, j.cfg, j.trace.n, j.opts.WarmupInsts, j.opts.SampledSets)
+		} else {
+			j.key = store.Fingerprint(j.id.Program, j.id.Phase, j.cfg, j.trace.n, j.opts.WarmupInsts)
+		}
 		if res, ok := st.Get(j.key); ok {
 			j.res, j.stored = res, true
 			return
 		}
 	}
+	insts := j.trace.get()
 	sim, err := cpu.New(j.cfg)
 	if err != nil {
 		j.err = err
@@ -568,47 +571,36 @@ func (j *simJob) eval(st *store.Store, insts []trace.Inst) {
 	sim.Release()
 }
 
-// spawn creates the job for (id, cfg) and hands it to the pool. insts
-// supplies the phase's trace, waiting for it if need be.
-func (ds *Dataset) spawn(urgent bool, id PhaseID, cfg arch.Config, opts cpu.Options, insts func() ([]trace.Inst, error)) *simJob {
-	j := &simJob{id: id, cfg: cfg, opts: opts}
+// spawn creates the job for (id, cfg) and hands it to the pool.
+func (ds *Dataset) spawn(urgent bool, id PhaseID, cfg arch.Config, opts cpu.Options) *simJob {
+	j := &simJob{id: id, cfg: cfg, opts: opts, trace: ds.traces[id]}
 	st := ds.store
-	j.task = newTask(func() {
-		in, err := insts()
-		if err != nil {
-			j.err = err
-			return
-		}
-		j.eval(st, in)
-	})
+	j.task = newTask(func() { j.eval(st) })
 	ds.pool.submit(urgent, j.task)
 	return j
 }
 
-// apply records an evaluated job: a stored result is memoised, a fresh
-// measurement-mode one is counted, memoised and appended to the store
-// right away (so an interrupted build loses nothing already paid for).
-// Profiling runs are counted only — never memoised, never stored.
+// apply records an evaluated job. A fresh result is counted and appended
+// to the store right away (so an interrupted build loses nothing already
+// paid for); a stored one is neither. Measurement-mode results are then
+// memoised either way; profiling runs never are.
 func (ds *Dataset) apply(j *simJob, inSample bool) error {
 	if j.err != nil {
 		return j.err
 	}
-	if j.stored {
-		ds.memoize(j.id, j.cfg, j.res, inSample)
-		return nil
-	}
-	obsSims.Inc()
-	if j.opts.Collect {
-		return nil
-	}
-	if inSample {
-		ds.countExact()
-	}
-	ds.memoize(j.id, j.cfg, j.res, inSample)
-	if ds.store != nil {
-		if err := ds.store.Put(j.key, j.res); err != nil {
-			return fmt.Errorf("experiment: persisting %s result: %w", j.id, err)
+	if !j.stored {
+		obsSims.Inc()
+		if inSample {
+			ds.countExact()
 		}
+		if ds.store != nil {
+			if err := ds.store.Put(j.key, j.res); err != nil {
+				return fmt.Errorf("experiment: persisting %s result: %w", j.id, err)
+			}
+		}
+	}
+	if !j.opts.Collect {
+		ds.memoize(j.id, j.cfg, j.res, inSample)
 	}
 	return nil
 }
@@ -656,17 +648,17 @@ func (ds *Dataset) updateBest(id PhaseID, cfg arch.Config, res *cpu.Result) {
 }
 
 // simulate runs and memoises one (phase, config) simulation on the
-// calling goroutine. With a store attached, measurement-mode runs are
-// read-through/write-behind: a stored result short-circuits the
-// simulator, a fresh one is appended to the log right away. Profiling
-// runs (opts.Collect) are never cached and never memoised (see apply).
+// calling goroutine. With a store attached, every run is
+// read-through/write-behind: a stored result short-circuits the simulator
+// (and the phase's trace), a fresh one is appended to the log right away.
+// Profiling runs (opts.Collect) are stored but never memoised (see apply).
 func (ds *Dataset) simulate(id PhaseID, cfg arch.Config, opts cpu.Options, inSample bool) (*cpu.Result, error) {
-	insts, ok := ds.traces[id]
+	tj, ok := ds.traces[id]
 	if !ok {
 		return nil, fmt.Errorf("experiment: unknown phase %s", id)
 	}
-	j := &simJob{id: id, cfg: cfg, opts: opts}
-	j.eval(ds.store, insts)
+	j := &simJob{id: id, cfg: cfg, opts: opts, trace: tj}
+	j.eval(ds.store)
 	if err := ds.apply(j, inSample); err != nil {
 		return nil, err
 	}

@@ -12,6 +12,7 @@ import (
 	"repro/internal/arch"
 	"repro/internal/obs"
 	"repro/internal/store"
+	"repro/internal/trace"
 )
 
 // poolScale is small but pipelines every kind of pool work: traces, six
@@ -88,6 +89,8 @@ func TestDefaultWorkersMatchSequential(t *testing.T) {
 // TestBuildStopsPoolOnExit cancels builds mid-search and fails one during
 // trace generation: each must return its error only after the pool's
 // helpers have exited, so the goroutine count returns to its baseline.
+// The failed build returns the trace generator's own error, unwrapped by
+// any later stage.
 func TestBuildStopsPoolOnExit(t *testing.T) {
 	cases := []struct {
 		name     string
@@ -119,6 +122,12 @@ func TestBuildStopsPoolOnExit(t *testing.T) {
 			}
 			if c.cancelAt > 0 && !errors.Is(err, context.Canceled) {
 				t.Errorf("Build error %v does not wrap context.Canceled", err)
+			}
+			if c.cancelAt == 0 {
+				_, want := trace.NewGenerator("no-such-program", 0)
+				if err.Error() != want.Error() {
+					t.Errorf("Build error %q, want the trace stage's %q", err, want)
+				}
 			}
 			// Build has waited for its helpers; allow the exiting
 			// goroutines a moment to be reaped.

@@ -80,12 +80,13 @@ func (ds *Dataset) countExact() {
 // phaseFeatures returns the cached surrogate feature vector for a phase.
 // Trace statistics are available before any simulation, unlike profiling
 // counters (profiling runs after the search), so the surrogate can rank
-// from the very first batch.
+// from the very first batch. It is the one reader that waits for a
+// phase's trace even when the store holds every result.
 func (s *surrogateState) phaseFeatures(ds *Dataset, id PhaseID) []float64 {
 	if f, ok := s.feats[id]; ok {
 		return f
 	}
-	f := surrogate.Featurize(trace.Measure(ds.traces[id]))
+	f := surrogate.Featurize(trace.Measure(ds.traces[id].get()))
 	s.feats[id] = f
 	return f
 }

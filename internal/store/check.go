@@ -95,6 +95,7 @@ type DirCheck struct {
 	SimVersion int // sidecar stamp value (0 when missing)
 	HasStamp   bool
 	Live       int // distinct keys after supersede resolution
+	Profiles   int // live keys whose record holds a profiling run
 	Superseded int
 	Dropped    int
 	Bytes      int64
@@ -131,15 +132,16 @@ func CheckDir(dir string) (*DirCheck, error) {
 		c.Faults = append(c.Faults, fmt.Sprintf("%s: no head log (%s)", dir, dataFileName))
 		return c, nil
 	}
-	seen := map[Key]bool{}
+	profile := map[Key]bool{} // live key -> its latest record is a profiling run
 	ls, err := scanLogFile(head, func(off int64, key Key, payload []byte) {
-		if seen[key] {
+		if _, ok := profile[key]; ok {
 			c.Superseded++
 		}
-		seen[key] = true
-		if _, err := decodeResult(payload[keySize:]); err != nil {
+		res, err := decodeResult(payload[keySize:])
+		if err != nil {
 			c.Faults = append(c.Faults, fmt.Sprintf("%s: undecodable record value at offset %d: %v", head, off, err))
 		}
+		profile[key] = err == nil && res.Counters != nil
 	})
 	if err != nil {
 		return nil, err
@@ -147,6 +149,11 @@ func CheckDir(dir string) (*DirCheck, error) {
 	c.Dropped = ls.Dropped
 	c.Bytes = ls.Bytes
 	c.Faults = append(c.Faults, ls.Faults...)
-	c.Live = len(seen)
+	c.Live = len(profile)
+	for _, p := range profile {
+		if p {
+			c.Profiles++
+		}
+	}
 	return c, nil
 }

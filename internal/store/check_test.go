@@ -27,6 +27,27 @@ func buildDir(t testing.TB, keys []int, vals []int) string {
 	return dir
 }
 
+// buildProfileDir creates a store directory holding a measurement record
+// and a profile record, via the normal Put path.
+func buildProfileDir(t testing.TB) string {
+	t.Helper()
+	dir := t.TempDir()
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Put(fakeKey(8), fakeResult(8)); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Put(fakeProfileKey(8), fakeProfile(8)); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return dir
+}
+
 func TestCheckDirFlagsCorruption(t *testing.T) {
 	dir := buildDir(t, []int{0, 1, 2}, []int{0, 1, 2})
 	c, err := CheckDir(dir)
@@ -76,6 +97,36 @@ func TestCheckDirFlagsCorruption(t *testing.T) {
 	}
 	if c.Ok() || !strings.Contains(strings.Join(c.Faults, "\n"), "simversion 999") {
 		t.Fatalf("stamp mismatch not flagged: faults=%v", c.Faults)
+	}
+
+	// Profile records are counted; one whose counters section is cut
+	// short is a fault even though its CRC checks out.
+	dir3 := buildProfileDir(t)
+	c, err = CheckDir(dir3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !c.Ok() || c.Live != 2 || c.Profiles != 1 {
+		t.Fatalf("store with a profile: faults=%v live=%d profiles=%d, want none, 2 and 1", c.Faults, c.Live, c.Profiles)
+	}
+	s, err := Open(dir3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prof := encodeResult(fakeProfile(9))
+	if err := s.putValue(fakeProfileKey(9), prof[:len(prof)-8]); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	c, err = CheckDir(dir3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.Ok() || c.Live != 3 || c.Profiles != 1 || !strings.Contains(strings.Join(c.Faults, "\n"), "undecodable record value") {
+		t.Fatalf("truncated profile record: faults=%v live=%d profiles=%d, want an undecodable-value fault, 3 live and 1 profile",
+			c.Faults, c.Live, c.Profiles)
 	}
 }
 

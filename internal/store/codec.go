@@ -1,8 +1,8 @@
-// Record codec: the content-addressed key and the canonical binary
-// encoding of a measurement-mode cpu.Result. Both are fixed-layout
-// little-endian so a record written on one run decodes bit-identically
-// on the next — float64 fields round-trip through their IEEE bits, never
-// through text.
+// Record codec: the content-addressed keys and the canonical binary
+// encoding of a cpu.Result — measurement-mode or profiling-mode. Both are
+// fixed-layout little-endian so a record written on one run decodes
+// bit-identically on the next — float64 fields round-trip through their
+// IEEE bits, never through text.
 package store
 
 import (
@@ -12,8 +12,10 @@ import (
 	"math"
 
 	"repro/internal/arch"
+	"repro/internal/cache"
 	"repro/internal/cpu"
 	"repro/internal/power"
+	"repro/internal/stats"
 )
 
 // Key is the SHA-256 fingerprint of one simulation's canonical inputs.
@@ -21,8 +23,12 @@ type Key [sha256.Size]byte
 
 const keySize = sha256.Size
 
-// fingerprintMagic domain-separates the hash from any other SHA-256 use.
-const fingerprintMagic = "repro.simres\x00"
+// fingerprintMagic and profileMagic domain-separate the two key kinds
+// from each other and from any other SHA-256 use.
+const (
+	fingerprintMagic = "repro.simres\x00"
+	profileMagic     = "repro.simprof\x00"
+)
 
 // Fingerprint derives the store key for one measurement-mode simulation:
 // the phase identity, the full configuration, and the two Scale levers
@@ -36,10 +42,29 @@ func Fingerprint(program string, phase int, cfg arch.Config, intervalInsts, warm
 	return fingerprint(SimVersion, program, phase, cfg, intervalInsts, warmupInsts)
 }
 
+// ProfileFingerprint derives the store key for one profiling-mode
+// simulation (cpu.Options.Collect): Fingerprint's inputs under their own
+// domain tag, plus the cache profilers' set-sampling level, which shapes
+// the collected histograms but not the measured counts.
+func ProfileFingerprint(program string, phase int, cfg arch.Config, intervalInsts, warmupInsts, sampledSets int) Key {
+	return profileFingerprint(SimVersion, program, phase, cfg, intervalInsts, warmupInsts, sampledSets)
+}
+
 func fingerprint(version uint64, program string, phase int, cfg arch.Config, intervalInsts, warmupInsts int) Key {
-	h := sha256.New()
+	return sha256.Sum256(appendInputs(fingerprintMagic, version, program, phase, cfg, intervalInsts, warmupInsts))
+}
+
+func profileFingerprint(version uint64, program string, phase int, cfg arch.Config, intervalInsts, warmupInsts, sampledSets int) Key {
+	buf := appendInputs(profileMagic, version, program, phase, cfg, intervalInsts, warmupInsts)
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(int64(sampledSets)))
+	return sha256.Sum256(buf)
+}
+
+// appendInputs is the canonical encoding of one simulation's inputs under
+// the domain tag magic.
+func appendInputs(magic string, version uint64, program string, phase int, cfg arch.Config, intervalInsts, warmupInsts int) []byte {
 	buf := make([]byte, 0, 256)
-	buf = append(buf, fingerprintMagic...)
+	buf = append(buf, magic...)
 	buf = binary.LittleEndian.AppendUint64(buf, version)
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(program)))
 	buf = append(buf, program...)
@@ -50,22 +75,25 @@ func fingerprint(version uint64, program string, phase int, cfg arch.Config, int
 	}
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(int64(intervalInsts)))
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(int64(warmupInsts)))
-	h.Write(buf)
-	var k Key
-	copy(k[:], h.Sum(nil))
-	return k
+	return buf
 }
 
 // Field counts of the fixed record layout. Decoding checks these against
 // the running binary: a result struct that grew or shrank (or a changed
-// arch.NumParams / power.NumStructures) makes old records undecodable,
-// which Get treats as a miss — never as silently wrong data.
+// arch.NumParams / power.NumStructures / histogram geometry) makes old
+// records undecodable, which Get treats as a miss — never as silently
+// wrong data.
 const (
 	countFields   = 13 // Cycles .. L2Misses
 	derivedFields = 6  // IPC, SecondsSim, IPS, Watts, EnergyJ, Efficiency
+
+	histFields    = 22 // RawCounters histograms, the profilers' included
+	profilerCount = 3  // ICache, DCache, L2
+	scalarFields  = 6  // speculation fractions, MispredictRate, CPI
 )
 
-// encodedSize is the exact value length for the current build.
+// encodedSize is the exact length of a measurement-mode value for the
+// current build.
 func encodedSize() int {
 	return 2 + // uint16 param count
 		4*int(arch.NumParams) + // config values
@@ -78,10 +106,29 @@ func encodedSize() int {
 		8*derivedFields
 }
 
-// encodeResult serialises a measurement-mode result (Counters must be
-// nil — profiling runs are never cached).
+// countersSize is the exact length of the counters section a
+// profiling-mode value carries after the measurement layout.
+func countersSize() int {
+	bins := cpu.ALUBins + cpu.MemPortBins + 5*cpu.OccBins + cpu.RdPortBins +
+		cpu.WrPortBins + 4*profilerCount*cache.HistBins + cpu.BTBReuseBins
+	return 2*histFields + // uint16 bin count per histogram
+		8*bins +
+		8*profilerCount + // observation counts
+		8*scalarFields
+}
+
+// encodeResult serialises a result: the measurement layout, followed for
+// a profiling-mode result (Counters non-nil) by its RawCounters — the 22
+// histograms, 3 profiler observation counts and 6 scalars in the order
+// the simulator's golden digest encodes them. A histogram is its uint16
+// bin count and its bins; its Total is their sum, so it is not stored.
+// The value length alone tells the two kinds apart.
 func encodeResult(r *cpu.Result) []byte {
-	buf := make([]byte, 0, encodedSize())
+	size := encodedSize()
+	if r.Counters != nil {
+		size += countersSize()
+	}
+	buf := make([]byte, 0, size)
 	u64 := func(v uint64) { buf = binary.LittleEndian.AppendUint64(buf, v) }
 	f64 := func(v float64) { buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v)) }
 
@@ -119,14 +166,50 @@ func encodeResult(r *cpu.Result) []byte {
 	f64(r.Watts)
 	f64(r.EnergyJ)
 	f64(r.Efficiency)
+
+	c := r.Counters
+	if c == nil {
+		return buf
+	}
+	hist := func(h *stats.Histogram) {
+		buf = binary.LittleEndian.AppendUint16(buf, uint16(len(h.Counts)))
+		for _, n := range h.Counts {
+			u64(n)
+		}
+	}
+	hist(c.ALUUsage)
+	hist(c.MemPortUsage)
+	hist(c.ROBOcc)
+	hist(c.IQOcc)
+	hist(c.LSQOcc)
+	f64(c.IQSpecFrac)
+	f64(c.IQMisspecFrac)
+	f64(c.LSQSpecFrac)
+	f64(c.LSQMisspecFrac)
+	hist(c.IntRegUsage)
+	hist(c.FpRegUsage)
+	hist(c.RdPortUsage)
+	hist(c.WrPortUsage)
+	for _, p := range []*cache.Profiler{c.ICache, c.DCache, c.L2} {
+		u64(p.Observations())
+		hist(p.StackDist)
+		hist(p.BlockReuse)
+		hist(p.SetReuse)
+		hist(p.ReducedSets)
+	}
+	hist(c.BTBReuse)
+	f64(c.MispredictRate)
+	f64(c.CPI)
 	return buf
 }
 
 // decodeResult is encodeResult's strict inverse: the value must have the
-// exact current-layout length and matching dimension tags.
+// exact current-layout length of one of the two kinds, and every
+// dimension tag must match this build's geometry.
 func decodeResult(value []byte) (*cpu.Result, error) {
-	if len(value) != encodedSize() {
-		return nil, fmt.Errorf("store: record value is %d bytes, want %d", len(value), encodedSize())
+	base := encodedSize()
+	if len(value) != base && len(value) != base+countersSize() {
+		return nil, fmt.Errorf("store: record value is %d bytes, want %d or %d", len(value), base, base+countersSize())
 	}
 	off := 0
 	u16 := func() uint16 { v := binary.LittleEndian.Uint16(value[off:]); off += 2; return v }
@@ -173,5 +256,54 @@ func decodeResult(value []byte) (*cpu.Result, error) {
 	r.Watts = f64()
 	r.EnergyJ = f64()
 	r.Efficiency = f64()
+	if off == len(value) {
+		return r, nil
+	}
+
+	// The counters section. After a wrong bin count no histogram reads
+	// its bins, so the remaining fixed-size reads consume less than the
+	// section holds and never run past the value.
+	var bad error
+	hist := func(bins int) *stats.Histogram {
+		if bad != nil {
+			return nil
+		}
+		if n := u16(); int(n) != bins {
+			bad = fmt.Errorf("store: record histogram has %d bins, want %d", n, bins)
+			return nil
+		}
+		h := stats.NewHistogram(bins)
+		for i := range h.Counts {
+			h.Counts[i] = u64()
+			h.Total += h.Counts[i]
+		}
+		return h
+	}
+	c := &cpu.RawCounters{}
+	c.ALUUsage = hist(cpu.ALUBins)
+	c.MemPortUsage = hist(cpu.MemPortBins)
+	c.ROBOcc = hist(cpu.OccBins)
+	c.IQOcc = hist(cpu.OccBins)
+	c.LSQOcc = hist(cpu.OccBins)
+	c.IQSpecFrac = f64()
+	c.IQMisspecFrac = f64()
+	c.LSQSpecFrac = f64()
+	c.LSQMisspecFrac = f64()
+	c.IntRegUsage = hist(cpu.OccBins)
+	c.FpRegUsage = hist(cpu.OccBins)
+	c.RdPortUsage = hist(cpu.RdPortBins)
+	c.WrPortUsage = hist(cpu.WrPortBins)
+	for _, p := range []**cache.Profiler{&c.ICache, &c.DCache, &c.L2} {
+		n := u64()
+		*p = cache.FinishedProfile(n, hist(cache.HistBins), hist(cache.HistBins),
+			hist(cache.HistBins), hist(cache.HistBins))
+	}
+	c.BTBReuse = hist(cpu.BTBReuseBins)
+	c.MispredictRate = f64()
+	c.CPI = f64()
+	if bad != nil {
+		return nil, bad
+	}
+	r.Counters = c
 	return r, nil
 }

@@ -14,11 +14,16 @@ import (
 // seedLogs returns result logs for the fuzz corpora, built from the same
 // fixtures as the unit tests: a clean log written through Put, that log
 // torn mid-record and with one flipped payload byte, a log holding a
-// CRC-valid record whose value does not decode, a bare header, a foreign
-// magic, a future format version and an empty file.
+// profile record, a log holding a CRC-valid record whose value does not
+// decode, a bare header, a foreign magic, a future format version and an
+// empty file.
 func seedLogs(tb testing.TB) [][]byte {
 	dir := buildDir(tb, []int{0, 1, 2, 1}, []int{0, 1, 2, 3})
 	clean, err := os.ReadFile(HeadLog(dir))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	profiled, err := os.ReadFile(HeadLog(buildProfileDir(tb)))
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -35,7 +40,7 @@ func seedLogs(tb testing.TB) [][]byte {
 
 	future := append([]byte(nil), clean[:headerSize]...)
 	binary.LittleEndian.PutUint32(future[4:], formatVersion+1)
-	return [][]byte{clean, torn, flipped, undecodable, clean[:headerSize], []byte("RSNP\x01\x00\x00\x00"), future, nil}
+	return [][]byte{clean, torn, flipped, profiled, undecodable, clean[:headerSize], []byte("RSNP\x01\x00\x00\x00"), future, nil}
 }
 
 // FuzzStoreOpen writes arbitrary bytes as results.log. Open must never

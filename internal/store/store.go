@@ -1,10 +1,13 @@
 // Package store is the persistent, content-addressed simulation-result
-// cache: a single-writer, append-only log of measurement-mode cpu.Results
-// keyed by a SHA-256 fingerprint over the canonical simulation inputs
-// (SimVersion, program, phase, configuration, interval and warmup
-// lengths). It turns repeat pipeline runs — cmd/report regenerations,
-// bench-harness restarts, adaptd first-boot retrains — from simulation
-// cost into disk reads, and lets an interrupted build resume mid-dataset.
+// cache: a single-writer, append-only log of cpu.Results keyed by a
+// SHA-256 fingerprint over the canonical simulation inputs (SimVersion,
+// program, phase, configuration, interval and warmup lengths). It holds
+// measurement-mode runs (Fingerprint) and profiling-mode runs with their
+// Table II RawCounters (ProfileFingerprint, which also covers the
+// set-sampling level). It turns repeat pipeline runs — cmd/report
+// regenerations, bench-harness restarts, adaptd first-boot retrains —
+// from simulation cost into disk reads, and lets an interrupted build
+// resume mid-dataset.
 //
 // Durability model: every record carries a length header and a CRC-32C,
 // so a crash mid-append (torn or truncated tail) is detected and dropped
@@ -388,7 +391,11 @@ func (s *Store) evict(key Key, loc recLoc) {
 // Put appends (key, res) to the log and indexes it. A re-put of an
 // existing key shadows the old record until the next compaction.
 func (s *Store) Put(key Key, res *cpu.Result) error {
-	value := encodeResult(res)
+	return s.putValue(key, encodeResult(res))
+}
+
+// putValue appends one record holding an encoded value.
+func (s *Store) putValue(key Key, value []byte) error {
 	payload := make([]byte, keySize+len(value))
 	copy(payload, key[:])
 	copy(payload[keySize:], value)

@@ -2,8 +2,10 @@ package store
 
 import (
 	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -11,8 +13,12 @@ import (
 	"testing"
 
 	"repro/internal/arch"
+	"repro/internal/cache"
+	"repro/internal/counters"
 	"repro/internal/cpu"
 	"repro/internal/power"
+	"repro/internal/stats"
+	"repro/internal/trace"
 )
 
 // fakeResult builds a fully populated measurement-mode result whose every
@@ -51,6 +57,54 @@ func fakeResult(i int) *cpu.Result {
 		r.Energy.PerStructureJ[st] = float64(i)*1e-9 + float64(st)*1e-12
 	}
 	return r
+}
+
+// fakeProfile is fakeResult(i) carrying profiling counters whose every
+// histogram bin, observation count and scalar depends on i.
+func fakeProfile(i int) *cpu.Result {
+	r := fakeResult(i)
+	v := uint64(i)
+	hist := func(bins int) *stats.Histogram {
+		h := stats.NewHistogram(bins)
+		for b := 0; b < bins; b++ {
+			v++
+			h.AddN(b, v*v%101)
+		}
+		return h
+	}
+	prof := func() *cache.Profiler {
+		v++
+		return cache.FinishedProfile(1000+v, hist(cache.HistBins), hist(cache.HistBins),
+			hist(cache.HistBins), hist(cache.HistBins))
+	}
+	frac := func() float64 { v++; return float64(v%13) / 13 }
+	r.Counters = &cpu.RawCounters{
+		ALUUsage:       hist(cpu.ALUBins),
+		MemPortUsage:   hist(cpu.MemPortBins),
+		ROBOcc:         hist(cpu.OccBins),
+		IQOcc:          hist(cpu.OccBins),
+		LSQOcc:         hist(cpu.OccBins),
+		IQSpecFrac:     frac(),
+		IQMisspecFrac:  frac(),
+		LSQSpecFrac:    frac(),
+		LSQMisspecFrac: frac(),
+		IntRegUsage:    hist(cpu.OccBins),
+		FpRegUsage:     hist(cpu.OccBins),
+		RdPortUsage:    hist(cpu.RdPortBins),
+		WrPortUsage:    hist(cpu.WrPortBins),
+		ICache:         prof(),
+		DCache:         prof(),
+		L2:             prof(),
+		BTBReuse:       hist(cpu.BTBReuseBins),
+		MispredictRate: frac(),
+		CPI:            1 + frac(),
+	}
+	return r
+}
+
+// fakeProfileKey is the profiling-run key matching fakeKey(i).
+func fakeProfileKey(i int) Key {
+	return ProfileFingerprint(fmt.Sprintf("prog%d", i%3), i, arch.Profiling(), 2500, 1200, 16)
 }
 
 func fakeKey(i int) Key {
@@ -124,6 +178,103 @@ func TestFingerprintDistinguishesInputs(t *testing.T) {
 	}
 	if again := fingerprint(1, "mcf", 0, arch.Baseline(), 2500, 1200); again != base {
 		t.Error("identical inputs fingerprinted differently")
+	}
+
+	// Profiling runs have keys of their own: for the same inputs a
+	// profile key never collides with the measurement key, and the
+	// set-sampling level is part of it.
+	prof := profileFingerprint(1, "mcf", 0, arch.Baseline(), 2500, 1200, 0)
+	if prof == base {
+		t.Error("a profiling run and a measurement run of the same inputs share a key")
+	}
+	if profileFingerprint(1, "mcf", 0, arch.Baseline(), 2500, 1200, 16) == prof {
+		t.Error("changing sampledSets did not change the profile fingerprint")
+	}
+}
+
+// TestMeasurementKeysPinned pins the bytes of a measurement key, so a
+// change to the key derivation cannot silently turn every existing store
+// cold.
+func TestMeasurementKeysPinned(t *testing.T) {
+	const want = "5f4a6d75ca0083ffe121ff617c340abff3b7178d8ffc9fcc90659d7142fd5dff"
+	k := fingerprint(1, "mcf", 0, arch.Baseline(), 2500, 1200)
+	if got := hex.EncodeToString(k[:]); got != want {
+		t.Errorf("measurement key is %s, want %s", got, want)
+	}
+}
+
+// profileRun simulates one profiling run of mcf phase 0 on the profiling
+// configuration, the way a dataset build does.
+func profileRun(t testing.TB, sampledSets int) *cpu.Result {
+	t.Helper()
+	g, err := trace.NewGenerator("mcf", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	insts := g.Interval(2500)
+	sim, err := cpu.New(arch.Profiling())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sim.Release()
+	res, err := sim.Run(cpu.NewSliceSource(insts), len(insts),
+		cpu.Options{Collect: true, SampledSets: sampledSets, WarmupInsts: 1200})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// TestProfileRoundTrip round-trips real profiling results, with all sets
+// and with sampled sets monitored, through the codec and through a store
+// log across a reopen: the decoded result is deeply equal to the fresh
+// one, and both feature sets derived from it are bit-equal.
+func TestProfileRoundTrip(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[Key]*cpu.Result{}
+	for _, sets := range []int{0, 16} {
+		res := profileRun(t, sets)
+		got, err := decodeResult(encodeResult(res))
+		if err != nil {
+			t.Fatalf("sampledSets=%d: %v", sets, err)
+		}
+		if !reflect.DeepEqual(got, res) {
+			t.Errorf("sampledSets=%d: decoded profile differs from the fresh one", sets)
+		}
+		for _, set := range []counters.Set{counters.Basic, counters.Advanced} {
+			a, b := counters.Features(res, set), counters.Features(got, set)
+			if len(a) != len(b) {
+				t.Fatalf("sampledSets=%d: %d features decoded, %d fresh", sets, len(b), len(a))
+			}
+			for i := range a {
+				if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+					t.Errorf("sampledSets=%d: feature %d is %v decoded, %v fresh", sets, i, b[i], a[i])
+				}
+			}
+		}
+		key := ProfileFingerprint("mcf", 0, arch.Profiling(), 2500, 1200, sets)
+		if err := s.Put(key, res); err != nil {
+			t.Fatal(err)
+		}
+		want[key] = res
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s2, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	for key, res := range want {
+		got, ok := s2.Get(key)
+		if !ok || !reflect.DeepEqual(got, res) {
+			t.Errorf("stored profile did not round-trip (ok=%v)", ok)
+		}
 	}
 }
 
@@ -318,16 +469,83 @@ func TestOpenRejectsForeignFile(t *testing.T) {
 	}
 }
 
+// histTagOffsets returns the offsets of the 22 histogram bin-count tags
+// in an encoded profile value, walking the counters layout.
+func histTagOffsets(t *testing.T, value []byte) []int {
+	t.Helper()
+	var offs []int
+	off := encodedSize()
+	hist := func(n int) {
+		for ; n > 0; n-- {
+			offs = append(offs, off)
+			off += 2 + 8*int(binary.LittleEndian.Uint16(value[off:]))
+		}
+	}
+	hist(5)   // width and queue occupancy
+	off += 32 // speculation fractions
+	hist(4)   // register file
+	for p := 0; p < profilerCount; p++ {
+		off += 8 // observations
+		hist(4)
+	}
+	hist(1)   // BTB reuse
+	off += 16 // MispredictRate, CPI
+	if len(offs) != histFields || off != len(value) {
+		t.Fatalf("walked %d histograms to offset %d, want %d and %d", len(offs), off, histFields, len(value))
+	}
+	return offs
+}
+
+// TestDecodeRejectsWrongLength feeds decodeResult damaged measurement and
+// profile values. Each must fail to decode, and a CRC-valid record
+// holding one must be a miss for Get that evicts it.
 func TestDecodeRejectsWrongLength(t *testing.T) {
 	enc := encodeResult(fakeResult(1))
-	if _, err := decodeResult(enc[:len(enc)-1]); err == nil {
-		t.Error("decode accepted a short value")
+	prof := encodeResult(fakeProfile(1))
+	for name, v := range map[string][]byte{"measurement": enc, "profile": prof} {
+		if _, err := decodeResult(v); err != nil {
+			t.Errorf("decode rejected a valid %s value: %v", name, err)
+		}
 	}
-	if _, err := decodeResult(append(enc, 0)); err == nil {
-		t.Error("decode accepted a long value")
+	clone := func(b []byte) []byte { return append([]byte(nil), b...) }
+	bad := map[string][]byte{
+		"short value":               clone(enc[:len(enc)-1]),
+		"long value":                append(clone(enc), 0),
+		"counters section of 1 B":   clone(prof[:encodedSize()+1]),
+		"half a counters section":   clone(prof[:encodedSize()+countersSize()/2]),
+		"counters section short 1B": clone(prof[:len(prof)-1]),
+		"profile with trailing 1B":  append(clone(prof), 0),
 	}
-	if _, err := decodeResult(enc); err != nil {
-		t.Errorf("decode rejected a valid value: %v", err)
+	for i, off := range histTagOffsets(t, prof) {
+		v := clone(prof)
+		binary.LittleEndian.PutUint16(v[off:], binary.LittleEndian.Uint16(v[off:])+1)
+		bad[fmt.Sprintf("histogram %d bin count", i)] = v
+	}
+
+	s, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	i := 0
+	for name, v := range bad {
+		if _, err := decodeResult(v); err == nil {
+			t.Errorf("%s: decode accepted the value", name)
+		}
+		key := fakeKey(i)
+		i++
+		if err := s.putValue(key, v); err != nil {
+			t.Fatal(err)
+		}
+		before := s.Stats()
+		if _, ok := s.Get(key); ok {
+			t.Errorf("%s: Get served the record", name)
+		}
+		after := s.Stats()
+		if after.Misses != before.Misses+1 || after.Dropped != before.Dropped+1 || after.Records != before.Records-1 {
+			t.Errorf("%s: Get counted %d misses, dropped %d and left %d records; want 1, 1 and %d",
+				name, after.Misses-before.Misses, after.Dropped-before.Dropped, after.Records, before.Records-1)
+		}
 	}
 }
 

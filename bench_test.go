@@ -13,7 +13,8 @@
 // keeps every simulation it paid for, and a repeat run replays from disk.
 // REPRO_SURROGATE=1 prunes the design-space search with the learned
 // surrogate (README "Surrogate search"). REPRO_MANIFEST=<path> writes a
-// run manifest after the pipeline build (auto-named manifest-bench.json
+// run manifest after the pipeline build and its two leave-one-out
+// evaluations (auto-named manifest-bench.json
 // under REPRO_CACHE_DIR when that is set); see README "Run manifests".
 package repro
 
@@ -147,25 +148,7 @@ func pipeline(b *testing.B) (*experiment.Dataset, *experiment.Evaluation, *exper
 			fmt.Printf("# result store after build: hits=%d misses=%d records=%d\n",
 				st.Hits, st.Misses, st.Records)
 		}
-		if manifestPath != "" {
-			elapsed := time.Since(buildStart)
-			m := obs.NewManifest("bench")
-			m.SetDet("benchScale", benchScaleName())
-			experiment.FillBuildManifest(m, pipeDS)
-			tr.FillManifest(m)
-			m.SetTiming("totalSeconds", elapsed.Seconds())
-			if insts := cpu.SimulatedInstructions(); insts > 0 {
-				m.SetTiming("nsPerInst", elapsed.Seconds()*1e9/float64(insts))
-			}
-			if pipeStore != nil {
-				pipeStore.Stats().FillManifest(m, elapsed.Seconds())
-			}
-			if err := m.WriteFile(manifestPath); err != nil {
-				fmt.Printf("# manifest error: %v\n", err)
-			} else {
-				fmt.Printf("# manifest written: %s\n", manifestPath)
-			}
-		}
+		buildElapsed := time.Since(buildStart)
 		fmt.Printf("# dataset: %d simulations; LOOCV (advanced)...\n", pipeDS.SimCount())
 		pipeAdv, pipeErr = pipeDS.EvaluateModel(counters.Advanced)
 		if pipeErr != nil {
@@ -175,6 +158,26 @@ func pipeline(b *testing.B) (*experiment.Dataset, *experiment.Evaluation, *exper
 		pipeBas, pipeErr = pipeDS.EvaluateModel(counters.Basic)
 		if pipeErr != nil {
 			return
+		}
+		if manifestPath != "" {
+			m := obs.NewManifest("bench")
+			m.SetDet("benchScale", benchScaleName())
+			experiment.FillBuildManifest(m, pipeDS)
+			experiment.FillEvalManifest(m, pipeAdv)
+			experiment.FillEvalManifest(m, pipeBas)
+			tr.FillManifest(m)
+			m.SetTiming("totalSeconds", buildElapsed.Seconds())
+			if insts := cpu.SimulatedInstructions(); insts > 0 {
+				m.SetTiming("nsPerInst", buildElapsed.Seconds()*1e9/float64(insts))
+			}
+			if pipeStore != nil {
+				pipeStore.Stats().FillManifest(m, buildElapsed.Seconds())
+			}
+			if err := m.WriteFile(manifestPath); err != nil {
+				fmt.Printf("# manifest error: %v\n", err)
+			} else {
+				fmt.Printf("# manifest written: %s\n", manifestPath)
+			}
 		}
 		pipeRep = pipeDS.Suite(pipeAdv, pipeBas)
 	})
@@ -510,16 +513,28 @@ func BenchmarkSimulator_Throughput(b *testing.B) {
 	b.ReportMetric(float64(total)/b.Elapsed().Seconds()/1e6, "Minst/s")
 }
 
-// BenchmarkTraining_Softmax measures per-parameter model training cost on
-// realistic feature dimensions.
+// BenchmarkTraining_Softmax measures training cost on realistic feature
+// dimensions: each iteration retrains the fourteen per-parameter models
+// on every phase, for both counter sets.
 func BenchmarkTraining_Softmax(b *testing.B) {
 	ds, _, _, _ := pipeline(b)
-	examples := ds.Phases
-	_ = examples
+	sets := []counters.Set{counters.Advanced, counters.Basic}
+	phases := map[counters.Set][]core.PhaseExample{}
+	for _, set := range sets {
+		for _, id := range ds.Phases {
+			f := ds.FeaturesAdv[id]
+			if set == counters.Basic {
+				f = ds.FeaturesBasic[id]
+			}
+			phases[set] = append(phases[set], core.PhaseExample{Features: f, Good: ds.Good[id]})
+		}
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ds.TrainAll(counters.Basic); err != nil {
-			b.Fatal(err)
+		for _, set := range sets {
+			if _, err := core.TrainPredictor(set, phases[set], experiment.TrainOptions()); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
 }

@@ -354,6 +354,8 @@ func main() {
 		m.SetDet("flags.surrogate", *useSur)
 		m.SetDet("flags.surrogateAudit", *surAudit)
 		experiment.FillBuildManifest(m, ds)
+		experiment.FillEvalManifest(m, adv)
+		experiment.FillEvalManifest(m, basic)
 		tr.FillManifest(m)
 		elapsed := time.Since(start).Seconds()
 		m.SetTiming("totalSeconds", elapsed)

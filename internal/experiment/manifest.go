@@ -1,6 +1,11 @@
 package experiment
 
 import (
+	"cmp"
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/arch"
@@ -19,7 +24,9 @@ import (
 // the seed. Timing: the simulation/memoisation counters, which depend on
 // store warm state (a warm replay pays for fewer simulations — that is
 // the point) and so must never be diffed exactly. Every predictor TrainAll
-// has trained so far adds its convergence record (FillTrainManifest).
+// has trained so far adds its convergence record (FillTrainManifest) and
+// train.<set>.predDigest, a digest of the configuration it predicts for
+// every phase, in ds.Phases order.
 func FillBuildManifest(m *obs.Manifest, ds *Dataset) {
 	sc := ds.Scale
 	m.SetDet("scale.programs", strings.Join(sc.Programs, ","))
@@ -51,6 +58,9 @@ func FillBuildManifest(m *obs.Manifest, ds *Dataset) {
 	for _, set := range []counters.Set{counters.Advanced, counters.Basic} {
 		if p, ok := ds.trained[set]; ok {
 			FillTrainManifest(m, p)
+			m.SetDet("train."+set.String()+".predDigest", predDigest(ds.Phases, func(id PhaseID) arch.Config {
+				return p.Predict(ds.features(set, id))
+			}))
 		}
 	}
 	hits, sims := MemoStats()
@@ -72,4 +82,43 @@ func FillTrainManifest(m *obs.Manifest, p *core.Predictor) {
 		m.SetDet(key+"objective", st.Objective)
 		m.SetDet(key+"gradNorm", st.GradNorm)
 	}
+}
+
+// FillEvalManifest records a leave-one-out evaluation in the manifest's
+// deterministic section: eval.<set>.predDigest, a digest of the
+// configuration predicted for every phase (phases sorted by program, then
+// phase), and the fold models' convergence, eval.<set>.unconverged (models
+// whose final gradient norm is at least TrainOptions().Tol) and
+// eval.<set>.maxGradNorm. An obsdiff of two manifests thus shows whether
+// any prediction moved.
+func FillEvalManifest(m *obs.Manifest, ev *Evaluation) {
+	ids := make([]PhaseID, 0, len(ev.Predicted))
+	for id := range ev.Predicted {
+		ids = append(ids, id)
+	}
+	slices.SortFunc(ids, func(a, b PhaseID) int {
+		return cmp.Or(cmp.Compare(a.Program, b.Program), cmp.Compare(a.Phase, b.Phase))
+	})
+	unconverged, maxGrad := 0, 0.0
+	tol := TrainOptions().Tol
+	for _, st := range ev.FoldStats {
+		if st.GradNorm >= tol {
+			unconverged++
+		}
+		maxGrad = max(maxGrad, st.GradNorm)
+	}
+	key := "eval." + ev.Set.String() + "."
+	m.SetDet(key+"predDigest", predDigest(ids, func(id PhaseID) arch.Config { return ev.Predicted[id] }))
+	m.SetDet(key+"unconverged", unconverged)
+	m.SetDet(key+"maxGradNorm", maxGrad)
+}
+
+// predDigest returns a hex SHA-256 over "phase configuration" lines, one
+// per phase in the order given.
+func predDigest(ids []PhaseID, choose func(PhaseID) arch.Config) string {
+	h := sha256.New()
+	for _, id := range ids {
+		fmt.Fprintf(h, "%s %s\n", id, choose(id))
+	}
+	return hex.EncodeToString(h.Sum(nil))
 }

@@ -68,6 +68,10 @@ func Static(cfg arch.Config) func(PhaseID) arch.Config {
 type Evaluation struct {
 	Set       counters.Set
 	Predicted map[PhaseID]arch.Config
+	// FoldStats holds the convergence record of every model EvaluateModel
+	// trained: fold by fold in program order, parameters in order within
+	// a fold.
+	FoldStats []softmax.TrainStats
 }
 
 // Choose returns the evaluation's per-phase chooser.
@@ -162,6 +166,9 @@ func (ds *Dataset) EvaluateModelCtx(ctx context.Context, set counters.Set) (*Eva
 		}
 		for _, id := range ds.ProgramPhases(held) {
 			ev.Predicted[id] = pred.Predict(ds.features(set, id))
+		}
+		for _, m := range pred.Models {
+			ev.FoldStats = append(ev.FoldStats, m.Stats)
 		}
 		fsp.Finish()
 		reportProgress(stage, i+1, len(progs))

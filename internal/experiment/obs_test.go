@@ -2,9 +2,11 @@ package experiment
 
 import (
 	"context"
+	"math"
 	"strings"
 	"testing"
 
+	"repro/internal/arch"
 	"repro/internal/core"
 	"repro/internal/counters"
 	"repro/internal/obs"
@@ -130,5 +132,85 @@ func TestTrainManifestDeterministic(t *testing.T) {
 	FillTrainManifest(again, p)
 	if d := obs.DiffDeterministic(m, again); d != "" {
 		t.Errorf("retraining changed deterministic field %q", d)
+	}
+}
+
+// predManifest builds obsScale fresh, trains and evaluates both counter
+// sets, and returns the manifest with the build and evaluation keys.
+func predManifest(t *testing.T) (*obs.Manifest, []*Evaluation) {
+	t.Helper()
+	ds, err := Build(context.Background(), obsScale())
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := obs.NewManifest("report")
+	var evs []*Evaluation
+	for _, set := range []counters.Set{counters.Advanced, counters.Basic} {
+		if _, err := ds.TrainAll(set); err != nil {
+			t.Fatal(err)
+		}
+		ev, err := ds.EvaluateModel(set)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := len(ds.Programs()) * int(arch.NumParams); len(ev.FoldStats) != want {
+			t.Errorf("%s: %d fold stats, want %d", set, len(ev.FoldStats), want)
+		}
+		FillEvalManifest(m, ev)
+		evs = append(evs, ev)
+	}
+	FillBuildManifest(m, ds)
+	return m, evs
+}
+
+// TestPredictionManifestKeys: the manifest's deterministic section says
+// what the models predicted (train.<set>.predDigest, eval.<set>.predDigest)
+// and how far the fold models converged, identically for two fresh builds
+// of one scale, so an obsdiff is the check for "predictions unchanged".
+func TestPredictionManifestKeys(t *testing.T) {
+	m, evs := predManifest(t)
+	for _, set := range []string{"advanced", "basic"} {
+		for _, key := range []string{"train." + set + ".predDigest", "eval." + set + ".predDigest"} {
+			if d, ok := m.Deterministic[key].(string); !ok || len(d) != 64 {
+				t.Errorf("%s = %v, want a SHA-256 hex digest", key, m.Deterministic[key])
+			}
+		}
+	}
+	for _, ev := range evs {
+		unconverged, maxGrad := 0, 0.0
+		for _, st := range ev.FoldStats {
+			if st.GradNorm >= TrainOptions().Tol {
+				unconverged++
+			}
+			maxGrad = math.Max(maxGrad, st.GradNorm)
+		}
+		key := "eval." + ev.Set.String() + "."
+		if got := m.Deterministic[key+"unconverged"]; got != unconverged {
+			t.Errorf("%sunconverged = %v, want %d", key, got, unconverged)
+		}
+		if got := m.Deterministic[key+"maxGradNorm"]; got != maxGrad || maxGrad <= 0 {
+			t.Errorf("%smaxGradNorm = %v, want %v > 0", key, got, maxGrad)
+		}
+	}
+
+	again, _ := predManifest(t)
+	if d := obs.DiffDeterministic(m, again); d != "" {
+		t.Errorf("two fresh builds differ in deterministic field %q", d)
+	}
+
+	// The digest covers every phase's configuration: moving one changes it.
+	ev := evs[0]
+	for id, cfg := range ev.Predicted {
+		cfg[arch.Width] = arch.Domain(arch.Width)[0]
+		if cfg == ev.Predicted[id] {
+			cfg[arch.Width] = arch.Domain(arch.Width)[1]
+		}
+		ev.Predicted[id] = cfg
+		break
+	}
+	moved := obs.NewManifest("report")
+	FillEvalManifest(moved, ev)
+	if moved.Deterministic["eval.advanced.predDigest"] == m.Deterministic["eval.advanced.predDigest"] {
+		t.Error("eval.advanced.predDigest did not change when a prediction moved")
 	}
 }

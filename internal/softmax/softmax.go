@@ -8,6 +8,16 @@
 // the paper's equation (8)-(9): a hard argmax over the linear scores,
 // avoiding exponentiation at runtime, which is what makes the hardware
 // implementation (a multiclass perceptron, §VIII) cheap.
+//
+// Training is exact in a smaller space. The weights start at InitWeight
+// everywhere and every gradient is X^T C + 2 lambda W, so every iterate's
+// class columns lie in span{1_D, x_1 ... x_G}, the all-ones direction plus
+// the G distinct training vectors. Train runs its conjugate-gradient loop
+// on the coordinates of W in an orthonormal basis of that span (G+1 rows
+// at most, against D features) and lifts the result back to D x K once.
+// An orthonormal change of coordinates preserves every score, norm and
+// dot product the loop reads, so the trajectory is the D-space one up to
+// float rounding.
 package softmax
 
 import (
@@ -186,6 +196,13 @@ type TrainStats struct {
 // scores computed once per group instead of once per example. Scores are
 // linear in the weights, so the line search evaluates every trial step in
 // score space from the scores at W and along the search direction.
+//
+// The loop runs in an orthonormal basis Q (r x D, r <= G+1 for G groups)
+// of span{1_D, x_g}, which holds every iterate (see the package comment):
+// each group's vector becomes z_g = Q x_g, the loop updates V = Q W from
+// V0 = InitWeight (Q 1_D) 1_K^T, and W = Q^T V is lifted once at the end.
+// Only float rounding differs from running on all D x K weights, and an
+// iteration costs O(G r K) instead of O(G nnz K + D K).
 func Train(d, k int, examples []Example, opts Options) (*Model, error) {
 	if len(examples) == 0 {
 		return nil, errors.New("softmax: no training examples")
@@ -198,30 +215,128 @@ func Train(d, k int, examples []Example, opts Options) (*Model, error) {
 			return nil, fmt.Errorf("softmax: example %d label %d out of range [0,%d)", i, ex.Y, k)
 		}
 	}
-	m, err := NewModel(d, k, opts.InitWeight)
+	m, err := NewModel(d, k, 0)
 	if err != nil {
 		return nil, err
 	}
+	pr := newProblem(k, opts.Lambda, examples)
+	q := pr.project(d)
+	r := len(q) / d
+	// V0 = InitWeight (Q 1_D) 1_K^T: the all-InitWeight start is in the
+	// span because 1_D is.
+	v := make([]float64, r*k)
+	for j := 0; j < r; j++ {
+		s := 0.0
+		for _, qi := range q[j*d : j*d+d] {
+			s += qi
+		}
+		s *= opts.InitWeight
+		for c := 0; c < k; c++ {
+			v[j*k+c] = s
+		}
+	}
+	m.Stats = pr.minimize(v, opts)
+	// W = Q^T V.
+	for j := 0; j < r; j++ {
+		vj := v[j*k : j*k+k]
+		for i, qi := range q[j*d : j*d+d] {
+			row := m.W[i*k : i*k+k]
+			for c, vc := range vj {
+				row[c] += qi * vc
+			}
+		}
+	}
+	return m, nil
+}
+
+// basis returns an orthonormal basis of span{xs} as an r x d row-major
+// matrix, by modified Gram-Schmidt with one re-orthogonalisation pass in
+// the order given. A vector whose residual is at most 1e-12 of its norm
+// (an all-zero one included) adds no row.
+func basis(d int, xs [][]float64) []float64 {
+	q := make([]float64, 0, min(len(xs), d)*d)
+	v := make([]float64, d)
+	for _, x := range xs {
+		copy(v, x)
+		for pass := 0; pass < 2; pass++ {
+			for j := 0; j < len(q); j += d {
+				row := q[j : j+d]
+				c := dot(row, v)
+				for i, qi := range row {
+					v[i] -= c * qi
+				}
+			}
+		}
+		rn := math.Sqrt(dot(v, v))
+		if rn <= 1e-12*math.Sqrt(dot(x, x)) {
+			continue
+		}
+		for _, vi := range v {
+			q = append(q, vi/rn)
+		}
+	}
+	return q
+}
+
+// project builds the basis Q of span{1_d, x_g} over the problem's groups,
+// replaces every group's vector by its coordinates z_g = Q x_g, and
+// returns Q (r x d, row-major).
+func (pr *problem) project(d int) []float64 {
+	xs := make([][]float64, 0, len(pr.groups)+1)
+	ones := make([]float64, d)
+	for i := range ones {
+		ones[i] = 1
+	}
+	xs = append(xs, ones)
+	for _, g := range pr.groups {
+		xs = append(xs, g.x)
+	}
+	q := basis(d, xs)
+	r := len(q) / d
+	for gi := range pr.groups {
+		g := &pr.groups[gi]
+		z := make([]float64, r)
+		for j := range z {
+			row := q[j*d : j*d+d]
+			for _, i := range g.nz {
+				z[j] += row[i] * g.x[i]
+			}
+		}
+		g.x, g.nz = z, g.nz[:0]
+		for j, zj := range z {
+			if zj != 0 {
+				g.nz = append(g.nz, j)
+			}
+		}
+	}
+	return q
+}
+
+// minimize runs the conjugate-gradient loop on the problem from w, which
+// it updates in place, and returns the convergence record.
+func (pr *problem) minimize(w []float64, opts Options) TrainStats {
 	if opts.MaxIter <= 0 {
 		opts.MaxIter = 200
 	}
 	if opts.Tol <= 0 {
 		opts.Tol = 1e-5
 	}
-
-	pr := newProblem(k, opts.Lambda, examples)
-	n := d * k
+	n := len(w)
 	grad := make([]float64, n)
 	prevGrad := make([]float64, n)
 	dir := make([]float64, n)
 
-	f := pr.objGrad(m.W, grad)
+	f := pr.objGrad(w, grad)
 	for i := range dir {
 		dir[i] = -grad[i]
 	}
 	gg := dot(grad, grad)
-	alpha := 1.0 / (1 + float64(len(examples)))
-	st := &m.Stats
+	examples := 0.0
+	for _, g := range pr.groups {
+		examples += g.total
+	}
+	alpha := 1.0 / (1 + examples)
+	var st TrainStats
 
 	for it := 0; it < opts.MaxIter; it++ {
 		if math.Sqrt(gg) < opts.Tol {
@@ -236,7 +351,7 @@ func Train(d, k int, examples []Example, opts Options) (*Model, error) {
 			slope = dot(grad, dir)
 		}
 		// Backtracking line search (Armijo), in score space.
-		pr.line(m.W, dir)
+		pr.line(w, dir)
 		step := alpha * 4
 		accepted := false
 		for ls := 0; ls < 40; ls++ {
@@ -252,11 +367,11 @@ func Train(d, k int, examples []Example, opts Options) (*Model, error) {
 		}
 		st.Iters++
 		alpha = step
-		for i := range m.W {
-			m.W[i] += step * dir[i]
+		for i := range w {
+			w[i] += step * dir[i]
 		}
 		grad, prevGrad = prevGrad, grad
-		f = pr.objGrad(m.W, grad)
+		f = pr.objGrad(w, grad)
 
 		// Polak-Ribiere beta with automatic restart; gg is the new
 		// gradient's squared norm for the next stopping check.
@@ -281,13 +396,13 @@ func Train(d, k int, examples []Example, opts Options) (*Model, error) {
 	}
 	st.Objective = f
 	st.GradNorm = math.Sqrt(gg)
-	return m, nil
+	return st
 }
 
 // group is a run of consecutive examples sharing one feature vector: the
 // sufficient statistics of their contribution to the likelihood.
 type group struct {
-	x      []float64
+	x      []float64 // the feature vector; its basis coordinates once projected
 	nz     []int     // indices of x's nonzero features
 	counts []float64 // per-class label counts
 	total  float64   // number of examples in the run

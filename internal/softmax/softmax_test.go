@@ -1,6 +1,7 @@
 package softmax
 
 import (
+	"fmt"
 	"math"
 	"math/rand/v2"
 	"testing"
@@ -445,13 +446,7 @@ func referenceObjective(w []float64, d, k int, examples []Example, lambda float6
 // sparse vectors, each repeated for 1..maxGood labels in a row, sharing
 // one slice.
 func duplicatedExamples(d, k, nVec, maxGood int, rng *rand.Rand) []Example {
-	var exs []Example
-	for _, x := range randomBatch(d, nVec, rng) {
-		for g := 1 + rng.IntN(maxGood); g > 0; g-- {
-			exs = append(exs, Example{X: x, Y: rng.IntN(k)})
-		}
-	}
-	return exs
+	return labelled(randomBatch(d, nVec, rng), k, maxGood, rng)
 }
 
 func randomWeights(n int, rng *rand.Rand) []float64 {
@@ -570,35 +565,211 @@ func TestTrainNonConsecutiveDuplicates(t *testing.T) {
 	}
 }
 
-// BenchmarkTrain trains one model at the TestScale advanced shape: 8 phase
-// vectors of 437 features (~184 nonzero), 26 examples, and the 17-class
-// ROB-size domain.
-func BenchmarkTrain(b *testing.B) {
-	const d, k, nnz = 437, 17, 184
-	rng := rand.New(rand.NewPCG(59, 61))
-	var exs []Example
-	for v := 0; v < 8; v++ {
-		x := make([]float64, d)
+// referenceTrain is the trainer before the change of coordinates: the
+// same conjugate-gradient loop run on all D x K weights, starting from
+// InitWeight everywhere.
+func referenceTrain(d, k int, examples []Example, opts Options) *Model {
+	pr := newProblem(k, opts.Lambda, examples)
+	w := make([]float64, d*k)
+	for i := range w {
+		w[i] = opts.InitWeight
+	}
+	return &Model{D: d, K: k, W: w, Stats: pr.minimize(w, opts)}
+}
+
+// sparseVectors draws n vectors of dimension d with nnz nonzero features
+// each, uniform in [0, 1).
+func sparseVectors(d, nnz, n int, rng *rand.Rand) [][]float64 {
+	xs := make([][]float64, n)
+	for v := range xs {
+		xs[v] = make([]float64, d)
 		for _, i := range rng.Perm(d)[:nnz] {
-			x[i] = rng.Float64()
+			xs[v][i] = rng.Float64()
 		}
-		for g := 0; g < 3+v/6; g++ {
+	}
+	return xs
+}
+
+// labelled gives every vector 1..maxGood consecutive examples with random
+// labels, sharing the vector's slice, as core does for a phase.
+func labelled(xs [][]float64, k, maxGood int, rng *rand.Rand) []Example {
+	var exs []Example
+	for _, x := range xs {
+		for g := 1 + rng.IntN(maxGood); g > 0; g-- {
 			exs = append(exs, Example{X: x, Y: rng.IntN(k)})
 		}
 	}
-	if len(exs) != 26 {
-		b.Fatalf("%d examples, want 26", len(exs))
+	return exs
+}
+
+// TestTrainMatchesFullSpace holds Train, which runs in an orthonormal
+// basis of span{1, x_g}, to the D-space reference loop: the same
+// decisions on the training vectors and on random ones, the reported
+// objective equal to the reference objective at the lifted weights, and
+// the same weights wherever both runs reach Tol, and the same trajectory
+// over the first iterations. It also checks the
+// basis itself: orthonormal rows, and coordinates that reproduce every
+// training vector.
+func TestTrainMatchesFullSpace(t *testing.T) {
+	rng := rand.New(rand.NewPCG(67, 71))
+	cases := []struct {
+		name string
+		d, k int
+		exs  []Example
+	}{
+		{"testscale", 437, 17, labelled(sparseVectors(437, 184, 8, rng), 17, 4, rng)},
+		{"groups>features", 6, 4, labelled(randomBatch(6, 20, rng), 4, 3, rng)},
+		{"non-consecutive duplicates", 30, 5, func() []Example {
+			xs := sparseVectors(30, 12, 3, rng)
+			var exs []Example
+			for rep := 0; rep < 3; rep++ {
+				for i, x := range xs {
+					exs = append(exs, Example{X: append([]float64(nil), x...), Y: (i + rep) % 5})
+				}
+			}
+			return exs
+		}()},
+		{"all-zero vector", 30, 5, labelled(append(sparseVectors(30, 12, 4, rng), make([]float64, 30)), 5, 3, rng)},
+		{"single group", 50, 6, labelled(sparseVectors(50, 20, 1, rng), 6, 4, rng)},
+		{"near-parallel vectors", 30, 5, func() []Example {
+			xs := sparseVectors(30, 12, 3, rng)
+			for _, x := range xs[:2] {
+				near := append([]float64(nil), x...)
+				for i := range near {
+					near[i] += 1e-7 * rng.Float64()
+				}
+				xs = append(xs, near)
+			}
+			return labelled(xs, 5, 3, rng)
+		}()},
 	}
-	opts := DefaultOptions()
-	opts.MaxIter = 150
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m, err := Train(d, k, exs, opts)
-		if err != nil {
-			b.Fatal(err)
+	converged := 0
+	for _, tc := range cases {
+		for _, init := range []float64{0, 1} {
+			opts := DefaultOptions()
+			opts.InitWeight = init
+			got, err := Train(tc.d, tc.k, tc.exs, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := referenceTrain(tc.d, tc.k, tc.exs, opts)
+			name := fmt.Sprintf("%s/init=%v", tc.name, init)
+
+			probes := randomBatch(tc.d, 100, rng)
+			for _, ex := range tc.exs {
+				probes = append(probes, ex.X)
+			}
+			for i, x := range probes {
+				if a, b := got.Predict(x), want.Predict(x); a != b {
+					t.Errorf("%s: vector %d: basis model predicts %d, full-space %d", name, i, a, b)
+				}
+			}
+			grad := make([]float64, tc.d*tc.k)
+			if ref := referenceObjective(got.W, tc.d, tc.k, tc.exs, opts.Lambda, grad); !relClose(got.Stats.Objective, ref, 1e-9) {
+				t.Errorf("%s: stats objective %v, reference at lifted weights %v", name, got.Stats.Objective, ref)
+			}
+			// A few iterations in, rounding has not yet moved the two
+			// trajectories apart: the same steps, objective and weights.
+			short := opts
+			short.MaxIter = 5
+			gotShort, err := Train(tc.d, tc.k, tc.exs, short)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantShort := referenceTrain(tc.d, tc.k, tc.exs, short)
+			if gotShort.Stats.Iters != wantShort.Stats.Iters || !relClose(gotShort.Stats.Objective, wantShort.Stats.Objective, 1e-9) {
+				t.Errorf("%s: after %d iterations: stats %+v, full-space %+v", name, short.MaxIter, gotShort.Stats, wantShort.Stats)
+			}
+			for i := range gotShort.W {
+				if !relClose(gotShort.W[i], wantShort.W[i], 1e-6) {
+					t.Fatalf("%s: after %d iterations: weight %d: %v, full-space %v", name, short.MaxIter, i, gotShort.W[i], wantShort.W[i])
+				}
+			}
+			if got.Stats.GradNorm < opts.Tol && want.Stats.GradNorm < opts.Tol {
+				converged++
+				for i := range got.W {
+					if !relClose(got.W[i], want.W[i], 1e-6) {
+						t.Fatalf("%s: converged weight %d: %v, full-space %v", name, i, got.W[i], want.W[i])
+					}
+				}
+			}
 		}
-		trainSink = m
+
+		pr := newProblem(tc.k, 0.5, tc.exs)
+		xs := make([][]float64, len(pr.groups))
+		for gi, g := range pr.groups {
+			xs[gi] = g.x
+		}
+		q := pr.project(tc.d)
+		r := len(q) / tc.d
+		if r < 1 || r > min(tc.d, len(pr.groups)+1) {
+			t.Errorf("%s: basis rank %d for %d groups of dimension %d", tc.name, r, len(pr.groups), tc.d)
+		}
+		for a := 0; a < r; a++ {
+			for b := 0; b < r; b++ {
+				want := 0.0
+				if a == b {
+					want = 1
+				}
+				if got := dot(q[a*tc.d:a*tc.d+tc.d], q[b*tc.d:b*tc.d+tc.d]); math.Abs(got-want) > 1e-12 {
+					t.Errorf("%s: (QQ^T)[%d][%d] = %v", tc.name, a, b, got)
+				}
+			}
+		}
+		for gi, g := range pr.groups {
+			lifted := make([]float64, tc.d)
+			for j, zj := range g.x {
+				for i := range lifted {
+					lifted[i] += zj * q[j*tc.d+i]
+				}
+			}
+			for i := range lifted {
+				lifted[i] -= xs[gi][i]
+			}
+			if e := math.Sqrt(dot(lifted, lifted)); e > 1e-12*math.Sqrt(dot(xs[gi], xs[gi])) {
+				t.Errorf("%s: group %d: ||Q^T z - x|| = %v", tc.name, gi, e)
+			}
+		}
+	}
+	if converged == 0 {
+		t.Error("no case reached Tol in both runs: the weight comparison never ran")
+	}
+}
+
+// BenchmarkTrain trains one model at three shapes: the TestScale advanced
+// TrainAll (8 phase vectors of 437 features, ~184 nonzero, 26 examples,
+// the 17-class ROB-size domain), one 26 x 2 advanced LOOCV fold (50
+// vectors) and the same fold with the 16 basic features.
+func BenchmarkTrain(b *testing.B) {
+	for _, sh := range []struct {
+		name        string
+		d, nnz, vec int
+	}{
+		{"testscale-8x437", 437, 184, 8},
+		{"fold26x2-50x437", 437, 184, 50},
+		{"basic-50x16", 16, 16, 50},
+	} {
+		b.Run(sh.name, func(b *testing.B) {
+			const k = 17
+			rng := rand.New(rand.NewPCG(59, 61))
+			var exs []Example
+			for v, x := range sparseVectors(sh.d, sh.nnz, sh.vec, rng) {
+				for g := 0; g < 3+v%8/6; g++ {
+					exs = append(exs, Example{X: x, Y: rng.IntN(k)})
+				}
+			}
+			opts := DefaultOptions()
+			opts.MaxIter = 150
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				m, err := Train(sh.d, k, exs, opts)
+				if err != nil {
+					b.Fatal(err)
+				}
+				trainSink = m
+			}
+		})
 	}
 }
 

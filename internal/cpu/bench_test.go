@@ -1,6 +1,7 @@
 package cpu
 
 import (
+	"math/rand/v2"
 	"testing"
 
 	"repro/internal/arch"
@@ -60,6 +61,40 @@ func BenchmarkSimRun(b *testing.B) {
 	b.Run("profiling/applu", func(b *testing.B) {
 		benchSim(b, "applu", arch.Profiling(), Options{})
 	})
+	b.Run("build-shape", benchBuildShape)
+}
+
+// benchBuildShape times the dataset build's run shape: a fresh Sim per
+// simulation (New, a 2,500-instruction Run after a 1,200-instruction
+// warmup, Release) over a fixed seeded mix of random configurations and
+// workloads. Unlike the sub-benchmarks above, which reuse one Sim, it
+// pays for arena recycling across changing ROB and cache sizes.
+func benchBuildShape(b *testing.B) {
+	const n, warm, mix = 2500, 1200, 32
+	progs := []string{"mcf", "art", "gzip", "swim", "parser", "equake", "vortex", "applu"}
+	rng := rand.New(rand.NewPCG(0xb0d, 0x5ba9e))
+	cfgs := make([]arch.Config, mix)
+	traces := make([][]trace.Inst, mix)
+	for i := range cfgs {
+		cfgs[i] = arch.Random(rng)
+		traces[i] = benchTrace(b, progs[i%len(progs)], i%trace.PhasesPerProgram, n)
+	}
+	opts := Options{WarmupInsts: warm}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k := i % mix
+		s, err := New(cfgs[k])
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := s.Run(NewSliceSource(traces[k]), n, opts); err != nil {
+			b.Fatal(err)
+		}
+		s.Release()
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/inst")
 }
 
 // BenchmarkSimRunCollect times a profiling-configuration run with counter

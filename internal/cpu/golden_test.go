@@ -194,6 +194,28 @@ func goldenCases() []goldenCase {
 		}
 		add(fmt.Sprintf("random-%02d-%s", i, prog), prog, phase, 2500, cfg, opts)
 	}
+	// Build-shaped, stall-heavy cases: memory-bound workloads on windows
+	// small enough that dispatch sits resource-blocked behind outstanding
+	// misses, the dataset build's 2,500/1,200 run shape, descending ROB
+	// sizes (so pooled arenas are resliced, not reallocated) and a clock
+	// account that starts from a reconfiguration charge. Appended after the
+	// original cases so those keep their arena-recycling order.
+	build := Options{WarmupInsts: 1200}
+	small := arch.Baseline().
+		With(arch.ROBSize, 40).With(arch.IQSize, 16).
+		With(arch.LSQSize, 8).With(arch.RFSize, 48)
+	for _, prog := range []string{"mcf", "art"} {
+		add("stall-min-"+prog, prog, 1, 2500, arch.MinConfig(), build)
+		add("stall-small-window-"+prog, prog, 1, 2500, small, build)
+	}
+	for _, rob := range []int{160, 128, 96, 64, 32} {
+		add(fmt.Sprintf("stall-rob%03d-equake", rob), "equake", 2, 2500,
+			arch.Baseline().With(arch.ROBSize, rob), build)
+	}
+	add("stall-profiling-mcf-build", "mcf", 3, 2500, arch.Profiling(),
+		Options{Collect: true, SampledSets: 16, WarmupInsts: 1200})
+	add("stall-reconfig-art", "art", 0, 2500, small,
+		Options{WarmupInsts: 1200, StartStall: 900, FlushCaches: true, ExtraEnergyPJ: 3.25e6})
 	return out
 }
 

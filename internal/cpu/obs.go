@@ -12,6 +12,8 @@ var (
 		"Correct-path instructions committed across all runs.")
 	obsCycles = obs.DefaultRegistry().Counter("repro_sim_cycles_total",
 		"Cycles simulated across all runs.")
+	obsStepped = obs.DefaultRegistry().Counter("repro_sim_stepped_cycles_total",
+		"Simulated cycles the main loop stepped through one at a time; the rest of repro_sim_cycles_total was fast-forwarded.")
 )
 
 // SimulatedInstructions returns the process-wide committed-instruction

@@ -96,6 +96,10 @@ type runState struct {
 
 	fetchedCorrect uint64
 
+	// stepped counts the cycles the main loop executed one at a time (the
+	// rest were fast-forwarded). Telemetry only.
+	stepped uint64
+
 	// windowGen increments whenever the in-flight window changes in a way
 	// the collector's speculation walk can observe (dispatch, issue,
 	// commit, branch resolution, flush). The collector caches its walk
@@ -124,7 +128,11 @@ var statePool sync.Pool
 // with slice capacities preserved. A Sim's first run takes an arena from
 // statePool when one is there: the reset below is the same one a Sim
 // already relies on between its warmup and measured runs, and the ROB
-// ring reuses slots within a run the same way.
+// ring reuses slots within a run the same way. The ROB ring and the
+// consumer-chain arena are resliced to the configured ROB size whenever
+// their capacity allows (ROB size varies from one search configuration to
+// the next) and reallocated only to grow; stale slots are harmless, since
+// dispatch overwrites a slot before anything reads it.
 func (s *Sim) getState() *runState {
 	st := s.scratch
 	if st == nil {
@@ -134,9 +142,10 @@ func (s *Sim) getState() *runState {
 		}
 		s.scratch = st
 	}
-	if len(st.rob) != s.robSize {
+	if cap(st.rob) < s.robSize {
 		st.rob = make([]entry, s.robSize)
 	}
+	st.rob = st.rob[:s.robSize]
 	st.headSeq, st.nextSeq = 0, 0
 	st.headIdx, st.nextIdx = 0, 0
 	st.robCount, st.iqCount, st.lsqCount = 0, 0, 0
@@ -145,12 +154,12 @@ func (s *Sim) getState() *runState {
 		st.regProducer[i] = -1
 	}
 	st.iqList = st.iqList[:0]
-	if len(st.cons) != s.robSize {
+	if cap(st.cons) < s.robSize {
 		st.cons = make([][]wref, s.robSize)
-	} else {
-		for i := range st.cons {
-			st.cons[i] = st.cons[i][:0]
-		}
+	}
+	st.cons = st.cons[:s.robSize]
+	for i := range st.cons {
+		st.cons[i] = st.cons[i][:0]
 	}
 	// Wakeup tokens and write-port reservations can outlive a drained
 	// run (squashed entries leave both behind); clear them so sequence
@@ -173,6 +182,7 @@ func (s *Sim) getState() *runState {
 	st.wpCount, st.wpPos = 0, 0
 	st.fetchedCorrect = 0
 	st.windowGen = 0
+	st.stepped = 0
 	st.srcFast = nil
 	st.srcPos = 0
 	st.acc = power.Account{}
@@ -219,9 +229,6 @@ func (s *Sim) Run(src Source, n int, opts Options) (*Result, error) {
 		}
 		st.cnt = c
 	}
-	if opts.ExtraEnergyPJ > 0 {
-		st.acc.Add(power.StructClock, opts.ExtraEnergyPJ)
-	}
 	ss, fast := src.(*SliceSource)
 	if fast {
 		st.srcFast = ss.insts
@@ -232,6 +239,7 @@ func (s *Sim) Run(src Source, n int, opts Options) (*Result, error) {
 	limit := uint64(n)*maxCyclesPerInst + 100_000
 	for {
 		st.cycle++
+		st.stepped++
 		if st.cycle > limit {
 			if fast {
 				ss.pos = st.srcPos
@@ -243,8 +251,6 @@ func (s *Sim) Run(src Source, n int, opts Options) (*Result, error) {
 		dProg := s.dispatch(st)
 		fProg := s.fetch(st, src, target)
 
-		// Per-cycle energy: clock tree plus the conditional-clocking floor.
-		st.acc.Add(power.StructClock, s.perCycPJ)
 		if st.cnt != nil {
 			st.cnt.perCycle(s, st)
 		}
@@ -259,17 +265,26 @@ func (s *Sim) Run(src Source, n int, opts Options) (*Result, error) {
 			// No stage moved and nothing is ready-but-resource-blocked:
 			// every future unblock is a scheduled event, so the clock can
 			// fast-forward through the dead cycles.
-			if err := s.fastForward(st, limit); err != nil {
-				if fast {
-					ss.pos = st.srcPos
-				}
-				return nil, err
-			}
+			s.fastForward(st, limit)
 		}
 	}
 	if fast {
 		ss.pos = st.srcPos
 	}
+
+	// Per-cycle energy: clock tree plus the conditional-clocking floor,
+	// charged once per simulated cycle after the reconfiguration charge —
+	// the same float additions in the same order as charging each cycle
+	// as it passes, since nothing else touches the clock account or reads
+	// the account mid-run. (A batched multiply would round differently.)
+	clk := 0.0
+	if opts.ExtraEnergyPJ > 0 {
+		clk = opts.ExtraEnergyPJ
+	}
+	for c := uint64(0); c < st.cycle; c++ {
+		clk += s.perCycPJ
+	}
+	st.acc.Add(power.StructClock, clk)
 
 	st.res.Config = s.cfg
 	st.res.Cycles = st.cycle
@@ -290,22 +305,30 @@ func (s *Sim) Run(src Source, n int, opts Options) (*Result, error) {
 	obsRuns.Inc()
 	obsInsts.Add(st.res.Committed)
 	obsCycles.Add(st.res.Cycles)
+	obsStepped.Add(st.stepped)
 	out := st.res
 	return &out, nil
 }
 
-// fastForward advances the clock through cycles in which no stage can make
-// progress, charging per-cycle accounting identically to the main loop. It
-// stops one cycle short of the next scheduled event: a wakeup token, a
+// fastForward advances the clock through cycles in which no stage can act.
+// It stops one cycle short of the next scheduled event: a wakeup token, a
 // far-horizon completion, the fetch-stall release, or the front-end
-// delivery of the oldest buffered instruction.
-func (s *Sim) fastForward(st *runState, limit uint64) error {
-	stop := neverCycle
-	if st.fetchStallUntil > st.cycle {
+// delivery of the oldest buffered instruction while that delivery is
+// still in the future. A delivered head that dispatch refused is blocked
+// on ROB, IQ, LSQ or register space, which only a commit, an issue or a
+// flush frees, and each of those follows a wakeup event that already
+// bounds the skip. The skip also stops at the cycle limit, so the main
+// loop reports a deadlock. Skipped cycles replay the main loop's per-cycle
+// work in cycle order: counter sampling when collecting, and the
+// write-port slot expiry. (The clock-tree charge is made once per cycle
+// after the run.)
+func (s *Sim) fastForward(st *runState, limit uint64) {
+	stop := limit + 1
+	if st.fetchStallUntil > st.cycle && st.fetchStallUntil < stop {
 		stop = st.fetchStallUntil
 	}
 	if st.fbLen() > 0 {
-		if fe := st.fetchBuf[st.fbHead].fetchCycle + s.feLat; fe < stop {
+		if fe := st.fetchBuf[st.fbHead].fetchCycle + s.feLat; fe > st.cycle && fe < stop {
 			stop = fe
 		}
 	}
@@ -314,25 +337,16 @@ func (s *Sim) fastForward(st *runState, limit uint64) error {
 			stop = f.cycle
 		}
 	}
-	for {
-		next := st.cycle + 1
-		if next >= stop || len(st.wake[next%wbWindow]) > 0 {
-			return nil
-		}
-		st.cycle = next
-		if st.cycle > limit {
-			return errCycleLimit
-		}
-		// Identical per-cycle accounting to the main loop: one clock-tree
-		// charge per cycle (floating-point order preserved — a batched
-		// multiply would round differently), counter sampling, and the
-		// write-port slot expiry.
-		st.acc.Add(power.StructClock, s.perCycPJ)
+	c := st.cycle
+	for c+1 < stop && len(st.wake[(c+1)%wbWindow]) == 0 {
+		c++
 		if st.cnt != nil {
+			st.cycle = c
 			st.cnt.perCycle(s, st)
 		}
-		st.wbUsed[st.cycle%wbWindow] = 0
+		st.wbUsed[c%wbWindow] = 0
 	}
+	st.cycle = c
 }
 
 // commit retires up to Width completed entries from the ROB head, in

@@ -193,3 +193,29 @@ func TestCycleSkipLongLatencyLoad(t *testing.T) {
 		t.Error("slice fast path and interface source disagree across cycle skips")
 	}
 }
+
+// TestResourceStallsAreFastForwarded holds the clock to its skip rule on
+// the full-window memory stall: a memory-bound workload on a small window
+// spends most of its cycles with the oldest fetched instruction delivered
+// but blocked on ROB, IQ, LSQ or register space behind outstanding misses.
+// No stage can act in those cycles until a completion arrives, so the main
+// loop must fast-forward through them rather than step each one.
+func TestResourceStallsAreFastForwarded(t *testing.T) {
+	insts := mkTrace(t, "mcf", 1, 5000)
+	cfg := arch.Baseline().
+		With(arch.ROBSize, 40).With(arch.IQSize, 16).
+		With(arch.LSQSize, 8).With(arch.RFSize, 48)
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := s.Run(NewSliceSource(insts), len(insts), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Stepping every blocked cycle gives 95 %; skipping them, under 7 %.
+	if stepped := s.scratch.stepped; stepped > res.Cycles/4 {
+		t.Errorf("main loop stepped %d of %d cycles; resource-blocked stalls must be fast-forwarded",
+			stepped, res.Cycles)
+	}
+}

@@ -116,12 +116,13 @@ func contractScale() experiment.Scale {
 // features, and the same fresh search simulations — paid by the build (no
 // store, cold) or not at all (warm replays, which never miss the store
 // and simulate nothing, profiling runs and rendered predictions
-// included). Store logs are byte-identical across worker counts, every
-// store's hit and
-// miss counts match the workers=1 cell's, every store directory passes
-// store.CheckDir with one live record per indexed record, and the
-// rendered tables are byte-identical for every store state. One cell runs
-// with the process tracer on and checks its Chrome trace export.
+// included). Each phase's trace is generated exactly once, and not at all
+// by a warm replay without the surrogate. Store logs are byte-identical
+// across worker counts, every store's hit and miss counts match the
+// workers=1 cell's, every store directory passes store.CheckDir with one
+// live record per indexed record, and the rendered tables are
+// byte-identical for every store state. One cell runs with the process
+// tracer on and checks its Chrome trace export.
 func TestBuildContracts(t *testing.T) {
 	sc := contractScale()
 	ctx := context.Background()
@@ -204,11 +205,20 @@ func TestBuildContracts(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			insts := cpu.SimulatedInstructions()
+			insts, traces := cpu.SimulatedInstructions(), experiment.TraceCount()
 			ds, paid := build(t, st, opts)
 			got := newContractBuild(t, ds, c.store != noStore)
 			if simulated := cpu.SimulatedInstructions() - insts; c.store == warmStore && simulated != 0 {
 				t.Errorf("warm build and render simulated %d instructions, want none", simulated)
+			}
+			// A trace is generated once, on its phase's first store miss;
+			// the surrogate featurises every phase from its trace.
+			wantTraces := uint64(len(ds.Phases))
+			if c.store == warmStore && !c.surrogate {
+				wantTraces = 0
+			}
+			if generated := experiment.TraceCount() - traces; generated != wantTraces {
+				t.Errorf("build and render generated %d traces over %d phases, want %d", generated, len(ds.Phases), wantTraces)
 			}
 			if st != nil {
 				trail.stats = st.Stats()

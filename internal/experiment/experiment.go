@@ -240,9 +240,10 @@ func WithStore(st *store.Store) Option {
 
 // WithWorkers overrides the build's worker count, which defaults to
 // runtime.GOMAXPROCS(0): at most n simulations run at once, on n-1 helper
-// goroutines plus the one running Build. Trace generation, the stage-1
-// shared sample of every phase and the profiling pass are queued when the
-// build starts; each sweep batch is fanned out as the search reaches it.
+// goroutines plus the one running Build. The stage-1 shared sample of
+// every phase and the profiling pass are queued when the build starts;
+// each sweep batch is fanned out as the search reaches it, and a phase's
+// trace is generated on its first store miss.
 // All side effects — memo inserts, sample-space promotion, best updates,
 // store appends and telemetry spans — are applied on Build's goroutine in
 // the sequential build's order, so any worker count produces the
@@ -298,12 +299,13 @@ func Build(ctx context.Context, sc Scale, opts ...Option) (*Dataset, error) {
 	ds.SharedConfigs, rng = sharedSample(sc)
 
 	// Queue the work that is fixed before the search starts, in phase
-	// order: every trace, then every phase's stage-1 shared sample, then
-	// the profiling runs. The search loop below consumes it in the same
-	// order. The trace stage only validates each phase and queues its
-	// trace; no job waits for a trace unless the store misses. A
-	// surrogate build chooses its stage-1 simulations from what earlier
-	// phases taught the model, so it cannot run stage 1 ahead.
+	// order: every phase's stage-1 shared sample, then the profiling runs.
+	// The search loop below consumes it in the same order. The trace stage
+	// only validates each phase and sets up its trace; a trace is
+	// generated on its phase's first store miss (or by the surrogate's
+	// featurisation), so a warm build generates none. A surrogate build
+	// chooses its stage-1 simulations from what earlier phases taught the
+	// model, so it cannot run stage 1 ahead.
 	sp := tr.Start("tracegen")
 	for _, id := range phaseIDs {
 		tj, err := newTraceJob(id, sc.IntervalInsts)
@@ -311,7 +313,6 @@ func Build(ctx context.Context, sc Scale, opts ...Option) (*Dataset, error) {
 			sp.Finish()
 			return nil, err
 		}
-		ds.pool.submit(false, tj.task)
 		ds.traces[id] = tj
 		ds.Phases = append(ds.Phases, id)
 	}
@@ -505,7 +506,9 @@ func (ds *Dataset) applyBatch(id PhaseID, cfgs []arch.Config, jobs []*simJob) er
 	return nil
 }
 
-// traceJob generates one phase's measured interval of n instructions.
+// traceJob generates one phase's measured interval of n instructions. It
+// is never queued on the pool: it runs on the executor of the first job
+// that needs the trace, and any other job that needs it meanwhile waits.
 type traceJob struct {
 	*task
 	n     int
@@ -520,11 +523,15 @@ func newTraceJob(id PhaseID, n int) (*traceJob, error) {
 		return nil, err
 	}
 	j := &traceJob{n: n}
-	j.task = newTask(func() { j.insts = g.Interval(n) })
+	j.task = newTask(func() {
+		obsTraces.Inc()
+		j.insts = g.Interval(n)
+	})
 	return j, nil
 }
 
-// get waits for the trace (generating it here if nobody has started).
+// get returns the trace, generating it here if nobody has started it and
+// waiting for it otherwise.
 func (j *traceJob) get() []trace.Inst {
 	j.wait()
 	return j.insts
@@ -547,8 +554,8 @@ type simJob struct {
 }
 
 // eval looks the run up in st — a profiling run (opts.Collect) under its
-// own key — and only on a miss waits for the phase's trace and
-// simulates it.
+// own key — and only on a miss gets the phase's trace (generating it
+// unless another job already has) and simulates it.
 func (j *simJob) eval(st *store.Store) {
 	if st != nil {
 		if j.opts.Collect {

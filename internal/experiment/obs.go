@@ -16,6 +16,8 @@ var (
 		"Dataset results answered from the memo table.")
 	obsSampleConfigs = obs.DefaultRegistry().Counter("repro_experiment_sample_configs_total",
 		"(phase, config) evaluations that joined the sample space.")
+	obsTraces = obs.DefaultRegistry().Counter("repro_experiment_traces_total",
+		"Phase traces generated (at most one per phase and build; none on a warm replay).")
 )
 
 // Surrogate-search series (see WithSurrogate and internal/surrogate).
@@ -43,6 +45,11 @@ var (
 // spent on search candidates (repro_sims_exact) — what cmd/report logs as
 // searchSims and what the build-contract tests meter per build.
 func SearchSimCount() uint64 { return obsSimsExact.Value() }
+
+// TraceCount returns the process-lifetime count of phase traces generated
+// (repro_experiment_traces_total) — what the build-contract tests meter
+// per build.
+func TraceCount() uint64 { return obsTraces.Value() }
 
 // MemoStats returns the process-lifetime memoisation hits and misses
 // (misses are simulations actually run) — the hit rate cmd/report's

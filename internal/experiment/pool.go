@@ -55,14 +55,15 @@ func await[J interface{ base() *task }](js []J, k int) {
 	<-js[k].base().done
 }
 
-// simPool runs one build's independent work — trace generation, the
-// stage-1 shared sample, batch simulations and profiling — on at most
-// `workers` executors: workers-1 helper goroutines plus the goroutine
-// running Build, which runs every task it waits for that no helper has
-// started. At most `workers` simulations are therefore ever in flight, the
-// search loop's own stage-2 simulations included. A one-worker pool has no
-// helpers: every task runs inline when the search loop reaches it, which
-// is the sequential build.
+// simPool runs one build's independent simulations — the stage-1 shared
+// sample, batch simulations and profiling — on at most `workers`
+// executors: workers-1 helper goroutines plus the goroutine running
+// Build, which runs every task it waits for that no helper has started.
+// At most `workers` simulations are therefore ever in flight, the search
+// loop's own stage-2 simulations included. Traces are not queued: a
+// phase's trace is generated on its first store miss, by the executor
+// that missed. A one-worker pool has no helpers: every task runs inline
+// when the search loop reaches it, which is the sequential build.
 type simPool struct {
 	ctx    context.Context
 	mu     sync.Mutex

@@ -48,7 +48,7 @@ type MergeStats struct {
 //
 // Only head logs are read; other files in the directories are neither
 // merged nor touched. Corrupt records in the inputs (torn tails, flipped
-// bytes) are skipped exactly as Open's scan would skip them, and
+// bytes) are skipped exactly as Open skips them, and
 // CRC-damaged ones are counted in Dropped.
 func Merge(dstDir string, srcDirs ...string) (MergeStats, error) {
 	var ms MergeStats
@@ -124,8 +124,7 @@ func Merge(dstDir string, srcDirs ...string) (MergeStats, error) {
 		return ms, fmt.Errorf("store: merge temp file: %w", err)
 	}
 	defer os.Remove(tmp.Name()) // no-op after the rename succeeds
-	buf := []byte(fileMagic)
-	buf = binary.LittleEndian.AppendUint32(buf, formatVersion)
+	buf := logHeader()
 	for _, k := range keys {
 		payload := union[k]
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(payload)))
@@ -172,26 +171,31 @@ func requireSimVersion(dir string) error {
 
 // liveHeadRecords reads a directory's live head-log records without
 // opening it as a Store: later records supersede earlier ones and damage
-// is skipped exactly as Open's scan would — but strictly read-only,
-// nothing is repaired or truncated. A directory without a head log holds
-// no records. Superseded and dropped counts accumulate into ms. The
-// caller holds the directory lock.
+// is skipped exactly as Open would skip it — but strictly read-only,
+// nothing is repaired or truncated. A directory without a head log, or
+// with one whose header is unreadable, holds no records. The payloads are
+// subslices of the log image. Superseded and dropped counts accumulate
+// into ms. The caller holds the directory lock.
 func liveHeadRecords(dir string, ms *MergeStats) (map[Key][]byte, error) {
 	live := map[Key][]byte{}
-	head := HeadLog(dir)
-	if _, err := os.Stat(head); err != nil {
-		return live, nil
-	}
-	scan, err := scanLogFile(head, func(_ int64, key Key, payload []byte) {
-		if _, ok := live[key]; ok {
-			ms.Superseded++
-		}
-		live[key] = payload
-	})
+	log, ok, err := readHeadLog(dir)
 	if err != nil {
 		return nil, err
 	}
-	ms.Dropped += scan.Dropped
+	if !ok || headerFault(HeadLog(dir), log) != "" {
+		return live, nil
+	}
+	walkFrames(log, func(fr frame, crcOK bool) {
+		if !crcOK {
+			ms.Dropped++
+			return
+		}
+		key := Key(fr.payload[:keySize])
+		if _, ok := live[key]; ok {
+			ms.Superseded++
+		}
+		live[key] = fr.payload
+	})
 	return live, nil
 }
 

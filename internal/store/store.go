@@ -18,6 +18,12 @@
 // keeps a second process from interleaving appends; compaction rewrites
 // the log through a temp file + atomic rename.
 //
+// Read path: Open reads the whole log with one sequential read and walks
+// it in memory to build the index of record offsets; CheckDir and Merge
+// walk their logs with the same frame walker. Get still re-reads each
+// record from disk with one pread and re-verifies its CRC and key, so a
+// record that rots after Open is caught on the read that would serve it.
+//
 // The store never decides anything: it only answers "has this exact
 // simulation already been run, and what did it produce, bit for bit".
 // In-sample semantics stay with the caller (internal/experiment).
@@ -29,7 +35,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -128,14 +133,16 @@ type Store struct {
 	f     *os.File
 	lock  *os.File
 	index map[Key]recLoc
-	end   int64 // append offset (start of the next record header)
-	stale int64 // payload bytes of superseded/skipped records
+	end   int64  // append offset (start of the next record header)
+	stale int64  // payload bytes of superseded/skipped records
+	rbuf  []byte // Get's read buffer, reused under mu
 	stats Stats
 }
 
 // Open opens (creating if needed) the store in dir, takes the advisory
-// lock, rebuilds the in-memory index from the log, and — if the scan
-// found corrupt or superseded records — compacts the log in place.
+// lock, rebuilds the in-memory index from the log (one sequential read of
+// the whole file), and — if the walk found corrupt or superseded records
+// — compacts the log in place.
 // A truncated or bit-flipped tail is recovered from, never fatal.
 func Open(dir string) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -157,7 +164,7 @@ func Open(dir string) (*Store, error) {
 	// available from Stats and the repro_store_* metrics instead.
 	sp := obs.DefaultTracer().Start("store.open")
 	defer sp.Finish()
-	if err := s.scan(); err != nil {
+	if err := s.load(); err != nil {
 		s.Close()
 		return nil, err
 	}
@@ -227,82 +234,82 @@ func acquireLock(path string) (*os.File, error) {
 	return lf, nil
 }
 
-// scan validates the header and replays the log into the index. Framing
-// damage (short header, implausible length, short payload) ends the log:
-// everything from that offset on is dropped and the file truncated so
-// appends restart from the last good record. Payload damage (CRC
-// mismatch with intact framing) drops only the one record and keeps
-// scanning — a mid-file bit flip costs one result, not the tail.
-func (s *Store) scan() error {
-	size, err := s.f.Seek(0, io.SeekEnd)
+// load validates the header and replays the log into the index. It reads
+// the whole log with one ReadAt and walks it in memory (walkFrames).
+// Framing damage (short header, implausible length, short payload) ends
+// the log: everything from that offset on is dropped and the file
+// truncated so appends restart from the last good record. Payload damage
+// (CRC mismatch with intact framing) drops only the one record and keeps
+// walking — a mid-file bit flip costs one result, not the tail.
+func (s *Store) load() error {
+	fi, err := s.f.Stat()
 	if err != nil {
 		return fmt.Errorf("store: sizing log: %w", err)
 	}
-	if size == 0 {
-		var hdr [headerSize]byte
-		copy(hdr[:4], fileMagic)
-		binary.LittleEndian.PutUint32(hdr[4:], formatVersion)
-		if _, err := s.f.WriteAt(hdr[:], 0); err != nil {
-			return fmt.Errorf("store: writing header: %w", err)
-		}
-		s.end = headerSize
-		s.stats.Records = len(s.index)
-		return nil
+	buf := make([]byte, fi.Size())
+	if _, err := s.f.ReadAt(buf, 0); err != nil {
+		return fmt.Errorf("store: reading log: %w", err)
 	}
-	var hdr [headerSize]byte
-	if size < headerSize {
+	switch {
+	case len(buf) == 0:
+		return s.writeHeader()
+	case len(buf) < headerSize:
 		// Shorter than a header: a run died inside the very first
 		// write. Start the log over.
 		return s.reset()
-	}
-	if _, err := s.f.ReadAt(hdr[:], 0); err != nil {
-		return fmt.Errorf("store: reading header: %w", err)
-	}
-	if string(hdr[:4]) != fileMagic {
+	case string(buf[:4]) != fileMagic:
 		return fmt.Errorf("store: %s is not a result store (bad magic)", filepath.Join(s.dir, dataFileName))
 	}
-	if v := binary.LittleEndian.Uint32(hdr[4:]); v != formatVersion {
+	if v := binary.LittleEndian.Uint32(buf[4:]); v != formatVersion {
 		return fmt.Errorf("store: log format v%d, this binary reads v%d (wipe %s to rebuild)", v, formatVersion, s.dir)
 	}
-
-	off := int64(headerSize)
-	var rh [recHeaderSize]byte
-	for off < size {
-		if off+recHeaderSize > size {
-			return s.truncateTail(off)
+	end := walkFrames(buf, func(fr frame, crcOK bool) {
+		if !crcOK {
+			s.dropRecord(int64(len(fr.payload)))
+			return
 		}
-		if _, err := s.f.ReadAt(rh[:], off); err != nil {
-			return fmt.Errorf("store: reading record header at %d: %w", off, err)
-		}
-		plen := int64(binary.LittleEndian.Uint32(rh[:4]))
-		crc := binary.LittleEndian.Uint32(rh[4:])
-		if plen < keySize || plen > maxPayload || off+recHeaderSize+plen > size {
-			return s.truncateTail(off)
-		}
-		payload := make([]byte, plen)
-		if _, err := s.f.ReadAt(payload, off+recHeaderSize); err != nil {
-			return fmt.Errorf("store: reading record at %d: %w", off, err)
-		}
-		next := off + recHeaderSize + plen
-		if crc32.Checksum(payload, castagnoli) != crc {
-			// Framing is intact but the payload is damaged: drop
-			// this record only and resynchronise on the next.
-			s.dropRecord(plen)
-			off = next
-			continue
-		}
-		var key Key
-		copy(key[:], payload[:keySize])
+		key := Key(fr.payload[:keySize])
 		if old, ok := s.index[key]; ok {
 			s.stats.Superseded++
 			s.stale += int64(old.plen) + recHeaderSize
 		}
-		s.index[key] = recLoc{off: off + recHeaderSize, plen: int32(plen), crc: crc}
-		off = next
-	}
-	s.end = off
+		s.index[key] = recLoc{off: fr.off + recHeaderSize, plen: int32(len(fr.payload)), crc: fr.crc}
+	})
 	s.stats.Records = len(s.index)
+	if end < int64(len(buf)) {
+		return s.truncateTail(end)
+	}
+	s.end = end
 	return nil
+}
+
+// frame is one record found in a log image.
+type frame struct {
+	off     int64  // offset of the record header
+	crc     uint32 // payload CRC-32C the header declares
+	payload []byte // key + value, a subslice of the image
+}
+
+// walkFrames is the store's one frame walker, shared by Open, CheckDir
+// and Merge. log is a whole log file whose header the caller has
+// validated. It calls visit for every record whose framing is intact, in
+// log order, with crcOK reporting whether the payload matches its CRC.
+// Framing damage (a short record header, an implausible length, a short
+// payload) ends the walk. walkFrames returns the offset where intact
+// framing ends: len(log) for a log without a torn or corrupt tail.
+func walkFrames(log []byte, visit func(fr frame, crcOK bool)) int64 {
+	size := int64(len(log))
+	off := int64(headerSize)
+	for off+recHeaderSize <= size {
+		plen := int64(binary.LittleEndian.Uint32(log[off:]))
+		if plen < keySize || plen > maxPayload || off+recHeaderSize+plen > size {
+			break
+		}
+		fr := frame{off: off, crc: binary.LittleEndian.Uint32(log[off+4:]), payload: log[off+recHeaderSize : off+recHeaderSize+plen]}
+		visit(fr, crc32.Checksum(fr.payload, castagnoli) == fr.crc)
+		off += recHeaderSize + plen
+	}
+	return off
 }
 
 // dropRecord accounts one discarded record.
@@ -312,7 +319,7 @@ func (s *Store) dropRecord(payloadLen int64) {
 	obsCorrupt.Inc()
 }
 
-// truncateTail ends the scan at off: everything beyond it is a torn or
+// truncateTail ends the log at off: everything beyond it is a torn or
 // corrupt tail. The file is cut back so the next append writes over it.
 func (s *Store) truncateTail(off int64) error {
 	s.dropRecord(0)
@@ -320,7 +327,6 @@ func (s *Store) truncateTail(off int64) error {
 		return fmt.Errorf("store: truncating torn tail at %d: %w", off, err)
 	}
 	s.end = off
-	s.stats.Records = len(s.index)
 	return nil
 }
 
@@ -330,10 +336,17 @@ func (s *Store) reset() error {
 		return fmt.Errorf("store: resetting log: %w", err)
 	}
 	s.dropRecord(0)
-	var hdr [headerSize]byte
-	copy(hdr[:4], fileMagic)
-	binary.LittleEndian.PutUint32(hdr[4:], formatVersion)
-	if _, err := s.f.WriteAt(hdr[:], 0); err != nil {
+	return s.writeHeader()
+}
+
+// logHeader returns the 8-byte log preamble.
+func logHeader() []byte {
+	return binary.LittleEndian.AppendUint32([]byte(fileMagic), formatVersion)
+}
+
+// writeHeader starts an empty log.
+func (s *Store) writeHeader() error {
+	if _, err := s.f.WriteAt(logHeader(), 0); err != nil {
 		return fmt.Errorf("store: writing header: %w", err)
 	}
 	s.end = headerSize
@@ -341,9 +354,11 @@ func (s *Store) reset() error {
 }
 
 // Get returns the stored result for key, or (nil, false) if the store
-// has no valid record for it. The payload CRC is re-verified on every
-// read; a record that rotted after open is dropped and reported as a
-// miss rather than returned.
+// has no valid record for it. Every hit re-reads its record from disk
+// with one pread and re-verifies its CRC and key; a record that rotted
+// after open is dropped and reported as a miss rather than returned. The
+// read lands in a buffer the store reuses; the returned result shares
+// no memory with it.
 func (s *Store) Get(key Key) (*cpu.Result, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -352,7 +367,10 @@ func (s *Store) Get(key Key) (*cpu.Result, bool) {
 		s.miss()
 		return nil, false
 	}
-	payload := make([]byte, loc.plen)
+	if cap(s.rbuf) < int(loc.plen) {
+		s.rbuf = make([]byte, loc.plen)
+	}
+	payload := s.rbuf[:loc.plen]
 	if _, err := s.f.ReadAt(payload, loc.off); err != nil {
 		s.evict(key, loc)
 		return nil, false
@@ -425,7 +443,7 @@ func (s *Store) putValue(key Key, value []byte) error {
 
 // Compact rewrites the log to contain exactly the live records, in their
 // original log order, via a temp file and an atomic rename. Callers
-// rarely need this directly: Open compacts automatically when the scan
+// rarely need this directly: Open compacts automatically when its walk
 // found garbage or shadowed records.
 func (s *Store) Compact() error {
 	s.mu.Lock()
@@ -452,10 +470,7 @@ func (s *Store) compactLocked() error {
 	}
 	defer os.Remove(tmp.Name()) // no-op after the rename succeeds
 
-	var hdr [headerSize]byte
-	copy(hdr[:4], fileMagic)
-	binary.LittleEndian.PutUint32(hdr[4:], formatVersion)
-	if _, err := tmp.Write(hdr[:]); err != nil {
+	if _, err := tmp.Write(logHeader()); err != nil {
 		tmp.Close()
 		return fmt.Errorf("store: compaction header: %w", err)
 	}

@@ -148,9 +148,17 @@ func advancedFeatures(res *cpu.Result) []float64 {
 	return f
 }
 
-// appendHist appends the normalised histogram bins.
+// appendHist appends the normalised histogram bins — the values
+// h.Normalized() returns, written straight into f.
 func appendHist(f []float64, h *stats.Histogram) []float64 {
-	return append(f, h.Normalized()...)
+	for _, c := range h.Counts {
+		v := 0.0
+		if h.Total != 0 {
+			v = float64(c) / float64(h.Total)
+		}
+		f = append(f, v)
+	}
+	return f
 }
 
 // ipcFeature maps CPI into (0, 1]: IPC normalised by the maximum width.

@@ -1,10 +1,12 @@
 package counters
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/arch"
 	"repro/internal/cpu"
+	"repro/internal/stats"
 	"repro/internal/trace"
 )
 
@@ -165,6 +167,28 @@ func TestAblateFamily(t *testing.T) {
 			}
 			if !isCache && ab[i] != f[i] {
 				t.Fatalf("non-cache segment %s modified at %d", s.Name, i)
+			}
+		}
+	}
+}
+
+// TestAppendHistMatchesNormalized holds appendHist to the bits of
+// Histogram.Normalized, for an empty histogram and a populated one.
+func TestAppendHistMatchesNormalized(t *testing.T) {
+	empty := stats.NewHistogram(5)
+	full := stats.NewHistogram(7)
+	for b := 0; b < 7; b++ {
+		full.AddN(b, uint64(3*b*b+1))
+	}
+	for _, h := range []*stats.Histogram{empty, full} {
+		got := appendHist([]float64{0.5}, h)
+		want := append([]float64{0.5}, h.Normalized()...)
+		if len(got) != len(want) {
+			t.Fatalf("appendHist gave %d values, want %d", len(got), len(want))
+		}
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Errorf("value %d: appendHist %v, Normalized %v", i, got[i], want[i])
 			}
 		}
 	}

@@ -50,20 +50,23 @@ func ProfileFingerprint(program string, phase int, cfg arch.Config, intervalInst
 	return profileFingerprint(SimVersion, program, phase, cfg, intervalInsts, warmupInsts, sampledSets)
 }
 
+// The key encodings go into a stack array; only a program name longer
+// than the slack spills to the heap.
 func fingerprint(version uint64, program string, phase int, cfg arch.Config, intervalInsts, warmupInsts int) Key {
-	return sha256.Sum256(appendInputs(fingerprintMagic, version, program, phase, cfg, intervalInsts, warmupInsts))
+	var a [256]byte
+	return sha256.Sum256(appendInputs(a[:0], fingerprintMagic, version, program, phase, cfg, intervalInsts, warmupInsts))
 }
 
 func profileFingerprint(version uint64, program string, phase int, cfg arch.Config, intervalInsts, warmupInsts, sampledSets int) Key {
-	buf := appendInputs(profileMagic, version, program, phase, cfg, intervalInsts, warmupInsts)
+	var a [256]byte
+	buf := appendInputs(a[:0], profileMagic, version, program, phase, cfg, intervalInsts, warmupInsts)
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(int64(sampledSets)))
 	return sha256.Sum256(buf)
 }
 
-// appendInputs is the canonical encoding of one simulation's inputs under
-// the domain tag magic.
-func appendInputs(magic string, version uint64, program string, phase int, cfg arch.Config, intervalInsts, warmupInsts int) []byte {
-	buf := make([]byte, 0, 256)
+// appendInputs appends to buf the canonical encoding of one simulation's
+// inputs under the domain tag magic.
+func appendInputs(buf []byte, magic string, version uint64, program string, phase int, cfg arch.Config, intervalInsts, warmupInsts int) []byte {
 	buf = append(buf, magic...)
 	buf = binary.LittleEndian.AppendUint64(buf, version)
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(program)))

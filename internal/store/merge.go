@@ -49,7 +49,11 @@ type MergeStats struct {
 // Only head logs are read; other files in the directories are neither
 // merged nor touched. Corrupt records in the inputs (torn tails, flipped
 // bytes) are skipped exactly as Open skips them, and
-// CRC-damaged ones are counted in Dropped.
+// CRC-damaged ones are counted in Dropped. A head log whose header is
+// unreadable (wrong magic, another format version) aborts the merge
+// before anything is written, whether it is a source's or the
+// destination's; an empty or shorter-than-header log, which Open would
+// restart, merges as empty.
 func Merge(dstDir string, srcDirs ...string) (MergeStats, error) {
 	var ms MergeStats
 	sp := obs.DefaultTracer().Start("store.merge").
@@ -173,17 +177,21 @@ func requireSimVersion(dir string) error {
 // opening it as a Store: later records supersede earlier ones and damage
 // is skipped exactly as Open would skip it — but strictly read-only,
 // nothing is repaired or truncated. A directory without a head log, or
-// with one whose header is unreadable, holds no records. The payloads are
-// subslices of the log image. Superseded and dropped counts accumulate
-// into ms. The caller holds the directory lock.
+// with one shorter than the log header, holds no records; a log whose
+// header is present but unreadable is an error, the same fault CheckDir
+// reports. The payloads are subslices of the log image. Superseded and
+// dropped counts accumulate into ms. The caller holds the directory lock.
 func liveHeadRecords(dir string, ms *MergeStats) (map[Key][]byte, error) {
 	live := map[Key][]byte{}
 	log, ok, err := readHeadLog(dir)
 	if err != nil {
 		return nil, err
 	}
-	if !ok || headerFault(HeadLog(dir), log) != "" {
+	if !ok || len(log) < headerSize {
 		return live, nil
+	}
+	if f := headerFault(HeadLog(dir), log); f != "" {
+		return nil, fmt.Errorf("store: %s; refusing to merge", f)
 	}
 	walkFrames(log, func(fr frame, crcOK bool) {
 		if !crcOK {

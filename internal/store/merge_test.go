@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"encoding/binary"
 	"os"
 	"path/filepath"
 	"strings"
@@ -229,5 +230,50 @@ func TestMergedStoreIndistinguishable(t *testing.T) {
 		if !bytes.Equal(me, se) {
 			t.Fatalf("key %d: merged and sequential values differ", i)
 		}
+	}
+}
+
+// TestMergeRefusesUnreadableDestination: a destination log from another
+// format version holds records this binary cannot read; Merge must fail
+// and leave its bytes as they were, not rename its output over them.
+func TestMergeRefusesUnreadableDestination(t *testing.T) {
+	dst := buildDir(t, []int{0, 1}, []int{0, 1})
+	src := buildDir(t, []int{2}, []int{2})
+	path := HeadLog(dst)
+	log, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	binary.LittleEndian.PutUint32(log[4:], formatVersion+1)
+	if err := os.WriteFile(path, log, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err = Merge(dst, src)
+	if err == nil || !strings.Contains(err.Error(), "log format v2") {
+		t.Fatalf("merge into a v2 log: err = %v, want a format-version error", err)
+	}
+	after, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(after, log) {
+		t.Fatalf("refused merge changed the destination log (%d bytes, was %d)", len(after), len(log))
+	}
+}
+
+// TestMergeRefusesForeignSource: a source whose results.log is not a
+// store log fails the merge instead of merging as empty.
+func TestMergeRefusesForeignSource(t *testing.T) {
+	src := buildDir(t, []int{0}, []int{0})
+	if err := os.WriteFile(HeadLog(src), []byte("definitely not a result store"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	dst := t.TempDir()
+	_, err := Merge(dst, src)
+	if err == nil || !strings.Contains(err.Error(), "bad magic") {
+		t.Fatalf("merge of a foreign source: err = %v, want a bad-magic error", err)
+	}
+	if _, err := os.Stat(HeadLog(dst)); !os.IsNotExist(err) {
+		t.Fatalf("refused merge wrote a destination log (stat err = %v)", err)
 	}
 }

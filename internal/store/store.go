@@ -20,9 +20,12 @@
 //
 // Read path: Open reads the whole log with one sequential read and walks
 // it in memory to build the index of record offsets; CheckDir and Merge
-// walk their logs with the same frame walker. Get still re-reads each
-// record from disk with one pread and re-verifies its CRC and key, so a
-// record that rots after Open is caught on the read that would serve it.
+// walk their logs with the same frame walker. Reads are concurrent: Get
+// holds only a read lock, so any number of Gets proceed in parallel and
+// exclude only Put, Compact and Close. Each Get still re-reads its record
+// from disk with one pread into a buffer of its own and re-verifies its
+// CRC and key, so a record that rots after Open is caught on the read
+// that would serve it, evicted once and served as a miss.
 //
 // The store never decides anything: it only answers "has this exact
 // simulation already been run, and what did it produce, bit for bit".
@@ -40,6 +43,7 @@ import (
 	"sort"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"syscall"
 
 	"repro/internal/cpu"
@@ -125,19 +129,49 @@ func (s Stats) FillManifest(m *obs.Manifest, elapsedSeconds float64) {
 }
 
 // Store is the on-disk result cache. All methods are safe for concurrent
-// use; the process-level single-writer guarantee comes from the lock
-// file, not from Go-side synchronisation.
+// use: Gets share a read lock and run in parallel, while Put, Compact,
+// Close and the eviction of a record that failed its read-time checks
+// take the write lock. The process-level single-writer guarantee comes
+// from the lock file, not from Go-side synchronisation.
 type Store struct {
-	mu    sync.Mutex
+	mu    sync.RWMutex
 	dir   string
 	f     *os.File
 	lock  *os.File
 	index map[Key]recLoc
-	end   int64  // append offset (start of the next record header)
-	stale int64  // payload bytes of superseded/skipped records
-	rbuf  []byte // Get's read buffer, reused under mu
-	stats Stats
+	end   int64 // append offset (start of the next record header)
+	stale int64 // payload bytes of superseded/skipped records
+	// stats holds the counters that change under the write lock; Gets
+	// under the read lock count into the atomics below, and Stats merges
+	// the two.
+	stats     Stats
+	hits      atomic.Uint64
+	misses    atomic.Uint64
+	bytesRead atomic.Uint64
 }
+
+// bufPool recycles read buffers. Get's record buffers and load's log
+// images live in separate pools, so a Get never holds on to a log-sized
+// buffer.
+type bufPool struct{ p sync.Pool }
+
+var recordBufs, logBufs bufPool
+
+// get returns a buffer resliced to n bytes; its contents are whatever
+// its last user left. Hand it back with put.
+func (bp *bufPool) get(n int) *[]byte {
+	b, _ := bp.p.Get().(*[]byte)
+	if b == nil {
+		b = new([]byte)
+	}
+	if cap(*b) < n {
+		*b = make([]byte, n)
+	}
+	*b = (*b)[:n]
+	return b
+}
+
+func (bp *bufPool) put(b *[]byte) { bp.p.Put(b) }
 
 // Open opens (creating if needed) the store in dir, takes the advisory
 // lock, rebuilds the in-memory index from the log (one sequential read of
@@ -246,7 +280,11 @@ func (s *Store) load() error {
 	if err != nil {
 		return fmt.Errorf("store: sizing log: %w", err)
 	}
-	buf := make([]byte, fi.Size())
+	// The index keeps only offsets, so the image goes back to the pool
+	// once walked.
+	bp := logBufs.get(int(fi.Size()))
+	defer logBufs.put(bp)
+	buf := *bp
 	if _, err := s.f.ReadAt(buf, 0); err != nil {
 		return fmt.Errorf("store: reading log: %w", err)
 	}
@@ -356,54 +394,72 @@ func (s *Store) writeHeader() error {
 // Get returns the stored result for key, or (nil, false) if the store
 // has no valid record for it. Every hit re-reads its record from disk
 // with one pread and re-verifies its CRC and key; a record that rotted
-// after open is dropped and reported as a miss rather than returned. The
-// read lands in a buffer the store reuses; the returned result shares
+// after open is evicted and reported as a miss rather than returned.
+// Gets run concurrently with each other under the read lock, each
+// reading into a pooled buffer of its own; the returned result shares
 // no memory with it.
 func (s *Store) Get(key Key) (*cpu.Result, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	loc, ok := s.index[key]
-	if !ok {
-		s.miss()
-		return nil, false
-	}
-	if cap(s.rbuf) < int(loc.plen) {
-		s.rbuf = make([]byte, loc.plen)
-	}
-	payload := s.rbuf[:loc.plen]
-	if _, err := s.f.ReadAt(payload, loc.off); err != nil {
+	s.mu.RLock()
+	res, loc, ok := s.read(key)
+	s.mu.RUnlock()
+	switch {
+	case res != nil:
+		s.hits.Add(1)
+		s.bytesRead.Add(uint64(loc.plen))
+		obsHits.Inc()
+		obsBytesRead.Add(uint64(loc.plen))
+		return res, true
+	case ok:
 		s.evict(key, loc)
-		return nil, false
+	}
+	s.miss()
+	return nil, false
+}
+
+// read looks key up and reads, verifies and decodes its record; the
+// caller holds the read lock. ok reports whether the index held the key:
+// ok with a nil result means the record at loc failed a check.
+func (s *Store) read(key Key) (res *cpu.Result, loc recLoc, ok bool) {
+	loc, ok = s.index[key]
+	if !ok {
+		return nil, loc, false
+	}
+	bp := recordBufs.get(int(loc.plen))
+	defer recordBufs.put(bp)
+	payload := *bp
+	if _, err := s.f.ReadAt(payload, loc.off); err != nil {
+		return nil, loc, true
 	}
 	if crc32.Checksum(payload, castagnoli) != loc.crc || Key(payload[:keySize]) != key {
-		s.evict(key, loc)
-		return nil, false
+		return nil, loc, true
 	}
 	res, err := decodeResult(payload[keySize:])
 	if err != nil {
-		s.evict(key, loc)
-		return nil, false
+		return nil, loc, true
 	}
-	s.stats.Hits++
-	s.stats.BytesRead += uint64(loc.plen)
-	obsHits.Inc()
-	obsBytesRead.Add(uint64(loc.plen))
-	return res, true
+	return res, loc, true
 }
 
 // miss accounts one failed lookup.
 func (s *Store) miss() {
-	s.stats.Misses++
+	s.misses.Add(1)
 	obsMisses.Inc()
 }
 
-// evict removes a record that failed read-time validation and counts the
-// lookup as a miss.
+// evict removes the record at loc, which failed read-time validation.
+// Concurrent Gets may all find the same rotted record; only the first to
+// take the write lock while the index still maps key to loc drops it, so
+// a record is evicted once. A record that a Put or Compact moved since
+// the read is left alone.
 func (s *Store) evict(key Key, loc recLoc) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.index[key] != loc {
+		return
+	}
 	delete(s.index, key)
 	s.stats.Records = len(s.index)
 	s.dropRecord(int64(loc.plen))
-	s.miss()
 }
 
 // Put appends (key, res) to the log and indexes it. A re-put of an
@@ -530,15 +586,19 @@ func (s *Store) compactLocked() error {
 
 // Stats returns a snapshot of this store's counters.
 func (s *Store) Stats() Stats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.stats
+	s.mu.RLock()
+	st := s.stats
+	s.mu.RUnlock()
+	st.Hits = s.hits.Load()
+	st.Misses = s.misses.Load()
+	st.BytesRead = s.bytesRead.Load()
+	return st
 }
 
 // Len returns the number of live records.
 func (s *Store) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	return len(s.index)
 }
 

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/hex"
 	"errors"
@@ -581,6 +582,121 @@ func TestConcurrentAccess(t *testing.T) {
 		t.Errorf("store has %d records, want 200", s.Len())
 	}
 	if err := s.Compact(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestConcurrentReadContract holds concurrent Gets to the per-read
+// contract: 8 readers each Get every key of a replay-sized log while one
+// writer appends, after one record's payload rotted on disk. Every hit is
+// the stored result bit for bit, the rotted record is evicted exactly once
+// and never served, Stats counts every Get, and the log audits clean
+// after a reopen.
+func TestConcurrentReadContract(t *testing.T) {
+	dir, keys, want := replayLog(t)
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const rotted = 300
+	flip(t, HeadLog(dir), s.index[keys[rotted]].off+keySize+4)
+
+	const readers, appends = 8, 100
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			// Every reader opens on the rotted key, so several find it
+			// before it is evicted; the rest are staggered.
+			order := []int{rotted}
+			for j := range keys {
+				if i := (j + r*len(keys)/readers) % len(keys); i != rotted {
+					order = append(order, i)
+				}
+			}
+			<-start
+			for _, i := range order {
+				got, ok := s.Get(keys[i])
+				switch {
+				case i == rotted && ok:
+					t.Errorf("reader %d: rotted record served", r)
+				case i != rotted && !ok:
+					t.Errorf("reader %d: key %d missed", r, i)
+				case ok && !bytes.Equal(encodeResult(got), encodeResult(want[i])):
+					t.Errorf("reader %d: key %d served a different result", r, i)
+				}
+			}
+		}(r)
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < appends; i++ {
+			if err := s.Put(fakeKey(10000+i), fakeResult(i)); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	close(start)
+	wg.Wait()
+
+	if _, ok := s.Get(keys[rotted]); ok {
+		t.Error("rotted record served after the readers finished")
+	}
+	gets := uint64(readers*len(keys) + 1)
+	st := s.Stats()
+	if st.Hits+st.Misses != gets {
+		t.Errorf("stats count %d hits + %d misses, want %d Gets", st.Hits, st.Misses, gets)
+	}
+	if st.Misses != readers+1 || st.Dropped != 1 {
+		t.Errorf("rotted record: %d misses and %d drops, want %d misses and one eviction", st.Misses, st.Dropped, readers+1)
+	}
+	if st.Records != len(keys)-1+appends || s.Len() != st.Records {
+		t.Errorf("store holds %d records (Len %d), want %d", st.Records, s.Len(), len(keys)-1+appends)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	s, err = Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.Len() != len(keys)-1+appends {
+		t.Errorf("reopened store holds %d records, want %d", s.Len(), len(keys)-1+appends)
+	}
+	if _, ok := s.Get(keys[rotted]); ok {
+		t.Error("reopened store served the rotted record")
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	c, err := CheckDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !c.Ok() {
+		t.Errorf("audit after reopen: %v", c.Faults)
+	}
+}
+
+// flip inverts the byte at off in the file at path.
+func flip(t *testing.T, path string, off int64) {
+	t.Helper()
+	f, err := os.OpenFile(path, os.O_RDWR, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	var b [1]byte
+	if _, err := f.ReadAt(b[:], off); err != nil {
+		t.Fatal(err)
+	}
+	b[0] ^= 0xff
+	if _, err := f.WriteAt(b[:], off); err != nil {
 		t.Fatal(err)
 	}
 }

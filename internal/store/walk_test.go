@@ -7,7 +7,11 @@ import (
 	"reflect"
 	"strconv"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
+
+	"repro/internal/cpu"
 )
 
 // damagedLog is a log of five records whose third supersedes the first
@@ -140,46 +144,72 @@ func TestWalkersAgree(t *testing.T) {
 	}
 }
 
-// BenchmarkStoreReplay times one warm replay of a log shaped like a
-// 26-program, two-phase build's: 720 measurement records and 52 profile
-// records, each iteration opening the store, reading every record and
-// closing it.
-func BenchmarkStoreReplay(b *testing.B) {
-	dir := b.TempDir()
+// replayLog writes a store log shaped like a 26-program, two-phase
+// build's: 720 measurement records and 52 profile records. It returns the
+// directory, every key in write order and the result stored under each.
+func replayLog(tb testing.TB) (string, []Key, []*cpu.Result) {
+	dir := tb.TempDir()
 	s, err := Open(dir)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	var keys []Key
-	for i := 0; i < 720; i++ {
-		keys = append(keys, fakeKey(i))
-		if err := s.Put(fakeKey(i), fakeResult(i)); err != nil {
-			b.Fatal(err)
+	var want []*cpu.Result
+	add := func(k Key, r *cpu.Result) {
+		if err := s.Put(k, r); err != nil {
+			tb.Fatal(err)
 		}
+		keys, want = append(keys, k), append(want, r)
+	}
+	for i := 0; i < 720; i++ {
+		add(fakeKey(i), fakeResult(i))
 	}
 	for i := 0; i < 52; i++ {
-		keys = append(keys, fakeProfileKey(i))
-		if err := s.Put(fakeProfileKey(i), fakeProfile(i)); err != nil {
-			b.Fatal(err)
-		}
+		add(fakeProfileKey(i), fakeProfile(i))
 	}
 	if err := s.Close(); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s, err := Open(dir)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, k := range keys {
-			if _, ok := s.Get(k); !ok {
+	return dir, keys, want
+}
+
+// BenchmarkStoreReplay times one warm replay of replayLog's log, each
+// iteration opening the store, reading every record and closing it.
+// serial reads from one goroutine; parallel splits the keys between two
+// goroutines that take the next key from a shared counter, the way the
+// build pool's two executors take jobs.
+func BenchmarkStoreReplay(b *testing.B) {
+	dir, keys, _ := replayLog(b)
+	replay := func(b *testing.B, readers int) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			s, err := Open(dir)
+			if err != nil {
+				b.Fatal(err)
+			}
+			var next atomic.Int64
+			var missed atomic.Bool
+			var wg sync.WaitGroup
+			for r := 0; r < readers; r++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for j := next.Add(1) - 1; j < int64(len(keys)); j = next.Add(1) - 1 {
+						if _, ok := s.Get(keys[j]); !ok {
+							missed.Store(true)
+						}
+					}
+				}()
+			}
+			wg.Wait()
+			if missed.Load() {
 				b.Fatal("replay missed a stored record")
 			}
-		}
-		if err := s.Close(); err != nil {
-			b.Fatal(err)
+			if err := s.Close(); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
+	b.Run("serial", func(b *testing.B) { replay(b, 1) })
+	b.Run("parallel", func(b *testing.B) { replay(b, 2) })
 }

@@ -11,10 +11,8 @@
 // against the persistent result store there (internal/store), making the
 // ~40-minute table/figure regeneration resumable: an interrupted run
 // keeps every simulation it paid for, and a repeat run replays from disk.
-// REPRO_SURROGATE=1 prunes the design-space search with the learned
-// surrogate (README "Surrogate search"). REPRO_MANIFEST=<path> writes a
-// run manifest after the pipeline build and its two leave-one-out
-// evaluations (auto-named manifest-bench.json
+// REPRO_MANIFEST=<path> writes a run manifest after the pipeline build
+// and its two leave-one-out evaluations (auto-named manifest-bench.json
 // under REPRO_CACHE_DIR when that is set); see README "Run manifests".
 package repro
 
@@ -40,7 +38,6 @@ import (
 	"repro/internal/power"
 	"repro/internal/serve"
 	"repro/internal/store"
-	"repro/internal/surrogate"
 	"repro/internal/trace"
 )
 
@@ -127,21 +124,9 @@ func pipeline(b *testing.B) (*experiment.Dataset, *experiment.Evaluation, *exper
 			}
 			fmt.Printf("# result store: %s (%d records)\n", dir, pipeStore.Len())
 		}
-		// REPRO_SURROGATE prunes the design-space search with the learned
-		// proxy (README "Surrogate search"); results stay real simulator
-		// output, only the candidate selection changes.
-		opts := []experiment.Option{experiment.WithStore(pipeStore)}
-		if v := os.Getenv("REPRO_SURROGATE"); v != "" && v != "0" && v != "off" {
-			fmt.Printf("# surrogate search: pruning candidates with the learned proxy\n")
-			opts = append(opts, experiment.WithSurrogate(surrogate.DefaultConfig()))
-		}
-		pipeDS, pipeErr = experiment.Build(context.Background(), sc, opts...)
+		pipeDS, pipeErr = experiment.Build(context.Background(), sc, experiment.WithStore(pipeStore))
 		if pipeErr != nil {
 			return
-		}
-		if sum := pipeDS.SurrogateSummary(); sum != nil {
-			fmt.Printf("# surrogate: exact=%d pruned=%d audited=%d rankCorr=%.3f regret=%.3f\n",
-				sum.Exact, sum.Pruned, sum.Audited, sum.RankCorr, sum.Regret)
 		}
 		if pipeStore != nil {
 			st := pipeStore.Stats()

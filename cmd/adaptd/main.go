@@ -44,23 +44,11 @@
 //	       [-admission] [-slo-p99 0] [-admission-rate class=RATE[:BURST]]...
 //	       [-shadow candidate.model] [-shadow-queue 1024]
 //	       [-debug] [-log-json] [-log-level info] [-manifest out.json]
-//	       [-loadgen] [-loadgen-requests N] [-loadgen-conc N]
-//	       [-loadgen-pool N] [-loadgen-batch N] [-loadgen-seed N]
-//	       [-loadgen-mode closed|open] [-rps N]
-//	       [-loadgen-arrivals poisson|pareto] [-loadgen-zipf S]
-//	       [-loadgen-mix interactive=0.7,batch=0.2,background=0.1]
 //
 // With -cache-dir, first-boot training runs against the persistent
 // simulation-result store (internal/store): a boot interrupted by SIGINT
 // mid-dataset resumes from the store on the next boot instead of
 // restarting the ~40-minute build from scratch.
-//
-// With -loadgen the daemon boots normally, points a deterministic seeded
-// load generator at itself, prints the throughput/latency report and the
-// server metrics, and exits — a reproducible serving benchmark. The
-// default closed loop measures capacity; -loadgen-mode open offers load
-// at a fixed -rps with Poisson or heavy-tailed Pareto arrivals, which is
-// how to observe shedding and overload behaviour.
 //
 // With -shadow, a second model file is loaded as a shadow: it receives
 // duplicated traffic strictly off the request path and its agreement with
@@ -70,13 +58,11 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
 	"log/slog"
 	"math"
-	"net"
 	"net/http"
 	"os"
 	"os/signal"
@@ -109,17 +95,6 @@ func main() {
 		debug      = flag.Bool("debug", false, "mount /debug/pprof/, /debug/vars and /debug/trace")
 		logJSON    = flag.Bool("log-json", false, "emit logs as JSON instead of text")
 		logLevel   = flag.String("log-level", "info", "log level: debug, info, warn or error")
-		loadgen    = flag.Bool("loadgen", false, "boot, benchmark the server with seeded load, print a report, exit")
-		lgRequests = flag.Int("loadgen-requests", 2000, "loadgen: total requests")
-		lgConc     = flag.Int("loadgen-conc", 8, "loadgen: concurrent workers (closed mode)")
-		lgPool     = flag.Int("loadgen-pool", 64, "loadgen: distinct feature vectors (repeats exercise the cache)")
-		lgBatch    = flag.Int("loadgen-batch", 1, "loadgen: feature vectors per request (>= 2 uses the batch payload)")
-		lgSeed     = flag.Uint64("loadgen-seed", 1, "loadgen schedule seed")
-		lgMode     = flag.String("loadgen-mode", "closed", "loadgen replay discipline: closed (workers) or open (fixed arrival rate)")
-		rps        = flag.Float64("rps", 0, "loadgen: open-loop target arrivals per second (required with -loadgen-mode open)")
-		lgArrivals = flag.String("loadgen-arrivals", "poisson", "loadgen open-loop inter-arrival law: poisson or pareto (heavy-tailed)")
-		lgZipf     = flag.Float64("loadgen-zipf", 0, "loadgen: Zipf popularity exponent over the pool (0 = uniform)")
-		lgMix      = flag.String("loadgen-mix", "", "loadgen: class mix as class=share pairs, e.g. interactive=0.7,batch=0.2,background=0.1 (empty = that default)")
 		admitOn    = flag.Bool("admission", false, "enable per-class admission control with the default shed-lowest-first ladder")
 		sloP99     = flag.Duration("slo-p99", 0, "admission: windowed /v1/predict p99 target defended by SLO shedding (0 disables; implies -admission)")
 		shadowPath = flag.String("shadow", "", "load this model file as a shadow: evaluated on duplicated traffic off the request path")
@@ -192,14 +167,7 @@ func main() {
 	}
 	admission := *admitOn || *sloP99 > 0 || len(admitRates) > 0
 	if admission {
-		cfg := serve.DefaultAdmissionConfig()
-		cfg.TargetP99 = *sloP99
-		for class, pol := range admitRates {
-			base := cfg.Classes[class]
-			base.Rate, base.Burst = pol.Rate, pol.Burst
-			cfg.Classes[class] = base
-		}
-		opts = append(opts, serve.WithAdmission(cfg))
+		opts = append(opts, serve.WithAdmission(admissionConfig(*sloP99, admitRates)))
 	}
 	if *shadowPath != "" {
 		shadowEng, err := loadShadow(*shadowPath, set, *quantized)
@@ -222,9 +190,8 @@ func main() {
 	// the model fingerprint and, on a first boot that trained the model,
 	// its per-parameter convergence; boot time (which covers first-boot
 	// training when the model file was absent) is timing.
-	var man *obs.Manifest
 	if manifestPath != "" {
-		man = obs.NewManifest("adaptd")
+		man := obs.NewManifest("adaptd")
 		man.SetDet("counterSet", set.String())
 		man.SetDet("quantized", *quantized)
 		man.SetDet("trainScale", *trainScale)
@@ -238,42 +205,12 @@ func main() {
 			experiment.FillTrainManifest(man, pred)
 		}
 		man.SetTiming("bootSeconds", time.Since(bootStart).Seconds())
-	}
-	writeManifest := func() {
-		if man == nil {
-			return
-		}
 		if err := man.WriteFile(manifestPath); err != nil {
 			logger.Error("writing manifest", "err", err)
-			return
+		} else {
+			logger.Info("manifest written", "path", manifestPath)
 		}
-		logger.Info("manifest written", "path", manifestPath)
 	}
-
-	if *loadgen {
-		mix, err := parseMix(*lgMix)
-		if err != nil {
-			die(err)
-		}
-		lg := serve.LoadGen{
-			Requests:    *lgRequests,
-			Concurrency: *lgConc,
-			Seed:        *lgSeed,
-			Pool:        serve.SyntheticFeatures(eng.Dim(), *lgPool, *lgSeed),
-			Batch:       *lgBatch,
-			Mode:        *lgMode,
-			RPS:         *rps,
-			Arrivals:    *lgArrivals,
-			ZipfS:       *lgZipf,
-			Mix:         mix,
-		}
-		// Loadgen binds its own loopback port: it benchmarks the serving
-		// stack in-process rather than exposing -addr.
-		runLoadgen(logger, srv, man, lg, *lgPool)
-		writeManifest()
-		return
-	}
-	writeManifest()
 
 	httpSrv := &http.Server{
 		Addr:              *addr,
@@ -369,111 +306,17 @@ func bootPredictor(ctx context.Context, logger *slog.Logger, path string, set co
 	return pred, true, nil
 }
 
-// runLoadgen serves on a local listener and fires the seeded load
-// generator at it, printing the report (per-class rows included), the
-// /v1/status windowed latency quantiles, the shadow agreement line when
-// a shadow is mounted, and the server's own metrics. When man is
-// non-nil, the schedule joins its deterministic section and every
-// measured outcome (counts included — 429s and sheds are
-// timing-dependent) joins timing.
-func runLoadgen(logger *slog.Logger, srv *serve.Server, man *obs.Manifest, lg serve.LoadGen, pool int) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		logger.Error("fatal", "err", err)
-		os.Exit(1)
+// admissionConfig is the default shed-lowest-first ladder with the
+// -slo-p99 target and the -admission-rate token buckets applied.
+func admissionConfig(sloP99 time.Duration, rates map[serve.Class]serve.ClassPolicy) serve.AdmissionConfig {
+	cfg := serve.DefaultAdmissionConfig()
+	cfg.TargetP99 = sloP99
+	for class, pol := range rates {
+		base := cfg.Classes[class]
+		base.Rate, base.Burst = pol.Rate, pol.Burst
+		cfg.Classes[class] = base
 	}
-	httpSrv := &http.Server{Handler: srv.Handler()}
-	go func() { _ = httpSrv.Serve(ln) }()
-	defer httpSrv.Close()
-
-	logger.Info("loadgen", "mode", lg.Mode, "requests", lg.Requests, "workers", lg.Concurrency,
-		"rps", lg.RPS, "arrivals", lg.Arrivals, "zipf", lg.ZipfS,
-		"pool", pool, "batch", lg.Batch, "seed", lg.Seed)
-	rep, err := lg.Run("http://"+ln.Addr().String(), nil)
-	if err != nil {
-		logger.Error("fatal", "err", err)
-		os.Exit(1)
-	}
-	fmt.Println(rep)
-	fmt.Printf("server cache hit rate: %.1f%%\n\n", 100*srv.HitRate())
-
-	// Let the shadow worker drain its queue before reading agreement —
-	// duplicated traffic is asynchronous by contract, so the final few
-	// comparisons may land after the last response.
-	if !srv.ShadowDrain(30 * time.Second) {
-		logger.Warn("shadow queue did not drain within 30s; agreement stats may be partial")
-	}
-
-	status := fetchStatus(logger, "http://"+ln.Addr().String())
-	if status != nil {
-		fmt.Println("latency SLOs from /v1/status (windowed):")
-		for _, rl := range status.Latency {
-			if rl.TotalCount == 0 {
-				continue
-			}
-			fmt.Printf("  slo %-16s p50=%.6fs p99=%.6fs p999=%.6fs requests=%d\n",
-				rl.Path, rl.P50Seconds, rl.P99Seconds, rl.P999Seconds, rl.TotalCount)
-		}
-		for _, cs := range status.Admission.Classes {
-			if cs.Requests == 0 && cs.TotalCount == 0 {
-				continue
-			}
-			fmt.Printf("  class %-12s requests=%d shed=%d p50=%.6fs p99=%.6fs\n",
-				cs.Class, cs.Requests, cs.Shed, cs.P50Seconds, cs.P99Seconds)
-		}
-		if sh := status.Shadow; sh != nil {
-			fmt.Printf("  shadow %-12s compared=%d dropped=%d paramAgreement=%.3f decisionMatch=%.3f\n",
-				sh.Source, sh.Compared, sh.Dropped, sh.ParamAgreement, sh.DecisionMatchRate)
-		}
-		fmt.Println()
-	}
-	fmt.Println(srv.MetricsText())
-
-	if man != nil {
-		man.SetDet("loadgen.mode", lg.Mode)
-		man.SetDet("loadgen.requests", lg.Requests)
-		man.SetDet("loadgen.concurrency", lg.Concurrency)
-		man.SetDet("loadgen.rps", lg.RPS)
-		man.SetDet("loadgen.arrivals", lg.Arrivals)
-		man.SetDet("loadgen.zipf", lg.ZipfS)
-		man.SetDet("loadgen.pool", pool)
-		man.SetDet("loadgen.batch", lg.Batch)
-		man.SetDet("loadgen.seed", lg.Seed)
-		man.SetTiming("loadgen.elapsedSeconds", rep.Elapsed.Seconds())
-		man.SetTiming("loadgen.requestsPerSec", rep.RequestsPerSec)
-		man.SetTiming("loadgen.p50Seconds", rep.P50.Seconds())
-		man.SetTiming("loadgen.p95Seconds", rep.P95.Seconds())
-		man.SetTiming("loadgen.maxSeconds", rep.Max.Seconds())
-		man.SetTiming("loadgen.ok", float64(rep.OK))
-		man.SetTiming("loadgen.rejected", float64(rep.Rejected))
-		man.SetTiming("loadgen.shed", float64(rep.Shed))
-		man.SetTiming("loadgen.errors", float64(rep.ClientErr+rep.ServerErr+rep.Transport))
-		man.SetTiming("loadgen.cacheHits", float64(rep.CacheHits))
-		if status != nil {
-			for _, rl := range status.Latency {
-				if rl.TotalCount == 0 {
-					continue
-				}
-				man.SetTiming("slo."+rl.Path+".p50Seconds", rl.P50Seconds)
-				man.SetTiming("slo."+rl.Path+".p99Seconds", rl.P99Seconds)
-				man.SetTiming("slo."+rl.Path+".p999Seconds", rl.P999Seconds)
-			}
-			for _, cs := range status.Admission.Classes {
-				if cs.TotalCount == 0 {
-					continue
-				}
-				man.SetTiming("slo.class."+cs.Class+".p50Seconds", cs.P50Seconds)
-				man.SetTiming("slo.class."+cs.Class+".p99Seconds", cs.P99Seconds)
-				man.SetTiming("slo.class."+cs.Class+".shed", float64(cs.Shed))
-			}
-			if sh := status.Shadow; sh != nil {
-				man.SetTiming("shadow.compared", float64(sh.Compared))
-				man.SetTiming("shadow.dropped", float64(sh.Dropped))
-				man.SetTiming("shadow.paramAgreement", sh.ParamAgreement)
-				man.SetTiming("shadow.decisionMatchRate", sh.DecisionMatchRate)
-			}
-		}
-	}
+	return cfg
 }
 
 // parseRate parses an -admission-rate value of the form
@@ -512,31 +355,6 @@ func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 // positiveFinite reports whether x is a usable rate or burst.
 func positiveFinite(x float64) bool { return x > 0 && finite(x) }
 
-// parseMix parses a -loadgen-mix value: comma-separated class=share
-// pairs. Empty input returns the default 70/20/10 mix.
-func parseMix(s string) (serve.ClassMix, error) {
-	if s == "" {
-		return serve.DefaultClassMix(), nil
-	}
-	var mix serve.ClassMix
-	for _, pair := range strings.Split(s, ",") {
-		name, shareStr, ok := strings.Cut(strings.TrimSpace(pair), "=")
-		if !ok {
-			return mix, fmt.Errorf("loadgen-mix %q: want class=share pairs", s)
-		}
-		class, okc := serve.ParseClass(name)
-		if !okc || name == "" {
-			return mix, fmt.Errorf("loadgen-mix %q: unknown class %q", s, name)
-		}
-		share, err := strconv.ParseFloat(shareStr, 64)
-		if err != nil || share < 0 || !finite(share) {
-			return mix, fmt.Errorf("loadgen-mix %q: bad share %q", s, shareStr)
-		}
-		mix[class] = share
-	}
-	return mix, nil
-}
-
 // loadShadow loads a candidate model file as a shadow engine, holding it
 // to the same counter-set and quantization discipline as the active
 // model so promotion is always a like-for-like swap.
@@ -554,21 +372,4 @@ func loadShadow(path string, set counters.Set, quantized bool) (*serve.Engine, e
 		return nil, fmt.Errorf("shadow %s was trained on the %q counter set but -counter-set is %q", path, pred.Set, set)
 	}
 	return serve.NewEngine(pred, quantized)
-}
-
-// fetchStatus reads /v1/status; a failure logs and returns nil rather
-// than aborting a finished benchmark run.
-func fetchStatus(logger *slog.Logger, baseURL string) *serve.StatusResponse {
-	resp, err := http.Get(baseURL + "/v1/status")
-	if err != nil {
-		logger.Error("fetching /v1/status", "err", err)
-		return nil
-	}
-	defer resp.Body.Close()
-	var sr serve.StatusResponse
-	if err := json.NewDecoder(resp.Body).Decode(&sr); err != nil {
-		logger.Error("decoding /v1/status", "err", err)
-		return nil
-	}
-	return &sr
 }

@@ -38,26 +38,6 @@ var (
 		"background=20:NaN",
 		"background=20:Inf",
 	}
-	mixValid = []struct {
-		in   string
-		want serve.ClassMix
-	}{
-		{"", serve.DefaultClassMix()},
-		{"interactive=1", serve.ClassMix{serve.ClassInteractive: 1}},
-		{"interactive=0.7, batch=0.2,background=0.1", serve.DefaultClassMix()},
-		{"batch=0,background=3", serve.ClassMix{serve.ClassBackground: 3}},
-	}
-	mixInvalid = []string{
-		"interactive",
-		"=1",
-		"bulk=1",
-		"interactive=x",
-		"interactive=-0.1",
-		"interactive=NaN",
-		"batch=0.2,background=NaN",
-		"interactive=Inf",
-		"interactive=-Inf",
-	}
 )
 
 func TestParseRate(t *testing.T) {
@@ -74,24 +54,6 @@ func TestParseRate(t *testing.T) {
 	for _, in := range rateInvalid {
 		if class, pol, err := parseRate(in); err == nil {
 			t.Errorf("parseRate(%q) accepted: %v %+v", in, class, pol)
-		}
-	}
-}
-
-func TestParseMix(t *testing.T) {
-	for _, tc := range mixValid {
-		got, err := parseMix(tc.in)
-		if err != nil {
-			t.Errorf("parseMix(%q): %v", tc.in, err)
-			continue
-		}
-		if got != tc.want {
-			t.Errorf("parseMix(%q) = %v, want %v", tc.in, got, tc.want)
-		}
-	}
-	for _, in := range mixInvalid {
-		if mix, err := parseMix(in); err == nil {
-			t.Errorf("parseMix(%q) accepted: %v", in, mix)
 		}
 	}
 }
@@ -116,28 +78,6 @@ func FuzzParseRate(f *testing.F) {
 		}
 		if !positiveFinite(pol.Rate) || !finite(pol.Burst) || pol.Burst < 0 {
 			t.Fatalf("parseRate(%q) accepted %+v", in, pol)
-		}
-	})
-}
-
-// FuzzParseMix holds -loadgen-mix parsing to its contract on any input:
-// no panic, and every accepted share is finite and non-negative.
-func FuzzParseMix(f *testing.F) {
-	for _, tc := range mixValid {
-		f.Add(tc.in)
-	}
-	for _, in := range mixInvalid {
-		f.Add(in)
-	}
-	f.Fuzz(func(t *testing.T, in string) {
-		mix, err := parseMix(in)
-		if err != nil {
-			return
-		}
-		for class, share := range mix {
-			if !finite(share) || share < 0 {
-				t.Fatalf("parseMix(%q) accepted share %v for class %d", in, share, class)
-			}
 		}
 	})
 }

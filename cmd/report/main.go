@@ -6,7 +6,6 @@
 //
 //	report [-scale test|default] [-programs mcf,swim,...] [-phases N]
 //	       [-interval N] [-uniform N] [-skip-slow] [-cache-dir DIR]
-//	       [-surrogate] [-surrogate-audit FRAC]
 //	       [-trace out.json] [-manifest out.json] [-span-summary]
 //	       [-log-json] [-log-level info]
 //	       [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
@@ -42,7 +41,6 @@ import (
 	"repro/internal/power"
 	"repro/internal/render"
 	"repro/internal/store"
-	"repro/internal/surrogate"
 )
 
 func main() {
@@ -53,8 +51,6 @@ func main() {
 		interval  = flag.Int("interval", 0, "instructions per phase interval (default: preset)")
 		uniform   = flag.Int("uniform", 0, "shared uniform samples (default: preset)")
 		skipSlow  = flag.Bool("skip-slow", false, "skip Figure 1 and Table IV (the slowest experiments)")
-		useSur    = flag.Bool("surrogate", false, "prune the design-space search with the learned surrogate (see README \"Surrogate search\")")
-		surAudit  = flag.Float64("surrogate-audit", 0, "override the surrogate audit fraction (0 keeps the default)")
 		cacheDir  = flag.String("cache-dir", "", "persistent result-store directory (reused across runs; empty disables)")
 		tracePath = flag.String("trace", "", "write a Chrome trace_event JSON of the run to this file")
 		manifest  = flag.String("manifest", "", "write a run manifest (deterministic + timing sections) to this file; defaults to manifest-report.json under -cache-dir")
@@ -155,15 +151,6 @@ func main() {
 		sc.UniformSamples = *uniform
 	}
 
-	var opts []experiment.Option
-	if *useSur {
-		scfg := surrogate.DefaultConfig()
-		if *surAudit > 0 {
-			scfg.AuditFrac = *surAudit
-		}
-		opts = append(opts, experiment.WithSurrogate(scfg))
-	}
-
 	// Live progress/ETA for the long stages, annotated with the memo and
 	// store hit rates so a stalled-looking run is distinguishable from a
 	// cache-warm one. st stays nil without -cache-dir, and then only memo
@@ -194,28 +181,17 @@ func main() {
 		logger.Info("result store open", "dir", *cacheDir, "records", st.Len())
 	}
 
-	opts = append(opts, experiment.WithStore(st))
-
 	start := time.Now()
 	logger.Info("building dataset",
 		"programs", len(sc.Programs), "phasesPerProgram", sc.PhasesPerProgram,
-		"intervalInsts", sc.IntervalInsts, "sharedConfigs", sc.UniformSamples,
-		"surrogate", *useSur)
-	ds, err := experiment.Build(context.Background(), sc, opts...)
+		"intervalInsts", sc.IntervalInsts, "sharedConfigs", sc.UniformSamples)
+	ds, err := experiment.Build(context.Background(), sc, experiment.WithStore(st))
 	if err != nil {
 		die(err)
 	}
 	logger.Info("dataset built", "simulations", ds.SimCount(),
 		"searchSims", experiment.SearchSimCount(),
 		"elapsed", time.Since(start).Round(time.Second).String())
-	if sum := ds.SurrogateSummary(); sum != nil {
-		logger.Info("surrogate summary",
-			"exact", sum.Exact, "pruned", sum.Pruned, "audited", sum.Audited,
-			"observations", sum.Observations, "fits", sum.Fits,
-			"rankCorr", fmt.Sprintf("%.3f", sum.RankCorr),
-			"regret", fmt.Sprintf("%.3f", sum.Regret),
-			"calibMAE", fmt.Sprintf("%.3f", sum.CalibMAE))
-	}
 
 	fmt.Println(ds.TableIII().Render())
 
@@ -351,8 +327,6 @@ func main() {
 		m := obs.NewManifest("report")
 		m.SetDet("flags.scale", *scaleName)
 		m.SetDet("flags.skipSlow", *skipSlow)
-		m.SetDet("flags.surrogate", *useSur)
-		m.SetDet("flags.surrogateAudit", *surAudit)
 		experiment.FillBuildManifest(m, ds)
 		experiment.FillEvalManifest(m, adv)
 		experiment.FillEvalManifest(m, basic)

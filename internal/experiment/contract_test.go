@@ -17,7 +17,6 @@ import (
 	"repro/internal/experiment"
 	"repro/internal/obs"
 	"repro/internal/store"
-	"repro/internal/surrogate"
 )
 
 // storeState is a contract cell's store axis.
@@ -33,9 +32,8 @@ func (s storeState) String() string { return [...]string{"none", "cold", "warm"}
 
 // contractCell is one combination of build options in TestBuildContracts.
 type contractCell struct {
-	workers   int // 0: Build's default, runtime.GOMAXPROCS(0)
-	surrogate bool
-	store     storeState
+	workers int // 0: Build's default, runtime.GOMAXPROCS(0)
+	store   storeState
 }
 
 func (c contractCell) String() string {
@@ -43,20 +41,18 @@ func (c contractCell) String() string {
 	if c.workers > 0 {
 		workers = fmt.Sprint(c.workers)
 	}
-	return fmt.Sprintf("workers=%s/surrogate=%t/store=%s", workers, c.surrogate, c.store)
+	return fmt.Sprintf("workers=%s/store=%s", workers, c.store)
 }
 
-// contractCells enumerates the matrix: workers {1, 3, default} ×
-// surrogate {off, on} × store {none, cold, warm}. The default is what
-// adaptd, report and perfbench build with. A cold cell precedes its warm
-// cell, and every workers=1 cell precedes its twins.
+// contractCells enumerates the matrix: workers {1, 3, default} × store
+// {none, cold, warm}. The default is what adaptd, report and perfbench
+// build with. A cold cell precedes its warm cell, and every workers=1
+// cell precedes its twins.
 func contractCells() []contractCell {
 	var cells []contractCell
 	for _, w := range []int{1, 3, 0} {
-		for _, sur := range []bool{false, true} {
-			for _, st := range []storeState{noStore, coldStore, warmStore} {
-				cells = append(cells, contractCell{w, sur, st})
-			}
+		for _, st := range []storeState{noStore, coldStore, warmStore} {
+			cells = append(cells, contractCell{w, st})
 		}
 	}
 	return cells
@@ -98,9 +94,8 @@ func renderPipeline(t *testing.T, ds *experiment.Dataset) string {
 }
 
 // contractScale is TestScale with three programs and one stage-3 sweep:
-// all three search stages batched across workers and pruned by the
-// surrogate, and small enough that the LOOCV behind each rendered cell
-// stays cheap.
+// all three search stages batched across workers, and small enough that
+// the LOOCV behind each rendered cell stays cheap.
 func contractScale() experiment.Scale {
 	sc := experiment.TestScale()
 	sc.Programs = sc.Programs[:3]
@@ -109,15 +104,14 @@ func contractScale() experiment.Scale {
 }
 
 // TestBuildContracts checks the repository's dataset identity contracts
-// with one test body over every combination of worker count, surrogate
-// and store state. Each cell must reproduce the sequential, storeless
-// build with the same surrogate setting: the same Dataset.Digest,
-// manifest deterministic section, good sets, profiling results and
-// features, and the same fresh search simulations — paid by the build (no
-// store, cold) or not at all (warm replays, which never miss the store
-// and simulate nothing, profiling runs and rendered predictions
-// included). Each phase's trace is generated exactly once, and not at all
-// by a warm replay without the surrogate. Store logs are byte-identical
+// with one test body over every combination of worker count and store
+// state. Each cell must reproduce the sequential, storeless build: the
+// same Dataset.Digest, manifest deterministic section, good sets,
+// profiling results and features, and the same fresh search simulations
+// — paid by the build (no store, cold) or not at all (warm replays, which
+// never miss the store and simulate nothing, profiling runs and rendered
+// predictions included). Each phase's trace is generated exactly once,
+// and not at all by a warm replay. Store logs are byte-identical
 // across worker counts, every store's hit and miss counts match the
 // workers=1 cell's, every store directory passes store.CheckDir with one
 // live record per indexed record, and the rendered tables are
@@ -143,28 +137,14 @@ func TestBuildContracts(t *testing.T) {
 		if c.workers > 0 {
 			opts = append(opts, experiment.WithWorkers(c.workers))
 		}
-		if c.surrogate {
-			opts = append(opts, experiment.WithSurrogate(surrogate.Config{}))
-		}
 		return opts
 	}
 
-	type reference struct {
-		contractBuild
-		sims uint64
+	refDS, refSims := build(t, nil, optsFor(contractCell{workers: 1}))
+	if refSims == 0 {
+		t.Fatal("reference paid no search sims; the matrix cannot discriminate")
 	}
-	refs := map[bool]reference{}
-	for _, sur := range []bool{false, true} {
-		ds, sims := build(t, nil, optsFor(contractCell{workers: 1, surrogate: sur}))
-		if sims == 0 {
-			t.Fatalf("surrogate=%t reference paid no search sims; the matrix cannot discriminate", sur)
-		}
-		refs[sur] = reference{newContractBuild(t, ds, true), sims}
-	}
-	if refs[true].sims >= refs[false].sims {
-		t.Fatalf("surrogate reference paid %d search sims, plain %d: the surrogate axis prunes nothing",
-			refs[true].sims, refs[false].sims)
-	}
+	ref := newContractBuild(t, refDS, true)
 
 	// Store directories live under the parent test, so a warm cell replays
 	// what its cold cell wrote; twins holds each workers=1 cell's store log
@@ -175,15 +155,14 @@ func TestBuildContracts(t *testing.T) {
 	}
 	root := t.TempDir()
 	twins := map[contractCell]storeTrail{}
-	traced := contractCell{workers: 3, surrogate: true, store: coldStore}
+	traced := contractCell{workers: 3, store: coldStore}
 
 	cells := contractCells()
-	if len(cells) != 18 {
-		t.Fatalf("matrix has %d cells, want 18", len(cells))
+	if len(cells) != 9 {
+		t.Fatalf("matrix has %d cells, want 9", len(cells))
 	}
 	for _, c := range cells {
 		t.Run(c.String(), func(t *testing.T) {
-			ref := refs[c.surrogate]
 			opts := optsFor(c)
 			if c == traced {
 				tr := obs.DefaultTracer()
@@ -195,7 +174,7 @@ func TestBuildContracts(t *testing.T) {
 					tr.Reset()
 				}()
 			}
-			dir := filepath.Join(root, fmt.Sprintf("w%d-sur%t", c.workers, c.surrogate))
+			dir := filepath.Join(root, fmt.Sprintf("w%d", c.workers))
 
 			var trail storeTrail
 			var st *store.Store
@@ -211,10 +190,9 @@ func TestBuildContracts(t *testing.T) {
 			if simulated := cpu.SimulatedInstructions() - insts; c.store == warmStore && simulated != 0 {
 				t.Errorf("warm build and render simulated %d instructions, want none", simulated)
 			}
-			// A trace is generated once, on its phase's first store miss;
-			// the surrogate featurises every phase from its trace.
+			// A trace is generated once, on its phase's first store miss.
 			wantTraces := uint64(len(ds.Phases))
-			if c.store == warmStore && !c.surrogate {
+			if c.store == warmStore {
 				wantTraces = 0
 			}
 			if generated := experiment.TraceCount() - traces; generated != wantTraces {
@@ -254,7 +232,7 @@ func TestBuildContracts(t *testing.T) {
 			if !reflect.DeepEqual(got.ds.ProfileRes, ref.ds.ProfileRes) {
 				t.Error("profiling results differ from the reference")
 			}
-			wantPaid := ref.sims
+			wantPaid := refSims
 			if c.store == warmStore {
 				wantPaid = 0
 			}

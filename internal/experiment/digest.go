@@ -15,7 +15,7 @@ import (
 // content: the phase list, every phase's sample space with the simulated
 // results attached to it, the per-phase bests, the shared candidate pool
 // and the best-static pick. Replays of the same configuration — cold or
-// warm store, any WithWorkers count, surrogate flag held fixed — must
+// warm store, any WithWorkers count — must
 // reproduce it bit for bit; run manifests record it in their
 // deterministic section, where cmd/obsdiff compares it exactly.
 //

@@ -27,7 +27,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/stats"
 	"repro/internal/store"
-	"repro/internal/surrogate"
 	"repro/internal/trace"
 )
 
@@ -88,32 +87,6 @@ func DefaultScale() Scale {
 		SampledSets:      32,
 		Seed:             2010,
 	}
-}
-
-// SearchBudget is the per-phase exact-simulation budget a Scale implies
-// for the three-stage search: how many candidate evaluations stage 1
-// (shared uniform sample), stage 2 (local neighbours) and stage 3
-// (one-at-a-time sweeps) request per phase. The surrogate's shortlist and
-// audit slices (surrogate.Config.ShortlistSize / AuditSize) carve their
-// budgets out of these counts.
-type SearchBudget struct {
-	Uniform int
-	Local   int
-	Sweep   int
-}
-
-// PerPhase is the total candidate evaluations per phase.
-func (b SearchBudget) PerPhase() int { return b.Uniform + b.Local + b.Sweep }
-
-// Budget returns the scale's per-phase search budget (after defaulting,
-// exactly as Build would see it).
-func (sc Scale) Budget() SearchBudget {
-	sc = sc.withDefaults()
-	b := SearchBudget{Uniform: sc.UniformSamples, Local: sc.LocalSamples}
-	for _, p := range sc.SweepParams {
-		b.Sweep += arch.DomainSize(p)
-	}
-	return b
 }
 
 func (sc Scale) withDefaults() Scale {
@@ -202,14 +175,9 @@ type Dataset struct {
 	// closed when Build returns; a closed pool runs everything inline.
 	pool *simPool
 
-	// sur, when non-nil, is the surrogate-guided pruning state (see
-	// WithSurrogate). nil keeps every code path byte-identical to the
-	// plain build.
-	sur *surrogateState
-
 	// inSearch marks the three-stage search window of Build; exact
 	// in-sample simulations inside it are the search budget the
-	// repro_sims_exact counter (and the surrogate's >=2x claim) measures.
+	// repro_sims_exact counter measures.
 	inSearch bool
 
 	// BestStatic is the shared configuration with the highest aggregate
@@ -222,9 +190,8 @@ type Dataset struct {
 type Option func(*buildOptions)
 
 type buildOptions struct {
-	store     *store.Store
-	workers   int
-	surrogate *surrogate.Config
+	store   *store.Store
+	workers int
 }
 
 // WithStore attaches a persistent result store to the build (nil is
@@ -261,7 +228,7 @@ func WithWorkers(n int) Option {
 // inner loop); a cancelled build returns ctx.Err() wrapped with the stage
 // it was in, after its pool's helpers have finished the simulations they
 // were running. Behaviour beyond that is opted into per call — see
-// WithStore, WithWorkers and WithSurrogate.
+// WithStore and WithWorkers.
 func Build(ctx context.Context, sc Scale, opts ...Option) (*Dataset, error) {
 	var bo buildOptions
 	for _, opt := range opts {
@@ -284,9 +251,6 @@ func Build(ctx context.Context, sc Scale, opts ...Option) (*Dataset, error) {
 		pool:          newSimPool(ctx, bo.workers),
 	}
 	defer ds.pool.close()
-	if bo.surrogate != nil {
-		ds.sur = newSurrogateState(*bo.surrogate, sc.Seed)
-	}
 
 	tr := obs.DefaultTracer()
 	root := tr.Start("experiment.build-dataset").
@@ -302,10 +266,8 @@ func Build(ctx context.Context, sc Scale, opts ...Option) (*Dataset, error) {
 	// order: every phase's stage-1 shared sample, then the profiling runs.
 	// The search loop below consumes it in the same order. The trace stage
 	// only validates each phase and sets up its trace; a trace is
-	// generated on its phase's first store miss (or by the surrogate's
-	// featurisation), so a warm build generates none. A surrogate build
-	// chooses its stage-1 simulations from what earlier phases taught the
-	// model, so it cannot run stage 1 ahead.
+	// generated on its phase's first store miss, so a warm build generates
+	// none.
 	sp := tr.Start("tracegen")
 	for _, id := range phaseIDs {
 		tj, err := newTraceJob(id, sc.IntervalInsts)
@@ -319,11 +281,9 @@ func Build(ctx context.Context, sc Scale, opts ...Option) (*Dataset, error) {
 	sp.Finish()
 	measure := cpu.Options{WarmupInsts: sc.WarmupInsts}
 	stage1 := make([][]*simJob, len(phaseIDs))
-	if ds.sur == nil {
-		for i, id := range phaseIDs {
-			for _, cfg := range ds.SharedConfigs {
-				stage1[i] = append(stage1[i], ds.spawn(false, id, cfg, measure))
-			}
+	for i, id := range phaseIDs {
+		for _, cfg := range ds.SharedConfigs {
+			stage1[i] = append(stage1[i], ds.spawn(false, id, cfg, measure))
 		}
 	}
 	profOpts := cpu.Options{
@@ -421,12 +381,8 @@ type entry struct {
 }
 
 // searchPhase runs the three-stage search for one phase. stage1 holds the
-// phase's shared-sample jobs, queued on the pool when the build started;
-// surrogate builds pass none and choose stage 1 themselves.
+// phase's shared-sample jobs, queued on the pool when the build started.
 func (ds *Dataset) searchPhase(id PhaseID, rng *rand.Rand, stage1 []*simJob) error {
-	if ds.sur != nil {
-		return ds.searchPhaseSurrogate(id, rng)
-	}
 	// Stage 1: the shared uniform sample. The phase's memo is still empty
 	// and the shared configurations are distinct, so every job is the
 	// lookup the sequential SampleResult loop would make.
@@ -597,8 +553,8 @@ func (ds *Dataset) apply(j *simJob, inSample bool) error {
 	}
 	if !j.stored {
 		obsSims.Inc()
-		if inSample {
-			ds.countExact()
+		if inSample && ds.inSearch {
+			obsSimsExact.Inc()
 		}
 		if ds.store != nil {
 			if err := ds.store.Put(j.key, j.res); err != nil {
@@ -726,10 +682,6 @@ func (ds *Dataset) SampleSpace(id PhaseID) []arch.Config {
 // across the benchmarks"; a time-weighted total would instead be dominated
 // by the slowest phases).
 func (ds *Dataset) computeBestStatic() {
-	if ds.sur != nil {
-		ds.computeBestStaticSurrogate()
-		return
-	}
 	bestScore := -1.0
 	for _, cfg := range ds.SharedConfigs {
 		var effs []float64

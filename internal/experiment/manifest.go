@@ -19,9 +19,7 @@ import (
 // with the section split the manifest contract requires. Deterministic:
 // the resolved scale, the store schema version and the dataset digest —
 // everything a replay of the same configuration (cold or warm store, any
-// worker count, surrogate flag held fixed) reproduces byte-for-byte,
-// including the surrogate's selection statistics, which depend only on
-// the seed. Timing: the simulation/memoisation counters, which depend on
+// worker count) reproduces byte-for-byte. Timing: the simulation/memoisation counters, which depend on
 // store warm state (a warm replay pays for fewer simulations — that is
 // the point) and so must never be diffed exactly. Every predictor TrainAll
 // has trained so far adds its convergence record (FillTrainManifest) and
@@ -44,17 +42,6 @@ func FillBuildManifest(m *obs.Manifest, ds *Dataset) {
 	m.SetDet("phases", len(ds.Phases))
 	m.SetDet("sharedConfigs", len(ds.SharedConfigs))
 	m.SetDet("simCount", ds.SimCount())
-	m.SetDet("surrogate", ds.sur != nil)
-	if sum := ds.SurrogateSummary(); sum != nil {
-		m.SetDet("surrogate.pruned", sum.Pruned)
-		m.SetDet("surrogate.audited", sum.Audited)
-		m.SetDet("surrogate.observations", sum.Observations)
-		m.SetDet("surrogate.fits", sum.Fits)
-		m.SetDet("surrogate.rankCorr", sum.RankCorr)
-		m.SetDet("surrogate.regret", sum.Regret)
-		m.SetDet("surrogate.calibMAE", sum.CalibMAE)
-		m.SetTiming("surrogateExactSims", float64(sum.Exact))
-	}
 	for _, set := range []counters.Set{counters.Advanced, counters.Basic} {
 		if p, ok := ds.trained[set]; ok {
 			FillTrainManifest(m, p)

@@ -26,9 +26,6 @@ func (ds *Dataset) features(set counters.Set, id PhaseID) []float64 {
 // (the specialised-static limit study of Figure 6). Candidate evaluations
 // join the sample space, keeping the oracle an upper bound.
 func (ds *Dataset) PerProgramStatic(program string) arch.Config {
-	if ds.sur != nil {
-		return ds.perProgramStaticSurrogate(program)
-	}
 	phases := ds.ProgramPhases(program)
 	candidates := append([]arch.Config{}, ds.SharedConfigs...)
 	for _, id := range phases {

@@ -18,27 +18,11 @@ var (
 		"(phase, config) evaluations that joined the sample space.")
 	obsTraces = obs.DefaultRegistry().Counter("repro_experiment_traces_total",
 		"Phase traces generated (at most one per phase and build; none on a warm replay).")
-)
-
-// Surrogate-search series (see WithSurrogate and internal/surrogate).
-// repro_sims_exact counts the exact simulations the three-stage search
-// paid for — the budget the surrogate prunes and the denominator of its
-// >=2x reduction claim; it advances identically-defined with the
-// surrogate off, so two report runs are directly comparable. The pruned/
-// audited counters and the quality gauges only move on surrogate builds.
-var (
+	// obsSimsExact counts the exact simulations the three-stage search
+	// paid for: in-sample, fresh (not store hits) and inside Build's
+	// search window.
 	obsSimsExact = obs.DefaultRegistry().Counter("repro_sims_exact",
 		"Exact simulations spent on design-space search candidates.")
-	obsSurrogatePruned = obs.DefaultRegistry().Counter("repro_surrogate_pruned",
-		"Candidate evaluations skipped on the surrogate's ranking.")
-	obsSurrogateAudited = obs.DefaultRegistry().Counter("repro_surrogate_audited",
-		"Pruned candidates exact-simulated anyway as the seeded audit slice.")
-	obsSurrogateRankCorr = obs.DefaultRegistry().Gauge("repro_surrogate_rank_corr",
-		"Mean Spearman correlation of predicted vs exact ordering over audited batches.")
-	obsSurrogateRegret = obs.DefaultRegistry().Gauge("repro_surrogate_regret",
-		"Mean efficiency fraction the shortlist's best gave up vs the audited best.")
-	obsSurrogateCalibMAE = obs.DefaultRegistry().Gauge("repro_surrogate_calib_mae",
-		"Surrogate prequential mean absolute error in log-efficiency.")
 )
 
 // SearchSimCount returns the process-lifetime count of exact simulations

@@ -4,7 +4,10 @@
 // Both structures' sizes are design-space parameters (Table I).
 package branch
 
-import "fmt"
+import (
+	"fmt"
+	"sync"
+)
 
 // Predictor is the combined gshare + BTB unit. It is deterministic and not
 // safe for concurrent use.
@@ -28,7 +31,9 @@ type Predictor struct {
 const btbAssoc = 4
 
 // New builds a predictor with the given gshare PHT entry count and BTB
-// entry count. Both must be powers of two (all Table I values are).
+// entry count. Both must be powers of two (all Table I values are). Its
+// tables come from a predictor of the same geometry that Release handed
+// back, when there is one, and are reset to a fresh predictor's state.
 func New(gshareEntries, btbEntries int) (*Predictor, error) {
 	if gshareEntries <= 0 || gshareEntries&(gshareEntries-1) != 0 {
 		return nil, fmt.Errorf("branch: gshare size %d not a positive power of two", gshareEntries)
@@ -37,22 +42,65 @@ func New(gshareEntries, btbEntries int) (*Predictor, error) {
 		return nil, fmt.Errorf("branch: BTB size %d not a positive power of two >= %d", btbEntries, btbAssoc)
 	}
 	p := &Predictor{
-		pht:     make([]uint8, gshareEntries),
 		phtMask: uint32(gshareEntries - 1),
 		btbSets: uint32(btbEntries / btbAssoc),
 		btbWays: btbAssoc,
 	}
-	for i := range p.pht {
-		p.pht[i] = 2 // weakly taken: loop-closing branches dominate
+	if t, ok := tablePool(gshareEntries, btbEntries).Get().(*tables); ok {
+		p.pht, p.btbTags, p.btbTargets, p.btbLRU = t.pht, t.btbTags, t.btbTargets, t.btbLRU
+		clear(p.btbTargets)
+		clear(p.btbLRU)
+	} else {
+		p.pht = make([]uint8, gshareEntries)
+		p.btbTags = make([]uint32, btbEntries)
+		p.btbTargets = make([]uint32, btbEntries)
+		p.btbLRU = make([]uint8, btbEntries)
 	}
-	n := btbEntries
-	p.btbTags = make([]uint32, n)
-	p.btbTargets = make([]uint32, n)
-	p.btbLRU = make([]uint8, n)
-	for i := range p.btbTags {
-		p.btbTags[i] = 0xffffffff
-	}
+	fill(p.pht, 2) // weakly taken: loop-closing branches dominate
+	fill(p.btbTags, 0xffffffff)
 	return p, nil
+}
+
+// fill sets every element of s to v, doubling the filled prefix with copy.
+func fill[T any](s []T, v T) {
+	if len(s) == 0 {
+		return
+	}
+	s[0] = v
+	for n := 1; n < len(s); n *= 2 {
+		copy(s[n:], s[:n])
+	}
+}
+
+// tables is a predictor's storage, recycled through tablePool.
+type tables struct {
+	pht        []uint8
+	btbTags    []uint32
+	btbTargets []uint32
+	btbLRU     []uint8
+}
+
+// tablePools maps a (gshare, BTB) geometry to the *sync.Pool of *tables
+// that Release fills and New drains.
+var tablePools sync.Map
+
+func tablePool(gshareEntries, btbEntries int) *sync.Pool {
+	key := [2]int{gshareEntries, btbEntries}
+	if p, ok := tablePools.Load(key); ok {
+		return p.(*sync.Pool)
+	}
+	p, _ := tablePools.LoadOrStore(key, new(sync.Pool))
+	return p.(*sync.Pool)
+}
+
+// Release hands the predictor's tables to a later New with the same
+// geometry. p must not be used afterwards.
+func (p *Predictor) Release() {
+	if p.pht == nil {
+		return
+	}
+	tablePool(len(p.pht), len(p.btbTags)).Put(&tables{p.pht, p.btbTags, p.btbTargets, p.btbLRU})
+	p.pht, p.btbTags, p.btbTargets, p.btbLRU = nil, nil, nil, nil
 }
 
 // MustNew is New but panics on error; for configurations that come from the

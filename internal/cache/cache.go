@@ -44,16 +44,29 @@ func (l Level) String() string {
 // Cache is one set-associative cache with true-LRU replacement.
 type Cache struct {
 	sets      uint32
+	setMask   uint32 // sets-1; the set count is a power of two
 	ways      uint32
 	lineShift uint32
-	tags      []uint64 // sets*ways; tag==invalidTag means empty
-	lru       []uint8  // age counters per line, 0 = most recent
+	// lines holds one word per line, sets*ways of them: the generation the
+	// line was filled in, its block address and its LRU age (0 = most
+	// recent), packed as gen<<genShift | block<<blockShift | age. A line
+	// is valid only in the current generation; NewCache and Flush bump the
+	// generation instead of rewriting every line. Keeping tag and age in
+	// one word makes a set one contiguous run of memory.
+	lines  []uint64
+	genTag uint64 // the current generation << genShift
 
 	Accesses uint64
 	Misses   uint64
 }
 
-const invalidTag = ^uint64(0)
+// Line word layout.
+const (
+	ageMask    = 0xff
+	blockShift = 8
+	genShift   = blockShift + 32
+	genOne     = 1 << genShift
+)
 
 // NewCache constructs a cache of sizeKB kilobytes with the given
 // associativity and line size (bytes, power of two).
@@ -70,32 +83,45 @@ func NewCache(sizeKB, ways, lineBytes int) (*Cache, error) {
 		return nil, fmt.Errorf("cache: set count %d not a power of two", sets)
 	}
 	c := &Cache{
-		sets: uint32(sets),
-		ways: uint32(ways),
+		sets:    uint32(sets),
+		setMask: uint32(sets - 1),
+		ways:    uint32(ways),
 	}
 	for ls := lineBytes; ls > 1; ls >>= 1 {
 		c.lineShift++
 	}
 	n := sets * ways
-	if a, ok := arrayPool(n).Get().(*lineArrays); ok {
-		c.tags, c.lru = a.tags, a.lru
-		clear(c.lru)
+	if a, ok := arrayPool(n).Get().(*lineArray); ok {
+		c.lines, c.genTag = a.lines, a.genTag
 	} else {
-		c.tags, c.lru = make([]uint64, n), make([]uint8, n)
+		// Zeroed words are generation 0, which the bump below retires.
+		c.lines = make([]uint64, n)
 	}
-	for i := range c.tags {
-		c.tags[i] = invalidTag
-	}
+	c.nextGeneration()
 	return c, nil
 }
 
-// lineArrays is a cache's per-line storage, recycled through arrayPool.
-type lineArrays struct {
-	tags []uint64
-	lru  []uint8
+// nextGeneration invalidates every line at once. The ages of invalid
+// lines need no reset: a miss takes the first invalid way of its set
+// before it compares any age, and a filled way starts at age 0. If the
+// generation wraps, the words are cleared for real so no stale line can
+// alias the new generation.
+func (c *Cache) nextGeneration() {
+	c.genTag += genOne
+	if c.genTag == 0 {
+		clear(c.lines)
+		c.genTag = genOne
+	}
 }
 
-// arrayPools maps a line count to the *sync.Pool of *lineArrays that
+// lineArray is a cache's line storage, recycled through arrayPool, with
+// the generation its lines were last written in.
+type lineArray struct {
+	lines  []uint64
+	genTag uint64
+}
+
+// arrayPools maps a line count to the *sync.Pool of *lineArray that
 // Release fills and NewCache drains.
 var arrayPools sync.Map
 
@@ -107,15 +133,15 @@ func arrayPool(lines int) *sync.Pool {
 	return p.(*sync.Pool)
 }
 
-// Release hands the cache's line arrays to a later NewCache with the same
-// line count, which resets them exactly as a fresh allocation would start.
-// c must not be used afterwards.
+// Release hands the cache's line array to a later NewCache with the same
+// line count, which starts it in a new generation: every line is invalid,
+// exactly as in a fresh allocation. c must not be used afterwards.
 func (c *Cache) Release() {
-	if c.tags == nil {
+	if c.lines == nil {
 		return
 	}
-	arrayPool(len(c.tags)).Put(&lineArrays{c.tags, c.lru})
-	c.tags, c.lru = nil, nil
+	arrayPool(len(c.lines)).Put(&lineArray{c.lines, c.genTag})
+	c.lines = nil
 }
 
 // MustNewCache is NewCache but panics on error.
@@ -132,7 +158,7 @@ func (c *Cache) Sets() int { return int(c.sets) }
 
 // SetOf returns the set index addr maps to.
 func (c *Cache) SetOf(addr uint32) uint32 {
-	return (addr >> c.lineShift) % c.sets
+	return (addr >> c.lineShift) & c.setMask
 }
 
 // BlockOf returns the block (line) address of addr.
@@ -144,13 +170,16 @@ func (c *Cache) BlockOf(addr uint32) uint64 {
 // present before the access (a hit).
 func (c *Cache) Access(addr uint32) bool {
 	c.Accesses++
-	set := c.SetOf(addr)
-	tag := c.BlockOf(addr)
-	base := set * c.ways
-	hitWay := int32(-1)
-	for w := uint32(0); w < c.ways; w++ {
-		if c.tags[base+w] == tag {
-			hitWay = int32(w)
+	base := c.SetOf(addr) * c.ways
+	key := c.genTag | c.BlockOf(addr)<<blockShift
+	if c.ways == 2 {
+		return c.access2(c.lines[base:base+2], key)
+	}
+	lines := c.lines[base : base+c.ways]
+	hitWay := -1
+	for w, l := range lines {
+		if l&^ageMask == key {
+			hitWay = w
 			break
 		}
 	}
@@ -158,25 +187,56 @@ func (c *Cache) Access(addr uint32) bool {
 	if !hit {
 		c.Misses++
 		// Victim: an empty way if any, else the way with the highest age.
-		victim, oldest := uint32(0), uint8(0)
-		for w := uint32(0); w < c.ways; w++ {
-			if c.tags[base+w] == invalidTag {
+		// A line from an older generation is empty.
+		victim, oldest := 0, uint64(0)
+		for w, l := range lines {
+			if l < c.genTag {
 				victim = w
 				break
 			}
-			if c.lru[base+w] >= oldest {
-				oldest, victim = c.lru[base+w], w
+			if a := l & ageMask; a >= oldest {
+				oldest, victim = a, w
 			}
 		}
-		c.tags[base+victim] = tag
-		hitWay = int32(victim)
+		lines[victim] = key | lines[victim]&ageMask
+		hitWay = victim
 	}
-	for w := uint32(0); w < c.ways; w++ {
-		if c.lru[base+w] < 255 {
-			c.lru[base+w]++
+	for w, l := range lines {
+		if l&ageMask < 255 {
+			lines[w] = l + 1
 		}
 	}
-	c.lru[base+uint32(hitWay)] = 0
+	lines[hitWay] &^= ageMask
+	return hit
+}
+
+// access2 is Access on a two-way set, unrolled: the same hit test, victim
+// choice and age updates as the general loop.
+func (c *Cache) access2(lines []uint64, key uint64) bool {
+	l0, l1 := lines[0], lines[1]
+	hit := true
+	way0 := true
+	switch {
+	case l0&^ageMask == key:
+	case l1&^ageMask == key:
+		way0 = false
+	default:
+		hit = false
+		c.Misses++
+		// An empty way first, else the older way (way 1 on a tie).
+		way0 = l0 < c.genTag || (l1 >= c.genTag && l1&ageMask < l0&ageMask)
+	}
+	if way0 {
+		lines[0] = key
+		if l1&ageMask < 255 {
+			lines[1] = l1 + 1
+		}
+	} else {
+		lines[1] = key
+		if l0&ageMask < 255 {
+			lines[0] = l0 + 1
+		}
+	}
 	return hit
 }
 
@@ -192,12 +252,7 @@ func (c *Cache) MissRate() float64 {
 func (c *Cache) ResetStats() { c.Accesses, c.Misses = 0, 0 }
 
 // Flush invalidates all lines (used when the cache is reconfigured).
-func (c *Cache) Flush() {
-	for i := range c.tags {
-		c.tags[i] = invalidTag
-		c.lru[i] = 0
-	}
-}
+func (c *Cache) Flush() { c.nextGeneration() }
 
 // Hierarchy is the three-level memory system of the simulated processor.
 type Hierarchy struct {
@@ -427,11 +482,11 @@ func FinishedProfile(observations uint64, stackDist, blockReuse, setReuse, reduc
 // the reconfiguration, the rest fall out via replacement. Tags store full
 // block addresses, so migration is exact. Statistics are not transferred.
 func (c *Cache) FillFrom(old *Cache) {
-	for _, tag := range old.tags {
-		if tag == invalidTag {
+	for _, l := range old.lines {
+		if l < old.genTag {
 			continue
 		}
-		c.Access(uint32(tag << old.lineShift))
+		c.Access(uint32(l>>blockShift) << old.lineShift)
 	}
 	c.ResetStats()
 }

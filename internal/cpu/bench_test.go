@@ -67,10 +67,15 @@ func BenchmarkSimRun(b *testing.B) {
 // benchBuildShape times the dataset build's run shape: a fresh Sim per
 // simulation (New, a 2,500-instruction Run after a 1,200-instruction
 // warmup, Release) over a fixed seeded mix of random configurations and
-// workloads. Unlike the sub-benchmarks above, which reuse one Sim, it
-// pays for arena recycling across changing ROB and cache sizes.
+// workloads. Profiling runs (the Profiling configuration, collecting with
+// 16 sampled sets) are spread evenly through the sequence at the ratio a
+// 26 x 2 TestScale build runs them, 52 of 772, so the kernel pays the
+// collector cost the build pays. Unlike the sub-benchmarks above, which
+// reuse one Sim, it pays for arena recycling across changing ROB and
+// cache sizes.
 func benchBuildShape(b *testing.B) {
 	const n, warm, mix = 2500, 1200, 32
+	const profRuns, allRuns = 52, 772
 	progs := []string{"mcf", "art", "gzip", "swim", "parser", "equake", "vortex", "applu"}
 	rng := rand.New(rand.NewPCG(0xb0d, 0x5ba9e))
 	cfgs := make([]arch.Config, mix)
@@ -79,12 +84,17 @@ func benchBuildShape(b *testing.B) {
 		cfgs[i] = arch.Random(rng)
 		traces[i] = benchTrace(b, progs[i%len(progs)], i%trace.PhasesPerProgram, n)
 	}
-	opts := Options{WarmupInsts: warm}
+	measure := Options{WarmupInsts: warm}
+	profile := Options{WarmupInsts: warm, Collect: true, SampledSets: 16}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		k := i % mix
-		s, err := New(cfgs[k])
+		cfg, opts := cfgs[k], measure
+		if (i+1)*profRuns/allRuns > i*profRuns/allRuns {
+			cfg, opts = arch.Profiling(), profile
+		}
+		s, err := New(cfg)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -82,26 +82,37 @@ type collector struct {
 	iqDisp, iqDispWrong   uint64
 	lsqDisp, lsqDispWrong uint64
 
+	// A queue resident is speculative when an older correct-path branch
+	// is unresolved (wrong-path entries always are: they follow the
+	// unresolved branch that fetched them). The speculation counts are
+	// kept incrementally: specFrom is the seq of the oldest unresolved
+	// correct-path branch (noBranch when there is none), and iqNonSpec
+	// and lsqNonSpec count the IQ and LSQ residents at or before it. The
+	// boundary moves forward only when its branch resolves; a flush
+	// squashes only entries younger than the resolving branch, which are
+	// past the boundary already.
+	specFrom              uint64
+	iqNonSpec, lsqNonSpec int
+
 	// BTB reuse tracking.
 	branchClock  uint64
 	lastBranchAt *cache.ReuseTable
 
-	// Cached speculation-walk increments: the per-cycle walk over the
-	// in-flight window only changes when the window does, so the sums it
-	// contributes are recomputed only when runState.windowGen moves.
-	specGen               uint64
-	specValid             bool
-	iqOccInc, iqSpecInc   uint64
-	lsqOccInc, lsqSpecInc uint64
-
-	// Occupancy bins share the windowGen cache, and consecutive cycles
-	// with an identical bin signature are run-length batched into one
-	// AddN per histogram. Histogram counts are integers, so batched adds
-	// are exactly the per-cycle adds.
-	robBin, iqBin, lsqBin, intBin, fpBin int
-	lastSig                              uint64
-	sigRun                               uint64
+	// Consecutive cycles with an identical bin signature are run-length
+	// batched into one AddN per histogram. Histogram counts are integers,
+	// so batched adds are exactly the per-cycle adds.
+	lastSig uint64
+	sigRun  uint64
 }
+
+// noBranch is collector.specFrom when no correct-path branch is
+// unresolved: every resident is at or before it.
+const noBranch = ^uint64(0)
+
+// checkCycle, when set, is called whenever a collecting run samples a
+// single cycle (every stepped cycle). Tests use it to hold the
+// incremental counts to a walk of the window.
+var checkCycle func(st *runState)
 
 // newCollector builds the collector for a profiled run on cfg.
 // sampledSets bounds cache profiler set sampling (0 = all sets).
@@ -131,6 +142,7 @@ func newCollector(cfg arch.Config, sampledSets int) (*collector, error) {
 		dcache:       dc,
 		l2:           l2,
 		lastBranchAt: cache.NewReuseTable(256),
+		specFrom:     noBranch,
 	}
 	c.raw = RawCounters{
 		ALUUsage:     stats.NewHistogram(ALUBins),
@@ -159,8 +171,12 @@ func occBin(occ, maxOcc int) int {
 	return occ * OccBins / (maxOcc + 1)
 }
 
-// dispatched records queue-entry provenance for mis-speculation fractions.
-func (c *collector) dispatched(st *runState, e *entry) {
+// dispatched records queue-entry provenance for mis-speculation
+// fractions, and counts the entry as non-speculative when no unresolved
+// branch precedes it (it is the youngest, so that holds only while there
+// is no boundary); a correct-path branch dispatched then becomes the
+// boundary.
+func (c *collector) dispatched(e *entry, seq uint64) {
 	c.iqDisp++
 	if e.wrongPath {
 		c.iqDispWrong++
@@ -171,16 +187,57 @@ func (c *collector) dispatched(st *runState, e *entry) {
 			c.lsqDispWrong++
 		}
 	}
+	if c.specFrom == noBranch {
+		c.iqNonSpec++
+		if e.inLSQ {
+			c.lsqNonSpec++
+		}
+		if e.op == trace.Branch && !e.wrongPath {
+			c.specFrom = seq
+		}
+	}
 }
 
-// issued records per-cycle port and unit usage.
-func (c *collector) issued(st *runState, e *entry, nsrc int) {
+// issued records per-cycle port and unit usage; the entry leaves the IQ.
+func (c *collector) issued(e *entry, seq uint64, nsrc int) {
 	c.rdThisCycle += nsrc
-	switch e.inst.Op {
+	switch e.op {
 	case trace.Load, trace.Store:
 		c.memThisCycle++
 	default:
 		c.aluThisCycle++
+	}
+	if seq <= c.specFrom {
+		c.iqNonSpec--
+	}
+}
+
+// resolved moves the speculation boundary when the correct-path branch
+// seq resolves (after the flush, if it was mispredicted): the residents up
+// to the next unresolved correct-path branch stop being speculative.
+func (c *collector) resolved(st *runState, seq uint64) {
+	if seq != c.specFrom {
+		return
+	}
+	c.specFrom = noBranch
+	n := len(st.rob)
+	idx := int(seq % uint64(n))
+	for q := seq + 1; q < st.nextSeq; q++ {
+		idx++
+		if idx == n {
+			idx = 0
+		}
+		e := &st.rob[idx]
+		if e.inIQ {
+			c.iqNonSpec++
+		}
+		if e.inLSQ {
+			c.lsqNonSpec++
+		}
+		if e.op == trace.Branch && !e.resolved && !e.wrongPath {
+			c.specFrom = q
+			return
+		}
 	}
 }
 
@@ -194,53 +251,11 @@ func (c *collector) branchFetched(in trace.Inst) {
 	}
 }
 
-// perCycle samples occupancy and usage histograms once per cycle.
-func (c *collector) perCycle(s *Sim, st *runState) {
-	// Speculation occupancy and queue-occupancy bins: both are pure in the
-	// window contents, so they are recomputed only when windowGen reports
-	// a change (dispatch, issue, commit, resolve or flush).
-	if !c.specValid || c.specGen != st.windowGen {
-		c.robBin = occBin(st.robCount, maxROBOcc)
-		c.iqBin = occBin(st.iqCount, maxQueueOcc)
-		c.lsqBin = occBin(st.lsqCount, maxQueueOcc)
-		c.intBin = occBin(trace.NumIntRegs+st.allocInt, maxRegOcc)
-		c.fpBin = occBin(trace.NumFpRegs+st.allocFp, maxRegOcc)
-		c.iqOccInc, c.iqSpecInc, c.lsqOccInc, c.lsqSpecInc = 0, 0, 0, 0
-		if st.robCount > 0 {
-			spec := false
-			idx := int(st.headIdx)
-			n := len(st.rob)
-			for seq := st.headSeq; seq < st.nextSeq; seq++ {
-				e := &st.rob[idx]
-				idx++
-				if idx == n {
-					idx = 0
-				}
-				if e.inIQ {
-					c.iqOccInc++
-					if spec || e.wrongPath {
-						c.iqSpecInc++
-					}
-				}
-				if e.inLSQ {
-					c.lsqOccInc++
-					if spec || e.wrongPath {
-						c.lsqSpecInc++
-					}
-				}
-				if e.inst.Op == trace.Branch && !e.resolved && !e.wrongPath {
-					spec = true
-				}
-			}
-		}
-		c.specGen = st.windowGen
-		c.specValid = true
+// perCycle samples occupancy and usage histograms for one stepped cycle.
+func (c *collector) perCycle(st *runState) {
+	if checkCycle != nil {
+		checkCycle(st)
 	}
-	c.iqOccSum += c.iqOccInc
-	c.iqSpecSum += c.iqSpecInc
-	c.lsqOccSum += c.lsqOccInc
-	c.lsqSpecSum += c.lsqSpecInc
-
 	rd := c.rdThisCycle
 	if rd >= RdPortBins {
 		rd = RdPortBins - 1
@@ -258,19 +273,39 @@ func (c *collector) perCycle(s *Sim, st *runState) {
 		mem = MemPortBins - 1
 	}
 	c.aluThisCycle, c.memThisCycle, c.rdThisCycle = 0, 0, 0
+	c.sample(st, rd, wb, alu, mem, 1)
+}
+
+// idle samples n fast-forwarded cycles: nothing issued or wrote back in
+// them and the window did not change.
+func (c *collector) idle(st *runState, n uint64) {
+	c.sample(st, 0, 0, 0, 0, n)
+}
+
+// sample adds n cycles with the given port and unit usage and the
+// window's current occupancy.
+func (c *collector) sample(st *runState, rd, wb, alu, mem int, n uint64) {
+	iq, lsq := uint64(st.iqCount), uint64(st.lsqCount)
+	c.iqOccSum += n * iq
+	c.iqSpecSum += n * (iq - uint64(c.iqNonSpec))
+	c.lsqOccSum += n * lsq
+	c.lsqSpecSum += n * (lsq - uint64(c.lsqNonSpec))
 
 	// Pack all nine bin indices into one signature; identical consecutive
 	// cycles extend the current run instead of touching nine histograms.
-	sig := uint64(c.robBin) | uint64(c.iqBin)<<5 | uint64(c.lsqBin)<<10 |
-		uint64(c.intBin)<<15 | uint64(c.fpBin)<<20 |
+	sig := uint64(occBin(st.robCount, maxROBOcc)) |
+		uint64(occBin(st.iqCount, maxQueueOcc))<<5 |
+		uint64(occBin(st.lsqCount, maxQueueOcc))<<10 |
+		uint64(occBin(trace.NumIntRegs+st.allocInt, maxRegOcc))<<15 |
+		uint64(occBin(trace.NumFpRegs+st.allocFp, maxRegOcc))<<20 |
 		uint64(rd)<<25 | uint64(wb)<<30 | uint64(alu)<<34 | uint64(mem)<<38
 	if sig == c.lastSig && c.sigRun > 0 {
-		c.sigRun++
+		c.sigRun += n
 		return
 	}
 	c.flushRun()
 	c.lastSig = sig
-	c.sigRun = 1
+	c.sigRun = n
 }
 
 // flushRun commits the pending histogram run (n identical cycles) with one

@@ -142,24 +142,31 @@ const (
 	stCompleted
 )
 
-// entry is one ROB slot.
+// entry is one ROB slot. It keeps only what the stages after dispatch
+// read of its instruction.
 type entry struct {
-	inst      trace.Inst
-	state     entryState
+	complete uint64 // cycle at which the result is written back
+	addr     uint32 // effective address (loads and stores)
+	op       trace.OpClass
+	dst      int8 // destination register or -1
+	nsrc     int8 // source operands read at issue
+	state    entryState
+	// pending counts source operands whose in-flight producer has not yet
+	// completed. It is set at dispatch and decremented by the producer's
+	// writeback broadcast; the entry joins the ready list exactly when it
+	// reaches zero (the cycle its last operand becomes available).
+	pending   int8
+	dstBank   int8 // 0 int, 1 fp, -1 none (phys reg accounting)
 	wrongPath bool
 	// mispred marks the one in-flight branch known to be mispredicted
 	// (fetch redirected down the wrong path until it resolves).
 	mispred  bool
 	resolved bool
-	complete uint64 // cycle at which the result is written back
-	// pending counts source operands whose in-flight producer has not yet
-	// completed. It is set at dispatch and decremented by the producer's
-	// writeback broadcast; the entry joins the ready list exactly when it
-	// reaches zero (the cycle its last operand becomes available).
-	pending int8
-	dstBank int8 // 0 int, 1 fp, -1 none (phys reg accounting)
-	inIQ    bool
-	inLSQ   bool
+	inIQ     bool
+	inLSQ    bool
+	// consHead and consTail delimit the chain of dispatched consumers
+	// waiting on this entry's result (runState.consNodes), 0 if none.
+	consHead, consTail int32
 }
 
 // Sim is a configured processor instance. Create with New, run with Run.
@@ -171,8 +178,8 @@ type Sim struct {
 	hier *cache.Hierarchy
 	bp   *branch.Predictor
 
-	// Functional unit counts derived from width.
-	nIntALU, nIntMul, nFpALU, nFpMul, nMemPort int
+	// Functional unit pool sizes derived from width, by pool (opUnit).
+	units [numUnits]int
 
 	// Hoisted configuration and power-model constants, refreshed by
 	// derive() on New and Reconfigure so the cycle loop never indexes the
@@ -191,6 +198,15 @@ type Sim struct {
 	memLat   uint64
 	perCycPJ float64
 	latTab   [trace.NumOpClasses]uint64
+	// eventPJ is the one energy constant each single-constant structure
+	// receives (zero for the others); see runState.events.
+	eventPJ [power.NumStructures]float64
+	// readPJ[n] is the register-file charge of an issue reading n
+	// operands, float64(n)*RFRead.
+	readPJ [4]float64
+	// unitPJ is the functional-unit charge of an issue by op class (0
+	// for loads and stores, whose energy goes to the caches and the LSQ).
+	unitPJ [8]float64
 
 	// scratch is the per-Sim run-state arena, reused across Run calls so
 	// the cycle loop allocates nothing. A Sim is documented single-use
@@ -222,12 +238,14 @@ func New(cfg arch.Config) (*Sim, error) {
 	return s, nil
 }
 
-// Release hands the Sim's run-state arena and cache line arrays to later
-// Sims, so a caller that builds one Sim per simulation — the dataset
-// build — does not allocate and collect them every time. Results the Sim
-// returned stay valid; the Sim must not be used afterwards.
+// Release hands the Sim's run-state arena, cache line arrays and
+// predictor tables to later Sims, so a caller that builds one Sim per
+// simulation — the dataset build — does not allocate and collect them
+// every time. Results the Sim returned stay valid; the Sim must not be
+// used afterwards.
 func (s *Sim) Release() {
 	s.hier.Release()
+	s.bp.Release()
 	if st := s.scratch; st != nil {
 		st.cnt = nil
 		s.scratch = nil
@@ -239,11 +257,13 @@ func (s *Sim) Release() {
 // loop reads. Called on New and Reconfigure.
 func (s *Sim) derive() {
 	w := s.cfg[arch.Width]
-	s.nIntALU = w
-	s.nIntMul = max(1, w/4)
-	s.nFpALU = max(1, w/2)
-	s.nFpMul = max(1, w/4)
-	s.nMemPort = max(1, w/2)
+	s.units = [numUnits]int{
+		unitIntALU: w,
+		unitIntMul: max(1, w/4),
+		unitFpALU:  max(1, w/2),
+		unitFpMul:  max(1, w/4),
+		unitMem:    max(1, w/2),
+	}
 	s.width = w
 	s.robSize = s.cfg[arch.ROBSize]
 	s.iqSize = s.cfg[arch.IQSize]
@@ -257,6 +277,24 @@ func (s *Sim) derive() {
 	s.l2Lat = uint64(s.pm.L2Latency)
 	s.memLat = uint64(s.pm.MemLatency)
 	s.perCycPJ = s.pm.ClockPerCyc + s.pm.IdlePerCyc
+	s.unitPJ = [8]float64{
+		trace.IntALU: s.pm.IntOp,
+		trace.Branch: s.pm.IntOp,
+		trace.IntMul: s.pm.MulOp,
+		trace.FpMul:  s.pm.MulOp,
+		trace.FpALU:  s.pm.FpOp,
+	}
+	for n := range s.readPJ {
+		s.readPJ[n] = float64(n) * s.pm.RFRead
+	}
+	s.eventPJ = [power.NumStructures]float64{
+		power.StructROB:    s.pm.ROBAccess,
+		power.StructLSQ:    s.pm.LSQAccess,
+		power.StructRename: s.pm.RenameOp,
+		power.StructDCache: s.pm.DCacheAccess,
+		power.StructICache: s.pm.ICacheAccess,
+		power.StructBpred:  s.pm.BpredLookup + s.pm.BTBLookup,
+	}
 	for op := trace.OpClass(0); op < trace.NumOpClasses; op++ {
 		s.latTab[op] = s.execLatency(op)
 	}

@@ -216,6 +216,15 @@ func goldenCases() []goldenCase {
 		Options{Collect: true, SampledSets: 16, WarmupInsts: 1200})
 	add("stall-reconfig-art", "art", 0, 2500, small,
 		Options{WarmupInsts: 1200, StartStall: 900, FlushCaches: true, ExtraEnergyPJ: 3.25e6})
+	// Counter collection under long stalls: the profiling configuration at
+	// the deepest pipeline (9 FO4 per stage, so memory latencies are the
+	// most cycles) on memory-bound phases, where most sampled cycles are
+	// fast-forwarded ones.
+	deep := arch.Profiling().With(arch.DepthFO4, 9)
+	for _, prog := range []string{"mcf", "art"} {
+		add("stall-profiling-fo9-"+prog, prog, 1, 2500, deep,
+			Options{Collect: true, SampledSets: 16, WarmupInsts: 1200})
+	}
 	return out
 }
 

@@ -2,6 +2,7 @@ package cpu
 
 import (
 	"errors"
+	"math/bits"
 	"sync"
 
 	"repro/internal/cache"
@@ -16,12 +17,41 @@ const (
 	maxCyclesPerInst = 2000 // runaway guard
 )
 
-// fetchedInst is a fetch-buffer slot (fetched, not yet dispatched).
+// Functional-unit pools, and the pool each op class issues to (a store
+// takes an integer ALU and a memory port).
+const (
+	unitIntALU = iota
+	unitIntMul
+	unitFpALU
+	unitFpMul
+	unitMem
+	numUnits
+)
+
+var opUnit = [8]uint8{
+	trace.IntALU: unitIntALU,
+	trace.IntMul: unitIntMul,
+	trace.FpALU:  unitFpALU,
+	trace.FpMul:  unitFpMul,
+	trace.Load:   unitMem,
+	trace.Store:  unitIntALU,
+	trace.Branch: unitIntALU,
+}
+
+// fetchedInst is a fetch-buffer slot (fetched, not yet dispatched). It
+// keeps only what dispatch reads of the instruction.
 type fetchedInst struct {
-	inst       trace.Inst
 	fetchCycle uint64
+	addr       uint32
+	op         trace.OpClass
+	dst        int8
+	src1, src2 int8
 	wrongPath  bool
 	mispred    bool // this branch was mispredicted; fetch went wrong-path
+	// replay, when non-zero, marks a wrong-path slot whose instruction
+	// fields are still to be taken from replay ring slot replay-1 (see
+	// fetchWrongPath).
+	replay int8
 }
 
 // wref identifies an in-flight entry from the wakeup ring or the issue
@@ -38,6 +68,16 @@ type farWref struct {
 	seq   uint64
 	cycle uint64
 	idx   int32
+}
+
+// refNode is a wref in a singly linked list kept in a node arena: a
+// wakeup token of a ring slot, or a consumer in a producer's chain. next
+// is the following node of the same list (0 ends it; node 0 of every
+// arena is unused).
+type refNode struct {
+	seq  uint64
+	idx  int32
+	next int32
 }
 
 // runState is the transient pipeline state for one Run. It is embedded in
@@ -61,22 +101,32 @@ type runState struct {
 	// iqList holds the READY issue-queue residents (dispatched, operands
 	// available, not yet issued) in ascending sequence order. Entries
 	// with outstanding operands are not in the list at all: they are
-	// reachable only through their producers' consumer chains (cons) and
-	// join the list the cycle their last producer's writeback broadcasts.
-	// The merge walk therefore visits exactly the entries the original
+	// reachable only through their producers' consumer chains and join
+	// the list the cycle their last producer's writeback broadcasts. The
+	// merge walk therefore visits exactly the entries the original
 	// full-window scan would have acted on, in the same order.
 	iqList []wref
-	// cons[i] chains the dispatched consumers waiting on the result of
-	// the entry in ROB slot i, in ascending sequence order. Chains are
-	// truncated on flush and reset when a slot is re-dispatched, so they
+	// consNodes is the arena of the consumer chains: entry.consHead lists
+	// the dispatched consumers waiting on the entry's result, in
+	// ascending sequence order. Chains are truncated on flush and freed
+	// when their producer completes or its slot is re-dispatched, so they
 	// never hold stale references.
-	cons [][]wref
+	consNodes []refNode
+	consFree  int32 // first node of the free list, 0 if empty
 
-	// wake is the event-driven replacement for the per-cycle window scan:
-	// slot c%wbWindow holds the entries whose results complete at cycle c,
-	// kept sorted by seq so wakeup events replay in original scan order.
-	wake    [wbWindow][]wref
-	wakeFar []farWref // completions beyond the ring horizon
+	// The wakeup ring is the event-driven replacement for the per-cycle
+	// window scan: slot c%wbWindow lists the entries whose results
+	// complete at cycle c, sorted by seq so wakeup events replay in
+	// original scan order. The lists' nodes live in one arena, wakeNodes
+	// (node 0 is unused, so 0 ends a list), and recycle through a free
+	// list. Bit c%wbWindow of wakeOcc says the slot holds a list; its head
+	// and tail mean nothing while the bit is clear.
+	wakeHead  [wbWindow]int32
+	wakeTail  [wbWindow]int32
+	wakeOcc   [wbWindow / 64]uint64
+	wakeNodes []refNode
+	wakeFree  int32     // first node of the free list, 0 if empty
+	wakeFar   []farWref // completions beyond the ring horizon
 
 	fetchBuf []fetchedInst
 	fbHead   int
@@ -100,11 +150,11 @@ type runState struct {
 	// rest were fast-forwarded). Telemetry only.
 	stepped uint64
 
-	// windowGen increments whenever the in-flight window changes in a way
-	// the collector's speculation walk can observe (dispatch, issue,
-	// commit, branch resolution, flush). The collector caches its walk
-	// against it.
-	windowGen uint64
+	// events counts the charges to the structures that only ever receive
+	// one energy constant (ROB, LSQ, rename, D-cache, I-cache, predictor).
+	// Each is charged once after the run with Account.AddN, which is bit
+	// for bit the same sum.
+	events [power.NumStructures]uint64
 
 	// Slice fast path: when the Source is a *SliceSource its contents are
 	// mirrored here so fetch indexes the slice directly instead of making
@@ -128,11 +178,11 @@ var statePool sync.Pool
 // with slice capacities preserved. A Sim's first run takes an arena from
 // statePool when one is there: the reset below is the same one a Sim
 // already relies on between its warmup and measured runs, and the ROB
-// ring reuses slots within a run the same way. The ROB ring and the
-// consumer-chain arena are resliced to the configured ROB size whenever
-// their capacity allows (ROB size varies from one search configuration to
-// the next) and reallocated only to grow; stale slots are harmless, since
-// dispatch overwrites a slot before anything reads it.
+// ring reuses slots within a run the same way. The ROB ring is resliced
+// to the configured ROB size whenever its capacity allows (ROB size
+// varies from one search configuration to the next), reallocated only to
+// grow, and cleared, because dispatch frees a slot's old consumer chain
+// before it overwrites the slot. The node arenas restart empty.
 func (s *Sim) getState() *runState {
 	st := s.scratch
 	if st == nil {
@@ -146,6 +196,7 @@ func (s *Sim) getState() *runState {
 		st.rob = make([]entry, s.robSize)
 	}
 	st.rob = st.rob[:s.robSize]
+	clear(st.rob) // no chain of a previous run survives into this one
 	st.headSeq, st.nextSeq = 0, 0
 	st.headIdx, st.nextIdx = 0, 0
 	st.robCount, st.iqCount, st.lsqCount = 0, 0, 0
@@ -154,19 +205,20 @@ func (s *Sim) getState() *runState {
 		st.regProducer[i] = -1
 	}
 	st.iqList = st.iqList[:0]
-	if cap(st.cons) < s.robSize {
-		st.cons = make([][]wref, s.robSize)
+	if st.consNodes == nil {
+		st.consNodes = make([]refNode, 1, 256)
 	}
-	st.cons = st.cons[:s.robSize]
-	for i := range st.cons {
-		st.cons[i] = st.cons[i][:0]
-	}
+	st.consNodes = st.consNodes[:1]
+	st.consFree = 0
 	// Wakeup tokens and write-port reservations can outlive a drained
 	// run (squashed entries leave both behind); clear them so sequence
 	// numbers from a previous run can never alias into this one.
-	for i := range st.wake {
-		st.wake[i] = st.wake[i][:0]
+	st.wakeOcc = [wbWindow / 64]uint64{}
+	if st.wakeNodes == nil {
+		st.wakeNodes = make([]refNode, 1, 256)
 	}
+	st.wakeNodes = st.wakeNodes[:1]
+	st.wakeFree = 0
 	st.wakeFar = st.wakeFar[:0]
 	st.wbUsed = [wbWindow]uint16{}
 	if cap(st.fetchBuf) < s.width*8 {
@@ -181,8 +233,8 @@ func (s *Sim) getState() *runState {
 	st.stashValid = false
 	st.wpCount, st.wpPos = 0, 0
 	st.fetchedCorrect = 0
-	st.windowGen = 0
 	st.stepped = 0
+	st.events = [power.NumStructures]uint64{}
 	st.srcFast = nil
 	st.srcPos = 0
 	st.acc = power.Account{}
@@ -252,7 +304,7 @@ func (s *Sim) Run(src Source, n int, opts Options) (*Result, error) {
 		fProg := s.fetch(st, src, target)
 
 		if st.cnt != nil {
-			st.cnt.perCycle(s, st)
+			st.cnt.perCycle(st)
 		}
 		// Expire the write-port slot for the cycle that just passed; it is
 		// not needed again until the ring wraps, far beyond any latency.
@@ -273,18 +325,21 @@ func (s *Sim) Run(src Source, n int, opts Options) (*Result, error) {
 	}
 
 	// Per-cycle energy: clock tree plus the conditional-clocking floor,
-	// charged once per simulated cycle after the reconfiguration charge —
-	// the same float additions in the same order as charging each cycle
-	// as it passes, since nothing else touches the clock account or reads
-	// the account mid-run. (A batched multiply would round differently.)
-	clk := 0.0
+	// charged once per simulated cycle after the reconfiguration charge.
+	// AddN makes the same float additions in the same order as charging
+	// each cycle as it passes, since nothing else touches the clock
+	// account or reads the account mid-run. (A multiply would round
+	// differently.) The single-constant structures' event counts are
+	// charged the same way.
 	if opts.ExtraEnergyPJ > 0 {
-		clk = opts.ExtraEnergyPJ
+		st.acc.Add(power.StructClock, opts.ExtraEnergyPJ)
 	}
-	for c := uint64(0); c < st.cycle; c++ {
-		clk += s.perCycPJ
+	st.acc.AddN(power.StructClock, s.perCycPJ, st.cycle)
+	for str, n := range st.events {
+		if n > 0 {
+			st.acc.AddN(power.Structure(str), s.eventPJ[str], n)
+		}
 	}
-	st.acc.Add(power.StructClock, clk)
 
 	st.res.Config = s.cfg
 	st.res.Cycles = st.cycle
@@ -318,10 +373,19 @@ func (s *Sim) Run(src Source, n int, opts Options) (*Result, error) {
 // on ROB, IQ, LSQ or register space, which only a commit, an issue or a
 // flush frees, and each of those follows a wakeup event that already
 // bounds the skip. The skip also stops at the cycle limit, so the main
-// loop reports a deadlock. Skipped cycles replay the main loop's per-cycle
-// work in cycle order: counter sampling when collecting, and the
-// write-port slot expiry. (The clock-tree charge is made once per cycle
-// after the run.)
+// loop reports a deadlock.
+//
+// Skipped cycles replay the main loop's per-cycle work: counter sampling
+// when collecting, and the write-port slot expiry. (The clock-tree charge
+// is made once per cycle after the run.) With no far-horizon token, the
+// next token is found in the ring's occupancy bitmap and the skipped
+// cycles are replayed as one batch. That is exact: nothing issues or
+// writes back in a skipped cycle, and the window does not change, so
+// every skipped cycle samples the same counter signature; and a skipped
+// cycle's write-port slot is already 0, because a reservation always has
+// a wakeup token in the same slot, except a far-horizon one, whose slot
+// is passed and expired before its token leaves wakeFar. With a
+// far-horizon token the cycles are replayed one at a time.
 func (s *Sim) fastForward(st *runState, limit uint64) {
 	stop := limit + 1
 	if st.fetchStallUntil > st.cycle && st.fetchStallUntil < stop {
@@ -332,21 +396,82 @@ func (s *Sim) fastForward(st *runState, limit uint64) {
 			stop = fe
 		}
 	}
-	for _, f := range st.wakeFar {
-		if f.cycle < stop {
-			stop = f.cycle
-		}
-	}
 	c := st.cycle
-	for c+1 < stop && len(st.wake[(c+1)%wbWindow]) == 0 {
-		c++
-		if st.cnt != nil {
-			st.cycle = c
-			st.cnt.perCycle(s, st)
+	if len(st.wakeFar) > 0 {
+		for _, f := range st.wakeFar {
+			if f.cycle < stop {
+				stop = f.cycle
+			}
 		}
-		st.wbUsed[c%wbWindow] = 0
+		for c+1 < stop && !st.wakeAt(c+1) {
+			c++
+			if st.cnt != nil {
+				st.cycle = c
+				st.cnt.perCycle(st)
+			}
+			st.wbUsed[c%wbWindow] = 0
+		}
+		st.cycle = c
+		return
 	}
-	st.cycle = c
+	if c+1 >= stop {
+		return
+	}
+	next := st.nextWake(c+1, stop)
+	if n := next - 1 - c; n > 0 {
+		if st.cnt != nil {
+			st.cnt.idle(st, n)
+		}
+		st.expireWritePorts(c+1, n)
+		st.cycle = next - 1
+	}
+}
+
+// wakeAt reports whether the ring holds tokens for cycle c.
+func (st *runState) wakeAt(c uint64) bool {
+	slot := c % wbWindow
+	return st.wakeOcc[slot/64]&(1<<(slot%64)) != 0
+}
+
+// nextWake returns the first cycle in [from, stop) whose ring slot holds
+// tokens, or stop if there is none. Ring tokens all complete within
+// wbWindow cycles of now, so one lap of the bitmap covers them.
+func (st *runState) nextWake(from, stop uint64) uint64 {
+	span := stop - from
+	if span > wbWindow {
+		span = wbWindow
+	}
+	slot := from % wbWindow
+	for off := uint64(0); off < span; {
+		bit := slot % 64
+		word := st.wakeOcc[slot/64] >> bit
+		n := 64 - bit
+		if n > span-off {
+			n = span - off
+			word &= 1<<n - 1
+		}
+		if word != 0 {
+			return from + off + uint64(bits.TrailingZeros64(word))
+		}
+		off += n
+		slot = (slot + n) % wbWindow
+	}
+	return stop
+}
+
+// expireWritePorts clears the write-port slots of the n cycles from from.
+func (st *runState) expireWritePorts(from, n uint64) {
+	if n >= wbWindow {
+		st.wbUsed = [wbWindow]uint16{}
+		return
+	}
+	lo := from % wbWindow
+	if hi := lo + n; hi <= wbWindow {
+		clear(st.wbUsed[lo:hi])
+	} else {
+		clear(st.wbUsed[lo:])
+		clear(st.wbUsed[:hi-wbWindow])
+	}
 }
 
 // commit retires up to Width completed entries from the ROB head, in
@@ -368,12 +493,15 @@ func (s *Sim) commit(st *runState) bool {
 		}
 		if e.inLSQ {
 			st.lsqCount--
+			if st.cnt != nil {
+				st.cnt.lsqNonSpec-- // committed entries precede every unresolved branch
+			}
 		}
-		if e.inst.Dst >= 0 && st.regProducer[e.inst.Dst] == int64(st.headSeq) {
-			st.regProducer[e.inst.Dst] = -1
+		if e.dst >= 0 && st.regProducer[e.dst] == int64(st.headSeq) {
+			st.regProducer[e.dst] = -1
 		}
 		s.freeDst(st, e)
-		st.acc.Add(power.StructROB, s.pm.ROBAccess) // retirement read
+		st.events[power.StructROB]++ // retirement read
 		st.headSeq++
 		st.headIdx++
 		if int(st.headIdx) == len(st.rob) {
@@ -381,7 +509,6 @@ func (s *Sim) commit(st *runState) bool {
 		}
 		st.robCount--
 		st.res.Committed++
-		st.windowGen++
 		prog = true
 	}
 	return prog
@@ -407,8 +534,13 @@ func (s *Sim) issueAndWake(st *runState) (progress, readyBlocked bool) {
 		st.drainFar()
 	}
 	slot := st.cycle % wbWindow
-	wake := st.wake[slot]
-	if len(wake) == 0 && len(st.iqList) == 0 {
+	// wp walks this cycle's tokens (0 when none is left). Tokens pushed
+	// during the walk complete in later cycles, so they never join this
+	// slot, and its nodes go back to the free list only after the walk.
+	wp := int32(0)
+	if st.wakeAt(st.cycle) {
+		wp = st.wakeHead[slot]
+	} else if len(st.iqList) == 0 {
 		// No completion is due and nothing is ready to issue: the walk
 		// would visit nothing and charge nothing, so skip it outright.
 		// (Waiting entries live in consumer chains, not the list, and
@@ -419,15 +551,20 @@ func (s *Sim) issueAndWake(st *runState) (progress, readyBlocked bool) {
 
 	issueBudget := s.width
 	rdPorts := s.rdPorts
-	intALU, intMul, fpALU, fpMul, memPort := s.nIntALU, s.nIntMul, s.nFpALU, s.nFpMul, s.nMemPort
+	units := s.units // free functional units of each pool this cycle
 	rdUsed := 0
+	// The walk's energy charges accumulate in locals, in the same order
+	// per structure as charging the account directly, and are stored back
+	// on both exits.
+	acc := &st.acc.DynamicPJ
+	iqPJ, rfPJ, fuPJ, l2PJ := acc[power.StructIQ], acc[power.StructRF], acc[power.StructFU], acc[power.StructL2]
 
-	wi, qi, qw := 0, 0, 0
-	for wi < len(wake) || qi < len(iq) {
-		if wi < len(wake) && (qi >= len(iq) || wake[wi].seq <= iq[qi].seq) {
+	qi, qw := 0, 0
+	for wp != 0 || qi < len(iq) {
+		if wp != 0 && (qi >= len(iq) || st.wakeNodes[wp].seq <= iq[qi].seq) {
 			// Writeback transition.
-			w := wake[wi]
-			wi++
+			w := st.wakeNodes[wp]
+			wp = w.next
 			e := &st.rob[w.idx]
 			// Tokens are not retracted on flush; squashed entries leave
 			// stale tokens behind. A token acts only if its entry is still
@@ -438,22 +575,28 @@ func (s *Sim) issueAndWake(st *runState) (progress, readyBlocked bool) {
 			progress = true
 			e.state = stCompleted
 			// Wakeup broadcast to the issue queue.
-			st.acc.Add(power.StructIQ, s.pm.IQWakeup)
-			if e.inst.Dst >= 0 && !e.wrongPath {
-				st.acc.Add(power.StructRF, s.pm.RFWrite)
+			iqPJ += s.pm.IQWakeup
+			if e.dst >= 0 && !e.wrongPath {
+				rfPJ += s.pm.RFWrite
 			}
-			if e.inst.Op == trace.Branch && !e.resolved && !e.wrongPath {
+			if e.op == trace.Branch && !e.resolved && !e.wrongPath {
 				e.resolved = true
 				st.unresolved--
-				st.windowGen++
 				if e.mispred {
 					s.flushAfter(st, w.seq)
+					if st.cnt != nil {
+						st.cnt.resolved(st, w.seq)
+					}
 					// Everything not yet visited by this walk is younger
 					// than the branch and was just squashed: drop the rest
 					// of the candidate list and the cycle's tokens.
 					st.iqList = iq[:qw]
-					st.wake[slot] = wake[:0]
+					st.freeWakeSlot(slot)
+					acc[power.StructIQ], acc[power.StructRF], acc[power.StructFU], acc[power.StructL2] = iqPJ, rfPJ, fuPJ, l2PJ
 					return true, readyBlocked
+				}
+				if st.cnt != nil {
+					st.cnt.resolved(st, w.seq)
 				}
 			}
 			// Wake the consumers waiting on this result; ones whose last
@@ -461,28 +604,31 @@ func (s *Sim) issueAndWake(st *runState) (progress, readyBlocked bool) {
 			// the list at their sequence position — ahead of the walk
 			// cursor, since they are younger than this token — exactly
 			// where the original scan would have found them ready.
-			if ch := st.cons[w.idx]; len(ch) > 0 {
-				for _, cr := range ch {
-					t := &st.rob[cr.idx]
+			if h := e.consHead; h != 0 {
+				for n := h; n != 0; {
+					cn := st.consNodes[n]
+					n = cn.next
+					t := &st.rob[cn.idx]
 					t.pending--
 					if t.pending == 0 {
 						iq = append(iq, wref{})
 						p := len(iq) - 1
-						for p > qi && iq[p-1].seq > cr.seq {
+						for p > qi && iq[p-1].seq > cn.seq {
 							iq[p] = iq[p-1]
 							p--
 						}
-						iq[p] = cr
+						iq[p] = wref{seq: cn.seq, idx: cn.idx}
 					}
 				}
-				st.cons[w.idx] = ch[:0]
+				st.freeCons(h, e.consTail)
+				e.consHead = 0
 			}
 			continue
 		}
 		// Issue candidate, oldest first. Everything in the list has its
 		// operands available (pending reached zero), so only structural
 		// resources gate issue.
-		if issueBudget == 0 && wi == len(wake) {
+		if issueBudget == 0 && wp == 0 {
 			// Budget spent and no tokens left: nothing that follows can
 			// transition or charge energy, so bulk-copy the tail.
 			qw += copy(iq[qw:], iq[qi:])
@@ -496,81 +642,62 @@ func (s *Sim) issueAndWake(st *runState) (progress, readyBlocked bool) {
 			continue
 		}
 		e := &st.rob[c.idx]
-		nsrc := 0
-		if e.inst.Src1 >= 0 {
-			nsrc++
-		}
-		if e.inst.Src2 >= 0 {
-			nsrc++
-		}
+		nsrc := int(e.nsrc)
 		if rdUsed+nsrc > rdPorts {
 			iq[qw] = c
 			qw++
 			readyBlocked = true
 			continue
 		}
-		var fu *int
-		switch e.inst.Op {
-		case trace.IntALU, trace.Branch, trace.Store:
-			fu = &intALU
-		case trace.IntMul:
-			fu = &intMul
-		case trace.FpALU:
-			fu = &fpALU
-		case trace.FpMul:
-			fu = &fpMul
-		default: // Load
-			fu = &memPort
-		}
-		if *fu == 0 || (e.inst.Op == trace.Store && memPort == 0) {
+		// Claim the functional unit; a store also takes a memory port.
+		op := e.op & 7
+		u := opUnit[op]
+		if units[u] == 0 || (op == trace.Store && units[unitMem] == 0) {
 			iq[qw] = c
 			qw++
 			readyBlocked = true
 			continue
 		}
-		*fu--
-		if e.inst.Op == trace.Store {
-			memPort--
+		units[u]--
+		if op == trace.Store {
+			units[unitMem]--
 		}
 		rdUsed += nsrc
 		issueBudget--
 		progress = true
 
-		lat := s.latTab[e.inst.Op]
-		st.acc.Add(power.StructIQ, s.pm.IQIssue)
-		st.acc.Add(power.StructRF, float64(nsrc)*s.pm.RFRead)
-		switch e.inst.Op {
-		case trace.Load, trace.Store:
-			lvl := s.hier.AccessData(e.inst.Addr)
-			st.acc.Add(power.StructDCache, s.pm.DCacheAccess)
-			st.acc.Add(power.StructLSQ, s.pm.LSQAccess)
-			if e.inst.Op == trace.Load {
+		// The charges of one issue go to distinct structures, so their
+		// order among themselves is immaterial. A memory op's unit charge
+		// is 0, and adding 0 leaves the (non-negative) sum unchanged.
+		lat := s.latTab[op]
+		iqPJ += s.pm.IQIssue
+		rfPJ += s.readPJ[nsrc&3]
+		fuPJ += s.unitPJ[op]
+		if e.op == trace.Load || e.op == trace.Store {
+			lvl := s.hier.AccessData(e.addr)
+			st.events[power.StructDCache]++
+			st.events[power.StructLSQ]++
+			if e.op == trace.Load {
 				switch lvl {
 				case cache.L2Hit:
 					lat = s.l2Lat
-					st.acc.Add(power.StructL2, s.pm.L2Access)
+					l2PJ += s.pm.L2Access
 				case cache.Memory:
 					lat = s.memLat
-					st.acc.Add(power.StructL2, s.pm.L2Access+s.pm.MemAccess)
+					l2PJ += float64(s.pm.L2Access + s.pm.MemAccess)
 				}
 			} else if lvl != cache.L1Hit {
-				st.acc.Add(power.StructL2, s.pm.L2Access)
+				l2PJ += s.pm.L2Access
 			}
 			if st.cnt != nil && !e.wrongPath {
-				st.cnt.observeData(e.inst.Addr)
+				st.cnt.observeData(e.addr)
 			}
-		case trace.IntALU, trace.Branch:
-			st.acc.Add(power.StructFU, s.pm.IntOp)
-		case trace.IntMul, trace.FpMul:
-			st.acc.Add(power.StructFU, s.pm.MulOp)
-		case trace.FpALU:
-			st.acc.Add(power.StructFU, s.pm.FpOp)
 		}
 
 		// Write-port scheduling: completion lands on the first cycle at or
 		// after the nominal finish with a free write port.
 		fin := st.cycle + lat
-		if e.inst.Dst >= 0 {
+		if e.dst >= 0 {
 			for st.wbUsed[fin%wbWindow] >= s.wrPorts {
 				fin++
 			}
@@ -580,34 +707,73 @@ func (s *Sim) issueAndWake(st *runState) (progress, readyBlocked bool) {
 		e.state = stIssued
 		e.inIQ = false
 		st.iqCount--
-		st.windowGen++
 		st.pushWake(c.seq, c.idx, fin)
 		if st.cnt != nil {
-			st.cnt.issued(st, e, nsrc)
+			st.cnt.issued(e, c.seq, nsrc)
 		}
 	}
-	st.wake[slot] = wake[:0]
+	st.freeWakeSlot(slot)
 	st.iqList = iq[:qw]
+	acc[power.StructIQ], acc[power.StructRF], acc[power.StructFU], acc[power.StructL2] = iqPJ, rfPJ, fuPJ, l2PJ
 	return progress, readyBlocked
 }
 
-// pushWake schedules a completion event for cycle fin, keeping each ring
-// slot sorted by sequence number.
+// pushWake schedules a completion event for cycle fin.
 func (st *runState) pushWake(seq uint64, idx int32, fin uint64) {
 	if fin-st.cycle >= wbWindow {
 		st.wakeFar = append(st.wakeFar, farWref{seq: seq, cycle: fin, idx: idx})
 		return
 	}
-	slot := fin % wbWindow
-	l := st.wake[slot]
-	i := len(l)
-	for i > 0 && l[i-1].seq > seq {
-		i--
+	st.insertWake(fin%wbWindow, seq, idx)
+}
+
+// insertWake adds a token to a ring slot's list after every token with a
+// lower or equal seq. Tokens mostly arrive in seq order, so the common
+// case appends at the tail.
+func (st *runState) insertWake(slot, seq uint64, idx int32) {
+	n := st.wakeFree
+	if n != 0 {
+		st.wakeFree = st.wakeNodes[n].next
+	} else {
+		n = int32(len(st.wakeNodes))
+		st.wakeNodes = append(st.wakeNodes, refNode{})
 	}
-	l = append(l, wref{})
-	copy(l[i+1:], l[i:])
-	l[i] = wref{seq: seq, idx: idx}
-	st.wake[slot] = l
+	nodes := st.wakeNodes
+	nodes[n] = refNode{seq: seq, idx: idx}
+	occ := &st.wakeOcc[slot/64]
+	if bit := uint64(1) << (slot % 64); *occ&bit == 0 {
+		*occ |= bit
+		st.wakeHead[slot], st.wakeTail[slot] = n, n
+		return
+	}
+	if t := st.wakeTail[slot]; nodes[t].seq <= seq {
+		nodes[t].next = n
+		st.wakeTail[slot] = n
+		return
+	}
+	h := st.wakeHead[slot]
+	if nodes[h].seq > seq {
+		nodes[n].next = h
+		st.wakeHead[slot] = n
+		return
+	}
+	// The tail's seq is higher, so the walk stops before it.
+	p := h
+	for nodes[nodes[p].next].seq <= seq {
+		p = nodes[p].next
+	}
+	nodes[n].next = nodes[p].next
+	nodes[p].next = n
+}
+
+// freeWakeSlot returns a ring slot's tokens to the free list.
+func (st *runState) freeWakeSlot(slot uint64) {
+	occ := &st.wakeOcc[slot/64]
+	if bit := uint64(1) << (slot % 64); *occ&bit != 0 {
+		st.wakeNodes[st.wakeTail[slot]].next = st.wakeFree
+		st.wakeFree = st.wakeHead[slot]
+		*occ &^= bit
+	}
 }
 
 // drainFar migrates far-horizon completions into the ring once they come
@@ -616,16 +782,7 @@ func (st *runState) drainFar() {
 	kept := st.wakeFar[:0]
 	for _, f := range st.wakeFar {
 		if f.cycle-st.cycle < wbWindow {
-			slot := f.cycle % wbWindow
-			l := st.wake[slot]
-			i := len(l)
-			for i > 0 && l[i-1].seq > f.seq {
-				i--
-			}
-			l = append(l, wref{})
-			copy(l[i+1:], l[i:])
-			l[i] = wref{seq: f.seq, idx: f.idx}
-			st.wake[slot] = l
+			st.insertWake(f.cycle%wbWindow, f.seq, f.idx)
 		} else {
 			kept = append(kept, f)
 		}
@@ -662,15 +819,13 @@ func (s *Sim) flushAfter(st *runState, seq uint64) {
 		}
 	}
 	// Surviving producers must forget squashed consumers: chains are in
-	// ascending sequence order, so the squashed suffix peels off the tail.
-	// (Squashed slots' own chains are reset when the slot re-dispatches.)
+	// ascending sequence order, so the squashed consumers are a suffix.
+	// (Squashed slots' own chains are freed when the slot re-dispatches.)
 	idx = int(st.headIdx)
 	for q := st.headSeq; q <= seq; q++ {
-		ch := st.cons[idx]
-		for len(ch) > 0 && ch[len(ch)-1].seq > seq {
-			ch = ch[:len(ch)-1]
+		if e := &st.rob[idx]; e.consHead != 0 && st.consNodes[e.consTail].seq > seq {
+			st.truncateCons(e, seq)
 		}
-		st.cons[idx] = ch
 		idx++
 		if idx == n {
 			idx = 0
@@ -680,7 +835,6 @@ func (s *Sim) flushAfter(st *runState, seq uint64) {
 	st.fbHead = 0
 	st.wrongPathMode = false
 	st.wpPos = 0
-	st.windowGen++
 	// Redirect: the front-end refill delay is modelled by dispatch's
 	// FrontEndStages latency on newly fetched instructions; the extra
 	// stall covers resolution-to-redirect wiring.
@@ -704,15 +858,18 @@ func (s *Sim) dispatch(st *runState) bool {
 		if f.fetchCycle+fe > st.cycle {
 			break // still in the front-end pipeline
 		}
+		if f.replay != 0 {
+			st.wrongPathInst(f)
+		}
 		if st.robCount >= s.robSize || st.iqCount >= s.iqSize {
 			break
 		}
-		if f.inst.Op.IsMem() && st.lsqCount >= s.lsqSize {
+		if f.op.IsMem() && st.lsqCount >= s.lsqSize {
 			break
 		}
 		bank := int8(-1)
-		if f.inst.Dst >= 0 {
-			if int(f.inst.Dst) < trace.NumIntRegs {
+		if f.dst >= 0 {
+			if int(f.dst) < trace.NumIntRegs {
 				if st.allocInt >= s.freeInt {
 					break
 				}
@@ -733,34 +890,49 @@ func (s *Sim) dispatch(st *runState) bool {
 		// that has already completed leaves the operand available from
 		// the start. The slot's own (stale) chain dies with its previous
 		// occupant.
-		st.cons[idx] = st.cons[idx][:0]
+		if e.consHead != 0 {
+			st.freeCons(e.consHead, e.consTail)
+		}
 		pend := int8(0)
-		if p1, i1 := st.producerOf(f.inst.Src1); p1 >= 0 && st.rob[i1].state != stCompleted {
-			st.cons[i1] = append(st.cons[i1], wref{seq: seq, idx: idx})
+		if p1, i1 := st.producerOf(f.src1); p1 >= 0 && st.rob[i1].state != stCompleted {
+			st.appendCons(&st.rob[i1], seq, idx)
 			pend++
 		}
-		if p2, i2 := st.producerOf(f.inst.Src2); p2 >= 0 && st.rob[i2].state != stCompleted {
-			st.cons[i2] = append(st.cons[i2], wref{seq: seq, idx: idx})
+		if p2, i2 := st.producerOf(f.src2); p2 >= 0 && st.rob[i2].state != stCompleted {
+			st.appendCons(&st.rob[i2], seq, idx)
 			pend++
 		}
-		*e = entry{
-			inst:      f.inst,
-			state:     stDispatched,
-			wrongPath: f.wrongPath,
-			mispred:   f.mispred,
-			complete:  neverCycle,
-			dstBank:   bank,
-			inIQ:      true,
-			pending:   pend,
+		nsrc := int8(0)
+		if f.src1 >= 0 {
+			nsrc++
 		}
-		if f.inst.Op.IsMem() {
-			e.inLSQ = true
+		if f.src2 >= 0 {
+			nsrc++
+		}
+		// Field by field: a composite literal is assembled on the stack
+		// and block-copied, and the copy stalls on the byte stores.
+		mem := f.op.IsMem()
+		e.complete = neverCycle
+		e.addr = f.addr
+		e.op = f.op
+		e.dst = f.dst
+		e.nsrc = nsrc
+		e.state = stDispatched
+		e.pending = pend
+		e.dstBank = bank
+		e.wrongPath = f.wrongPath
+		e.mispred = f.mispred
+		e.resolved = false
+		e.inIQ = true
+		e.inLSQ = mem
+		e.consHead, e.consTail = 0, 0
+		if mem {
 			st.lsqCount++
-			st.acc.Add(power.StructLSQ, s.pm.LSQAccess)
+			st.events[power.StructLSQ]++
 		}
-		if f.inst.Dst >= 0 {
-			st.regProducer[f.inst.Dst] = int64(seq)
-			st.regProducerIdx[f.inst.Dst] = idx
+		if f.dst >= 0 {
+			st.regProducer[f.dst] = int64(seq)
+			st.regProducerIdx[f.dst] = idx
 		}
 		if pend == 0 {
 			st.iqList = append(st.iqList, wref{seq: seq, idx: idx})
@@ -772,12 +944,11 @@ func (s *Sim) dispatch(st *runState) bool {
 		}
 		st.robCount++
 		st.iqCount++
-		st.windowGen++
-		st.acc.Add(power.StructROB, s.pm.ROBAccess)
+		st.events[power.StructROB]++
 		st.acc.Add(power.StructIQ, s.pm.IQInsert)
-		st.acc.Add(power.StructRename, s.pm.RenameOp)
+		st.events[power.StructRename]++
 		if st.cnt != nil {
-			st.cnt.dispatched(st, e)
+			st.cnt.dispatched(e, seq)
 		}
 		if f.wrongPath {
 			st.res.WrongPath++
@@ -790,6 +961,49 @@ func (s *Sim) dispatch(st *runState) bool {
 		st.fbHead = 0
 	}
 	return prog
+}
+
+// appendCons adds the consumer (seq, idx) to the end of p's chain.
+func (st *runState) appendCons(p *entry, seq uint64, idx int32) {
+	n := st.consFree
+	if n != 0 {
+		st.consFree = st.consNodes[n].next
+	} else {
+		n = int32(len(st.consNodes))
+		st.consNodes = append(st.consNodes, refNode{})
+	}
+	st.consNodes[n] = refNode{seq: seq, idx: idx}
+	if p.consHead == 0 {
+		p.consHead = n
+	} else {
+		st.consNodes[p.consTail].next = n
+	}
+	p.consTail = n
+}
+
+// freeCons returns the chain head..tail to the free list.
+func (st *runState) freeCons(head, tail int32) {
+	st.consNodes[tail].next = st.consFree
+	st.consFree = head
+}
+
+// truncateCons drops the consumers younger than seq from e's chain.
+func (st *runState) truncateCons(e *entry, seq uint64) {
+	nodes := st.consNodes
+	h := e.consHead
+	if nodes[h].seq > seq {
+		st.freeCons(h, e.consTail)
+		e.consHead = 0
+		return
+	}
+	// The tail is younger, so the walk stops before it.
+	p := h
+	for nodes[nodes[p].next].seq <= seq {
+		p = nodes[p].next
+	}
+	st.freeCons(nodes[p].next, e.consTail)
+	nodes[p].next = 0
+	e.consTail = p
 }
 
 // producerOf returns the in-flight producer seq and ROB slot for register
@@ -805,15 +1019,17 @@ func (st *runState) producerOf(r int8) (int64, int32) {
 	return seq, st.regProducerIdx[r]
 }
 
-// pushFetch appends to the fetch buffer, compacting the drained prefix in
-// place when the backing array fills so the buffer never reallocates.
-func (st *runState) pushFetch(f fetchedInst) {
+// pushFetch appends a zeroed slot to the fetch buffer and returns it for
+// the caller to fill in place, compacting the drained prefix when the
+// backing array fills so the buffer never reallocates.
+func (st *runState) pushFetch() *fetchedInst {
 	if len(st.fetchBuf) == cap(st.fetchBuf) && st.fbHead > 0 {
 		n := copy(st.fetchBuf, st.fetchBuf[st.fbHead:])
 		st.fetchBuf = st.fetchBuf[:n]
 		st.fbHead = 0
 	}
-	st.fetchBuf = append(st.fetchBuf, f)
+	st.fetchBuf = append(st.fetchBuf, fetchedInst{})
+	return &st.fetchBuf[len(st.fetchBuf)-1]
 }
 
 // fetch brings up to Width instructions into the fetch buffer, consulting
@@ -823,6 +1039,9 @@ func (s *Sim) fetch(st *runState, src Source, target uint64) bool {
 	if st.cycle < st.fetchStallUntil {
 		return false
 	}
+	if st.wrongPathMode {
+		return s.fetchWrongPath(st)
+	}
 	w := s.width
 	full := w * 7
 	prog := false
@@ -831,10 +1050,7 @@ func (s *Sim) fetch(st *runState, src Source, target uint64) bool {
 			return prog // fetch buffer nearly full
 		}
 		var in trace.Inst
-		wrong := st.wrongPathMode
 		switch {
-		case wrong:
-			in = s.nextWrongPath(st)
 		case st.stashValid:
 			in = st.stash
 			st.stashValid = false
@@ -853,7 +1069,7 @@ func (s *Sim) fetch(st *runState, src Source, target uint64) bool {
 			return prog // trace exhausted; drain
 		}
 
-		isBranch := in.Op == trace.Branch && !wrong
+		isBranch := in.Op == trace.Branch
 		if isBranch && st.unresolved >= s.maxBr {
 			// Cannot speculate past more in-flight branches: hold the
 			// branch and retry next cycle.
@@ -865,90 +1081,131 @@ func (s *Sim) fetch(st *runState, src Source, target uint64) bool {
 		fc := st.cycle
 		missed := false
 		if k == 0 {
-			// One I-cache access per fetch group.
-			lvl := s.hier.AccessFetch(in.PC)
-			st.acc.Add(power.StructICache, s.pm.ICacheAccess)
-			if lvl != cache.L1Hit {
-				var lat uint64
-				if lvl == cache.L2Hit {
-					lat = s.l2Lat
-					st.acc.Add(power.StructL2, s.pm.L2Access)
-				} else {
-					lat = s.memLat
-					st.acc.Add(power.StructL2, s.pm.L2Access+s.pm.MemAccess)
-				}
-				st.fetchStallUntil = st.cycle + lat
-				fc = st.fetchStallUntil // arrives when the miss returns
-				missed = true
-			} else if st.cnt != nil && !wrong {
+			if fc, missed = s.fetchLine(st, in.PC); !missed && st.cnt != nil {
 				st.cnt.observeFetch(in.PC)
 			}
 		}
 
-		f := fetchedInst{inst: in, fetchCycle: fc, wrongPath: wrong}
+		mispred := false
 		if isBranch {
-			st.acc.Add(power.StructBpred, s.pm.BpredLookup+s.pm.BTBLookup)
+			st.events[power.StructBpred]++
 			correct := s.bp.Update(in.PC, in.Taken, in.Target)
 			st.unresolved++
 			if st.cnt != nil {
 				st.cnt.branchFetched(in)
 			}
 			if !correct {
-				f.mispred = true
+				mispred = true
 				st.wrongPathMode = true
 			}
 		}
-		st.pushFetch(f)
+		f := st.pushFetch()
+		f.fetchCycle = fc
+		f.addr = in.Addr
+		f.op = in.Op
+		f.dst = in.Dst
+		f.src1, f.src2 = in.Src1, in.Src2
+		f.mispred = mispred
 		st.res.Fetched++
 		prog = true
-		if !wrong {
-			s.recordFetch(st, in)
-		}
+		s.recordFetch(st, in)
 		if missed {
 			return prog // the group ends at an I-cache miss
 		}
-		if isBranch && (f.mispred || in.Taken) {
+		if isBranch && (mispred || in.Taken) {
 			return prog // redirect (taken) or switch to the wrong path
 		}
 	}
 	return prog
 }
 
-// recordFetch appends the instruction to the wrong-path replay ring.
-func (s *Sim) recordFetch(st *runState, in trace.Inst) {
-	st.wpRing[st.wpCount%wpRingSize] = in
-	st.wpCount++
+// fetchLine makes a fetch group's one I-cache access at pc. It returns
+// the cycle the group's instructions arrive and whether the access
+// missed, which stalls fetch until the line returns and ends the group.
+func (s *Sim) fetchLine(st *runState, pc uint32) (uint64, bool) {
+	lvl := s.hier.AccessFetch(pc)
+	st.events[power.StructICache]++
+	if lvl == cache.L1Hit {
+		return st.cycle, false
+	}
+	var lat uint64
+	if lvl == cache.L2Hit {
+		lat = s.l2Lat
+		st.acc.Add(power.StructL2, s.pm.L2Access)
+	} else {
+		lat = s.memLat
+		st.acc.Add(power.StructL2, s.pm.L2Access+s.pm.MemAccess)
+	}
+	st.fetchStallUntil = st.cycle + lat
+	return st.fetchStallUntil, true
 }
 
-// nextWrongPath synthesizes the next wrong-path instruction by replaying
-// recent fetch history at a shifted address: plausible nearby code that
-// occupies resources and pollutes the caches until the flush.
-func (s *Sim) nextWrongPath(st *runState) trace.Inst {
-	if st.wpCount == 0 {
-		return trace.Inst{Op: trace.IntALU, Dst: 1, Src1: 2, Src2: 3, PC: 0x1000}
+// fetchWrongPath fetches a group down the wrong path: replays of recent
+// fetch history at a shifted address, plausible nearby code that occupies
+// resources and pollutes the caches until the flush. A fetch-buffer slot
+// records only which slot of the replay ring it replays, and dispatch
+// materialises the instruction (wrongPathInst); most are squashed in the
+// buffer before they dispatch. The ring cannot change in between: only
+// correct-path fetches record into it, and the flush that ends wrong-path
+// mode empties the fetch buffer. wpPos restarts at 0 on every flush and
+// the ring's fill is frozen while wrong-path mode is active, so a wrap
+// compare replays the same slot sequence a modulo would.
+func (s *Sim) fetchWrongPath(st *runState) bool {
+	w := s.width
+	full := w * 7
+	prog := false
+	for k := 0; k < w; k++ {
+		if st.fbLen() >= full {
+			return prog // fetch buffer nearly full
+		}
+		f := st.pushFetch()
+		f.fetchCycle = st.cycle
+		f.wrongPath = true
+		pc := uint32(0x1000)
+		if st.wpCount == 0 {
+			// Nothing to replay yet: a plain ALU op.
+			f.op, f.dst, f.src1, f.src2 = trace.IntALU, 1, 2, 3
+		} else {
+			n := min(st.wpCount, wpRingSize)
+			if st.wpPos >= n {
+				st.wpPos = 0
+			}
+			f.replay = int8(st.wpPos) + 1
+			pc = st.wpRing[st.wpPos].PC + 256 // nearby, but distinct, code
+			st.wpPos++
+		}
+		missed := false
+		if k == 0 {
+			f.fetchCycle, missed = s.fetchLine(st, pc)
+		}
+		st.res.Fetched++
+		prog = true
+		if missed {
+			return prog // the group ends at an I-cache miss
+		}
 	}
-	n := st.wpCount
-	if n > wpRingSize {
-		n = wpRingSize
-	}
-	// wpPos restarts at 0 on every flush and n is frozen while wrong-path
-	// mode is active, so a wrap compare replays the same index sequence
-	// the original modulo produced.
-	if st.wpPos >= n {
-		st.wpPos = 0
-	}
-	in := st.wpRing[st.wpPos]
-	st.wpPos++
-	in.PC += 256 // nearby, but distinct, code
+	return prog
+}
+
+// wrongPathInst materialises a wrong-path fetch-buffer slot that replays
+// ring slot f.replay-1.
+func (st *runState) wrongPathInst(f *fetchedInst) {
+	in := &st.wpRing[f.replay-1]
+	f.addr, f.op, f.dst, f.src1, f.src2 = in.Addr, in.Op, in.Dst, in.Src1, in.Src2
 	if in.Op.IsMem() {
-		in.Addr += 64
+		f.addr += 64
 	}
 	if in.Op == trace.Branch {
 		// Wrong-path branches execute as plain ALU ops: they occupy
 		// resources but cannot redirect fetch or resolve.
-		in.Op = trace.IntALU
-		in.Dst = 1
-		in.Taken = false
+		f.op = trace.IntALU
+		f.dst = 1
 	}
-	return in
+	f.replay = 0
+}
+
+// recordFetch appends the instruction to the wrong-path replay ring.
+func (s *Sim) recordFetch(st *runState, in trace.Inst) {
+	st.wpRing[st.wpCount%wpRingSize] = in
+	st.wpCount++
 }

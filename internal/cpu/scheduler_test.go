@@ -219,3 +219,117 @@ func TestResourceStallsAreFastForwarded(t *testing.T) {
 			stepped, res.Cycles)
 	}
 }
+
+// wakeSeqs lists the seqs of the ring slot for cycle c, in list order.
+func wakeSeqs(st *runState, c uint64) []uint64 {
+	if !st.wakeAt(c) {
+		return nil
+	}
+	var out []uint64
+	for n := st.wakeHead[c%wbWindow]; n != 0; n = st.wakeNodes[n].next {
+		out = append(out, st.wakeNodes[n].seq)
+	}
+	return out
+}
+
+// TestFarWakeupsDrainInSeqOrder drives the far-horizon path, which real
+// runs do not reach: a completion more than wbWindow cycles out needs
+// thousands of queued write-port conflicts. While far tokens are pending,
+// fastForward stops at the earlier of the next ring token and the far
+// tokens, and samples the skipped cycles one at a time; once in reach,
+// drainFar merges the far tokens into their ring slot in seq order.
+func TestFarWakeupsDrainInSeqOrder(t *testing.T) {
+	s, err := New(arch.Profiling())
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := s.getState()
+	c, err := newCollector(s.cfg, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.cnt = c
+	const start, near = 1000, 1020
+	const far = start + wbWindow + 500
+	st.cycle = start
+	st.pushWake(7, 7, far)
+	st.pushWake(3, 3, far)
+	st.pushWake(9, 9, near)
+	if len(st.wakeFar) != 2 || !reflect.DeepEqual(wakeSeqs(st, near), []uint64{9}) {
+		t.Fatalf("far tokens %v, ring slot %v", st.wakeFar, wakeSeqs(st, near))
+	}
+	const limit = 1 << 40
+	s.fastForward(st, limit)
+	if st.cycle != near-1 {
+		t.Fatalf("fast-forward stopped at %d, want %d (one short of the ring token)", st.cycle, near-1)
+	}
+	// The main loop's step at near consumes the ring token.
+	st.cycle = near
+	st.freeWakeSlot(near % wbWindow)
+	s.fastForward(st, limit)
+	if st.cycle != far-1 {
+		t.Fatalf("fast-forward stopped at %d, want %d (one short of the far tokens)", st.cycle, far-1)
+	}
+	c.flushRun()
+	if want := uint64(near-1-start) + uint64(far-1-near); c.raw.ROBOcc.Total != want {
+		t.Errorf("sampled %d skipped cycles, want %d", c.raw.ROBOcc.Total, want)
+	}
+	// A token pushed within reach sits between the far ones by seq.
+	st.pushWake(5, 5, far)
+	st.cycle = far
+	st.drainFar()
+	if len(st.wakeFar) != 0 {
+		t.Fatalf("%d far tokens left after draining at their cycle", len(st.wakeFar))
+	}
+	if got := wakeSeqs(st, far); !reflect.DeepEqual(got, []uint64{3, 5, 7}) {
+		t.Errorf("ring slot after drain holds seqs %v, want [3 5 7]", got)
+	}
+}
+
+// TestFastForwardBatchAcrossRingWrap checks the batched skip: with no far
+// tokens, fastForward finds the next ring token through the occupancy
+// bitmap, also when it lies past the ring's wrap point, samples the
+// skipped cycles as one run and expires exactly their write-port slots.
+func TestFastForwardBatchAcrossRingWrap(t *testing.T) {
+	s, err := New(arch.Profiling())
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := s.getState()
+	c, err := newCollector(s.cfg, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.cnt = c
+	const start = 3*wbWindow - 30
+	const next = start + 100 // 70 slots past the wrap
+	st.cycle = start
+	st.pushWake(1, 1, next)
+	for i := range st.wbUsed {
+		st.wbUsed[i] = 1
+	}
+	s.fastForward(st, 1<<40)
+	if st.cycle != next-1 {
+		t.Fatalf("fast-forward stopped at %d, want %d", st.cycle, next-1)
+	}
+	for cyc := uint64(start - 5); cyc < next+5; cyc++ {
+		want := uint16(1)
+		if cyc > start && cyc < next {
+			want = 0
+		}
+		if got := st.wbUsed[cyc%wbWindow]; got != want {
+			t.Errorf("write-port slot of cycle %d = %d, want %d", cyc, got, want)
+		}
+	}
+	c.flushRun()
+	if c.raw.ROBOcc.Total != next-1-start {
+		t.Errorf("sampled %d cycles, want %d", c.raw.ROBOcc.Total, next-1-start)
+	}
+	// With the ring empty the skip runs to the next bound, here the limit.
+	st.freeWakeSlot(next % wbWindow)
+	st.cycle = next
+	s.fastForward(st, next+3*wbWindow)
+	if st.cycle != next+3*wbWindow {
+		t.Fatalf("fast-forward over an empty ring stopped at %d, want the limit %d", st.cycle, next+3*wbWindow)
+	}
+}

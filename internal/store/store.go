@@ -141,6 +141,10 @@ type Store struct {
 	index map[Key]recLoc
 	end   int64 // append offset (start of the next record header)
 	stale int64 // payload bytes of superseded/skipped records
+	// changed records that the log was written, truncated or replaced
+	// through this handle since Open, so Close has something to sync. A
+	// warm replay only reads, and its Close skips the fsync.
+	changed bool
 	// stats holds the counters that change under the write lock; Gets
 	// under the read lock count into the atomics below, and Stats merges
 	// the two.
@@ -361,6 +365,7 @@ func (s *Store) dropRecord(payloadLen int64) {
 // corrupt tail. The file is cut back so the next append writes over it.
 func (s *Store) truncateTail(off int64) error {
 	s.dropRecord(0)
+	s.changed = true
 	if err := s.f.Truncate(off); err != nil {
 		return fmt.Errorf("store: truncating torn tail at %d: %w", off, err)
 	}
@@ -370,6 +375,7 @@ func (s *Store) truncateTail(off int64) error {
 
 // reset rewrites an unreadably short log from scratch.
 func (s *Store) reset() error {
+	s.changed = true
 	if err := s.f.Truncate(0); err != nil {
 		return fmt.Errorf("store: resetting log: %w", err)
 	}
@@ -384,6 +390,7 @@ func logHeader() []byte {
 
 // writeHeader starts an empty log.
 func (s *Store) writeHeader() error {
+	s.changed = true
 	if _, err := s.f.WriteAt(logHeader(), 0); err != nil {
 		return fmt.Errorf("store: writing header: %w", err)
 	}
@@ -482,6 +489,7 @@ func (s *Store) putValue(key Key, value []byte) error {
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.changed = true
 	if _, err := s.f.WriteAt(rec, s.end); err != nil {
 		return fmt.Errorf("store: appending record: %w", err)
 	}
@@ -575,6 +583,7 @@ func (s *Store) compactLocked() error {
 	}
 	s.f.Close()
 	s.f = nf
+	s.changed = true
 	s.index = newIndex
 	s.end = off
 	s.stale = 0
@@ -602,14 +611,19 @@ func (s *Store) Len() int {
 	return len(s.index)
 }
 
-// Close syncs and closes the log and releases the advisory lock.
+// Close closes the log and releases the advisory lock. It first syncs
+// the log if this handle changed it since Open: an append, a torn-tail
+// truncation, a reset, a header write or a compaction. A store that was
+// only read is closed without an fsync.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var firstErr error
 	if s.f != nil {
-		if err := s.f.Sync(); err != nil && firstErr == nil {
-			firstErr = err
+		if s.changed {
+			if err := s.f.Sync(); err != nil && firstErr == nil {
+				firstErr = err
+			}
 		}
 		if err := s.f.Close(); err != nil && firstErr == nil {
 			firstErr = err

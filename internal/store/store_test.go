@@ -700,3 +700,73 @@ func flip(t *testing.T, path string, off int64) {
 		t.Fatal(err)
 	}
 }
+
+// TestCloseSyncsOnlyChangedLogs checks when Close has a write to sync: a
+// log this handle created, appended to, cut back from a torn tail or
+// compacted, but not one it only read (a warm replay).
+func TestCloseSyncsOnlyChangedLogs(t *testing.T) {
+	dir := t.TempDir()
+	open := func(want bool, what string) *Store {
+		t.Helper()
+		s, err := Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s.changed != want {
+			t.Fatalf("%s: changed = %v after Open, want %v", what, s.changed, want)
+		}
+		return s
+	}
+	closeStore := func(s *Store) {
+		t.Helper()
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	s := open(true, "new log (header write)")
+	closeStore(s)
+
+	s = open(false, "empty log reopened")
+	if err := s.Put(fakeKey(1), fakeResult(1)); err != nil {
+		t.Fatal(err)
+	}
+	if !s.changed {
+		t.Fatal("changed = false after Put")
+	}
+	closeStore(s)
+
+	s = open(false, "warm reopen")
+	if _, ok := s.Get(fakeKey(1)); !ok {
+		t.Fatal("Get missed")
+	}
+	s.Get(fakeKey(2))
+	if s.changed {
+		t.Fatal("changed = true after Gets alone")
+	}
+	closeStore(s)
+
+	// A torn tail is cut back on Open.
+	f, err := os.OpenFile(HeadLog(dir), os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write([]byte{1, 2, 3}); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	s = open(true, "torn tail")
+	closeStore(s)
+
+	// A shadowed record makes the next Open compact.
+	s = open(false, "clean reopen")
+	if err := s.Put(fakeKey(1), fakeResult(3)); err != nil {
+		t.Fatal(err)
+	}
+	closeStore(s)
+	s = open(true, "compacting reopen")
+	if s.Stats().Compactions != 1 {
+		t.Fatalf("compactions = %d, want 1", s.Stats().Compactions)
+	}
+	closeStore(s)
+}

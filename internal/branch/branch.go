@@ -6,7 +6,8 @@ package branch
 
 import (
 	"fmt"
-	"sync"
+
+	"repro/internal/keyedpool"
 )
 
 // Predictor is the combined gshare + BTB unit. It is deterministic and not
@@ -46,7 +47,7 @@ func New(gshareEntries, btbEntries int) (*Predictor, error) {
 		btbSets: uint32(btbEntries / btbAssoc),
 		btbWays: btbAssoc,
 	}
-	if t, ok := tablePool(gshareEntries, btbEntries).Get().(*tables); ok {
+	if t, ok := tablePool.Get([2]int{gshareEntries, btbEntries}); ok {
 		p.pht, p.btbTags, p.btbTargets, p.btbLRU = t.pht, t.btbTags, t.btbTargets, t.btbLRU
 		clear(p.btbTargets)
 		clear(p.btbLRU)
@@ -80,18 +81,9 @@ type tables struct {
 	btbLRU     []uint8
 }
 
-// tablePools maps a (gshare, BTB) geometry to the *sync.Pool of *tables
-// that Release fills and New drains.
-var tablePools sync.Map
-
-func tablePool(gshareEntries, btbEntries int) *sync.Pool {
-	key := [2]int{gshareEntries, btbEntries}
-	if p, ok := tablePools.Load(key); ok {
-		return p.(*sync.Pool)
-	}
-	p, _ := tablePools.LoadOrStore(key, new(sync.Pool))
-	return p.(*sync.Pool)
-}
+// tablePool holds released tables by (gshare, BTB) geometry: Release
+// fills it and New drains it.
+var tablePool keyedpool.Pool[[2]int, *tables]
 
 // Release hands the predictor's tables to a later New with the same
 // geometry. p must not be used afterwards.
@@ -99,7 +91,7 @@ func (p *Predictor) Release() {
 	if p.pht == nil {
 		return
 	}
-	tablePool(len(p.pht), len(p.btbTags)).Put(&tables{p.pht, p.btbTags, p.btbTargets, p.btbLRU})
+	tablePool.Put([2]int{len(p.pht), len(p.btbTags)}, &tables{p.pht, p.btbTags, p.btbTargets, p.btbLRU})
 	p.pht, p.btbTags, p.btbTargets, p.btbLRU = nil, nil, nil, nil
 }
 

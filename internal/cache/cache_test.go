@@ -2,6 +2,7 @@ package cache
 
 import (
 	"math/rand/v2"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -354,5 +355,51 @@ func TestFillFromPreservesHotLines(t *testing.T) {
 	}
 	if hits == 0 {
 		t.Error("no lines survived shrink")
+	}
+}
+
+// TestAccess2MatchesGeneralLoop holds the unrolled two-way path to the
+// general set loop: the same hits, misses and line words, age saturation
+// and flushed (stale-generation) lines included.
+func TestAccess2MatchesGeneralLoop(t *testing.T) {
+	general := func(c *Cache, addr uint32) bool {
+		c.Accesses++
+		base := c.SetOf(addr) * c.ways
+		return c.accessN(c.lines[base:base+c.ways], c.genTag|c.BlockOf(addr)<<blockShift)
+	}
+	a, b := MustNewCache(1, 2, 32), MustNewCache(1, 2, 32) // 16 sets
+	rng := rand.New(rand.NewPCG(5, 7))
+	hot := uint32(0x4000)
+	saturated := false
+	for i := 0; i < 200000; i++ {
+		var addr uint32
+		switch r := rng.IntN(100); {
+		case r < 60 || i%10000 < 300: // bursts on one block age its set partner to 255
+			addr = hot
+		case r < 99:
+			addr = uint32(rng.IntN(4 << 10))
+		default:
+			hot = uint32(rng.IntN(4 << 10))
+			addr = hot
+		}
+		if i%50000 == 49999 {
+			a.Flush()
+			b.Flush()
+		}
+		if ha, hb := a.Access(addr), general(b, addr); ha != hb {
+			t.Fatalf("access %d (%#x): access2 hit=%v, general loop hit=%v", i, addr, ha, hb)
+		}
+		if !slices.Equal(a.lines, b.lines) {
+			t.Fatalf("access %d (%#x): line words differ", i, addr)
+		}
+		for _, l := range a.lines {
+			saturated = saturated || l&ageMask == 255
+		}
+	}
+	if a.Misses != b.Misses || a.Accesses != b.Accesses {
+		t.Fatalf("stats differ: %d/%d vs %d/%d", a.Misses, a.Accesses, b.Misses, b.Accesses)
+	}
+	if !saturated {
+		t.Fatal("stream never saturated an age; the test lost its coverage")
 	}
 }

@@ -206,7 +206,7 @@ type Sim struct {
 	readPJ [4]float64
 	// unitPJ is the functional-unit charge of an issue by op class (0
 	// for loads and stores, whose energy goes to the caches and the LSQ).
-	unitPJ [8]float64
+	unitPJ [trace.NumOpClasses]float64
 
 	// scratch is the per-Sim run-state arena, reused across Run calls so
 	// the cycle loop allocates nothing. A Sim is documented single-use
@@ -277,7 +277,7 @@ func (s *Sim) derive() {
 	s.l2Lat = uint64(s.pm.L2Latency)
 	s.memLat = uint64(s.pm.MemLatency)
 	s.perCycPJ = s.pm.ClockPerCyc + s.pm.IdlePerCyc
-	s.unitPJ = [8]float64{
+	s.unitPJ = [trace.NumOpClasses]float64{
 		trace.IntALU: s.pm.IntOp,
 		trace.Branch: s.pm.IntOp,
 		trace.IntMul: s.pm.MulOp,

@@ -28,7 +28,7 @@ const (
 	numUnits
 )
 
-var opUnit = [8]uint8{
+var opUnit = [trace.NumOpClasses]uint8{
 	trace.IntALU: unitIntALU,
 	trace.IntMul: unitIntMul,
 	trace.FpALU:  unitFpALU,
@@ -48,10 +48,6 @@ type fetchedInst struct {
 	src1, src2 int8
 	wrongPath  bool
 	mispred    bool // this branch was mispredicted; fetch went wrong-path
-	// replay, when non-zero, marks a wrong-path slot whose instruction
-	// fields are still to be taken from replay ring slot replay-1 (see
-	// fetchWrongPath).
-	replay int8
 }
 
 // wref identifies an in-flight entry from the wakeup ring or the issue
@@ -650,7 +646,7 @@ func (s *Sim) issueAndWake(st *runState) (progress, readyBlocked bool) {
 			continue
 		}
 		// Claim the functional unit; a store also takes a memory port.
-		op := e.op & 7
+		op := e.op
 		u := opUnit[op]
 		if units[u] == 0 || (op == trace.Store && units[unitMem] == 0) {
 			iq[qw] = c
@@ -857,9 +853,6 @@ func (s *Sim) dispatch(st *runState) bool {
 		f := &st.fetchBuf[st.fbHead]
 		if f.fetchCycle+fe > st.cycle {
 			break // still in the front-end pipeline
-		}
-		if f.replay != 0 {
-			st.wrongPathInst(f)
 		}
 		if st.robCount >= s.robSize || st.iqCount >= s.iqSize {
 			break
@@ -1142,14 +1135,9 @@ func (s *Sim) fetchLine(st *runState, pc uint32) (uint64, bool) {
 
 // fetchWrongPath fetches a group down the wrong path: replays of recent
 // fetch history at a shifted address, plausible nearby code that occupies
-// resources and pollutes the caches until the flush. A fetch-buffer slot
-// records only which slot of the replay ring it replays, and dispatch
-// materialises the instruction (wrongPathInst); most are squashed in the
-// buffer before they dispatch. The ring cannot change in between: only
-// correct-path fetches record into it, and the flush that ends wrong-path
-// mode empties the fetch buffer. wpPos restarts at 0 on every flush and
-// the ring's fill is frozen while wrong-path mode is active, so a wrap
-// compare replays the same slot sequence a modulo would.
+// resources and pollutes the caches until the flush. wpPos restarts at 0
+// on every flush and the ring's fill is frozen while wrong-path mode is
+// active, so a wrap compare replays the same slot sequence a modulo would.
 func (s *Sim) fetchWrongPath(st *runState) bool {
 	w := s.width
 	full := w * 7
@@ -1170,9 +1158,19 @@ func (s *Sim) fetchWrongPath(st *runState) bool {
 			if st.wpPos >= n {
 				st.wpPos = 0
 			}
-			f.replay = int8(st.wpPos) + 1
-			pc = st.wpRing[st.wpPos].PC + 256 // nearby, but distinct, code
+			in := &st.wpRing[st.wpPos]
 			st.wpPos++
+			pc = in.PC + 256 // nearby, but distinct, code
+			f.addr, f.op, f.dst, f.src1, f.src2 = in.Addr, in.Op, in.Dst, in.Src1, in.Src2
+			if in.Op.IsMem() {
+				f.addr += 64
+			}
+			if in.Op == trace.Branch {
+				// Wrong-path branches execute as plain ALU ops: they
+				// occupy resources but cannot redirect fetch or resolve.
+				f.op = trace.IntALU
+				f.dst = 1
+			}
 		}
 		missed := false
 		if k == 0 {
@@ -1185,23 +1183,6 @@ func (s *Sim) fetchWrongPath(st *runState) bool {
 		}
 	}
 	return prog
-}
-
-// wrongPathInst materialises a wrong-path fetch-buffer slot that replays
-// ring slot f.replay-1.
-func (st *runState) wrongPathInst(f *fetchedInst) {
-	in := &st.wpRing[f.replay-1]
-	f.addr, f.op, f.dst, f.src1, f.src2 = in.Addr, in.Op, in.Dst, in.Src1, in.Src2
-	if in.Op.IsMem() {
-		f.addr += 64
-	}
-	if in.Op == trace.Branch {
-		// Wrong-path branches execute as plain ALU ops: they occupy
-		// resources but cannot redirect fetch or resolve.
-		f.op = trace.IntALU
-		f.dst = 1
-	}
-	f.replay = 0
 }
 
 // recordFetch appends the instruction to the wrong-path replay ring.

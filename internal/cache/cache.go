@@ -343,15 +343,20 @@ type Profiler struct {
 	sampleEvery uint32 // sample sets where set % sampleEvery == 0
 
 	clock uint64
-	// Last-touch tables: an open-addressed table for the sparse block
-	// space, direct-indexed arrays (clock value, 0 = never seen; the
-	// clock is pre-incremented so 0 is unambiguous) for the dense set
-	// spaces. All were Go maps before the hot-path overhaul.
-	lastBlock    *ReuseTable
-	lastSet      []uint64 // indexed by set
-	lastReduced  []uint64 // indexed by reduced set
-	stack        []uint64 // LRU stack of block addresses, most recent first
+	collectionTables
 	maxStackSize int
+}
+
+// collectionTables are a profiler's last-touch tables and LRU stack: the
+// state only collection reads, recycled through profTables. The
+// last-touch tables are an open-addressed table for the sparse block
+// space and direct-indexed arrays (clock value, 0 = never seen; the clock
+// is pre-incremented so 0 is unambiguous) for the dense set spaces.
+type collectionTables struct {
+	lastBlock   *ReuseTable
+	lastSet     []uint64 // indexed by set
+	lastReduced []uint64 // indexed by reduced set
+	stack       []uint64 // LRU stack of block addresses, most recent first
 }
 
 // HistBins is the number of log2 bins in each profiler histogram.
@@ -381,15 +386,40 @@ func NewProfiler(sizeKB, lineBytes, reducedSizeKB, sampledSets int) (*Profiler, 
 		SetReuse:     stats.NewHistogram(HistBins),
 		ReducedSets:  stats.NewHistogram(HistBins),
 		sampleEvery:  uint32(sets / sampledSets),
-		lastBlock:    NewReuseTable(1024),
-		lastSet:      make([]uint64, sets),
-		lastReduced:  make([]uint64, redSets),
 		maxStackSize: 8192,
+	}
+	if t, ok := profTables.Get([2]int{sets, redSets}); ok {
+		t.lastBlock.reset()
+		clear(t.lastSet)
+		clear(t.lastReduced)
+		t.stack = t.stack[:0]
+		p.collectionTables = *t
+	} else {
+		p.lastBlock = NewReuseTable(1024)
+		p.lastSet = make([]uint64, sets)
+		p.lastReduced = make([]uint64, redSets)
 	}
 	for ls := lineBytes; ls > 1; ls >>= 1 {
 		p.lineShift++
 	}
 	return p, nil
+}
+
+// profTables holds released collection tables by set and reduced-set
+// count: Release fills it and NewProfiler drains it, resetting what it
+// takes to the state of a fresh allocation.
+var profTables keyedpool.Pool[[2]int, *collectionTables]
+
+// Release hands the profiler's collection tables to a later NewProfiler
+// with the same geometry. The histograms stay with the profiler, so a
+// profile Finish returned stays valid; p must not Observe afterwards.
+func (p *Profiler) Release() {
+	if p.lastSet == nil {
+		return
+	}
+	t := p.collectionTables
+	profTables.Put([2]int{len(t.lastSet), len(t.lastReduced)}, &t)
+	p.collectionTables = collectionTables{}
 }
 
 // Observe records one access to addr.

@@ -5,6 +5,8 @@ import (
 	"slices"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/stats"
 )
 
 func TestNewCacheValidation(t *testing.T) {
@@ -212,6 +214,76 @@ func TestProfilerFinishKeepsResults(t *testing.T) {
 	if f.lastBlock != nil || f.lastSet != nil || f.lastReduced != nil || f.stack != nil {
 		t.Error("finished profile still holds collection tables")
 	}
+}
+
+// TestRecycledProfilerMatchesFresh holds NewProfiler's reset of recycled
+// collection tables to a fresh allocation: a profiler built on the tables
+// of a released profiler that saw another stream must gather exactly the
+// histograms a fresh one gathers. The dirty stream is short, so its
+// last-touch clocks are below the clocks at which the second stream first
+// touches many sets and blocks: a stale entry there would bin a finite
+// distance where a fresh table bins a cold access.
+func TestRecycledProfilerMatchesFresh(t *testing.T) {
+	stream := func(seed uint64, n int) []uint32 {
+		rng := rand.New(rand.NewPCG(seed, 7))
+		out := make([]uint32, n)
+		for i := range out {
+			if rng.IntN(3) == 0 {
+				out[i] = uint32(rng.IntN(4 << 10)) // hot region
+			} else {
+				out[i] = uint32(rng.IntN(1 << 20))
+			}
+		}
+		return out
+	}
+	profile := func(p *Profiler, addrs []uint32) *Profiler {
+		for _, a := range addrs {
+			p.Observe(a)
+		}
+		return p.Finish()
+	}
+	want := profile(newFreshProfiler(t), stream(2, 10000))
+	for attempt := 0; attempt < 100; attempt++ {
+		dirty, _ := NewProfiler(32, 32, 8, 512)
+		profile(dirty, stream(1, 400))
+		set, block := &dirty.lastSet[0], dirty.lastBlock
+		dirty.Release()
+		p, _ := NewProfiler(32, 32, 8, 512)
+		if &p.lastSet[0] != set || p.lastBlock != block {
+			continue // the pool dropped the tables (the race detector drops some Puts)
+		}
+		got := profile(p, stream(2, 10000))
+		if got.Observations() != want.Observations() {
+			t.Errorf("recycled profiler saw %d observations, fresh %d", got.Observations(), want.Observations())
+		}
+		for name, h := range map[string][2]*stats.Histogram{
+			"stack distance": {got.StackDist, want.StackDist},
+			"block reuse":    {got.BlockReuse, want.BlockReuse},
+			"set reuse":      {got.SetReuse, want.SetReuse},
+			"reduced sets":   {got.ReducedSets, want.ReducedSets},
+		} {
+			if !slices.Equal(h[0].Counts, h[1].Counts) || h[0].Total != h[1].Total {
+				t.Errorf("%s histogram on recycled tables %v, fresh %v", name, h[0].Counts, h[1].Counts)
+			}
+		}
+		return
+	}
+	t.Skip("the pool never handed the released tables back")
+}
+
+// newFreshProfiler is NewProfiler(32, 32, 8, 512) on newly allocated
+// collection tables, whatever the pool holds.
+func newFreshProfiler(t *testing.T) *Profiler {
+	t.Helper()
+	p, err := NewProfiler(32, 32, 8, 512)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.lastBlock = NewReuseTable(1024)
+	p.lastSet = make([]uint64, len(p.lastSet))
+	p.lastReduced = make([]uint64, len(p.lastReduced))
+	p.stack = nil
+	return p
 }
 
 func TestProfilerBlockVsSetReuse(t *testing.T) {

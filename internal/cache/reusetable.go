@@ -34,6 +34,14 @@ func (t *ReuseTable) init(size int) {
 	}
 }
 
+// reset empties the table, keeping its size: lookups depend only on
+// which keys are present, so a reset table behaves exactly like a fresh
+// one.
+func (t *ReuseTable) reset() {
+	clear(t.keys)
+	t.n = 0
+}
+
 // Swap stores clock for key and returns the previously stored clock, with
 // ok reporting whether the key was present.
 func (t *ReuseTable) Swap(key, clock uint64) (prev uint64, ok bool) {

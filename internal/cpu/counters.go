@@ -344,7 +344,8 @@ func (c *collector) observeFetch(pc uint32) {
 
 // finish computes the scalar counters and returns the finished set. Its
 // cache profiles hold only their histograms and observation counts: the
-// collector is per run, so nothing reads the collection tables again.
+// collector is per run, so nothing reads the collection tables again, and
+// they go back to the cache package for the next profiled run.
 func (c *collector) finish(s *Sim, res *Result) *RawCounters {
 	c.flushRun()
 	if c.iqOccSum > 0 {
@@ -369,6 +370,9 @@ func (c *collector) finish(s *Sim, res *Result) *RawCounters {
 	out.ICache = c.icache.Finish()
 	out.DCache = c.dcache.Finish()
 	out.L2 = c.l2.Finish()
+	c.icache.Release()
+	c.dcache.Release()
+	c.l2.Release()
 	return &out
 }
 

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/obs"
+	"repro/internal/store"
 	"repro/internal/trace"
 )
 
@@ -34,4 +35,40 @@ func BenchmarkBuild(b *testing.B) {
 	b.ReportMetric(float64(insts.Value()-i0)/n, "sim-insts/op")
 	b.ReportMetric(float64(cycles.Value()-c0)/n, "sim-cycles/op")
 	b.ReportMetric(float64(stepped.Value()-s0)/n, "stepped-cycles/op")
+}
+
+// BenchmarkWarmReplay times one warm replay of BenchmarkBuild's dataset,
+// the in-process twin of perfbench build-mid's warm pass: a cold build
+// populates a store once, outside the timer; each iteration then opens
+// the store, rebuilds the dataset from it and closes it. Pair parent and
+// child binaries with scripts/benchdiff. A replay that generated a trace
+// or paid a fresh simulation fails the benchmark.
+func BenchmarkWarmReplay(b *testing.B) {
+	sc := TestScale()
+	sc.Programs = trace.Benchmarks()
+	dir := b.TempDir()
+	pass := func() {
+		st, err := store.Open(dir)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := Build(context.Background(), sc, WithStore(st)); err != nil {
+			b.Fatal(err)
+		}
+		if err := st.Close(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	pass()
+	traces, sims := TraceCount(), obsSims.Value()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pass()
+	}
+	b.StopTimer()
+	if TraceCount() != traces || obsSims.Value() != sims {
+		b.Fatalf("warm replays generated %d traces and ran %d simulations, want none",
+			TraceCount()-traces, obsSims.Value()-sims)
+	}
 }

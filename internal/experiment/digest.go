@@ -50,7 +50,7 @@ func (ds *Dataset) Digest() string {
 		writeU64(uint64(len(space)))
 		for _, cfg := range space {
 			writeCfg(cfg)
-			if e := ds.results[id][cfg]; e != nil && e.res != nil {
+			if e := ds.results[id][cfg]; e.res != nil {
 				writeRes(e.res)
 			}
 		}

@@ -13,11 +13,12 @@
 package experiment
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math/rand/v2"
 	"runtime"
-	"sort"
+	"slices"
 	"strconv"
 
 	"repro/internal/arch"
@@ -132,7 +133,7 @@ type PhaseID struct {
 }
 
 // String renders "program/phase".
-func (p PhaseID) String() string { return fmt.Sprintf("%s/%d", p.Program, p.Phase) }
+func (p PhaseID) String() string { return p.Program + "/" + strconv.Itoa(p.Phase) }
 
 // Dataset holds everything the evaluation needs: per-phase traces, all
 // simulated (phase, configuration) results, per-phase bests and good sets,
@@ -144,7 +145,7 @@ type Dataset struct {
 	// SharedConfigs is the uniform sample evaluated on every phase.
 	SharedConfigs []arch.Config
 
-	results map[PhaseID]map[arch.Config]*entry
+	results map[PhaseID]map[arch.Config]entry
 	// traces holds each phase's measured interval as a lazy job: a
 	// simulation waits for its trace only when the store does not hold
 	// its result, so a fully stored phase never needs its trace.
@@ -240,7 +241,7 @@ func Build(ctx context.Context, sc Scale, opts ...Option) (*Dataset, error) {
 	sc = sc.withDefaults()
 	ds := &Dataset{
 		Scale:         sc,
-		results:       map[PhaseID]map[arch.Config]*entry{},
+		results:       map[PhaseID]map[arch.Config]entry{},
 		traces:        map[PhaseID]*traceJob{},
 		Best:          map[PhaseID]arch.Config{},
 		Good:          map[PhaseID][]arch.Config{},
@@ -279,11 +280,19 @@ func Build(ctx context.Context, sc Scale, opts ...Option) (*Dataset, error) {
 		ds.Phases = append(ds.Phases, id)
 	}
 	sp.Finish()
+	// The up-front jobs live in one array, which costs one allocation.
 	measure := cpu.Options{WarmupInsts: sc.WarmupInsts}
+	nShared := len(ds.SharedConfigs)
+	upfront := make([]simJob, len(phaseIDs)*(nShared+1))
+	ptrs := make([]*simJob, len(upfront))
+	for i := range upfront {
+		ptrs[i] = &upfront[i]
+	}
 	stage1 := make([][]*simJob, len(phaseIDs))
 	for i, id := range phaseIDs {
-		for _, cfg := range ds.SharedConfigs {
-			stage1[i] = append(stage1[i], ds.spawn(false, id, cfg, measure))
+		stage1[i] = ptrs[i*nShared : (i+1)*nShared : (i+1)*nShared]
+		for k, cfg := range ds.SharedConfigs {
+			ds.spawn(stage1[i][k], false, id, cfg, measure)
 		}
 	}
 	profOpts := cpu.Options{
@@ -291,9 +300,9 @@ func Build(ctx context.Context, sc Scale, opts ...Option) (*Dataset, error) {
 		SampledSets: sc.SampledSets,
 		WarmupInsts: sc.WarmupInsts,
 	}
-	profiles := make([]*simJob, len(phaseIDs))
+	profiles := ptrs[len(phaseIDs)*nShared:]
 	for i, id := range phaseIDs {
-		profiles[i] = ds.spawn(false, id, arch.Profiling(), profOpts)
+		ds.spawn(profiles[i], false, id, arch.Profiling(), profOpts)
 	}
 
 	// Simulate shared configs on every phase; refine per phase.
@@ -333,7 +342,7 @@ func Build(ctx context.Context, sc Scale, opts ...Option) (*Dataset, error) {
 			return nil, fmt.Errorf("experiment: profiling cancelled: %w", err)
 		}
 		psp := tr.Start("profile " + id.String())
-		await(profiles, i)
+		await(ds.pool, profiles, i)
 		if err := ds.apply(profiles[i], false); err != nil {
 			psp.Finish()
 			sp.Finish()
@@ -426,7 +435,7 @@ func (ds *Dataset) runBatch(id PhaseID, cfgs []arch.Config) error {
 		}
 		seen[cfg] = true
 		if _, hit := ds.results[id][cfg]; !hit {
-			jobs[i] = ds.spawn(true, id, cfg, measure)
+			jobs[i] = ds.spawn(new(simJob), true, id, cfg, measure)
 		}
 	}
 	return ds.applyBatch(id, cfgs, jobs)
@@ -439,7 +448,7 @@ func (ds *Dataset) runBatch(id PhaseID, cfgs []arch.Config) error {
 // evaluation on the pool, or nil for a memo hit or a repeat within the
 // batch, which SampleResult replays once its first occurrence has landed.
 func (ds *Dataset) applyBatch(id PhaseID, cfgs []arch.Config, jobs []*simJob) error {
-	var queued []*simJob
+	queued := make([]*simJob, 0, len(jobs))
 	for _, j := range jobs {
 		if j != nil {
 			queued = append(queued, j)
@@ -453,7 +462,7 @@ func (ds *Dataset) applyBatch(id PhaseID, cfgs []arch.Config, jobs []*simJob) er
 			}
 			continue
 		}
-		await(queued, k)
+		await(ds.pool, queued, k)
 		k++
 		if err := ds.apply(j, true); err != nil {
 			return err
@@ -466,39 +475,49 @@ func (ds *Dataset) applyBatch(id PhaseID, cfgs []arch.Config, jobs []*simJob) er
 // is never queued on the pool: it runs on the executor of the first job
 // that needs the trace, and any other job that needs it meanwhile waits.
 type traceJob struct {
-	*task
+	task
+	id    PhaseID
 	n     int
 	insts []trace.Inst
+	err   error
 }
 
-// newTraceJob validates the phase and builds its generator; the interval
-// itself is generated when the job runs.
+// newTraceJob validates the phase; its generator is built, and the
+// interval generated, only when the job runs, so a warm build builds no
+// generator.
 func newTraceJob(id PhaseID, n int) (*traceJob, error) {
-	g, err := trace.NewGenerator(id.Program, id.Phase)
-	if err != nil {
+	if err := trace.CheckPhase(id.Program, id.Phase); err != nil {
 		return nil, err
 	}
-	j := &traceJob{n: n}
-	j.task = newTask(func() {
-		obsTraces.Inc()
-		j.insts = g.Interval(n)
-	})
+	j := &traceJob{id: id, n: n}
+	j.init(j)
 	return j, nil
+}
+
+func (j *traceJob) runTask() {
+	g, err := trace.NewGenerator(j.id.Program, j.id.Phase)
+	if err != nil {
+		j.err = err
+		return
+	}
+	obsTraces.Inc()
+	j.insts = g.Interval(j.n)
 }
 
 // get returns the trace, generating it here if nobody has started it and
 // waiting for it otherwise.
-func (j *traceJob) get() []trace.Inst {
+func (j *traceJob) get() ([]trace.Inst, error) {
 	j.wait()
-	return j.insts
+	return j.insts, j.err
 }
 
 // simJob is one simulation of a phase under a configuration, split in two:
-// eval, which has no side effects and may run on any executor, and
+// runTask, which has no side effects and may run on any executor, and
 // Dataset.apply, which the search loop calls in the sequential build's
 // order.
 type simJob struct {
-	*task
+	task
+	st     *store.Store
 	id     PhaseID
 	cfg    arch.Config
 	opts   cpu.Options
@@ -509,11 +528,11 @@ type simJob struct {
 	stored bool // answered by the result store, not the simulator
 }
 
-// eval looks the run up in st — a profiling run (opts.Collect) under its
-// own key — and only on a miss gets the phase's trace (generating it
-// unless another job already has) and simulates it.
-func (j *simJob) eval(st *store.Store) {
-	if st != nil {
+// runTask looks the run up in the job's store — a profiling run
+// (opts.Collect) under its own key — and only on a miss gets the phase's
+// trace (generating it unless another job already has) and simulates it.
+func (j *simJob) runTask() {
+	if st := j.st; st != nil {
 		if j.opts.Collect {
 			j.key = store.ProfileFingerprint(j.id.Program, j.id.Phase, j.cfg, j.trace.n, j.opts.WarmupInsts, j.opts.SampledSets)
 		} else {
@@ -524,7 +543,11 @@ func (j *simJob) eval(st *store.Store) {
 			return
 		}
 	}
-	insts := j.trace.get()
+	insts, err := j.trace.get()
+	if err != nil {
+		j.err = err
+		return
+	}
 	sim, err := cpu.New(j.cfg)
 	if err != nil {
 		j.err = err
@@ -534,12 +557,12 @@ func (j *simJob) eval(st *store.Store) {
 	sim.Release()
 }
 
-// spawn creates the job for (id, cfg) and hands it to the pool.
-func (ds *Dataset) spawn(urgent bool, id PhaseID, cfg arch.Config, opts cpu.Options) *simJob {
-	j := &simJob{id: id, cfg: cfg, opts: opts, trace: ds.traces[id]}
-	st := ds.store
-	j.task = newTask(func() { j.eval(st) })
-	ds.pool.submit(urgent, j.task)
+// spawn makes j, a zero simJob, the job for (id, cfg) and hands it to the
+// pool.
+func (ds *Dataset) spawn(j *simJob, urgent bool, id PhaseID, cfg arch.Config, opts cpu.Options) *simJob {
+	*j = simJob{st: ds.store, id: id, cfg: cfg, opts: opts, trace: ds.traces[id]}
+	j.init(j)
+	ds.pool.submit(urgent, &j.task)
 	return j
 }
 
@@ -589,6 +612,7 @@ func (ds *Dataset) SampleResult(id PhaseID, cfg arch.Config) (*cpu.Result, error
 			obsMemoHits.Inc()
 			if !e.inSample {
 				e.inSample = true
+				m[cfg] = e
 				obsSampleConfigs.Inc()
 				ds.updateBest(id, cfg, e.res)
 			}
@@ -605,7 +629,7 @@ func (ds *Dataset) updateBest(id PhaseID, cfg arch.Config, res *cpu.Result) {
 		ds.Best[id] = cfg
 		return
 	}
-	if e := ds.results[id][cur]; e == nil || res.Efficiency > e.res.Efficiency {
+	if e, ok := ds.results[id][cur]; !ok || res.Efficiency > e.res.Efficiency {
 		ds.Best[id] = cfg
 	}
 }
@@ -620,8 +644,8 @@ func (ds *Dataset) simulate(id PhaseID, cfg arch.Config, opts cpu.Options, inSam
 	if !ok {
 		return nil, fmt.Errorf("experiment: unknown phase %s", id)
 	}
-	j := &simJob{id: id, cfg: cfg, opts: opts, trace: tj}
-	j.eval(ds.store)
+	j := &simJob{st: ds.store, id: id, cfg: cfg, opts: opts, trace: tj}
+	j.runTask()
 	if err := ds.apply(j, inSample); err != nil {
 		return nil, err
 	}
@@ -635,10 +659,16 @@ func (ds *Dataset) simulate(id PhaseID, cfg arch.Config, opts cpu.Options, inSam
 func (ds *Dataset) memoize(id PhaseID, cfg arch.Config, res *cpu.Result, inSample bool) {
 	m := ds.results[id]
 	if m == nil {
-		m = map[arch.Config]*entry{}
+		// Sized for the phase's search: the shared sample, the local
+		// samples and every sweep.
+		n := ds.Scale.UniformSamples + ds.Scale.LocalSamples
+		for _, p := range ds.Scale.SweepParams {
+			n += arch.DomainSize(p)
+		}
+		m = make(map[arch.Config]entry, n)
 		ds.results[id] = m
 	}
-	m[cfg] = &entry{res: res, inSample: inSample}
+	m[cfg] = entry{res: res, inSample: inSample}
 	if inSample {
 		obsSampleConfigs.Inc()
 		ds.updateBest(id, cfg, res)
@@ -665,15 +695,18 @@ func (ds *Dataset) SampleSpace(id PhaseID) []arch.Config {
 			out = append(out, cfg)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		for p := arch.Param(0); p < arch.NumParams; p++ {
-			if out[i][p] != out[j][p] {
-				return out[i][p] < out[j][p]
-			}
-		}
-		return false
-	})
+	slices.SortFunc(out, compareConfigs)
 	return out
+}
+
+// compareConfigs orders configurations lexicographically by parameter.
+func compareConfigs(a, b arch.Config) int {
+	for p := arch.Param(0); p < arch.NumParams; p++ {
+		if a[p] != b[p] {
+			return cmp.Compare(a[p], b[p])
+		}
+	}
+	return 0
 }
 
 // computeBestStatic picks the shared configuration with the best average
@@ -715,17 +748,15 @@ func (ds *Dataset) computeGoodSets() {
 		// of map iteration, so without a total order its layout (and
 		// anything downstream that reads Good[0], like training targets)
 		// would vary run to run.
-		sort.Slice(good, func(i, j int) bool {
-			ei, ej := ds.results[id][good[i]].res.Efficiency, ds.results[id][good[j]].res.Efficiency
-			if ei != ej {
-				return ei > ej
+		slices.SortFunc(good, func(a, b arch.Config) int {
+			ea, eb := ds.results[id][a].res.Efficiency, ds.results[id][b].res.Efficiency
+			switch {
+			case ea > eb:
+				return -1
+			case ea < eb:
+				return 1
 			}
-			for p := arch.Param(0); p < arch.NumParams; p++ {
-				if good[i][p] != good[j][p] {
-					return good[i][p] < good[j][p]
-				}
-			}
-			return false
+			return compareConfigs(a, b)
 		})
 		ds.Good[id] = good
 	}

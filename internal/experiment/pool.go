@@ -6,59 +6,77 @@ import (
 	"sync/atomic"
 )
 
-// task is one unit of a build's independent work. Exactly one executor
-// runs it: the pool helper that pops it first, or whichever goroutine
-// waits for it before any helper has started it.
+// runner is a job the pool can run: simJob and traceJob implement it
+// with a method, so queuing a job allocates no closure.
+type runner interface{ runTask() }
+
+// task is one unit of a build's independent work, embedded in the job it
+// runs. Exactly one executor runs it: the pool helper that pops it first,
+// or whichever goroutine waits for it before any helper has started it.
+// Completion is a flag plus a WaitGroup, so a task allocates nothing of
+// its own.
 type task struct {
 	claimed atomic.Bool
-	done    chan struct{}
-	run     func()
+	done    atomic.Bool
+	wg      sync.WaitGroup // released once job has run
+	job     runner
 }
 
-func newTask(run func()) *task { return &task{done: make(chan struct{}), run: run} }
+// init readies t to run job; it must be called before t is queued or
+// waited for.
+func (t *task) init(job runner) {
+	t.job = job
+	t.wg.Add(1)
+}
 
-// base lets await take slices of any job type that embeds *task.
+// base lets await take slices of any job type that embeds task.
 func (t *task) base() *task { return t }
 
 // tryRun runs t on the calling goroutine unless another executor has
 // already claimed it.
 func (t *task) tryRun() {
 	if t.claimed.CompareAndSwap(false, true) {
-		t.run()
-		close(t.done)
+		t.job.runTask()
+		t.done.Store(true)
+		t.wg.Done()
 	}
 }
 
 // wait returns once t has run, running it here if nobody has started it.
 func (t *task) wait() {
 	t.tryRun()
-	<-t.done
+	t.wg.Wait()
 }
 
-func (t *task) finished() bool {
-	select {
-	case <-t.done:
-		return true
-	default:
-		return false
-	}
-}
+func (t *task) finished() bool { return t.done.Load() }
 
 // await returns once js[k] has run. While js[k] runs on another executor,
 // the caller runs the later jobs of js that nobody has started, so a batch
 // consumed in order keeps every executor busy; with no helpers it runs
-// js[0], js[1], ... one at a time as the caller reaches them.
-func await[J interface{ base() *task }](js []J, k int) {
+// js[0], js[1], ... one at a time as the caller reaches them. Once the
+// batch has nothing left to start, the caller helps with the pool's other
+// queued work until js[k] is done, so it idles only when the pool has
+// nothing to hand out.
+func await[J interface{ base() *task }](p *simPool, js []J, k int) {
 	for i := k; i < len(js) && !js[k].base().finished(); i++ {
 		js[i].base().tryRun()
 	}
-	<-js[k].base().done
+	want := js[k].base()
+	for !want.finished() {
+		t := p.poll()
+		if t == nil {
+			break
+		}
+		t.tryRun()
+	}
+	want.wg.Wait()
 }
 
 // simPool runs one build's independent simulations — the stage-1 shared
 // sample, batch simulations and profiling — on at most `workers`
 // executors: workers-1 helper goroutines plus the goroutine running
-// Build, which runs every task it waits for that no helper has started.
+// Build, which runs every task it waits for that no helper has started
+// and, while a helper holds that task, other queued tasks one at a time.
 // At most `workers` simulations are therefore ever in flight, the search
 // loop's own stage-2 simulations included. Traces are not queued: a
 // phase's trace is generated on its first store miss, by the executor
@@ -127,15 +145,31 @@ func (p *simPool) next() *task {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	for !p.closed && p.ctx.Err() == nil {
-		if t := pop(&p.urgent); t != nil {
-			return t
-		}
-		if t := pop(&p.ahead); t != nil {
+		if t := p.popLocked(); t != nil {
 			return t
 		}
 		p.wake.Wait()
 	}
 	return nil
+}
+
+// poll is next without the blocking: it returns an unclaimed queued task,
+// or nil when none is queued or the pool is closed or its context done.
+func (p *simPool) poll() *task {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.closed || p.ctx.Err() != nil {
+		return nil
+	}
+	return p.popLocked()
+}
+
+// popLocked takes the first unclaimed task, urgent work first.
+func (p *simPool) popLocked() *task {
+	if t := pop(&p.urgent); t != nil {
+		return t
+	}
+	return pop(&p.ahead)
 }
 
 // pop removes tasks from the front of q until it finds one nobody has

@@ -6,6 +6,9 @@ import (
 	"errors"
 	"os"
 	"runtime"
+	"slices"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -140,4 +143,180 @@ func TestBuildStopsPoolOnExit(t *testing.T) {
 			}
 		})
 	}
+}
+
+// fnJob is a pool job that runs f.
+type fnJob struct {
+	task
+	f func()
+}
+
+func newFnJob(f func()) *fnJob {
+	j := &fnJob{f: f}
+	j.init(j)
+	return j
+}
+
+func (j *fnJob) runTask() { j.f() }
+
+// testPool is newSimPool, closed when the test ends.
+func testPool(t *testing.T, ctx context.Context, workers int) *simPool {
+	p := newSimPool(ctx, workers)
+	t.Cleanup(p.close)
+	return p
+}
+
+// holdHelper hands p's only helper a job that runs until release is
+// called, and returns once the helper has started it. The job is released
+// when the test ends at the latest, so a failing test cannot leave the
+// pool's close waiting for it.
+func holdHelper(t *testing.T, p *simPool) (held *fnJob, release func()) {
+	started, hold := make(chan struct{}), make(chan struct{})
+	held = newFnJob(func() {
+		close(started)
+		<-hold
+	})
+	release = sync.OnceFunc(func() { close(hold) })
+	t.Cleanup(release)
+	p.submit(false, &held.task)
+	<-started
+	return held, release
+}
+
+// awaitWithin runs await(p, js, k) and fails the test if it has not
+// returned within a generous deadline.
+func awaitWithin(t *testing.T, p *simPool, js []*fnJob, k int) {
+	t.Helper()
+	done := make(chan struct{})
+	go func() {
+		await(p, js, k)
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("await still blocked after 10s")
+	}
+}
+
+// TestAwaitHelpsWhileJobRunsElsewhere: while the job it waits for runs on
+// a helper, await runs the pool's other queued tasks, urgent before
+// ahead, instead of blocking. The only helper is held, so a queued task
+// that ran can only have run on the awaiting goroutine, and the held job
+// is released only from inside the last queued task.
+func TestAwaitHelpsWhileJobRunsElsewhere(t *testing.T) {
+	p := testPool(t, context.Background(), 2)
+	held, release := holdHelper(t, p)
+	var order []string
+	ahead := newFnJob(func() {
+		order = append(order, "ahead")
+		release()
+	})
+	urgent := newFnJob(func() { order = append(order, "urgent") })
+	p.submit(false, &ahead.task)
+	p.submit(true, &urgent.task)
+	awaitWithin(t, p, []*fnJob{held}, 0)
+	if !held.finished() {
+		t.Error("await returned before its job finished")
+	}
+	if want := []string{"urgent", "ahead"}; !slices.Equal(order, want) {
+		t.Errorf("await ran %v while it waited, want %v", order, want)
+	}
+}
+
+// TestPoolRunsAtMostWorkersTasks drives a pool the way Build does — work
+// queued ahead, then urgent batches awaited in order — and checks that no
+// more than `workers` tasks ever run at once, the awaiting goroutine's
+// included, and that every task runs exactly once.
+func TestPoolRunsAtMostWorkersTasks(t *testing.T) {
+	const workers = 3
+	p := testPool(t, context.Background(), workers)
+	var running, peak, ran atomic.Int64
+	job := func(i int) *fnJob {
+		return newFnJob(func() {
+			n := running.Add(1)
+			for m := peak.Load(); n > m && !peak.CompareAndSwap(m, n); m = peak.Load() {
+			}
+			time.Sleep(time.Duration(50+i%7*40) * time.Microsecond)
+			ran.Add(1)
+			running.Add(-1)
+		})
+	}
+	var ahead []*fnJob
+	for i := 0; i < 60; i++ {
+		j := job(i)
+		p.submit(false, &j.task)
+		ahead = append(ahead, j)
+	}
+	total := len(ahead)
+	for b := 0; b < 6; b++ {
+		var batch []*fnJob
+		for i := 0; i < 5; i++ {
+			j := job(b*5 + i)
+			p.submit(true, &j.task)
+			batch = append(batch, j)
+		}
+		total += len(batch)
+		for k := range batch {
+			awaitWithin(t, p, batch, k)
+		}
+	}
+	for k := range ahead {
+		awaitWithin(t, p, ahead, k)
+	}
+	if got := ran.Load(); got != int64(total) {
+		t.Errorf("%d task runs, want %d", got, total)
+	}
+	if got := peak.Load(); got > workers {
+		t.Errorf("%d tasks ran at once, want at most %d", got, workers)
+	}
+}
+
+// TestAwaitStopsHelpingWhenPoolStops: once the build's context is done or
+// the pool is closed, await takes no more queued work and only waits for
+// its own job.
+func TestAwaitStopsHelpingWhenPoolStops(t *testing.T) {
+	t.Run("cancelled", func(t *testing.T) {
+		ctx, cancel := context.WithCancel(context.Background())
+		p := testPool(t, ctx, 2)
+		held, release := holdHelper(t, p)
+		queued := newFnJob(func() {})
+		p.submit(false, &queued.task)
+		cancel()
+		release()
+		awaitWithin(t, p, []*fnJob{held}, 0)
+		if queued.claimed.Load() {
+			t.Error("await ran queued work after the context was cancelled")
+		}
+	})
+	t.Run("closed", func(t *testing.T) {
+		p := testPool(t, context.Background(), 2)
+		held, release := holdHelper(t, p)
+		closed := make(chan struct{})
+		go func() {
+			p.close()
+			close(closed)
+		}()
+		for {
+			p.mu.Lock()
+			c := p.closed
+			p.mu.Unlock()
+			if c {
+				break
+			}
+			runtime.Gosched()
+		}
+		// close empties the queues; queue a task behind its back so the
+		// closed check is what keeps await from taking it.
+		queued := newFnJob(func() {})
+		p.mu.Lock()
+		p.ahead = append(p.ahead, &queued.task)
+		p.mu.Unlock()
+		release()
+		awaitWithin(t, p, []*fnJob{held}, 0)
+		<-closed
+		if queued.claimed.Load() {
+			t.Error("await ran queued work from a closed pool")
+		}
+	})
 }

@@ -145,9 +145,10 @@ func (d *predictDecoder) scanBatch(b []byte, i int) ([][]float64, int) {
 // scanFloats scans an array of JSON numbers starting at b[i] into a fresh
 // slice of exactly its length (non-nil when empty, as encoding/json
 // leaves it). Each literal is checked against the JSON number grammar,
-// then converted by strconv.ParseFloat — the call encoding/json makes —
-// so the values are bit-identical; a literal ParseFloat refuses (out of
-// range) leaves the whole body to encoding/json and its error.
+// then converted by parseFloat to the value strconv.ParseFloat — the call
+// encoding/json makes — returns, bit for bit; a literal ParseFloat
+// refuses (out of range) leaves the whole body to encoding/json and its
+// error.
 func (d *predictDecoder) scanFloats(b []byte, i int) ([]float64, int) {
 	if i >= len(b) || b[i] != '[' {
 		return nil, -1
@@ -162,7 +163,7 @@ func (d *predictDecoder) scanFloats(b []byte, i int) ([]float64, int) {
 		if end < 0 {
 			return nil, -1
 		}
-		f, err := strconv.ParseFloat(string(b[i:end]), 64)
+		f, err := parseFloat(b[i:end])
 		if err != nil {
 			return nil, -1
 		}
@@ -180,6 +181,54 @@ func (d *predictDecoder) scanFloats(b []byte, i int) ([]float64, int) {
 			return nil, -1
 		}
 	}
+}
+
+// pow10 holds the powers of ten a float64 represents exactly.
+var pow10 = [...]float64{1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10,
+	1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22}
+
+// parseFloat converts a literal that scanNumber accepted exactly as
+// strconv.ParseFloat(string(lit), 64) does. A literal without an exponent
+// whose at most 16 significant digits form a mantissa m <= 2^53, with f
+// <= 22 fraction digits, is m / 10^f: both operands are exact float64s,
+// so the one correctly rounded division is the correctly rounded value of
+// the literal (Clinger's fast path), with no string made. Every other
+// literal goes to strconv.ParseFloat.
+func parseFloat(lit []byte) (float64, error) {
+	i := 0
+	if lit[0] == '-' {
+		i++
+	}
+	var mant uint64
+	digits, frac, dot := 0, 0, false
+	for ; i < len(lit); i++ {
+		c := lit[i]
+		if c == '.' {
+			dot = true
+			continue
+		}
+		if c < '0' || c > '9' {
+			return strconv.ParseFloat(string(lit), 64) // an exponent
+		}
+		if dot {
+			frac++
+		}
+		if mant == 0 && c == '0' {
+			continue // a leading zero is not significant
+		}
+		if digits++; digits > 16 {
+			return strconv.ParseFloat(string(lit), 64)
+		}
+		mant = mant*10 + uint64(c-'0')
+	}
+	if frac >= len(pow10) || mant > 1<<53 {
+		return strconv.ParseFloat(string(lit), 64)
+	}
+	f := float64(mant) / pow10[frac]
+	if lit[0] == '-' {
+		f = -f
+	}
+	return f, nil
 }
 
 // scanText scans a string value starting at b[i] and returns it copied

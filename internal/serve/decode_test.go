@@ -5,8 +5,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"math/rand/v2"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -106,6 +108,49 @@ func TestDecodePredictFastPath(t *testing.T) {
 // with the shadow worker stopped, so every duplicate waits in its queue
 // while later requests reuse the pooled decoder: each queued job must
 // still hold exactly the features its request carried.
+// TestParseFloatMatchesStrconv holds parseFloat to strconv.ParseFloat,
+// bit for bit, on literals on both sides of its fast path: up to 20
+// integer and 25 fraction digits, runs of zeros, signs and exponents.
+func TestParseFloatMatchesStrconv(t *testing.T) {
+	rng := rand.New(rand.NewPCG(5, 8))
+	digits := func(n int) string {
+		var sb strings.Builder
+		for i := 0; i < n; i++ {
+			if rng.IntN(4) == 0 {
+				sb.WriteByte('0')
+			} else {
+				sb.WriteByte(byte('0' + rng.IntN(10)))
+			}
+		}
+		return sb.String()
+	}
+	for i := 0; i < 200000; i++ {
+		lit := ""
+		if rng.IntN(2) == 0 {
+			lit = "-"
+		}
+		if n := rng.IntN(21); n == 0 {
+			lit += "0"
+		} else {
+			lit += string(byte('1'+rng.IntN(9))) + digits(n-1)
+		}
+		if rng.IntN(4) != 0 {
+			lit += "." + string(byte('0'+rng.IntN(10))) + digits(rng.IntN(25))
+		}
+		if rng.IntN(8) == 0 {
+			lit += fmt.Sprintf("e%d", rng.IntN(60)-30)
+		}
+		if scanNumber([]byte(lit), 0) != len(lit) {
+			t.Fatalf("generated %q, which is not a JSON number", lit)
+		}
+		want, wantErr := strconv.ParseFloat(lit, 64)
+		got, err := parseFloat([]byte(lit))
+		if math.Float64bits(got) != math.Float64bits(want) || (err == nil) != (wantErr == nil) {
+			t.Fatalf("parseFloat(%q) = %v, %v; strconv says %v, %v", lit, got, err, want, wantErr)
+		}
+	}
+}
+
 func TestShadowSeesEachRequestsFeatures(t *testing.T) {
 	pred := trainTestPredictor(t, counters.Basic)
 	sh, err := NewEngine(pred, false)

@@ -118,6 +118,15 @@ func FuzzDecodePredict(f *testing.F) {
 		`{"features": [.5]}`,
 		`{"features": [+1]}`,
 		`{"features": [NaN]}`,
+		// The edges of parseFloat's exact fast path: mantissas around
+		// 2^53, 16 and 17 significant digits, 22 and 23 fraction digits,
+		// negative zeros, leading zeros and integers.
+		`{"features": [9007199254740991, 9007199254740992, 9007199254740993, -9007199254740993]}`,
+		`{"features": [9.007199254740992, 0.9007199254740993, 900719925474099.3]}`,
+		`{"features": [1234567890123456, 12345678901234567, 0.1234567890123456, 0.12345678901234567]}`,
+		`{"features": [0.0000001234567890123456, 0.00000001234567890123456, 1.0000000000000000000000, 0.00000000000000000000001]}`,
+		`{"features": [-0.0, -0, 0.000000000000000000000000, -0.00000000000000000000000]}`,
+		`{"features": [0, 1, -1, 42, 100000000000000000000, 1e22, 1e23, 123456789012345678901234567890]}`,
 		`{"features": [1]} trailing garbage`,
 		`{"features": null, "batch": [null, [1], []], "set": null, "class": null}`,
 		`{"set": "basic", "class": "batch", "extra": {"a": [1, {}]}}`,

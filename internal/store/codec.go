@@ -109,15 +109,28 @@ func encodedSize() int {
 		8*derivedFields
 }
 
+// counterBins is the total bin count of a profiling-mode value's
+// histograms.
+const counterBins = cpu.ALUBins + cpu.MemPortBins + 5*cpu.OccBins + cpu.RdPortBins +
+	cpu.WrPortBins + 4*profilerCount*cache.HistBins + cpu.BTBReuseBins
+
 // countersSize is the exact length of the counters section a
 // profiling-mode value carries after the measurement layout.
 func countersSize() int {
-	bins := cpu.ALUBins + cpu.MemPortBins + 5*cpu.OccBins + cpu.RdPortBins +
-		cpu.WrPortBins + 4*profilerCount*cache.HistBins + cpu.BTBReuseBins
 	return 2*histFields + // uint16 bin count per histogram
-		8*bins +
+		8*counterBins +
 		8*profilerCount + // observation counts
 		8*scalarFields
+}
+
+// profileSlab holds everything a decoded profiling-mode result points to
+// except its bins, so the decode allocates it and one bin array, not one
+// object per histogram.
+type profileSlab struct {
+	res  cpu.Result
+	raw  cpu.RawCounters
+	prof [profilerCount]cache.Profiler
+	hist [histFields]stats.Histogram
 }
 
 // encodeResult serialises a result: the measurement layout, followed for
@@ -223,7 +236,14 @@ func decodeResult(value []byte) (*cpu.Result, error) {
 	if n := u16(); n != uint16(arch.NumParams) {
 		return nil, fmt.Errorf("store: record has %d parameters, want %d", n, arch.NumParams)
 	}
-	r := &cpu.Result{}
+	var r *cpu.Result
+	var slab *profileSlab
+	if len(value) == base {
+		r = &cpu.Result{}
+	} else {
+		slab = &profileSlab{}
+		r = &slab.res
+	}
 	for p := arch.Param(0); p < arch.NumParams; p++ {
 		r.Config[p] = int(int32(u32()))
 	}
@@ -265,8 +285,12 @@ func decodeResult(value []byte) (*cpu.Result, error) {
 
 	// The counters section. After a wrong bin count no histogram reads
 	// its bins, so the remaining fixed-size reads consume less than the
-	// section holds and never run past the value.
+	// section holds and never run past the value. The histograms take
+	// their headers from the slab and their bins from one array, each
+	// capped so an append cannot run into its neighbour.
 	var bad error
+	all := make([]uint64, counterBins)
+	nh := 0
 	hist := func(bins int) *stats.Histogram {
 		if bad != nil {
 			return nil
@@ -275,14 +299,16 @@ func decodeResult(value []byte) (*cpu.Result, error) {
 			bad = fmt.Errorf("store: record histogram has %d bins, want %d", n, bins)
 			return nil
 		}
-		h := stats.NewHistogram(bins)
+		h := &slab.hist[nh]
+		nh++
+		h.Counts, all = all[:bins:bins], all[bins:]
 		for i := range h.Counts {
 			h.Counts[i] = u64()
 			h.Total += h.Counts[i]
 		}
 		return h
 	}
-	c := &cpu.RawCounters{}
+	c := &slab.raw
 	c.ALUUsage = hist(cpu.ALUBins)
 	c.MemPortUsage = hist(cpu.MemPortBins)
 	c.ROBOcc = hist(cpu.OccBins)
@@ -296,10 +322,11 @@ func decodeResult(value []byte) (*cpu.Result, error) {
 	c.FpRegUsage = hist(cpu.OccBins)
 	c.RdPortUsage = hist(cpu.RdPortBins)
 	c.WrPortUsage = hist(cpu.WrPortBins)
-	for _, p := range []**cache.Profiler{&c.ICache, &c.DCache, &c.L2} {
+	for i, p := range [profilerCount]**cache.Profiler{&c.ICache, &c.DCache, &c.L2} {
 		n := u64()
-		*p = cache.FinishedProfile(n, hist(cache.HistBins), hist(cache.HistBins),
+		slab.prof[i] = *cache.FinishedProfile(n, hist(cache.HistBins), hist(cache.HistBins),
 			hist(cache.HistBins), hist(cache.HistBins))
+		*p = &slab.prof[i]
 	}
 	c.BTBReuse = hist(cpu.BTBReuseBins)
 	c.MispredictRate = f64()

@@ -305,6 +305,9 @@ func (s *Store) load() error {
 	if v := binary.LittleEndian.Uint32(buf[4:]); v != formatVersion {
 		return fmt.Errorf("store: log format v%d, this binary reads v%d (wipe %s to rebuild)", v, formatVersion, s.dir)
 	}
+	// Size the index for a log of measurement-mode records, the smallest
+	// decodable kind, so a healthy log never grows it.
+	s.index = make(map[Key]recLoc, (len(buf)-headerSize)/(recHeaderSize+keySize+encodedSize()))
 	end := walkFrames(buf, func(fr frame, crcOK bool) {
 		if !crcOK {
 			s.dropRecord(int64(len(fr.payload)))

@@ -279,6 +279,54 @@ func TestProfileRoundTrip(t *testing.T) {
 	}
 }
 
+// TestDecodeAllocations holds decodeResult to a constant number of
+// allocations: a measurement record decodes into one Result, a profile
+// record into one slab of headers and one bin array shared by its 22
+// histograms, each capped at its own bins.
+func TestDecodeAllocations(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		res  *cpu.Result
+		want float64
+	}{
+		{"measurement", fakeResult(3), 1},
+		{"profile", fakeProfile(3), 2},
+	} {
+		value := encodeResult(c.res)
+		var got *cpu.Result
+		allocs := testing.AllocsPerRun(20, func() {
+			var err error
+			if got, err = decodeResult(value); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != c.want {
+			t.Errorf("%s: decodeResult made %v allocations, want %v", c.name, allocs, c.want)
+		}
+		if !reflect.DeepEqual(got, c.res) {
+			t.Errorf("%s: decoded result differs from the encoded one", c.name)
+		}
+	}
+	got, err := decodeResult(encodeResult(fakeProfile(3)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := got.Counters
+	hs := []*stats.Histogram{c.ALUUsage, c.MemPortUsage, c.ROBOcc, c.IQOcc, c.LSQOcc,
+		c.IntRegUsage, c.FpRegUsage, c.RdPortUsage, c.WrPortUsage, c.BTBReuse}
+	for _, p := range []*cache.Profiler{c.ICache, c.DCache, c.L2} {
+		hs = append(hs, p.StackDist, p.BlockReuse, p.SetReuse, p.ReducedSets)
+	}
+	if len(hs) != histFields {
+		t.Fatalf("checked %d histograms, the layout has %d", len(hs), histFields)
+	}
+	for i, h := range hs {
+		if cap(h.Counts) != len(h.Counts) {
+			t.Errorf("histogram %d: cap %d, len %d: an append would overwrite its neighbour", i, cap(h.Counts), len(h.Counts))
+		}
+	}
+}
+
 // recordOffsets parses the log's framing and returns each record's
 // (header offset, payload length) in file order.
 func recordOffsets(t *testing.T, path string) [][2]int64 {

@@ -235,16 +235,26 @@ var programs = map[string]programSpec{
 	},
 }
 
+// CheckPhase reports whether program/phase names a phase NewGenerator
+// accepts, with the error NewGenerator would return, without building
+// anything.
+func CheckPhase(program string, phase int) error {
+	if _, ok := programs[program]; !ok {
+		return fmt.Errorf("trace: unknown benchmark %q (want one of %v)", program, Benchmarks())
+	}
+	if phase < 0 || phase >= PhasesPerProgram {
+		return fmt.Errorf("trace: phase %d out of range [0,%d) for %q", phase, PhasesPerProgram, program)
+	}
+	return nil
+}
+
 // resolvePhase computes the phase specification (kernel weights and
 // phase-scaled kernels) for program/phase. Deterministic in its arguments.
 func resolvePhase(program string, phase int) (phaseSpec, error) {
-	spec, ok := programs[program]
-	if !ok {
-		return phaseSpec{}, fmt.Errorf("trace: unknown benchmark %q (want one of %v)", program, Benchmarks())
+	if err := CheckPhase(program, phase); err != nil {
+		return phaseSpec{}, err
 	}
-	if phase < 0 || phase >= PhasesPerProgram {
-		return phaseSpec{}, fmt.Errorf("trace: phase %d out of range [0,%d) for %q", phase, PhasesPerProgram, program)
-	}
+	spec := programs[program]
 	rng := rand.New(rand.NewPCG(hashString(program)^0xabcdef, uint64(phase)+101))
 
 	n := len(spec.kernels)

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math"
+	"math/rand/v2"
 	"testing"
 
 	"repro/internal/arch"
@@ -81,6 +83,68 @@ func TestTrainPredictorValidation(t *testing.T) {
 	invalid := []PhaseExample{{Features: make([]float64, d), Good: []arch.Config{badCfg}}}
 	if _, err := TrainPredictor(counters.Basic, invalid, softmax.DefaultOptions()); err == nil {
 		t.Error("invalid good config accepted")
+	}
+}
+
+// TestTrainingSetReadOnly checks that training a parameter's model never
+// changes the shared training set: TrainPredictor, the fourteen models
+// trained from one set in reverse order, and each trained from its own
+// freshly built set give bit-identical weights and convergence records.
+func TestTrainingSetReadOnly(t *testing.T) {
+	phases := syntheticPhases(12, rand.New(rand.NewPCG(5, 8)))
+	opts := softmax.DefaultOptions()
+	opts.MaxIter = 40
+	want, err := TrainPredictor(counters.Advanced, phases, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := counters.Dim(counters.Advanced)
+	xs := make([][]float64, len(phases))
+	for i, ph := range phases {
+		xs[i] = ph.Features
+	}
+	labels := func(param arch.Param) [][]int {
+		out := make([][]int, len(phases))
+		for i, ph := range phases {
+			for _, cfg := range ph.Good {
+				out[i] = append(out[i], arch.IndexOf(param, cfg[param]))
+			}
+		}
+		return out
+	}
+	shared, err := softmax.NewTrainingSet(d, xs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	same := func(how string, param arch.Param, m *softmax.Model) {
+		t.Helper()
+		w := want.Models[param]
+		if m.Stats != w.Stats {
+			t.Errorf("%s: %s stats %+v, TrainPredictor %+v", how, param, m.Stats, w.Stats)
+		}
+		for i := range w.W {
+			if math.Float64bits(m.W[i]) != math.Float64bits(w.W[i]) {
+				t.Fatalf("%s: %s weight %d = %v, TrainPredictor %v", how, param, i, m.W[i], w.W[i])
+			}
+		}
+	}
+	for param := arch.NumParams - 1; param >= 0; param-- {
+		m, err := shared.Train(arch.DomainSize(param), labels(param), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		same("reverse order", param, m)
+	}
+	for param := arch.Param(0); param < arch.NumParams; param++ {
+		fresh, err := softmax.NewTrainingSet(d, xs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := fresh.Train(arch.DomainSize(param), labels(param), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		same("fresh set", param, m)
 	}
 }
 

@@ -8,7 +8,6 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 
 	"repro/internal/arch"
@@ -45,36 +44,33 @@ func TrainPredictor(set counters.Set, phases []PhaseExample, opts softmax.Option
 
 // TrainPredictorCtx is TrainPredictor with cooperative cancellation,
 // checked between the fourteen per-parameter trainings (each is a full
-// conjugate-gradient run, so this is the useful granularity). Each
-// training runs under its own "train <Param>" span.
+// conjugate-gradient run, so this is the useful granularity). The phases'
+// vectors are validated and projected once, into one softmax.TrainingSet;
+// each parameter's model is trained from it under a "train <Param>" span.
 func TrainPredictorCtx(ctx context.Context, set counters.Set, phases []PhaseExample, opts softmax.Options) (*Predictor, error) {
-	if len(phases) == 0 {
-		return nil, errors.New("core: no training phases")
+	xs := make([][]float64, len(phases))
+	labels := make([][]int, len(phases))
+	for i, ph := range phases {
+		xs[i], labels[i] = ph.Features, make([]int, len(ph.Good))
 	}
-	d := counters.Dim(set)
+	ts, err := softmax.NewTrainingSet(counters.Dim(set), xs)
+	if err != nil {
+		return nil, fmt.Errorf("core: %w", err)
+	}
 	p := &Predictor{Set: set}
 	for param := arch.Param(0); param < arch.NumParams; param++ {
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("core: training cancelled: %w", err)
 		}
-		var exs []softmax.Example
 		for i, ph := range phases {
-			if len(ph.Features) != d {
-				return nil, fmt.Errorf("core: phase %d features have dim %d, want %d", i, len(ph.Features), d)
-			}
-			if len(ph.Good) == 0 {
-				return nil, fmt.Errorf("core: phase %d has no good configurations", i)
-			}
-			for _, cfg := range ph.Good {
-				k := arch.IndexOf(param, cfg[param])
-				if k < 0 {
+			for j, cfg := range ph.Good {
+				if labels[i][j] = arch.IndexOf(param, cfg[param]); labels[i][j] < 0 {
 					return nil, fmt.Errorf("core: phase %d good config has invalid %s=%d", i, param, cfg[param])
 				}
-				exs = append(exs, softmax.Example{X: ph.Features, Y: k})
 			}
 		}
 		sp := obs.DefaultTracer().Start("train " + param.String())
-		m, err := softmax.Train(d, arch.DomainSize(param), exs, opts)
+		m, err := ts.Train(arch.DomainSize(param), labels, opts)
 		sp.Finish()
 		if err != nil {
 			return nil, fmt.Errorf("core: training %s model: %w", param, err)

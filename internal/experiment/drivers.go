@@ -305,7 +305,7 @@ func (ds *Dataset) StorageAnalysis(set counters.Set) (*StorageReport, error) {
 	q := pred.Quantize()
 	same, total := 0, 0
 	for _, id := range ds.Phases {
-		f := ds.features(set, id)
+		f := ds.features(set)[id]
 		a, b := pred.Predict(f), q.Predict(f)
 		for p := arch.Param(0); p < arch.NumParams; p++ {
 			if a[p] == b[p] {

@@ -378,3 +378,85 @@ func TestAggregateEfficiencyConsistentWithPerf(t *testing.T) {
 		t.Errorf("AggregateEfficiency %.6e inconsistent with AggregatePerf-derived %.6e", eff, want)
 	}
 }
+
+// foldRecorder is a fold's stand-in model: it decodes the phase index that
+// TestHeldOutFolds uses as each phase's feature vector and counts every phase it
+// is asked to predict, checking that its fold trained on no phase of that
+// phase's program.
+type foldRecorder struct {
+	t         *testing.T
+	ds        *Dataset
+	trained   map[string]bool
+	predicted map[PhaseID]int
+}
+
+func (r *foldRecorder) Predict(x []float64) arch.Config {
+	id := r.ds.Phases[int(x[0])]
+	r.predicted[id]++
+	if r.trained[id.Program] {
+		r.t.Errorf("phase %s predicted by a fold that trained on %s", id, id.Program)
+	}
+	return arch.Baseline()
+}
+
+// TestHeldOutFolds runs the held-out loop with single-program and
+// two-program groups on the TestScale dataset. Every phase must be
+// predicted exactly once, by a fold that trained on every phase of the
+// other programs and none of its own. The soft-max fitter on ablated
+// features (EvaluateModelAblated's folds, whose group of six would hold out
+// every TestScale program) must predict every phase and record fourteen
+// models per fold.
+func TestHeldOutFolds(t *testing.T) {
+	ds := testDataset(t)
+	index := map[PhaseID][]float64{}
+	for i, id := range ds.Phases {
+		index[id] = []float64{float64(i)}
+	}
+	nProgs := len(ds.Programs())
+	for _, size := range []int{1, 2} {
+		rec := &foldRecorder{t: t, ds: ds, predicted: map[PhaseID]int{}}
+		folds := 0
+		ev, err := ds.heldOut(context.Background(), "test", counters.Advanced, size, index,
+			func(_ context.Context, train []PhaseID, _ map[PhaseID][]float64) (altmodel.Predictor, error) {
+				folds++
+				rec.trained = map[string]bool{}
+				for _, id := range train {
+					rec.trained[id.Program] = true
+				}
+				if want := nProgs - min(size, nProgs-(folds-1)*size); len(rec.trained) != want {
+					t.Errorf("size %d fold %d: trained on %d programs, want %d", size, folds, len(rec.trained), want)
+				}
+				return rec, nil
+			})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := (nProgs + size - 1) / size; folds != want {
+			t.Errorf("size %d: %d folds, want %d", size, folds, want)
+		}
+		for _, id := range ds.Phases {
+			if n := rec.predicted[id]; n != 1 {
+				t.Errorf("size %d: phase %s predicted %d times", size, id, n)
+			}
+		}
+		if len(ev.Predicted) != len(ds.Phases) {
+			t.Errorf("size %d: %d predictions for %d phases", size, len(ev.Predicted), len(ds.Phases))
+		}
+
+		ab, err := ds.evaluateAblated("caches/", size)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(ab.Predicted) != len(ds.Phases) || len(ab.FoldStats) != folds*int(arch.NumParams) {
+			t.Errorf("size %d ablation: %d predictions, %d fold models", size, len(ab.Predicted), len(ab.FoldStats))
+		}
+		for id, cfg := range ab.Predicted {
+			if !cfg.Valid() {
+				t.Errorf("size %d ablation: invalid prediction for %s", size, id)
+			}
+		}
+	}
+	if _, err := ds.EvaluateModelAblated("caches/"); err == nil {
+		t.Error("a group of six held out every TestScale program, yet the ablation trained")
+	}
+}

@@ -46,7 +46,7 @@ func FillBuildManifest(m *obs.Manifest, ds *Dataset) {
 		if p, ok := ds.trained[set]; ok {
 			FillTrainManifest(m, p)
 			m.SetDet("train."+set.String()+".predDigest", predDigest(ds.Phases, func(id PhaseID) arch.Config {
-				return p.Predict(ds.features(set, id))
+				return p.Predict(ds.features(set)[id])
 			}))
 		}
 	}

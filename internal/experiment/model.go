@@ -3,6 +3,8 @@ package experiment
 import (
 	"context"
 	"fmt"
+	"slices"
+	"strings"
 
 	"repro/internal/altmodel"
 	"repro/internal/arch"
@@ -12,12 +14,12 @@ import (
 	"repro/internal/softmax"
 )
 
-// features returns the phase's feature vector for the chosen counter set.
-func (ds *Dataset) features(set counters.Set, id PhaseID) []float64 {
+// features returns every phase's feature vector for the chosen counter set.
+func (ds *Dataset) features(set counters.Set) map[PhaseID][]float64 {
 	if set == counters.Basic {
-		return ds.FeaturesBasic[id]
+		return ds.FeaturesBasic
 	}
-	return ds.FeaturesAdv[id]
+	return ds.FeaturesAdv
 }
 
 // PerProgramStatic returns the best single configuration for one program:
@@ -59,15 +61,15 @@ func Static(cfg arch.Config) func(PhaseID) arch.Config {
 	return func(PhaseID) arch.Config { return cfg }
 }
 
-// Evaluation holds a leave-one-out model evaluation: the configuration
+// Evaluation holds a held-out model evaluation: the configuration
 // predicted for every phase by a model that never saw that phase's
 // program during training.
 type Evaluation struct {
 	Set       counters.Set
 	Predicted map[PhaseID]arch.Config
-	// FoldStats holds the convergence record of every model EvaluateModel
-	// trained: fold by fold in program order, parameters in order within
-	// a fold.
+	// FoldStats holds the convergence record of every soft-max model the
+	// evaluation trained: fold by fold in program order, parameters in
+	// order within a fold.
 	FoldStats []softmax.TrainStats
 }
 
@@ -87,13 +89,10 @@ func TrainOptions() softmax.Options {
 }
 
 // phaseExamples assembles the training examples for the given phases.
-func (ds *Dataset) phaseExamples(set counters.Set, phases []PhaseID) []core.PhaseExample {
-	out := make([]core.PhaseExample, 0, len(phases))
-	for _, id := range phases {
-		out = append(out, core.PhaseExample{
-			Features: ds.features(set, id),
-			Good:     ds.Good[id],
-		})
+func (ds *Dataset) phaseExamples(features map[PhaseID][]float64, phases []PhaseID) []core.PhaseExample {
+	out := make([]core.PhaseExample, len(phases))
+	for i, id := range phases {
+		out[i] = core.PhaseExample{Features: features[id], Good: ds.Good[id]}
 	}
 	return out
 }
@@ -117,7 +116,7 @@ func (ds *Dataset) TrainAllCtx(ctx context.Context, set counters.Set) (*core.Pre
 	}
 	sp := obs.DefaultTracer().Start("experiment.train " + set.String())
 	defer sp.Finish()
-	p, err := core.TrainPredictorCtx(ctx, set, ds.phaseExamples(set, ds.Phases), TrainOptions())
+	p, err := core.TrainPredictorCtx(ctx, set, ds.phaseExamples(ds.features(set), ds.Phases), TrainOptions())
 	if err != nil {
 		return nil, err
 	}
@@ -135,42 +134,7 @@ func (ds *Dataset) EvaluateModel(set counters.Set) (*Evaluation, error) {
 // EvaluateModelCtx is EvaluateModel with cooperative cancellation, checked
 // per fold and forwarded into training.
 func (ds *Dataset) EvaluateModelCtx(ctx context.Context, set counters.Set) (*Evaluation, error) {
-	tr := obs.DefaultTracer()
-	stage := "loocv " + set.String()
-	sp := tr.Start("experiment." + stage)
-	defer sp.Finish()
-	ev := &Evaluation{Set: set, Predicted: map[PhaseID]arch.Config{}}
-	progs := ds.Programs()
-	for i, held := range progs {
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("experiment: LOOCV cancelled: %w", err)
-		}
-		fsp := tr.Start("fold " + held)
-		var trainPhases []PhaseID
-		for _, id := range ds.Phases {
-			if id.Program != held {
-				trainPhases = append(trainPhases, id)
-			}
-		}
-		if len(trainPhases) == 0 {
-			fsp.Finish()
-			return nil, fmt.Errorf("experiment: no training phases when holding out %s", held)
-		}
-		pred, err := core.TrainPredictorCtx(ctx, set, ds.phaseExamples(set, trainPhases), TrainOptions())
-		if err != nil {
-			fsp.Finish()
-			return nil, fmt.Errorf("experiment: LOOCV fold %s: %w", held, err)
-		}
-		for _, id := range ds.ProgramPhases(held) {
-			ev.Predicted[id] = pred.Predict(ds.features(set, id))
-		}
-		for _, m := range pred.Models {
-			ev.FoldStats = append(ev.FoldStats, m.Stats)
-		}
-		fsp.Finish()
-		reportProgress(stage, i+1, len(progs))
-	}
-	return ev, nil
+	return ds.heldOut(ctx, "loocv "+set.String(), set, 1, ds.features(set), ds.softmaxFit(set))
 }
 
 // EvaluateModelAblated performs a grouped held-out evaluation with one
@@ -181,43 +145,17 @@ func (ds *Dataset) EvaluateModelCtx(ctx context.Context, set counters.Set) (*Eva
 // five-family sweep affordable; predictions remain honest (a program's
 // phases are never in its own training set).
 func (ds *Dataset) EvaluateModelAblated(prefix string) (*Evaluation, error) {
-	ablated := map[PhaseID][]float64{}
+	return ds.evaluateAblated(prefix, 6)
+}
+
+// evaluateAblated is EvaluateModelAblated with groupSize programs held out
+// per fold.
+func (ds *Dataset) evaluateAblated(prefix string, groupSize int) (*Evaluation, error) {
+	ablated := make(map[PhaseID][]float64, len(ds.Phases))
 	for _, id := range ds.Phases {
 		ablated[id] = counters.AblateFamily(ds.FeaturesAdv[id], prefix)
 	}
-	progs := ds.Programs()
-	const groupSize = 6
-	ev := &Evaluation{Set: counters.Advanced, Predicted: map[PhaseID]arch.Config{}}
-	for start := 0; start < len(progs); start += groupSize {
-		end := start + groupSize
-		if end > len(progs) {
-			end = len(progs)
-		}
-		held := map[string]bool{}
-		for _, p := range progs[start:end] {
-			held[p] = true
-		}
-		var phases []core.PhaseExample
-		var heldIDs []PhaseID
-		for _, id := range ds.Phases {
-			if held[id.Program] {
-				heldIDs = append(heldIDs, id)
-				continue
-			}
-			phases = append(phases, core.PhaseExample{Features: ablated[id], Good: ds.Good[id]})
-		}
-		if len(phases) == 0 {
-			return nil, fmt.Errorf("experiment: ablation fold %d has no training phases", start/groupSize)
-		}
-		pred, err := core.TrainPredictor(counters.Advanced, phases, TrainOptions())
-		if err != nil {
-			return nil, fmt.Errorf("experiment: ablated fold %d: %w", start/groupSize, err)
-		}
-		for _, id := range heldIDs {
-			ev.Predicted[id] = pred.Predict(ablated[id])
-		}
-	}
-	return ev, nil
+	return ds.heldOut(context.Background(), "ablation "+prefix, counters.Advanced, groupSize, ablated, ds.softmaxFit(counters.Advanced))
 }
 
 // EvaluateAltModel runs the leave-one-out evaluation for one of the
@@ -225,27 +163,81 @@ func (ds *Dataset) EvaluateModelAblated(prefix string) (*Evaluation, error) {
 // features and per-phase best configurations — the comparison behind the
 // paper's footnote that soft-max beat the other approaches tried.
 func (ds *Dataset) EvaluateAltModel(build func([]altmodel.TrainingPhase) (altmodel.Predictor, error)) (*Evaluation, error) {
-	ev := &Evaluation{Set: counters.Advanced, Predicted: map[PhaseID]arch.Config{}}
-	for _, held := range ds.Programs() {
-		var train []altmodel.TrainingPhase
-		var heldIDs []PhaseID
-		for _, id := range ds.Phases {
-			if id.Program == held {
-				heldIDs = append(heldIDs, id)
-				continue
+	return ds.heldOut(context.Background(), "altmodel", counters.Advanced, 1, ds.FeaturesAdv,
+		func(_ context.Context, train []PhaseID, features map[PhaseID][]float64) (altmodel.Predictor, error) {
+			phases := make([]altmodel.TrainingPhase, len(train))
+			for i, id := range train {
+				phases[i] = altmodel.TrainingPhase{Features: features[id], Best: ds.Best[id]}
 			}
-			train = append(train, altmodel.TrainingPhase{
-				Features: ds.FeaturesAdv[id],
-				Best:     ds.Best[id],
-			})
-		}
-		m, err := build(train)
+			return build(phases)
+		})
+}
+
+// fitter trains a fold's model on its training phases, whose feature
+// vectors features holds.
+type fitter func(ctx context.Context, train []PhaseID, features map[PhaseID][]float64) (altmodel.Predictor, error)
+
+// softmaxFit trains the paper's predictor on the phases' good
+// configurations.
+func (ds *Dataset) softmaxFit(set counters.Set) fitter {
+	return func(ctx context.Context, train []PhaseID, features map[PhaseID][]float64) (altmodel.Predictor, error) {
+		p, err := core.TrainPredictorCtx(ctx, set, ds.phaseExamples(features, train), TrainOptions())
 		if err != nil {
-			return nil, fmt.Errorf("experiment: alt model fold %s: %w", held, err)
+			return nil, err
 		}
-		for _, id := range heldIDs {
-			ev.Predicted[id] = m.Predict(ds.FeaturesAdv[id])
+		return p, nil
+	}
+}
+
+// heldOut is the one held-out evaluation loop. Programs are held out
+// groupSize at a time, in program order: each fold fits a model on every
+// other program's phases, in dataset order, and predicts the held-out
+// phases with it, from the same feature vectors. The loop runs under an
+// "experiment.<stage>" span and each fold under a "fold <programs>" span,
+// progress is reported per fold under stage, and cancellation is checked
+// per fold and forwarded to fit. A soft-max fold's convergence records
+// join FoldStats.
+func (ds *Dataset) heldOut(ctx context.Context, stage string, set counters.Set, groupSize int, features map[PhaseID][]float64, fit fitter) (*Evaluation, error) {
+	tr := obs.DefaultTracer()
+	sp := tr.Start("experiment." + stage)
+	defer sp.Finish()
+	ev := &Evaluation{Set: set, Predicted: map[PhaseID]arch.Config{}}
+	progs := ds.Programs()
+	folds := (len(progs) + groupSize - 1) / groupSize
+	for f := 0; f < folds; f++ {
+		if err := ctx.Err(); err != nil {
+			return nil, fmt.Errorf("experiment: %s cancelled: %w", stage, err)
 		}
+		group := progs[f*groupSize : min(len(progs), (f+1)*groupSize)]
+		name := strings.Join(group, "+")
+		fsp := tr.Start("fold " + name)
+		var train, held []PhaseID
+		for _, id := range ds.Phases {
+			if slices.Contains(group, id.Program) {
+				held = append(held, id)
+			} else {
+				train = append(train, id)
+			}
+		}
+		if len(train) == 0 {
+			fsp.Finish()
+			return nil, fmt.Errorf("experiment: %s: no training phases when holding out %s", stage, name)
+		}
+		m, err := fit(ctx, train, features)
+		if err != nil {
+			fsp.Finish()
+			return nil, fmt.Errorf("experiment: %s fold %s: %w", stage, name, err)
+		}
+		for _, id := range held {
+			ev.Predicted[id] = m.Predict(features[id])
+		}
+		if p, ok := m.(*core.Predictor); ok {
+			for _, sm := range p.Models {
+				ev.FoldStats = append(ev.FoldStats, sm.Stats)
+			}
+		}
+		fsp.Finish()
+		reportProgress(stage, f+1, folds)
 	}
 	return ev, nil
 }

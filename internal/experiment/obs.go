@@ -43,8 +43,9 @@ func MemoStats() (hits, misses uint64) {
 }
 
 // ProgressFunc receives live progress events from the long pipeline
-// stages: stage is "search", "profile" or "loocv <set>", done/total count
-// phases or folds. Callbacks must not touch dataset state.
+// stages: stage is "search", "profile" or a held-out evaluation ("loocv
+// <set>", "ablation <family>", "altmodel"), done/total count phases or
+// folds. Callbacks must not touch dataset state.
 type ProgressFunc func(stage string, done, total int)
 
 var progressFn atomic.Pointer[ProgressFunc]

@@ -123,7 +123,7 @@ func TestTrainManifestDeterministic(t *testing.T) {
 			t.Errorf("manifest lacks train.basic.Depth.%s", key)
 		}
 	}
-	p, err := core.TrainPredictor(counters.Basic, ds.phaseExamples(counters.Basic, ds.Phases), TrainOptions())
+	p, err := core.TrainPredictor(counters.Basic, ds.phaseExamples(ds.FeaturesBasic, ds.Phases), TrainOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,28 +12,19 @@
 // Training is exact in a smaller space. The weights start at InitWeight
 // everywhere and every gradient is X^T C + 2 lambda W, so every iterate's
 // class columns lie in span{1_D, x_1 ... x_G}, the all-ones direction plus
-// the G distinct training vectors. Train runs its conjugate-gradient loop
-// on the coordinates of W in an orthonormal basis of that span (G+1 rows
-// at most, against D features) and lifts the result back to D x K once.
+// the G distinct training vectors. A TrainingSet builds an orthonormal
+// basis of that span (G+1 rows at most, against D features) once, and
+// every model trained from it runs its conjugate-gradient loop on the
+// coordinates of W in that basis and lifts the result back to D x K once.
 // An orthonormal change of coordinates preserves every score, norm and
 // dot product the loop reads, so the trajectory is the D-space one up to
 // float rounding.
 package softmax
 
 import (
-	"errors"
 	"fmt"
 	"math"
 )
-
-// Example is one training observation: feature vector X (length D) and the
-// index Y of a "good" class. Phases with several good configurations
-// contribute several examples, implementing the paper's Ñ over
-// within-5%-of-best configurations.
-type Example struct {
-	X []float64
-	Y int
-}
 
 // Options control training.
 type Options struct {
@@ -76,34 +67,19 @@ func NewModel(d, k int, init float64) (*Model, error) {
 	return m, nil
 }
 
-// Scores computes the K linear scores w_k . x into out (allocated if nil).
+// Scores computes the K linear scores w_k . x into out (reused if its
+// capacity allows): the batch of one vector.
 func (m *Model) Scores(x []float64, out []float64) []float64 {
-	if out == nil {
-		out = make([]float64, m.K)
-	} else {
-		for k := range out {
-			out[k] = 0
-		}
-	}
-	for i, xi := range x {
-		if xi == 0 {
-			continue
-		}
-		row := m.W[i*m.K : i*m.K+m.K]
-		for k, w := range row {
-			out[k] += w * xi
-		}
-	}
-	return out
+	return m.ScoresBatch([][]float64{x}, out)
 }
 
 // ScoresBatch computes the linear scores of n feature vectors in a single
 // pass over the weight matrix: out is (or becomes) an n x K row-major
 // matrix, row i holding the scores of xs[i]. The weight row for feature i
 // is loaded once and applied to every vector while it is hot, which is
-// what makes batched serving cheaper than n Scores calls. Per vector, the
-// accumulation order over features is exactly the one Scores uses, so the
-// batched scores are bit-identical to the per-vector ones.
+// what makes batched serving cheaper than n Scores calls. Each vector's
+// scores accumulate over features in the same order whatever the batch,
+// so batched scores are bit-identical to the per-vector ones.
 func (m *Model) ScoresBatch(xs [][]float64, out []float64) []float64 {
 	need := len(xs) * m.K
 	if cap(out) < need {
@@ -135,7 +111,11 @@ func (m *Model) Predict(x []float64) int {
 	if len(x) != m.D {
 		panic(fmt.Sprintf("softmax: feature length %d, model expects %d", len(x), m.D))
 	}
-	s := m.Scores(x, nil)
+	return argmax(m.Scores(x, nil))
+}
+
+// argmax returns the index of the first largest score.
+func argmax(s []float64) int {
 	best, bi := math.Inf(-1), 0
 	for k, v := range s {
 		if v > best {
@@ -174,7 +154,8 @@ func (m *Model) Probabilities(x []float64) []float64 {
 }
 
 // TrainStats records how a training run converged. Every field is a pure
-// function of the examples and options, so it is safe to pin and diff.
+// function of the training set, labels and options, so it is safe to pin
+// and diff.
 type TrainStats struct {
 	// Iters counts conjugate-gradient iterations that accepted a step.
 	Iters int
@@ -186,67 +167,107 @@ type TrainStats struct {
 	GradNorm float64
 }
 
-// Train fits a model to the examples by maximising the regularised data
-// log-likelihood (paper eq. 6-7) with Polak-Ribiere conjugate gradients
-// and a backtracking line search. Training is deterministic; the returned
-// model's Stats record its convergence.
-//
-// Consecutive examples sharing one feature vector are trained as a single
-// group weighted by its per-class label counts: the same likelihood, with
-// scores computed once per group instead of once per example. Scores are
-// linear in the weights, so the line search evaluates every trial step in
-// score space from the scores at W and along the search direction.
-//
-// The loop runs in an orthonormal basis Q (r x D, r <= G+1 for G groups)
-// of span{1_D, x_g}, which holds every iterate (see the package comment):
-// each group's vector becomes z_g = Q x_g, the loop updates V = Q W from
-// V0 = InitWeight (Q 1_D) 1_K^T, and W = Q^T V is lifted once at the end.
-// Only float rounding differs from running on all D x K weights, and an
-// iteration costs O(G r K) instead of O(G nnz K + D K).
-func Train(d, k int, examples []Example, opts Options) (*Model, error) {
-	if len(examples) == 0 {
-		return nil, errors.New("softmax: no training examples")
+// TrainingSet holds the feature vectors of a training set, grouped and
+// projected once for any number of models: the paper's fourteen
+// per-parameter models see the same phase vectors and differ only in their
+// labels. It is never modified after NewTrainingSet returns, so models may
+// be trained from it in any order.
+type TrainingSet struct {
+	d, n   int
+	q      []float64 // Q, r x d row-major
+	groups []group
+}
+
+// group is a run of consecutive training vectors with equal values.
+type group struct {
+	x   []float64 // the shared vector; its basis coordinates z_g once projected
+	nz  []int     // indices of x's nonzero entries
+	end int       // one past the run's last vector
+}
+
+// NewTrainingSet validates n feature vectors of dimension d, merges each
+// run of consecutive equal vectors into one group, and projects the groups
+// onto an orthonormal basis Q (r x d, r <= G+1 for G groups) of
+// span{1_d, x_g}, which holds every iterate (see the package comment). It
+// keeps no reference to xs.
+func NewTrainingSet(d int, xs [][]float64) (*TrainingSet, error) {
+	if d <= 0 || len(xs) == 0 {
+		return nil, fmt.Errorf("softmax: %d training vectors of dimension %d", len(xs), d)
 	}
-	for i, ex := range examples {
-		if len(ex.X) != d {
-			return nil, fmt.Errorf("softmax: example %d has %d features, want %d", i, len(ex.X), d)
-		}
-		if ex.Y < 0 || ex.Y >= k {
-			return nil, fmt.Errorf("softmax: example %d label %d out of range [0,%d)", i, ex.Y, k)
-		}
-	}
-	m, err := NewModel(d, k, 0)
-	if err != nil {
-		return nil, err
-	}
-	pr := newProblem(k, opts.Lambda, examples)
-	q := pr.project(d)
-	r := len(q) / d
-	// V0 = InitWeight (Q 1_D) 1_K^T: the all-InitWeight start is in the
-	// span because 1_D is.
-	v := make([]float64, r*k)
-	for j := 0; j < r; j++ {
-		s := 0.0
-		for _, qi := range q[j*d : j*d+d] {
-			s += qi
-		}
-		s *= opts.InitWeight
-		for c := 0; c < k; c++ {
-			v[j*k+c] = s
+	for i, x := range xs {
+		if len(x) != d {
+			return nil, fmt.Errorf("softmax: vector %d has %d features, want %d", i, len(x), d)
 		}
 	}
-	m.Stats = pr.minimize(v, opts)
-	// W = Q^T V.
-	for j := 0; j < r; j++ {
-		vj := v[j*k : j*k+k]
-		for i, qi := range q[j*d : j*d+d] {
-			row := m.W[i*k : i*k+k]
-			for c, vc := range vj {
-				row[c] += qi * vc
+	s := grouped(d, xs)
+	s.project()
+	return s, nil
+}
+
+// grouped merges consecutive vectors whose values are equal (the same
+// slice, usually) into groups, in D-space coordinates.
+func grouped(d int, xs [][]float64) *TrainingSet {
+	s := &TrainingSet{d: d, n: len(xs)}
+	for i, x := range xs {
+		if n := len(s.groups); n > 0 && sameVector(s.groups[n-1].x, x) {
+			s.groups[n-1].end = i + 1
+			continue
+		}
+		g := group{x: x, end: i + 1}
+		for j, xj := range x {
+			if xj != 0 {
+				g.nz = append(g.nz, j)
+			}
+		}
+		s.groups = append(s.groups, g)
+	}
+	return s
+}
+
+// sameVector reports whether a and b hold the same values. Identity is
+// checked first because callers usually pass one slice per phase.
+func sameVector(a, b []float64) bool {
+	if len(a) == 0 || &a[0] == &b[0] {
+		return true
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// project builds the basis Q of span{1_d, x_g} over the set's groups and
+// replaces every group's vector by its coordinates z_g = Q x_g.
+func (s *TrainingSet) project() {
+	d := s.d
+	ones := make([]float64, d)
+	for i := range ones {
+		ones[i] = 1
+	}
+	xs := [][]float64{ones}
+	for _, g := range s.groups {
+		xs = append(xs, g.x)
+	}
+	s.q = basis(d, xs)
+	r := len(s.q) / d
+	for gi := range s.groups {
+		g := &s.groups[gi]
+		z := make([]float64, r)
+		for j := range z {
+			row := s.q[j*d : j*d+d]
+			for _, i := range g.nz {
+				z[j] += row[i] * g.x[i]
+			}
+		}
+		g.x, g.nz = z, nil
+		for j, zj := range z {
+			if zj != 0 {
+				g.nz = append(g.nz, j)
 			}
 		}
 	}
-	return m, nil
 }
 
 // basis returns an orthonormal basis of span{xs} as an r x d row-major
@@ -278,38 +299,54 @@ func basis(d int, xs [][]float64) []float64 {
 	return q
 }
 
-// project builds the basis Q of span{1_d, x_g} over the problem's groups,
-// replaces every group's vector by its coordinates z_g = Q x_g, and
-// returns Q (r x d, row-major).
-func (pr *problem) project(d int) []float64 {
-	xs := make([][]float64, 0, len(pr.groups)+1)
-	ones := make([]float64, d)
-	for i := range ones {
-		ones[i] = 1
+// Train fits a K-class model by maximising the regularised data
+// log-likelihood (paper eq. 6-7) with Polak-Ribiere conjugate gradients
+// and a backtracking line search. labels[i] holds the good classes of
+// vector i, each one example (the paper's Ñ over within-5%-of-best
+// configurations); every vector needs at least one. Training is
+// deterministic, the model's Stats record its convergence, and Train
+// writes neither the set nor the labels.
+//
+// Each group is one term of the likelihood, weighted by its per-class label
+// counts, so scores are computed once per group. Scores are linear in the
+// weights, so the line search evaluates every trial step in score space.
+// The loop updates V = Q W and lifts W = Q^T V once at the end: only float
+// rounding differs from running on all D x K weights, and an iteration
+// costs O(G r K) instead of O(G nnz K + D K).
+func (s *TrainingSet) Train(k int, labels [][]int, opts Options) (*Model, error) {
+	d := s.d
+	m, err := NewModel(d, k, 0)
+	if err != nil {
+		return nil, err
 	}
-	xs = append(xs, ones)
-	for _, g := range pr.groups {
-		xs = append(xs, g.x)
+	pr, err := s.problem(k, opts.Lambda, labels)
+	if err != nil {
+		return nil, err
 	}
-	q := basis(d, xs)
-	r := len(q) / d
-	for gi := range pr.groups {
-		g := &pr.groups[gi]
-		z := make([]float64, r)
-		for j := range z {
-			row := q[j*d : j*d+d]
-			for _, i := range g.nz {
-				z[j] += row[i] * g.x[i]
+	// V0 = InitWeight (Q 1_D) 1_K^T.
+	r := len(s.q) / d
+	v := make([]float64, r*k)
+	for j := 0; j < r; j++ {
+		v0 := 0.0
+		for _, qi := range s.q[j*d : j*d+d] {
+			v0 += qi
+		}
+		v0 *= opts.InitWeight
+		for c := 0; c < k; c++ {
+			v[j*k+c] = v0
+		}
+	}
+	m.Stats = pr.minimize(v, opts)
+	for j := 0; j < r; j++ {
+		vj := v[j*k : j*k+k]
+		for i, qi := range s.q[j*d : j*d+d] {
+			row := m.W[i*k : i*k+k]
+			for c, vc := range vj {
+				row[c] += qi * vc
 			}
 		}
-		g.x, g.nz = z, g.nz[:0]
-		for j, zj := range z {
-			if zj != 0 {
-				g.nz = append(g.nz, j)
-			}
-		}
 	}
-	return q
+	return m, nil
 }
 
 // minimize runs the conjugate-gradient loop on the problem from w, which
@@ -332,8 +369,8 @@ func (pr *problem) minimize(w []float64, opts Options) TrainStats {
 	}
 	gg := dot(grad, grad)
 	examples := 0.0
-	for _, g := range pr.groups {
-		examples += g.total
+	for _, t := range pr.totals {
+		examples += t
 	}
 	alpha := 1.0 / (1 + examples)
 	var st TrainStats
@@ -399,21 +436,17 @@ func (pr *problem) minimize(w []float64, opts Options) TrainStats {
 	return st
 }
 
-// group is a run of consecutive examples sharing one feature vector: the
-// sufficient statistics of their contribution to the likelihood.
-type group struct {
-	x      []float64 // the feature vector; its basis coordinates once projected
-	nz     []int     // indices of x's nonzero features
-	counts []float64 // per-class label counts
-	total  float64   // number of examples in the run
-}
-
-// problem is the regularised objective f = -L + lambda*||W||^2 over the
-// grouped examples, plus the line-search state along one direction.
+// problem is one model's regularised objective f = -L + lambda*||W||^2
+// over a training set's groups, plus the line-search state along one
+// direction. The groups are the set's, shared and read-only; everything
+// else belongs to the one solve.
 type problem struct {
 	k      int
 	lambda float64
 	groups []group
+	// counts holds each group's K per-class label counts and totals its
+	// example count.
+	counts, totals []float64
 	// s0 and sd hold each group's K scores at W and along the direction;
 	// wd and dd are W.dir and dir.dir, and reg is lambda*||W||^2.
 	s0, sd  []float64
@@ -422,47 +455,34 @@ type problem struct {
 	scratch []float64
 }
 
-// newProblem groups consecutive examples whose vectors are the same slice
-// or hold the same values.
-func newProblem(k int, lambda float64, examples []Example) *problem {
-	pr := &problem{k: k, lambda: lambda, scratch: make([]float64, k)}
-	for _, ex := range examples {
-		if n := len(pr.groups); n > 0 && sameVector(pr.groups[n-1].x, ex.X) {
-			g := &pr.groups[n-1]
-			g.counts[ex.Y]++
-			g.total++
-			continue
-		}
-		g := group{x: ex.X, counts: make([]float64, k), total: 1}
-		for i, xi := range ex.X {
-			if xi != 0 {
-				g.nz = append(g.nz, i)
+// problem validates one K-class model's labels and counts them per group.
+func (s *TrainingSet) problem(k int, lambda float64, labels [][]int) (*problem, error) {
+	if len(labels) != s.n {
+		return nil, fmt.Errorf("softmax: %d label lists for %d vectors", len(labels), s.n)
+	}
+	ng := len(s.groups)
+	pr := &problem{
+		k: k, lambda: lambda, groups: s.groups,
+		counts: make([]float64, ng*k), totals: make([]float64, ng),
+		s0: make([]float64, ng*k), sd: make([]float64, ng*k),
+		scratch: make([]float64, k),
+	}
+	i := 0
+	for gi, g := range s.groups {
+		for ; i < g.end; i++ {
+			if len(labels[i]) == 0 {
+				return nil, fmt.Errorf("softmax: vector %d has no labels", i)
 			}
-		}
-		g.counts[ex.Y] = 1
-		pr.groups = append(pr.groups, g)
-	}
-	pr.s0 = make([]float64, len(pr.groups)*k)
-	pr.sd = make([]float64, len(pr.groups)*k)
-	return pr
-}
-
-// sameVector reports whether a and b hold the same values. Identity is
-// checked first because callers usually pass one slice for every example
-// of a phase.
-func sameVector(a, b []float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	if len(a) == 0 || &a[0] == &b[0] {
-		return true
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
+			for _, y := range labels[i] {
+				if y < 0 || y >= k {
+					return nil, fmt.Errorf("softmax: vector %d label %d out of range [0,%d)", i, y, k)
+				}
+				pr.counts[gi*k+y]++
+			}
+			pr.totals[gi] += float64(len(labels[i]))
 		}
 	}
-	return true
+	return pr, nil
 }
 
 // scores writes the group's K scores under weights w into out.
@@ -479,9 +499,9 @@ func (pr *problem) scores(g *group, w, out []float64) {
 	}
 }
 
-// nll returns the group's negative log-likelihood at scores s and its
-// log-partition logZ.
-func (g *group) nll(s []float64) (f, logZ float64) {
+// nll returns the negative log-likelihood of per-class label counts at
+// scores s, and the log-partition logZ.
+func nll(s, counts []float64) (f, logZ float64) {
 	maxS := math.Inf(-1)
 	for _, v := range s {
 		if v > maxS {
@@ -492,7 +512,7 @@ func (g *group) nll(s []float64) (f, logZ float64) {
 		logZ += math.Exp(v - maxS)
 	}
 	logZ = math.Log(logZ) + maxS
-	for c, n := range g.counts {
+	for c, n := range counts {
 		if n != 0 {
 			f -= n * (s[c] - logZ)
 		}
@@ -514,11 +534,12 @@ func (pr *problem) objGrad(w, grad []float64) float64 {
 	for gi := range pr.groups {
 		g := &pr.groups[gi]
 		s := pr.s0[gi*k : gi*k+k]
+		counts := pr.counts[gi*k : gi*k+k]
 		pr.scores(g, w, s)
-		gf, logZ := g.nll(s)
+		gf, logZ := nll(s, counts)
 		f += gf
 		for c, v := range s {
-			coeff[c] = g.total*math.Exp(v-logZ) - g.counts[c]
+			coeff[c] = pr.totals[gi]*math.Exp(v-logZ) - counts[c]
 		}
 		for _, i := range g.nz {
 			xi := g.x[i]
@@ -562,7 +583,7 @@ func (pr *problem) lineValue(t float64) float64 {
 		for c := range s {
 			s[c] = s0[c] + t*sd[c]
 		}
-		gf, _ := pr.groups[gi].nll(s)
+		gf, _ := nll(s, pr.counts[gi*k:gi*k+k])
 		f += gf
 	}
 	return f + pr.reg + pr.lambda*(2*t*pr.wd+t*t*pr.dd)
@@ -613,35 +634,17 @@ func (m *Model) Quantize() *Quantized {
 }
 
 // Scores computes the K linear scores in float weight units (the integer
-// accumulator times Scale) into out (allocated if nil). Scaling does not
-// change the argmax but makes the scores comparable to the float model's,
-// so the soft-max distribution over them is meaningful.
+// accumulator times Scale) into out (reused if its capacity allows): the
+// batch of one vector. Scaling does not change the argmax but makes the
+// scores comparable to the float model's, so the soft-max distribution
+// over them is meaningful.
 func (q *Quantized) Scores(x []float64, out []float64) []float64 {
-	if out == nil {
-		out = make([]float64, q.K)
-	} else {
-		for k := range out {
-			out[k] = 0
-		}
-	}
-	for i, xi := range x {
-		if xi == 0 {
-			continue
-		}
-		row := q.W[i*q.K : i*q.K+q.K]
-		for k, w := range row {
-			out[k] += float64(w) * xi
-		}
-	}
-	for k := range out {
-		out[k] *= q.Scale
-	}
-	return out
+	return q.ScoresBatch([][]float64{x}, out)
 }
 
 // ScoresBatch is the 8-bit counterpart of Model.ScoresBatch: one pass over
-// the int8 weight matrix scoring every vector, bit-identical per vector to
-// Scores (same accumulation order, same trailing Scale multiply).
+// the int8 weight matrix scoring every vector, then the trailing Scale
+// multiply.
 func (q *Quantized) ScoresBatch(xs [][]float64, out []float64) []float64 {
 	need := len(xs) * q.K
 	if cap(out) < need {
@@ -672,14 +675,7 @@ func (q *Quantized) ScoresBatch(xs [][]float64, out []float64) []float64 {
 
 // Predict returns the argmax class using the quantised weights.
 func (q *Quantized) Predict(x []float64) int {
-	scores := q.Scores(x, nil)
-	best, bi := math.Inf(-1), 0
-	for k, v := range scores {
-		if v > best {
-			best, bi = v, k
-		}
-	}
-	return bi
+	return argmax(q.Scores(x, nil))
 }
 
 // Probabilities returns the soft-max distribution implied by the quantised

@@ -9,46 +9,55 @@ import (
 )
 
 // separable builds a linearly separable 3-class problem in 4 dimensions
-// (3 indicator features + bias).
-func separable(n int, rng *rand.Rand) []Example {
-	exs := make([]Example, n)
-	for i := range exs {
+// (3 indicator features + bias), one label per vector.
+func separable(n int, rng *rand.Rand) ([][]float64, [][]int) {
+	xs, labels := make([][]float64, n), make([][]int, n)
+	for i := range xs {
 		y := rng.IntN(3)
 		x := []float64{0, 0, 0, 1}
 		x[y] = 1 + 0.1*rng.Float64()
-		exs[i] = Example{X: x, Y: y}
+		xs[i], labels[i] = x, []int{y}
 	}
-	return exs
+	return xs, labels
+}
+
+// train builds a training set from xs and trains one K-class model on it.
+func train(tb testing.TB, d, k int, xs [][]float64, labels [][]int, opts Options) *Model {
+	tb.Helper()
+	s, err := NewTrainingSet(d, xs)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	m, err := s.Train(k, labels, opts)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return m
 }
 
 func TestTrainSeparable(t *testing.T) {
 	rng := rand.New(rand.NewPCG(1, 1))
-	exs := separable(300, rng)
-	m, err := Train(4, 3, exs, DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
+	xs, labels := separable(300, rng)
+	m := train(t, 4, 3, xs, labels, DefaultOptions())
 	correct := 0
-	for _, ex := range exs {
-		if m.Predict(ex.X) == ex.Y {
+	for i, x := range xs {
+		if m.Predict(x) == labels[i][0] {
 			correct++
 		}
 	}
-	if acc := float64(correct) / float64(len(exs)); acc < 0.98 {
+	if acc := float64(correct) / float64(len(xs)); acc < 0.98 {
 		t.Errorf("training accuracy %.3f on separable data, want >= 0.98", acc)
 	}
 }
 
 func TestGeneralizes(t *testing.T) {
 	rng := rand.New(rand.NewPCG(2, 2))
-	m, err := Train(4, 3, separable(300, rng), DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	test := separable(200, rand.New(rand.NewPCG(99, 99)))
+	xs, labels := separable(300, rng)
+	m := train(t, 4, 3, xs, labels, DefaultOptions())
+	test, want := separable(200, rand.New(rand.NewPCG(99, 99)))
 	correct := 0
-	for _, ex := range test {
-		if m.Predict(ex.X) == ex.Y {
+	for i, x := range test {
+		if m.Predict(x) == want[i][0] {
 			correct++
 		}
 	}
@@ -58,10 +67,10 @@ func TestGeneralizes(t *testing.T) {
 }
 
 func TestDeterministicTraining(t *testing.T) {
-	rng1 := rand.New(rand.NewPCG(3, 3))
-	rng2 := rand.New(rand.NewPCG(3, 3))
-	m1, _ := Train(4, 3, separable(100, rng1), DefaultOptions())
-	m2, _ := Train(4, 3, separable(100, rng2), DefaultOptions())
+	xs1, labels1 := separable(100, rand.New(rand.NewPCG(3, 3)))
+	xs2, labels2 := separable(100, rand.New(rand.NewPCG(3, 3)))
+	m1 := train(t, 4, 3, xs1, labels1, DefaultOptions())
+	m2 := train(t, 4, 3, xs2, labels2, DefaultOptions())
 	for i := range m1.W {
 		if m1.W[i] != m2.W[i] {
 			t.Fatalf("weight %d differs: %v vs %v", i, m1.W[i], m2.W[i])
@@ -70,10 +79,9 @@ func TestDeterministicTraining(t *testing.T) {
 }
 
 func TestRegularizationShrinksWeights(t *testing.T) {
-	rng := rand.New(rand.NewPCG(4, 4))
-	exs := separable(200, rng)
-	weak, _ := Train(4, 3, exs, Options{Lambda: 0.01, InitWeight: 1, MaxIter: 200, Tol: 1e-6})
-	strong, _ := Train(4, 3, exs, Options{Lambda: 10, InitWeight: 1, MaxIter: 200, Tol: 1e-6})
+	xs, labels := separable(200, rand.New(rand.NewPCG(4, 4)))
+	weak := train(t, 4, 3, xs, labels, Options{Lambda: 0.01, InitWeight: 1, MaxIter: 200, Tol: 1e-6})
+	strong := train(t, 4, 3, xs, labels, Options{Lambda: 10, InitWeight: 1, MaxIter: 200, Tol: 1e-6})
 	nw, ns := 0.0, 0.0
 	for i := range weak.W {
 		nw += weak.W[i] * weak.W[i]
@@ -86,16 +94,14 @@ func TestRegularizationShrinksWeights(t *testing.T) {
 
 func TestMultiLabelExamples(t *testing.T) {
 	// A phase with two good classes should get high probability on both:
-	// same X appears with Y=0 and Y=1, never 2.
-	var exs []Example
+	// the same vector is labelled 0 and 1, never 2.
+	var xs [][]float64
+	var labels [][]int
 	for i := 0; i < 100; i++ {
-		x := []float64{1, 0.5, 1}
-		exs = append(exs, Example{X: x, Y: 0}, Example{X: x, Y: 1})
+		xs = append(xs, []float64{1, 0.5, 1})
+		labels = append(labels, []int{0, 1})
 	}
-	m, err := Train(3, 3, exs, DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := train(t, 3, 3, xs, labels, DefaultOptions())
 	p := m.Probabilities([]float64{1, 0.5, 1})
 	if p[2] > p[0] || p[2] > p[1] {
 		t.Errorf("never-good class has top probability: %v", p)
@@ -103,14 +109,31 @@ func TestMultiLabelExamples(t *testing.T) {
 }
 
 func TestValidation(t *testing.T) {
-	if _, err := Train(3, 2, nil, DefaultOptions()); err == nil {
-		t.Error("no examples accepted")
+	if _, err := NewTrainingSet(3, nil); err == nil {
+		t.Error("no vectors accepted")
 	}
-	if _, err := Train(3, 2, []Example{{X: []float64{1}, Y: 0}}, DefaultOptions()); err == nil {
+	if _, err := NewTrainingSet(3, [][]float64{{1}}); err == nil {
 		t.Error("wrong feature length accepted")
 	}
-	if _, err := Train(3, 2, []Example{{X: []float64{1, 2, 3}, Y: 5}}, DefaultOptions()); err == nil {
-		t.Error("label out of range accepted")
+	if _, err := NewTrainingSet(0, [][]float64{{}}); err == nil {
+		t.Error("zero-dim vectors accepted")
+	}
+	s, err := NewTrainingSet(3, [][]float64{{1, 2, 3}, {0, 1, 0}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, labels := range map[string][][]int{
+		"label out of range":  {{0}, {5}},
+		"negative label":      {{-1}, {0}},
+		"unlabelled vector":   {{0}, {}},
+		"too few label lists": {{0}},
+	} {
+		if _, err := s.Train(2, labels, DefaultOptions()); err == nil {
+			t.Errorf("%s accepted", name)
+		}
+	}
+	if _, err := s.Train(0, [][]int{{}, {}}, DefaultOptions()); err == nil {
+		t.Error("zero classes accepted")
 	}
 	if _, err := NewModel(0, 3, 1); err == nil {
 		t.Error("zero-dim model accepted")
@@ -156,36 +179,34 @@ func TestProbabilitiesNumericallyStable(t *testing.T) {
 }
 
 func TestQuantizeRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewPCG(7, 7))
-	exs := separable(300, rng)
-	m, _ := Train(4, 3, exs, DefaultOptions())
+	xs, labels := separable(300, rand.New(rand.NewPCG(7, 7)))
+	m := train(t, 4, 3, xs, labels, DefaultOptions())
 	q := m.Quantize()
 	if q.StorageBytes() != 4*3 {
 		t.Errorf("storage %d bytes, want 12", q.StorageBytes())
 	}
 	agree := 0
-	for _, ex := range exs {
-		if q.Predict(ex.X) == m.Predict(ex.X) {
+	for _, x := range xs {
+		if q.Predict(x) == m.Predict(x) {
 			agree++
 		}
 	}
-	if frac := float64(agree) / float64(len(exs)); frac < 0.95 {
+	if frac := float64(agree) / float64(len(xs)); frac < 0.95 {
 		t.Errorf("8-bit model agrees with float on only %.3f of examples", frac)
 	}
 }
 
 func TestQuantizedScoresScaledToFloatUnits(t *testing.T) {
-	rng := rand.New(rand.NewPCG(9, 9))
-	exs := separable(200, rng)
-	m, _ := Train(4, 3, exs, DefaultOptions())
+	xs, labels := separable(200, rand.New(rand.NewPCG(9, 9)))
+	m := train(t, 4, 3, xs, labels, DefaultOptions())
 	q := m.Quantize()
 	// Scores are Scale * integer accumulator: close to the float scores,
 	// within the per-weight quantisation error bound.
-	for _, ex := range exs[:20] {
-		fs := m.Scores(ex.X, nil)
-		qs := q.Scores(ex.X, nil)
+	for _, x := range xs[:20] {
+		fs := m.Scores(x, nil)
+		qs := q.Scores(x, nil)
 		var xsum float64
-		for _, xi := range ex.X {
+		for _, xi := range x {
 			xsum += math.Abs(xi)
 		}
 		bound := q.Scale/2*xsum + 1e-9
@@ -198,12 +219,11 @@ func TestQuantizedScoresScaledToFloatUnits(t *testing.T) {
 }
 
 func TestQuantizedProbabilities(t *testing.T) {
-	rng := rand.New(rand.NewPCG(11, 11))
-	exs := separable(200, rng)
-	m, _ := Train(4, 3, exs, DefaultOptions())
+	xs, labels := separable(200, rand.New(rand.NewPCG(11, 11)))
+	m := train(t, 4, 3, xs, labels, DefaultOptions())
 	q := m.Quantize()
-	for _, ex := range exs[:20] {
-		p := q.Probabilities(ex.X)
+	for _, x := range xs[:20] {
+		p := q.Probabilities(x)
 		sum := 0.0
 		argmax := 0
 		for k, v := range p {
@@ -218,8 +238,8 @@ func TestQuantizedProbabilities(t *testing.T) {
 		if math.Abs(sum-1) > 1e-9 {
 			t.Errorf("probabilities sum to %v", sum)
 		}
-		if argmax != q.Predict(ex.X) {
-			t.Errorf("probability argmax %d disagrees with Predict %d", argmax, q.Predict(ex.X))
+		if argmax != q.Predict(x) {
+			t.Errorf("probability argmax %d disagrees with Predict %d", argmax, q.Predict(x))
 		}
 	}
 }
@@ -255,11 +275,7 @@ func TestQuickPredictInRange(t *testing.T) {
 
 // Property: training on K=1 trivially predicts class 0.
 func TestSingleClass(t *testing.T) {
-	exs := []Example{{X: []float64{1, 2}, Y: 0}, {X: []float64{0, 1}, Y: 0}}
-	m, err := Train(2, 1, exs, DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := train(t, 2, 1, [][]float64{{1, 2}, {0, 1}}, [][]int{{0}, {0}}, DefaultOptions())
 	if m.Predict([]float64{3, 4}) != 0 {
 		t.Error("single-class model failed")
 	}
@@ -294,14 +310,13 @@ func TestQuickPredictMatchesProbabilities(t *testing.T) {
 }
 
 func TestTrainingImprovesLikelihood(t *testing.T) {
-	rng := rand.New(rand.NewPCG(21, 22))
-	exs := separable(200, rng)
+	xs, labels := separable(200, rand.New(rand.NewPCG(21, 22)))
 	init, _ := NewModel(4, 3, 1)
-	trained, _ := Train(4, 3, exs, DefaultOptions())
+	trained := train(t, 4, 3, xs, labels, DefaultOptions())
 	ll := func(m *Model) float64 {
 		s := 0.0
-		for _, ex := range exs {
-			s += math.Log(m.Probabilities(ex.X)[ex.Y] + 1e-300)
+		for i, x := range xs {
+			s += math.Log(m.Probabilities(x)[labels[i][0]] + 1e-300)
 		}
 		return s
 	}
@@ -333,10 +348,8 @@ func randomBatch(d, n int, rng *rand.Rand) [][]float64 {
 // batching is an amortisation, never an approximation.
 func TestScoresBatchBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewPCG(7, 7))
-	m, err := Train(4, 3, separable(300, rng), DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
+	xs, labels := separable(300, rng)
+	m := train(t, 4, 3, xs, labels, DefaultOptions())
 	q := m.Quantize()
 	for _, n := range []int{1, 2, 7, 64} {
 		xs := randomBatch(4, n, rng)
@@ -364,10 +377,8 @@ func TestScoresBatchBitIdentical(t *testing.T) {
 // TestScoresBatchReusesBuffer checks the preallocation contract.
 func TestScoresBatchReusesBuffer(t *testing.T) {
 	rng := rand.New(rand.NewPCG(8, 8))
-	m, err := Train(4, 3, separable(100, rng), DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
+	train0, labels := separable(100, rng)
+	m := train(t, 4, 3, train0, labels, DefaultOptions())
 	xs := randomBatch(4, 5, rng)
 	buf := make([]float64, 0, 64)
 	out := m.ScoresBatch(xs, buf)
@@ -380,10 +391,8 @@ func TestScoresBatchReusesBuffer(t *testing.T) {
 // historical Probabilities output.
 func TestSoftmaxInPlaceMatchesProbabilities(t *testing.T) {
 	rng := rand.New(rand.NewPCG(9, 9))
-	m, err := Train(4, 3, separable(100, rng), DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
+	xs, labels := separable(100, rng)
+	m := train(t, 4, 3, xs, labels, DefaultOptions())
 	for _, x := range randomBatch(4, 10, rng) {
 		want := m.Probabilities(x)
 		s := m.Scores(x, nil)
@@ -404,17 +413,17 @@ func TestSoftmaxInPlaceMatchesProbabilities(t *testing.T) {
 }
 
 // referenceObjective is the per-example form of the training objective
-// f = -L + lambda*||W||^2 and its gradient: every example scored on its
-// own, with no grouping and no score-space shortcuts. The trainer must
-// agree with it to rounding.
-func referenceObjective(w []float64, d, k int, examples []Example, lambda float64, grad []float64) float64 {
+// f = -L + lambda*||W||^2 and its gradient: every (vector, label) example
+// scored on its own, with no grouping and no score-space shortcuts. The
+// trainer must agree with it to rounding.
+func referenceObjective(w []float64, d, k int, xs [][]float64, labels [][]int, lambda float64, grad []float64) float64 {
 	m := &Model{D: d, K: k, W: w}
 	for i := range grad {
 		grad[i] = 0
 	}
 	f := 0.0
-	for _, ex := range examples {
-		s := m.Scores(ex.X, nil)
+	for n, x := range xs {
+		s := m.Scores(x, nil)
 		maxS := math.Inf(-1)
 		for _, v := range s {
 			maxS = math.Max(maxS, v)
@@ -424,14 +433,16 @@ func referenceObjective(w []float64, d, k int, examples []Example, lambda float6
 			logZ += math.Exp(v - maxS)
 		}
 		logZ = math.Log(logZ) + maxS
-		f -= s[ex.Y] - logZ
-		for c := range s {
-			coeff := math.Exp(s[c] - logZ)
-			if c == ex.Y {
-				coeff--
-			}
-			for i, xi := range ex.X {
-				grad[i*k+c] += coeff * xi
+		for _, y := range labels[n] {
+			f -= s[y] - logZ
+			for c := range s {
+				coeff := math.Exp(s[c] - logZ)
+				if c == y {
+					coeff--
+				}
+				for i, xi := range x {
+					grad[i*k+c] += coeff * xi
+				}
 			}
 		}
 	}
@@ -440,13 +451,6 @@ func referenceObjective(w []float64, d, k int, examples []Example, lambda float6
 		grad[i] += 2 * lambda * wi
 	}
 	return f
-}
-
-// duplicatedExamples draws phases the way core emits them: nVec random
-// sparse vectors, each repeated for 1..maxGood labels in a row, sharing
-// one slice.
-func duplicatedExamples(d, k, nVec, maxGood int, rng *rand.Rand) []Example {
-	return labelled(randomBatch(d, nVec, rng), k, maxGood, rng)
 }
 
 func randomWeights(n int, rng *rand.Rand) []float64 {
@@ -467,16 +471,20 @@ func TestObjGradMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewPCG(31, 37))
 	const d, k, lambda = 40, 6, 0.5
 	for trial := 0; trial < 5; trial++ {
-		exs := duplicatedExamples(d, k, 7, 5, rng)
+		xs := randomBatch(d, 7, rng)
+		labels := labelled(len(xs), k, 5, rng)
 		w := randomWeights(d*k, rng)
-		pr := newProblem(k, lambda, exs)
+		pr, err := grouped(d, xs).problem(k, lambda, labels)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if len(pr.groups) != 7 {
-			t.Fatalf("%d groups from 7 consecutive runs", len(pr.groups))
+			t.Fatalf("%d groups from 7 distinct vectors", len(pr.groups))
 		}
 		grad := make([]float64, d*k)
 		refGrad := make([]float64, d*k)
 		f := pr.objGrad(w, grad)
-		ref := referenceObjective(w, d, k, exs, lambda, refGrad)
+		ref := referenceObjective(w, d, k, xs, labels, lambda, refGrad)
 		if !relClose(f, ref, 1e-12) {
 			t.Errorf("trial %d: objective %v, reference %v", trial, f, ref)
 		}
@@ -493,10 +501,14 @@ func TestObjGradMatchesReference(t *testing.T) {
 func TestLineValueMatchesDirect(t *testing.T) {
 	rng := rand.New(rand.NewPCG(41, 43))
 	const d, k, lambda = 40, 6, 0.5
-	exs := duplicatedExamples(d, k, 7, 5, rng)
+	xs := randomBatch(d, 7, rng)
+	labels := labelled(len(xs), k, 5, rng)
 	w := randomWeights(d*k, rng)
 	dir := randomWeights(d*k, rng)
-	pr := newProblem(k, lambda, exs)
+	pr, err := grouped(d, xs).problem(k, lambda, labels)
+	if err != nil {
+		t.Fatal(err)
+	}
 	grad := make([]float64, d*k)
 	pr.objGrad(w, grad)
 	pr.line(w, dir)
@@ -505,42 +517,44 @@ func TestLineValueMatchesDirect(t *testing.T) {
 		for i := range trial {
 			trial[i] = w[i] + step*dir[i]
 		}
-		want := referenceObjective(trial, d, k, exs, lambda, grad)
+		want := referenceObjective(trial, d, k, xs, labels, lambda, grad)
 		if got := pr.lineValue(step); !relClose(got, want, 1e-12) {
 			t.Errorf("step %v: line value %v, direct objective %v", step, got, want)
 		}
 	}
 }
 
-// TestTrainNonConsecutiveDuplicates interleaves examples that share a
-// vector, so grouping cannot merge them: the model must still be valid,
+// TestTrainNonConsecutiveDuplicates interleaves vectors that hold equal
+// values, so grouping cannot merge them: the model must still be valid,
 // make the same decisions as the grouped order, and report a final
 // objective that matches the reference at its weights.
 func TestTrainNonConsecutiveDuplicates(t *testing.T) {
 	rng := rand.New(rand.NewPCG(47, 53))
 	const d, k = 12, 4
 	xs := randomBatch(d, 4, rng)
-	var grouped, interleaved []Example
-	for i, x := range xs {
-		for _, y := range []int{i % k, (i + 1) % k} {
-			grouped = append(grouped, Example{X: x, Y: y})
-		}
+	adjacent := make([][]int, len(xs))
+	for i := range xs {
+		adjacent[i] = []int{i % k, (i + 1) % k}
 	}
+	var interleavedXs [][]float64
+	var interleaved [][]int
 	for _, y := range []int{0, 1} {
 		for i, x := range xs {
 			// A copy, so identity cannot short-circuit the comparison.
-			interleaved = append(interleaved, Example{X: append([]float64(nil), x...), Y: (i + y) % k})
+			interleavedXs = append(interleavedXs, append([]float64(nil), x...))
+			interleaved = append(interleaved, []int{(i + y) % k})
 		}
 	}
-	if n := len(newProblem(k, 0.5, interleaved).groups); n != len(interleaved) {
-		t.Fatalf("interleaved examples formed %d groups, want %d", n, len(interleaved))
-	}
-	opts := DefaultOptions()
-	a, err := Train(d, k, grouped, opts)
+	s, err := NewTrainingSet(d, interleavedXs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Train(d, k, interleaved, opts)
+	if n := len(s.groups); n != len(interleavedXs) {
+		t.Fatalf("interleaved vectors formed %d groups, want %d", n, len(interleavedXs))
+	}
+	opts := DefaultOptions()
+	a := train(t, d, k, xs, adjacent, opts)
+	b, err := s.Train(k, interleaved, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -554,7 +568,7 @@ func TestTrainNonConsecutiveDuplicates(t *testing.T) {
 		if m.Stats.Iters == 0 || m.Stats.Evals < m.Stats.Iters {
 			t.Errorf("implausible stats %+v", m.Stats)
 		}
-		if ref := referenceObjective(m.W, d, k, grouped, opts.Lambda, grad); !relClose(m.Stats.Objective, ref, 1e-9) {
+		if ref := referenceObjective(m.W, d, k, xs, adjacent, opts.Lambda, grad); !relClose(m.Stats.Objective, ref, 1e-9) {
 			t.Errorf("stats objective %v, reference at trained weights %v", m.Stats.Objective, ref)
 		}
 	}
@@ -565,11 +579,14 @@ func TestTrainNonConsecutiveDuplicates(t *testing.T) {
 	}
 }
 
-// referenceTrain is the trainer before the change of coordinates: the
-// same conjugate-gradient loop run on all D x K weights, starting from
-// InitWeight everywhere.
-func referenceTrain(d, k int, examples []Example, opts Options) *Model {
-	pr := newProblem(k, opts.Lambda, examples)
+// referenceTrain is the trainer without the change of coordinates: the
+// same conjugate-gradient loop run on the unprojected groups and all
+// D x K weights, starting from InitWeight everywhere.
+func referenceTrain(tb testing.TB, d, k int, xs [][]float64, labels [][]int, opts Options) *Model {
+	pr, err := grouped(d, xs).problem(k, opts.Lambda, labels)
+	if err != nil {
+		tb.Fatal(err)
+	}
 	w := make([]float64, d*k)
 	for i := range w {
 		w[i] = opts.InitWeight
@@ -590,21 +607,21 @@ func sparseVectors(d, nnz, n int, rng *rand.Rand) [][]float64 {
 	return xs
 }
 
-// labelled gives every vector 1..maxGood consecutive examples with random
-// labels, sharing the vector's slice, as core does for a phase.
-func labelled(xs [][]float64, k, maxGood int, rng *rand.Rand) []Example {
-	var exs []Example
-	for _, x := range xs {
+// labelled gives each of n vectors 1..maxGood random labels out of k, as
+// core does for a phase's good configurations.
+func labelled(n, k, maxGood int, rng *rand.Rand) [][]int {
+	labels := make([][]int, n)
+	for i := range labels {
 		for g := 1 + rng.IntN(maxGood); g > 0; g-- {
-			exs = append(exs, Example{X: x, Y: rng.IntN(k)})
+			labels[i] = append(labels[i], rng.IntN(k))
 		}
 	}
-	return exs
+	return labels
 }
 
-// TestTrainMatchesFullSpace holds Train, which runs in an orthonormal
-// basis of span{1, x_g}, to the D-space reference loop: the same
-// decisions on the training vectors and on random ones, the reported
+// TestTrainMatchesFullSpace holds TrainingSet.Train, which runs in an
+// orthonormal basis of span{1, x_g}, to the D-space reference loop: the
+// same decisions on the training vectors and on random ones, the reported
 // objective equal to the reference objective at the lifted weights, and
 // the same weights wherever both runs reach Tol, and the same trajectory
 // over the first iterations. It also checks the
@@ -612,26 +629,32 @@ func labelled(xs [][]float64, k, maxGood int, rng *rand.Rand) []Example {
 // training vector.
 func TestTrainMatchesFullSpace(t *testing.T) {
 	rng := rand.New(rand.NewPCG(67, 71))
-	cases := []struct {
-		name string
-		d, k int
-		exs  []Example
-	}{
-		{"testscale", 437, 17, labelled(sparseVectors(437, 184, 8, rng), 17, 4, rng)},
-		{"groups>features", 6, 4, labelled(randomBatch(6, 20, rng), 4, 3, rng)},
-		{"non-consecutive duplicates", 30, 5, func() []Example {
+	type tcase struct {
+		name   string
+		d, k   int
+		xs     [][]float64
+		labels [][]int
+	}
+	mk := func(name string, d, k, maxGood int, xs [][]float64) tcase {
+		return tcase{name, d, k, xs, labelled(len(xs), k, maxGood, rng)}
+	}
+	cases := []tcase{
+		mk("testscale", 437, 17, 4, sparseVectors(437, 184, 8, rng)),
+		mk("groups>features", 6, 4, 3, randomBatch(6, 20, rng)),
+		func() tcase {
 			xs := sparseVectors(30, 12, 3, rng)
-			var exs []Example
+			tc := tcase{name: "non-consecutive duplicates", d: 30, k: 5}
 			for rep := 0; rep < 3; rep++ {
 				for i, x := range xs {
-					exs = append(exs, Example{X: append([]float64(nil), x...), Y: (i + rep) % 5})
+					tc.xs = append(tc.xs, append([]float64(nil), x...))
+					tc.labels = append(tc.labels, []int{(i + rep) % 5})
 				}
 			}
-			return exs
-		}()},
-		{"all-zero vector", 30, 5, labelled(append(sparseVectors(30, 12, 4, rng), make([]float64, 30)), 5, 3, rng)},
-		{"single group", 50, 6, labelled(sparseVectors(50, 20, 1, rng), 6, 4, rng)},
-		{"near-parallel vectors", 30, 5, func() []Example {
+			return tc
+		}(),
+		mk("all-zero vector", 30, 5, 3, append(sparseVectors(30, 12, 4, rng), make([]float64, 30))),
+		mk("single group", 50, 6, 4, sparseVectors(50, 20, 1, rng)),
+		func() tcase {
 			xs := sparseVectors(30, 12, 3, rng)
 			for _, x := range xs[:2] {
 				near := append([]float64(nil), x...)
@@ -640,43 +663,44 @@ func TestTrainMatchesFullSpace(t *testing.T) {
 				}
 				xs = append(xs, near)
 			}
-			return labelled(xs, 5, 3, rng)
-		}()},
+			return mk("near-parallel vectors", 30, 5, 3, xs)
+		}(),
 	}
 	converged := 0
 	for _, tc := range cases {
+		s, err := NewTrainingSet(tc.d, tc.xs)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for _, init := range []float64{0, 1} {
 			opts := DefaultOptions()
 			opts.InitWeight = init
-			got, err := Train(tc.d, tc.k, tc.exs, opts)
+			got, err := s.Train(tc.k, tc.labels, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := referenceTrain(tc.d, tc.k, tc.exs, opts)
+			want := referenceTrain(t, tc.d, tc.k, tc.xs, tc.labels, opts)
 			name := fmt.Sprintf("%s/init=%v", tc.name, init)
 
-			probes := randomBatch(tc.d, 100, rng)
-			for _, ex := range tc.exs {
-				probes = append(probes, ex.X)
-			}
+			probes := append(randomBatch(tc.d, 100, rng), tc.xs...)
 			for i, x := range probes {
 				if a, b := got.Predict(x), want.Predict(x); a != b {
 					t.Errorf("%s: vector %d: basis model predicts %d, full-space %d", name, i, a, b)
 				}
 			}
 			grad := make([]float64, tc.d*tc.k)
-			if ref := referenceObjective(got.W, tc.d, tc.k, tc.exs, opts.Lambda, grad); !relClose(got.Stats.Objective, ref, 1e-9) {
+			if ref := referenceObjective(got.W, tc.d, tc.k, tc.xs, tc.labels, opts.Lambda, grad); !relClose(got.Stats.Objective, ref, 1e-9) {
 				t.Errorf("%s: stats objective %v, reference at lifted weights %v", name, got.Stats.Objective, ref)
 			}
 			// A few iterations in, rounding has not yet moved the two
 			// trajectories apart: the same steps, objective and weights.
 			short := opts
 			short.MaxIter = 5
-			gotShort, err := Train(tc.d, tc.k, tc.exs, short)
+			gotShort, err := s.Train(tc.k, tc.labels, short)
 			if err != nil {
 				t.Fatal(err)
 			}
-			wantShort := referenceTrain(tc.d, tc.k, tc.exs, short)
+			wantShort := referenceTrain(t, tc.d, tc.k, tc.xs, tc.labels, short)
 			if gotShort.Stats.Iters != wantShort.Stats.Iters || !relClose(gotShort.Stats.Objective, wantShort.Stats.Objective, 1e-9) {
 				t.Errorf("%s: after %d iterations: stats %+v, full-space %+v", name, short.MaxIter, gotShort.Stats, wantShort.Stats)
 			}
@@ -695,15 +719,14 @@ func TestTrainMatchesFullSpace(t *testing.T) {
 			}
 		}
 
-		pr := newProblem(tc.k, 0.5, tc.exs)
-		xs := make([][]float64, len(pr.groups))
-		for gi, g := range pr.groups {
-			xs[gi] = g.x
+		full := grouped(tc.d, tc.xs)
+		if len(s.groups) != len(full.groups) {
+			t.Fatalf("%s: %d projected groups, %d unprojected", tc.name, len(s.groups), len(full.groups))
 		}
-		q := pr.project(tc.d)
+		q := s.q
 		r := len(q) / tc.d
-		if r < 1 || r > min(tc.d, len(pr.groups)+1) {
-			t.Errorf("%s: basis rank %d for %d groups of dimension %d", tc.name, r, len(pr.groups), tc.d)
+		if r < 1 || r > min(tc.d, len(s.groups)+1) {
+			t.Errorf("%s: basis rank %d for %d groups of dimension %d", tc.name, r, len(s.groups), tc.d)
 		}
 		for a := 0; a < r; a++ {
 			for b := 0; b < r; b++ {
@@ -716,7 +739,8 @@ func TestTrainMatchesFullSpace(t *testing.T) {
 				}
 			}
 		}
-		for gi, g := range pr.groups {
+		for gi, g := range s.groups {
+			x := full.groups[gi].x
 			lifted := make([]float64, tc.d)
 			for j, zj := range g.x {
 				for i := range lifted {
@@ -724,9 +748,9 @@ func TestTrainMatchesFullSpace(t *testing.T) {
 				}
 			}
 			for i := range lifted {
-				lifted[i] -= xs[gi][i]
+				lifted[i] -= x[i]
 			}
-			if e := math.Sqrt(dot(lifted, lifted)); e > 1e-12*math.Sqrt(dot(xs[gi], xs[gi])) {
+			if e := math.Sqrt(dot(lifted, lifted)); e > 1e-12*math.Sqrt(dot(x, x)) {
 				t.Errorf("%s: group %d: ||Q^T z - x|| = %v", tc.name, gi, e)
 			}
 		}
@@ -736,10 +760,11 @@ func TestTrainMatchesFullSpace(t *testing.T) {
 	}
 }
 
-// BenchmarkTrain trains one model at three shapes: the TestScale advanced
-// TrainAll (8 phase vectors of 437 features, ~184 nonzero, 26 examples,
-// the 17-class ROB-size domain), one 26 x 2 advanced LOOCV fold (50
-// vectors) and the same fold with the 16 basic features.
+// BenchmarkTrain builds a training set and trains one model on it at three
+// shapes: the TestScale advanced TrainAll (8 phase vectors of 437
+// features, ~184 nonzero, 26 examples, the 17-class ROB-size domain), one
+// 26 x 2 advanced LOOCV fold (50 vectors) and the same fold with the 16
+// basic features.
 func BenchmarkTrain(b *testing.B) {
 	for _, sh := range []struct {
 		name        string
@@ -752,10 +777,11 @@ func BenchmarkTrain(b *testing.B) {
 		b.Run(sh.name, func(b *testing.B) {
 			const k = 17
 			rng := rand.New(rand.NewPCG(59, 61))
-			var exs []Example
-			for v, x := range sparseVectors(sh.d, sh.nnz, sh.vec, rng) {
+			xs := sparseVectors(sh.d, sh.nnz, sh.vec, rng)
+			labels := make([][]int, len(xs))
+			for v := range xs {
 				for g := 0; g < 3+v%8/6; g++ {
-					exs = append(exs, Example{X: x, Y: rng.IntN(k)})
+					labels[v] = append(labels[v], rng.IntN(k))
 				}
 			}
 			opts := DefaultOptions()
@@ -763,11 +789,7 @@ func BenchmarkTrain(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				m, err := Train(sh.d, k, exs, opts)
-				if err != nil {
-					b.Fatal(err)
-				}
-				trainSink = m
+				trainSink = train(b, sh.d, k, xs, labels, opts)
 			}
 		})
 	}

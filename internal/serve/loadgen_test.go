@@ -1,6 +1,9 @@
 package serve
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"math"
 	"testing"
 
@@ -279,6 +282,43 @@ func TestLoadGenValidation(t *testing.T) {
 	for i, lg := range cases {
 		if _, err := lg.Schedule(); err == nil {
 			t.Errorf("case %d accepted: %+v", i, lg)
+		}
+	}
+}
+
+// TestServeOpenScheduleDigest pins the offered load of perfbench's
+// serve-open workload: 12000 Poisson arrivals at 400 rps with Zipf(1)
+// popularity over a 1024-vector pool and the default class mix. The
+// SHA-256 runs over each arrival's At, Index and Class, so any change to
+// the schedule's rng consumption, gap law, popularity law or class draw
+// moves it.
+func TestServeOpenScheduleDigest(t *testing.T) {
+	want := map[uint64]string{
+		1:    "ba568feeb54b4fca681aa35688a14fbe69cc6142d61332e2bf076bb4b5eda37e",
+		1001: "8447afb3038849eef2ea4c86715ca458eae5493bedca06e2a057d4b6ace1ce9f",
+	}
+	for seed, digest := range want {
+		sched, err := LoadGen{
+			Requests: 12000,
+			Seed:     seed,
+			Pool:     SyntheticFeatures(counters.Dim(counters.Advanced), 1024, seed),
+			Mode:     "open",
+			RPS:      400,
+			ZipfS:    1,
+		}.Schedule()
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := sha256.New()
+		var buf [17]byte
+		for _, a := range sched {
+			binary.LittleEndian.PutUint64(buf[0:], uint64(a.At))
+			binary.LittleEndian.PutUint64(buf[8:], uint64(a.Index))
+			buf[16] = byte(a.Class)
+			h.Write(buf[:])
+		}
+		if got := hex.EncodeToString(h.Sum(nil)); got != digest {
+			t.Errorf("seed %d: schedule digest %s, want %s", seed, got, digest)
 		}
 	}
 }

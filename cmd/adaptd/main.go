@@ -15,21 +15,17 @@
 //	                        X-Request-Class header or "class" field tags
 //	                        the admission class)
 //	GET  /v1/designspace    Table I metadata and the serving model's shape
-//	GET  /v1/models         active + shadow model identity and the
-//	                        shadow's agreement stats
-//	POST /v1/models/promote hot-swap the shadow to active (optional
-//	                        minAgreement/minCompared evidence gates)
 //	GET  /v1/status         SLO snapshot: model fingerprint, per-(path,
 //	                        code) request counters, error rates, cache and
 //	                        batch stats, windowed per-route latency
 //	                        p50/p99/p999, per-class admission counters and
-//	                        quantiles, and the shadow section — uptime-
-//	                        free, so snapshots diff cleanly
+//	                        quantiles — uptime-free, so snapshots diff
+//	                        cleanly
 //	GET  /healthz           liveness + model info + cache stats
 //	GET  /metrics           Prometheus text: request counts, latency
-//	                        histogram, cache hit rate, saturation, shed
-//	                        and shadow series, plus the process-wide
-//	                        sim/experiment series
+//	                        histogram, cache hit rate, saturation and shed
+//	                        series, plus the process-wide sim/experiment
+//	                        series
 //	POST /v1/reload         re-read -model and hot-swap it, zero downtime
 //
 // With -debug, introspection endpoints are mounted as well: net/http/pprof
@@ -41,19 +37,12 @@
 //	adaptd [-addr :8080] [-model adaptd.model] [-counter-set advanced|basic]
 //	       [-quantized] [-train-scale test|default] [-cache-dir DIR]
 //	       [-cache 4096] [-max-inflight 64] [-timeout 5s] [-max-body N]
-//	       [-admission] [-slo-p99 0] [-admission-rate class=RATE[:BURST]]...
-//	       [-shadow candidate.model] [-shadow-queue 1024]
-//	       [-debug] [-log-json] [-log-level info] [-manifest out.json]
+//	       [-admission] [-debug] [-log-json] [-log-level info] [-manifest out.json]
 //
 // With -cache-dir, first-boot training runs against the persistent
 // simulation-result store (internal/store): a boot interrupted by SIGINT
 // mid-dataset resumes from the store on the next boot instead of
 // restarting the ~40-minute build from scratch.
-//
-// With -shadow, a second model file is loaded as a shadow: it receives
-// duplicated traffic strictly off the request path and its agreement with
-// the active model streams through /v1/models, /v1/status and /metrics
-// until POST /v1/models/promote swaps it in.
 package main
 
 import (
@@ -62,13 +51,10 @@ import (
 	"flag"
 	"fmt"
 	"log/slog"
-	"math"
 	"net/http"
 	"os"
 	"os/signal"
 	"path/filepath"
-	"strconv"
-	"strings"
 	"syscall"
 	"time"
 
@@ -95,21 +81,9 @@ func main() {
 		debug      = flag.Bool("debug", false, "mount /debug/pprof/, /debug/vars and /debug/trace")
 		logJSON    = flag.Bool("log-json", false, "emit logs as JSON instead of text")
 		logLevel   = flag.String("log-level", "info", "log level: debug, info, warn or error")
-		admitOn    = flag.Bool("admission", false, "enable per-class admission control with the default shed-lowest-first ladder")
-		sloP99     = flag.Duration("slo-p99", 0, "admission: windowed /v1/predict p99 target defended by SLO shedding (0 disables; implies -admission)")
-		shadowPath = flag.String("shadow", "", "load this model file as a shadow: evaluated on duplicated traffic off the request path")
-		shadowQ    = flag.Int("shadow-queue", 1024, "shadow duplication queue length (overflow drops duplicates)")
+		admission  = flag.Bool("admission", false, "enable per-class admission control with the default shed-lowest-first ladder")
 		manifest   = flag.String("manifest", "", "write a run manifest to this file; defaults to manifest-adaptd.json under -cache-dir")
 	)
-	admitRates := map[serve.Class]serve.ClassPolicy{}
-	flag.Func("admission-rate", "admission token bucket as class=RATE[:BURST], repeatable (implies -admission)", func(v string) error {
-		class, pol, err := parseRate(v)
-		if err != nil {
-			return err
-		}
-		admitRates[class] = pol
-		return nil
-	})
 	flag.Parse()
 
 	logger := obs.NewLogger(os.Stderr, *logJSON, obs.ParseLevel(*logLevel))
@@ -160,22 +134,12 @@ func main() {
 		serve.WithTimeout(*timeout),
 		serve.WithMaxInflight(*maxInfl),
 		serve.WithTracer(tracer),
-		serve.WithShadowQueue(*shadowQ),
 	}
 	if *debug {
 		opts = append(opts, serve.WithDebug())
 	}
-	admission := *admitOn || *sloP99 > 0 || len(admitRates) > 0
-	if admission {
-		opts = append(opts, serve.WithAdmission(admissionConfig(*sloP99, admitRates)))
-	}
-	if *shadowPath != "" {
-		shadowEng, err := loadShadow(*shadowPath, set, *quantized)
-		if err != nil {
-			die(err)
-		}
-		opts = append(opts, serve.WithShadow(shadowEng, *shadowPath))
-		logger.Info("shadow model loaded", "path", *shadowPath, "version", shadowEng.Version())
+	if *admission {
+		opts = append(opts, serve.WithAdmission(serve.DefaultAdmissionConfig()))
 	}
 	srv := serve.New(eng, opts...)
 	defer srv.Close()
@@ -198,9 +162,7 @@ func main() {
 		man.SetDet("modelVersion", eng.Version())
 		man.SetDet("cacheSize", *cacheSize)
 		man.SetDet("maxInflight", *maxInfl)
-		man.SetDet("admission", admission)
-		man.SetDet("sloP99NS", int64(*sloP99))
-		man.SetDet("shadow", *shadowPath)
+		man.SetDet("admission", *admission)
 		if trained {
 			experiment.FillTrainManifest(man, pred)
 		}
@@ -304,72 +266,4 @@ func bootPredictor(ctx context.Context, logger *slog.Logger, path string, set co
 	}
 	logger.Info("trained and saved predictor", "path", path, "weights", pred.WeightCount())
 	return pred, true, nil
-}
-
-// admissionConfig is the default shed-lowest-first ladder with the
-// -slo-p99 target and the -admission-rate token buckets applied.
-func admissionConfig(sloP99 time.Duration, rates map[serve.Class]serve.ClassPolicy) serve.AdmissionConfig {
-	cfg := serve.DefaultAdmissionConfig()
-	cfg.TargetP99 = sloP99
-	for class, pol := range rates {
-		base := cfg.Classes[class]
-		base.Rate, base.Burst = pol.Rate, pol.Burst
-		cfg.Classes[class] = base
-	}
-	return cfg
-}
-
-// parseRate parses an -admission-rate value of the form
-// class=RATE[:BURST] (RATE in requests per second; BURST defaults to
-// the policy default, ceil(rate) but at least 1).
-func parseRate(v string) (serve.Class, serve.ClassPolicy, error) {
-	name, spec, ok := strings.Cut(v, "=")
-	if !ok || name == "" {
-		return 0, serve.ClassPolicy{}, fmt.Errorf("admission-rate %q: want class=RATE[:BURST]", v)
-	}
-	class, ok := serve.ParseClass(name)
-	if !ok {
-		return 0, serve.ClassPolicy{}, fmt.Errorf("admission-rate %q: unknown class %q", v, name)
-	}
-	rateStr, burstStr, hasBurst := strings.Cut(spec, ":")
-	rate, err := strconv.ParseFloat(rateStr, 64)
-	if err != nil || !positiveFinite(rate) {
-		return 0, serve.ClassPolicy{}, fmt.Errorf("admission-rate %q: bad rate %q", v, rateStr)
-	}
-	pol := serve.ClassPolicy{Rate: rate}
-	if hasBurst {
-		burst, err := strconv.ParseFloat(burstStr, 64)
-		if err != nil || !positiveFinite(burst) {
-			return 0, serve.ClassPolicy{}, fmt.Errorf("admission-rate %q: bad burst %q", v, burstStr)
-		}
-		pol.Burst = burst
-	}
-	return class, pol, nil
-}
-
-// finite reports whether x is neither NaN nor infinite. strconv.ParseFloat
-// accepts "NaN" and "Inf", and both slip past plain sign checks: a NaN
-// rate would silently switch the token bucket off.
-func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
-
-// positiveFinite reports whether x is a usable rate or burst.
-func positiveFinite(x float64) bool { return x > 0 && finite(x) }
-
-// loadShadow loads a candidate model file as a shadow engine, holding it
-// to the same counter-set and quantization discipline as the active
-// model so promotion is always a like-for-like swap.
-func loadShadow(path string, set counters.Set, quantized bool) (*serve.Engine, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("opening -shadow %s: %w", path, err)
-	}
-	defer f.Close()
-	pred, err := core.LoadPredictor(f)
-	if err != nil {
-		return nil, fmt.Errorf("loading -shadow %s: %w", path, err)
-	}
-	if pred.Set != set {
-		return nil, fmt.Errorf("shadow %s was trained on the %q counter set but -counter-set is %q", path, pred.Set, set)
-	}
-	return serve.NewEngine(pred, quantized)
 }

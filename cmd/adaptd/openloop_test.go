@@ -7,23 +7,20 @@ import (
 	"net/http/httptest"
 	"path/filepath"
 	"testing"
-	"time"
 
 	"repro/internal/counters"
 	"repro/internal/serve"
 )
 
-// TestOpenLoopAdmissionShadow boots adaptd's admission and shadow
-// configuration in-process and offers it open-loop load: a first boot
-// trains a basic-set model at TestScale, the same file is mounted as a
-// self-shadow, -admission-rate background=20:5 rate-limits only the
-// background class, and 900 Poisson arrivals at 600 rps draw from a
-// Zipf(1.1) pool. The background class's share of that load (about
-// 60/s) far exceeds its 20/s bucket, so it must shed, while interactive
-// and batch shed nothing; no request may fail, every class must have
-// measured latency quantiles, and the self-shadow must agree with the
-// active model on every decision.
-func TestOpenLoopAdmissionShadow(t *testing.T) {
+// TestOpenLoopAdmission boots adaptd's -admission configuration
+// in-process and offers it open-loop load: a first boot trains a
+// basic-set model at TestScale, and 900 Poisson arrivals at 600 rps draw
+// from a Zipf(1.1) pool under the default share-cap ladder. No request
+// may fail, and every class must show up with measured latency
+// quantiles. How many requests the ladder sheds depends on how arrivals
+// overlap, so it is not asserted here;
+// serve.TestAdmissionShareCapProtectsInteractive holds the shed order.
+func TestOpenLoopAdmission(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "adaptd.model")
 	logger := slog.New(slog.NewTextHandler(io.Discard, nil))
 	pred, trained, err := bootPredictor(context.Background(), logger, path, counters.Basic, "test", "")
@@ -37,19 +34,10 @@ func TestOpenLoopAdmissionShadow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	shadow, err := loadShadow(path, counters.Basic, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	class, pol, err := parseRate("background=20:5")
-	if err != nil {
-		t.Fatal(err)
-	}
 	srv := serve.New(eng,
 		serve.WithModelPath(path),
 		serve.WithCacheSize(4096),
-		serve.WithAdmission(admissionConfig(0, map[serve.Class]serve.ClassPolicy{class: pol})),
-		serve.WithShadow(shadow, path),
+		serve.WithAdmission(serve.DefaultAdmissionConfig()),
 	)
 	defer srv.Close()
 	ts := httptest.NewServer(srv.Handler())
@@ -71,34 +59,12 @@ func TestOpenLoopAdmissionShadow(t *testing.T) {
 		t.Errorf("requests=%d clientErr=%d serverErr=%d transportErr=%d, want 900 requests and no errors",
 			rep.Requests, rep.ClientErr, rep.ServerErr, rep.Transport)
 	}
-	shed := map[string]int{}
-	for _, c := range rep.Classes {
-		shed[c.Class] = c.Shed
-		if c.P50 <= 0 || c.P99 <= 0 {
-			t.Errorf("class %s: p50=%v p99=%v, want both measured", c.Class, c.P50, c.P99)
-		}
-	}
 	if len(rep.Classes) != int(serve.NumClasses) {
 		t.Errorf("report has %d class rows, want %d", len(rep.Classes), serve.NumClasses)
 	}
-	if shed[serve.ClassBackground.String()] == 0 {
-		t.Error("background class did not shed under a 20/s bucket")
-	}
-	for _, c := range []serve.Class{serve.ClassInteractive, serve.ClassBatch} {
-		if n := shed[c.String()]; n != 0 {
-			t.Errorf("%s class shed %d requests; only background may shed", c, n)
+	for _, c := range rep.Classes {
+		if c.P50 <= 0 || c.P99 <= 0 {
+			t.Errorf("class %s: p50=%v p99=%v, want both measured", c.Class, c.P50, c.P99)
 		}
-	}
-
-	if !srv.ShadowDrain(30 * time.Second) {
-		t.Fatal("shadow queue did not drain")
-	}
-	sh := srv.ShadowStats()
-	if sh == nil || sh.Compared == 0 {
-		t.Fatalf("shadow compared nothing: %+v", sh)
-	}
-	if sh.ParamAgreement != 1 || sh.DecisionMatchRate != 1 {
-		t.Errorf("self-shadow paramAgreement=%v decisionMatch=%v over %d decisions, want exactly 1",
-			sh.ParamAgreement, sh.DecisionMatchRate, sh.Compared)
 	}
 }

@@ -2,9 +2,7 @@ package serve
 
 import (
 	"math"
-	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // Class is a request's admission class. Higher values are more important:
@@ -55,11 +53,6 @@ func ParseClass(s string) (Class, bool) {
 // ClassPolicy is one class's admission policy. The zero policy admits
 // everything.
 type ClassPolicy struct {
-	// Rate is the class's token-bucket refill rate in requests/second;
-	// <= 0 disables rate limiting for the class.
-	Rate float64
-	// Burst is the bucket capacity; <= 0 defaults to max(1, Rate).
-	Burst float64
 	// MaxShare caps the class's concurrent in-flight predicts at this
 	// fraction of the server's MaxInflight (at least 1 slot). Values
 	// <= 0 or >= 1 leave the class bounded only by the shared semaphore.
@@ -67,168 +60,75 @@ type ClassPolicy struct {
 	// request always finds semaphore headroom the lower classes cannot
 	// occupy.
 	MaxShare float64
-	// ShedFrac sheds the class while the windowed /v1/predict p99
-	// latency is at or above ShedFrac * TargetP99 — the lowest class gets
-	// the smallest fraction, so it sheds first as the p99 approaches the
-	// target. <= 0 disables SLO shedding for the class.
-	ShedFrac float64
 }
 
 // AdmissionConfig configures per-class admission control.
 type AdmissionConfig struct {
-	// TargetP99 is the windowed p99 latency target for /v1/predict that
-	// SLO shedding defends; 0 disables SLO shedding (token buckets and
-	// share caps still apply).
-	TargetP99 time.Duration
 	// Classes overrides the per-class policies; classes absent from the
 	// map keep the defaults (see DefaultAdmissionConfig).
 	Classes map[Class]ClassPolicy
 }
 
 // DefaultAdmissionConfig is the shed-lowest-first ladder: background may
-// hold half the in-flight slots and sheds at half the p99 target, batch
-// three quarters of each, interactive is never SLO-shed and bounded only
-// by the shared semaphore.
+// hold half the in-flight slots, batch three quarters, and interactive is
+// bounded only by the shared semaphore.
 func DefaultAdmissionConfig() AdmissionConfig {
 	return AdmissionConfig{
 		Classes: map[Class]ClassPolicy{
-			ClassBackground:  {MaxShare: 0.5, ShedFrac: 0.5},
-			ClassBatch:       {MaxShare: 0.75, ShedFrac: 0.8},
+			ClassBackground:  {MaxShare: 0.5},
+			ClassBatch:       {MaxShare: 0.75},
 			ClassInteractive: {},
 		},
 	}
 }
 
-// admitReason* name why a request was shed; they label the
+// admitReasonShare names why a request was shed; it labels the
 // adaptd_admission_shed_total counter and the X-Adaptd-Shed header.
-const (
-	admitReasonShare = "inflight-share"
-	admitReasonRate  = "rate"
-	admitReasonSLO   = "slo"
-)
+const admitReasonShare = "inflight-share"
 
 // classGate is one class's runtime admission state.
 type classGate struct {
-	policy      ClassPolicy
 	capInflight int64 // resolved MaxShare cap; 0 = uncapped
 	inflight    atomic.Int64
-
-	mu     sync.Mutex // guards the token bucket
-	tokens float64
-	last   time.Time
 }
 
-// admission is the per-class gate ahead of the concurrency semaphore.
-// Everything timing-dependent about it (bucket refill, windowed p99) is
-// serving telemetry only — admission decisions never feed back into any
-// memoised result (CLAUDE.md).
+// admission is the per-class gate ahead of the concurrency semaphore: a
+// ladder of in-flight share caps. A decision depends only on how many
+// requests of the class are in flight, never on a clock or on measured
+// latency, and never feeds back into any memoised result (CLAUDE.md).
 type admission struct {
-	target  float64 // TargetP99 in seconds; 0 = SLO shedding off
 	classes [NumClasses]classGate
-
-	// readP99 returns the current windowed /v1/predict p99 in seconds;
-	// injectable in tests. Reads are cached for p99Every to keep the
-	// admit path from merging histogram buckets per request.
-	readP99  func() float64
-	p99Every time.Duration
-	p99Bits  atomic.Uint64
-	p99Last  atomic.Int64 // unix nanos of the last refresh
-
-	// now is the bucket clock; injectable in tests.
-	now func() time.Time
 }
 
 // newAdmission resolves the config against the server's inflight bound.
-func newAdmission(cfg AdmissionConfig, maxInflight int, readP99 func() float64) *admission {
-	a := &admission{
-		target:   cfg.TargetP99.Seconds(),
-		readP99:  readP99,
-		p99Every: 100 * time.Millisecond,
-		now:      time.Now,
-	}
+func newAdmission(cfg AdmissionConfig, maxInflight int) *admission {
+	a := &admission{}
 	defaults := DefaultAdmissionConfig().Classes
-	start := time.Now()
 	for c := Class(0); c < NumClasses; c++ {
 		pol, ok := cfg.Classes[c]
 		if !ok {
 			pol = defaults[c]
 		}
-		g := &a.classes[c]
-		g.policy = pol
 		if pol.MaxShare > 0 && pol.MaxShare < 1 {
-			g.capInflight = int64(math.Max(1, math.Floor(pol.MaxShare*float64(maxInflight))))
-		}
-		if pol.Rate > 0 {
-			g.tokens = pol.burst()
-			g.last = start
+			a.classes[c].capInflight = int64(math.Max(1, math.Floor(pol.MaxShare*float64(maxInflight))))
 		}
 	}
 	return a
 }
 
-// burst returns the effective bucket capacity.
-func (p ClassPolicy) burst() float64 {
-	if p.Burst > 0 {
-		return p.Burst
-	}
-	return math.Max(1, p.Rate)
-}
-
-// admit decides one request. On admission it returns a release func that
-// MUST be called when the request leaves the handler; on shed it returns
-// nil and the reason. Checks run cheapest-and-most-deterministic first:
-// the in-flight share cap, then the SLO threshold (before the bucket, so
-// an SLO shed never burns a token), then the token bucket.
-func (a *admission) admit(c Class) (release func(), reason string) {
+// admit decides one request of class c against its in-flight share cap.
+// An admitted request MUST call release(c) when it leaves the handler.
+func (a *admission) admit(c Class) bool {
 	g := &a.classes[c]
-	if g.capInflight > 0 {
-		if n := g.inflight.Add(1); n > g.capInflight {
-			g.inflight.Add(-1)
-			return nil, admitReasonShare
-		}
-	} else {
-		g.inflight.Add(1)
-	}
-	release = func() { g.inflight.Add(-1) }
-	if a.target > 0 && g.policy.ShedFrac > 0 {
-		if a.currentP99() >= g.policy.ShedFrac*a.target {
-			release()
-			return nil, admitReasonSLO
-		}
-	}
-	if g.policy.Rate > 0 && !g.takeToken(a.now()) {
-		release()
-		return nil, admitReasonRate
-	}
-	return release, ""
-}
-
-// takeToken refills the class bucket by the elapsed wall clock and takes
-// one token if available.
-func (g *classGate) takeToken(now time.Time) bool {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if dt := now.Sub(g.last).Seconds(); dt > 0 {
-		g.tokens = math.Min(g.policy.burst(), g.tokens+dt*g.policy.Rate)
-		g.last = now
-	}
-	if g.tokens < 1 {
+	if n := g.inflight.Add(1); g.capInflight > 0 && n > g.capInflight {
+		g.inflight.Add(-1)
 		return false
 	}
-	g.tokens--
 	return true
 }
 
-// currentP99 returns the cached windowed p99, refreshing it at most once
-// per p99Every (one winner per interval via CAS; losers read the cache).
-func (a *admission) currentP99() float64 {
-	now := a.now().UnixNano()
-	last := a.p99Last.Load()
-	if now-last >= int64(a.p99Every) && a.p99Last.CompareAndSwap(last, now) {
-		a.p99Bits.Store(math.Float64bits(a.readP99()))
-	}
-	return math.Float64frombits(a.p99Bits.Load())
-}
+// release returns an admitted request's in-flight slot.
+func (a *admission) release(c Class) { a.classes[c].inflight.Add(-1) }
 
 // inflightOf reports a class's current admitted in-flight count.
 func (a *admission) inflightOf(c Class) int64 { return a.classes[c].inflight.Load() }

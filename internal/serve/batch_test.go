@@ -219,8 +219,6 @@ func TestErrorEnvelopeAndAllow(t *testing.T) {
 		{"/v1/predict", http.MethodGet, http.MethodPost},
 		{"/v1/designspace", http.MethodPost, http.MethodGet},
 		{"/v1/reload", http.MethodGet, http.MethodPost},
-		{"/v1/models", http.MethodPost, http.MethodGet},
-		{"/v1/models/promote", http.MethodGet, http.MethodPost},
 		{"/healthz", http.MethodDelete, http.MethodGet},
 		{"/metrics", http.MethodPost, http.MethodGet},
 	}

@@ -15,8 +15,10 @@ const maxPooledBody = 64 << 10
 
 // predictDecoder is the pooled state of one /v1/predict body decode: the
 // raw body and a scratch slice for the floats of the array being scanned.
-// Nothing a decoded PredictRequest holds may point into either — the
-// shadow evaluator keeps Features after the handler returns.
+// Nothing a decoded PredictRequest holds may point into either: the
+// decoder returns to the pool when decodePredict returns, while the
+// handler still reads the request, so a concurrent request would
+// overwrite aliased vectors.
 type predictDecoder struct {
 	buf    bytes.Buffer
 	floats []float64

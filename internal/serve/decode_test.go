@@ -104,10 +104,6 @@ func TestDecodePredictFastPath(t *testing.T) {
 	}
 }
 
-// TestShadowSeesEachRequestsFeatures sends distinct vectors back to back
-// with the shadow worker stopped, so every duplicate waits in its queue
-// while later requests reuse the pooled decoder: each queued job must
-// still hold exactly the features its request carried.
 // TestParseFloatMatchesStrconv holds parseFloat to strconv.ParseFloat,
 // bit for bit, on literals on both sides of its fast path: up to 20
 // integer and 25 fraction digits, runs of zeros, signs and exponents.
@@ -151,28 +147,32 @@ func TestParseFloatMatchesStrconv(t *testing.T) {
 	}
 }
 
-func TestShadowSeesEachRequestsFeatures(t *testing.T) {
-	pred := trainTestPredictor(t, counters.Basic)
-	sh, err := NewEngine(pred, false)
-	if err != nil {
-		t.Fatal(err)
-	}
+// TestDecodedRequestOwnsItsFeatures decodes distinct bodies back to back,
+// so later decodes reuse the pooled decoder's buffer and float scratch
+// while the earlier results are still held — as a handler holds its
+// request after decodePredict has returned the decoder to the pool. Each
+// result must still hold exactly the vectors its body carried.
+func TestDecodedRequestOwnsItsFeatures(t *testing.T) {
 	vecs := SyntheticFeatures(counters.Dim(counters.Basic), 8, 3)
-	s, ts := newTestServer(t, WithCacheSize(16), WithShadow(sh, "x.bin"), WithShadowQueue(len(vecs)))
-	s.Close()
-	for _, v := range vecs {
-		body, err := json.Marshal(PredictRequest{Features: v})
+	var want, got []PredictRequest
+	for i, v := range vecs {
+		req := PredictRequest{Features: v}
+		if i%2 == 1 {
+			req = PredictRequest{Batch: vecs[i-1 : i+1]}
+		}
+		body, err := json.Marshal(req)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if resp, data := postPredict(t, ts, body); resp.StatusCode != http.StatusOK {
-			t.Fatalf("status %d: %s", resp.StatusCode, data)
+		var dec PredictRequest
+		if err := decodePredict(bytes.NewReader(body), &dec); err != nil {
+			t.Fatal(err)
 		}
+		want, got = append(want, req), append(got, dec)
 	}
-	for i, v := range vecs {
-		j := <-s.shadow.jobs
-		if diff := diffFloats(v, j.features); diff != "" {
-			t.Errorf("shadow job %d features differ from request: %s", i, diff)
+	for i := range want {
+		if diff := diffPredict(want[i], got[i]); diff != "" {
+			t.Errorf("request %d changed after later decodes: %s", i, diff)
 		}
 	}
 }

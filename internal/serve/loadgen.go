@@ -54,24 +54,17 @@ type LoadGen struct {
 	// RPS is the open-loop target arrival rate (required when Mode is
 	// "open", ignored otherwise).
 	RPS float64
-	// Arrivals selects the open-loop inter-arrival law: "poisson"
-	// (default; exponential gaps) or "pareto" (heavy-tailed bursts,
-	// alpha = 1.5 with the same mean gap).
-	Arrivals string
 	// ZipfS, when > 0, skews pool selection with a Zipf(s) popularity law
 	// (lower indices are hotter) instead of uniform draws — phases repeat
 	// in practice, and a skewed pool exercises the decision cache the way
 	// production traffic would.
 	ZipfS float64
-	// Mix is the per-class share of the schedule; a zero Mix means
-	// DefaultClassMix. Shares are normalised, so they need not sum to 1.
-	Mix ClassMix
 }
 
 // ClassMix is the per-class share of generated requests, indexed by Class.
 type ClassMix [NumClasses]float64
 
-// DefaultClassMix is the fleet-shaped default: mostly interactive, a
+// DefaultClassMix is the schedule's class mix: mostly interactive, a
 // batch share, a background trickle.
 func DefaultClassMix() ClassMix {
 	var m ClassMix
@@ -118,15 +111,6 @@ func (lg LoadGen) Schedule() ([]Arrival, error) {
 	default:
 		return nil, fmt.Errorf("serve: unknown loadgen mode %q (want closed or open)", lg.Mode)
 	}
-	pareto := false
-	switch lg.Arrivals {
-	case "", "poisson":
-	case "pareto":
-		pareto = true
-	default:
-		return nil, fmt.Errorf("serve: unknown arrival law %q (want poisson or pareto)", lg.Arrivals)
-	}
-
 	// Zipf popularity over pool indices via the inverse CDF: cumulative
 	// weights once, a binary search per draw. ZipfS <= 0 keeps the legacy
 	// uniform draws (and their exact rng consumption).
@@ -143,48 +127,27 @@ func (lg LoadGen) Schedule() ([]Arrival, error) {
 		}
 	}
 
-	mix := lg.Mix
-	if mix == (ClassMix{}) {
-		mix = DefaultClassMix()
-	}
+	mix := DefaultClassMix()
 	var mixCum [NumClasses]float64
 	mixTotal := 0.0
 	for c := Class(0); c < NumClasses; c++ {
-		if !(mix[c] >= 0) || math.IsInf(mix[c], 1) {
-			return nil, fmt.Errorf("serve: class mix share for %s must be finite and non-negative, got %v", c, mix[c])
-		}
 		mixTotal += mix[c]
 		mixCum[c] = mixTotal
 	}
-	if mixTotal <= 0 {
-		return nil, fmt.Errorf("serve: class mix has no positive share")
-	}
 
-	// Per arrival the rng is consumed in a fixed order — gap (open mode
-	// only), pool index, class (unbatched only) — so every configuration
-	// knob changes the schedule deterministically.
+	// Per arrival the rng is consumed in a fixed order — exponential gap
+	// (open mode only), pool index, class (unbatched only) — so every
+	// configuration knob changes the schedule deterministically.
 	rng := rand.New(rand.NewPCG(lg.Seed, loadgenStream))
 	mean := 0.0
 	if open {
 		mean = 1 / lg.RPS
 	}
-	const paretoAlpha = 1.5
 	arrivals := make([]Arrival, n)
 	at := 0.0
 	for i := range arrivals {
 		if open {
-			var gap float64
-			if pareto {
-				// Pareto(alpha, xm) with xm chosen so the mean gap is
-				// 1/RPS; one gap is capped at 100 means so a single
-				// astronomical draw cannot stall the whole run.
-				xm := mean * (paretoAlpha - 1) / paretoAlpha
-				gap = xm / math.Pow(1-rng.Float64(), 1/paretoAlpha)
-				gap = math.Min(gap, 100*mean)
-			} else {
-				gap = rng.ExpFloat64() * mean
-			}
-			at += gap
+			at += rng.ExpFloat64() * mean
 			arrivals[i].At = time.Duration(at * float64(time.Second))
 		}
 		if cum != nil {
@@ -211,7 +174,7 @@ func (lg LoadGen) Schedule() ([]Arrival, error) {
 }
 
 // LoadReport aggregates one load-generation run. The count fields are a
-// pure function of (Seed, Requests, Pool, Mix) and the server's limits;
+// pure function of (Seed, Requests, Pool) and the server's limits;
 // the latency fields are wall-clock measurements.
 type LoadReport struct {
 	Requests  int // predictions issued (batch items count individually)

@@ -22,8 +22,7 @@ const (
 // routePaths are the instrumented endpoints, in the order /v1/status
 // reports them.
 var routePaths = []string{
-	"/healthz", "/metrics", "/v1/designspace", "/v1/models", "/v1/models/promote",
-	"/v1/predict", "/v1/reload", "/v1/status",
+	"/healthz", "/metrics", "/v1/designspace", "/v1/predict", "/v1/reload", "/v1/status",
 }
 
 // latencyBuckets are the upper bounds (seconds) of the predict-latency
@@ -57,7 +56,6 @@ type metrics struct {
 	batches       *obs.Counter
 	batchRequests *obs.Counter
 	batchItems    *obs.Counter
-	promotes      *obs.Counter
 	classRequests *obs.CounterVec
 	shed          *obs.CounterVec
 
@@ -67,8 +65,8 @@ type metrics struct {
 	// windowed; they still count in the request vec.
 	routeLat map[string]*obs.WindowedHistogram
 	// classLat windows admitted predict latency per admission class, so
-	// /v1/status can show who is actually meeting the SLO when shedding
-	// starts.
+	// /v1/status can show what each class is served at while lower
+	// classes shed.
 	classLat [NumClasses]*obs.WindowedHistogram
 }
 
@@ -89,7 +87,6 @@ func newMetrics(cacheLen func() int) *metrics {
 		batches:       reg.Counter("adaptd_batches_total", "Batched kernel calls."),
 		batchRequests: reg.Counter("adaptd_batch_requests_total", "Predict requests that carried a batch payload."),
 		batchItems:    reg.Counter("adaptd_batch_items_total", "Feature vectors received inside batch payloads."),
-		promotes:      reg.Counter("adaptd_promotes_total", "Shadow models promoted to active."),
 		classRequests: reg.CounterVec("adaptd_class_requests_total", "Predict requests received, by admission class.", "class"),
 		shed:          reg.CounterVec("adaptd_admission_shed_total", "Predict requests shed by admission control, by class and reason.", "class", "reason"),
 	}
@@ -104,27 +101,6 @@ func newMetrics(cacheLen func() int) *metrics {
 		m.classLat[c] = obs.NewWindowedHistogram(sloMinLatency, sloMaxLatency, sloSubBuckets, sloWindow, sloSlots)
 	}
 	return m
-}
-
-// registerShadow exposes the shadow evaluator's agreement stats as
-// registry series; the worker writes plain atomics and exposition samples
-// them, so the shadow path itself never touches the registry.
-func (m *metrics) registerShadow(st *shadowState) {
-	m.reg.GaugeFunc("adaptd_shadow_compared_total", "Decisions replayed on the shadow model.", func() float64 {
-		return float64(st.compared.Load())
-	})
-	m.reg.GaugeFunc("adaptd_shadow_dropped_total", "Shadow duplicates dropped on a full queue.", func() float64 {
-		return float64(st.dropped.Load())
-	})
-	m.reg.GaugeFunc("adaptd_shadow_param_agreement", "Per-parameter agreement rate between shadow and active decisions.", func() float64 {
-		if pt := st.paramTotal.Load(); pt > 0 {
-			return float64(st.paramAgree.Load()) / float64(pt)
-		}
-		return 0
-	})
-	m.reg.GaugeFunc("adaptd_shadow_decision_divergence_total", "Compared decisions where the shadow disagreed on at least one parameter.", func() float64 {
-		return float64(st.compared.Load() - st.matched.Load())
-	})
 }
 
 // observeLatency records one request's wall-clock seconds against its
@@ -144,12 +120,6 @@ func (m *metrics) observeRequest(path string, code int) {
 // against its admission class.
 func (m *metrics) observeClassLatency(c Class, seconds float64) {
 	m.classLat[c].Observe(seconds)
-}
-
-// predictP99 reads the current windowed /v1/predict p99 in seconds; it is
-// the signal SLO shedding defends.
-func (m *metrics) predictP99() float64 {
-	return m.routeLat["/v1/predict"].Quantile(0.99)
 }
 
 // hitRate returns hits/(hits+misses), 0 before any predict.

@@ -9,8 +9,7 @@ import (
 // options is the server's resolved configuration. It is private: callers
 // compose a Server with New(engine, ...Option), the same functional-option
 // shape as experiment.Build — the positional Config struct this replaced
-// could not grow admission control and shadow models without every caller
-// churning.
+// could not grow admission control without every caller churning.
 type options struct {
 	// modelPath is the predictor file re-read by POST /v1/reload; empty
 	// disables reload.
@@ -30,20 +29,11 @@ type options struct {
 	tracer *obs.Tracer
 	// admission enables per-class admission control (see WithAdmission).
 	admission *AdmissionConfig
-	// shadow is the candidate engine evaluated off the request path (see
-	// WithShadow); shadowSource names where it was loaded from.
-	shadow       *Engine
-	shadowSource string
-	// shadowQueue bounds the shadow duplication queue (default 1024).
-	shadowQueue int
-	// activeSource names where the active engine was loaded from; shown on
-	// GET /v1/models. Defaults to modelPath.
-	activeSource string
 }
 
 // Option configures a Server. The zero configuration (no options) is a
 // plain server with defaults: 1 MiB bodies, 5s timeout, 64 in-flight,
-// no cache, no admission control, no shadow.
+// no cache, no admission control.
 type Option func(*options)
 
 // withDefaults fills unset fields.
@@ -56,12 +46,6 @@ func (o options) withDefaults() options {
 	}
 	if o.maxInflight <= 0 {
 		o.maxInflight = 64
-	}
-	if o.shadowQueue <= 0 {
-		o.shadowQueue = 1024
-	}
-	if o.activeSource == "" {
-		o.activeSource = o.modelPath
 	}
 	return o
 }
@@ -111,32 +95,8 @@ func WithTracer(tr *obs.Tracer) Option {
 // WithAdmission enables per-class admission control ahead of the
 // concurrency semaphore: each request carries a Class (X-Request-Class
 // header or the payload's "class" field, interactive by default) and is
-// admitted through its class's token bucket, in-flight share cap and
-// SLO-shedding threshold. See AdmissionConfig.
+// admitted only while its class holds fewer than its share of the
+// in-flight slots. See AdmissionConfig.
 func WithAdmission(cfg AdmissionConfig) Option {
 	return func(o *options) { o.admission = &cfg }
-}
-
-// WithShadow loads a candidate engine that serves duplicated traffic
-// asynchronously off the request path: every primary decision is queued
-// (never blocking — the queue drops under pressure) and replayed against
-// the shadow, streaming per-parameter agreement and decision-divergence
-// metrics through the registry. POST /v1/models/promote swaps the shadow
-// in once agreement clears the caller's threshold. Shadow evaluation
-// never alters, delays or reorders primary responses. source names where
-// the candidate was loaded from, for GET /v1/models.
-func WithShadow(eng *Engine, source string) Option {
-	return func(o *options) { o.shadow, o.shadowSource = eng, source }
-}
-
-// WithShadowQueue bounds the shadow duplication queue (default 1024);
-// a full queue drops duplicates (counted) rather than delaying primaries.
-func WithShadowQueue(n int) Option {
-	return func(o *options) { o.shadowQueue = n }
-}
-
-// WithActiveSource names where the active engine was loaded from, shown
-// on GET /v1/models (defaults to the WithModelPath value).
-func WithActiveSource(source string) Option {
-	return func(o *options) { o.activeSource = source }
 }

@@ -9,9 +9,8 @@
 // decision cache keyed by quantized feature vectors (phases repeat, so
 // decisions do too), lock-free engine hot-swap for zero-downtime model
 // reload, bounded concurrency with 429 backpressure, per-class admission
-// control that sheds the lowest class first under pressure, a shadow
-// slot that evaluates a candidate model on duplicated traffic strictly
-// off the request path, per-request timeouts and body-size limits, and
+// control that sheds the lowest class first under pressure, per-request
+// timeouts and body-size limits, and
 // Prometheus-text metrics through the shared internal/obs registry (the
 // predict hot path records everything with atomic counters — no mutex).
 // Stdlib only, like the rest of the repository.
@@ -45,10 +44,8 @@ type Server struct {
 	cache   *decisionCache
 	metrics *metrics
 	adm     *admission
-	shadow  *shadowState
 	sem     chan struct{}
 	start   time.Time
-	source  atomic.Pointer[string] // where the active engine came from
 }
 
 // New returns a server for the given engine, configured by options; see
@@ -68,41 +65,18 @@ func New(e *Engine, opts ...Option) *Server {
 	}
 	s.metrics = newMetrics(s.cache.len)
 	s.engine.Store(e)
-	s.setActiveSource(o.activeSource)
 	if o.admission != nil {
-		s.adm = newAdmission(*o.admission, o.maxInflight, func() float64 {
-			return s.metrics.predictP99()
-		})
-	}
-	if o.shadow != nil {
-		s.shadow = newShadowState(o.shadow, o.shadowSource, o.shadowQueue, s.Engine)
-		s.metrics.registerShadow(s.shadow)
+		s.adm = newAdmission(*o.admission, o.maxInflight)
 	}
 	return s
 }
 
-// Close stops the shadow worker, if one was started. The server keeps
-// answering (shadow duplicates queue until full, then drop); Close is
-// goroutine hygiene for shutdown and tests, not a way to refuse traffic.
-func (s *Server) Close() {
-	if s.shadow != nil {
-		s.shadow.close()
-	}
-}
+// Close releases nothing: a Server starts no goroutine of its own. It is
+// kept so callers can defer it whatever the server holds.
+func (s *Server) Close() {}
 
 // Engine returns the currently serving engine.
 func (s *Server) Engine() *Engine { return s.engine.Load() }
-
-// ActiveSource names where the active engine was loaded from ("" when
-// unknown).
-func (s *Server) ActiveSource() string {
-	if p := s.source.Load(); p != nil {
-		return *p
-	}
-	return ""
-}
-
-func (s *Server) setActiveSource(src string) { s.source.Store(&src) }
 
 // Swap atomically replaces the serving engine and purges the decision
 // cache (the new model's decisions may differ for identical features).
@@ -132,8 +106,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("/v1/predict", s.instrument("/v1/predict", s.handlePredict))
 	mux.HandleFunc("/v1/designspace", s.instrument("/v1/designspace", s.handleDesignSpace))
 	mux.HandleFunc("/v1/reload", s.instrument("/v1/reload", s.handleReload))
-	mux.HandleFunc("/v1/models", s.instrument("/v1/models", s.handleModels))
-	mux.HandleFunc("/v1/models/promote", s.instrument("/v1/models/promote", s.handlePromote))
 	mux.HandleFunc("/v1/status", s.instrument("/v1/status", s.handleStatus))
 	mux.HandleFunc("/healthz", s.instrument("/healthz", s.handleHealthz))
 	mux.HandleFunc("/metrics", s.instrument("/metrics", s.handleMetrics))
@@ -270,14 +242,13 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	}
 	s.metrics.classRequests.With(class.String()).Inc()
 	if s.adm != nil {
-		release, reason := s.adm.admit(class)
-		if release == nil {
-			s.metrics.shed.With(class.String(), reason).Inc()
-			w.Header().Set(shedHeader, class.String()+":"+reason)
-			writeError(w, http.StatusTooManyRequests, "request class %q shed (%s); retry", class, reason)
+		if !s.adm.admit(class) {
+			s.metrics.shed.With(class.String(), admitReasonShare).Inc()
+			w.Header().Set(shedHeader, class.String()+":"+admitReasonShare)
+			writeError(w, http.StatusTooManyRequests, "request class %q shed (%s); retry", class, admitReasonShare)
 			return
 		}
-		defer release()
+		defer s.adm.release(class)
 	}
 	select {
 	case s.sem <- struct{}{}:
@@ -317,24 +288,16 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 }
 
 // resolveSingle answers one feature vector through the decision cache and,
-// on a miss, the kernel. Every resolved decision — hit or miss — is
-// duplicated to the shadow evaluator with a non-blocking enqueue; the
-// primary path never waits on it.
+// on a miss, the kernel.
 func (s *Server) resolveSingle(eng *Engine, features []float64) (entry *cacheEntry, hit bool) {
 	if entry, hit := s.cache.get(cacheKey(features)); hit && entry.eng == eng {
 		s.metrics.hits.Inc()
-		if s.shadow != nil {
-			s.shadow.observe(eng, features, entry.config)
-		}
 		return entry, true
 	}
 	cfg, probs := eng.Predict(features)
 	entry = &cacheEntry{key: cacheKey(features), eng: eng, config: cfg, probs: probs}
 	s.cache.put(entry)
 	s.metrics.misses.Inc()
-	if s.shadow != nil {
-		s.shadow.observe(eng, features, cfg)
-	}
 	return entry, false
 }
 
@@ -411,13 +374,6 @@ func (s *Server) handlePredictBatch(w http.ResponseWriter, eng *Engine, batch []
 			entry.probs = probs[i]
 			s.cache.put(entry)
 			s.metrics.misses.Inc()
-		}
-	}
-	if s.shadow != nil {
-		// Duplicate after the response is fully resolved: one enqueue per
-		// item, hits included, so shadow coverage matches primary traffic.
-		for i, f := range batch {
-			s.shadow.observe(eng, f, slots[i].entry.config)
 		}
 	}
 
@@ -581,7 +537,6 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.Swap(eng)
-	s.setActiveSource(s.opt.modelPath)
 	s.metrics.reloads.Inc()
 	writeJSON(w, http.StatusOK, ReloadResponse{
 		Reloaded: true,

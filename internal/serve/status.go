@@ -23,7 +23,6 @@ type StatusResponse struct {
 	Batch           BatchStatus     `json:"batch"`
 	Latency         []RouteLatency  `json:"latency"`
 	Admission       AdmissionStatus `json:"admission"`
-	Shadow          *ShadowStatus   `json:"shadow,omitempty"`
 }
 
 // RequestCount is one (path, status code) request counter.
@@ -63,9 +62,8 @@ type RouteLatency struct {
 // shed order (most important first), with per-class windowed latency even
 // when admission control itself is disabled.
 type AdmissionStatus struct {
-	Enabled          bool          `json:"enabled"`
-	TargetP99Seconds float64       `json:"targetP99Seconds,omitempty"`
-	Classes          []ClassStatus `json:"classes"`
+	Enabled bool          `json:"enabled"`
+	Classes []ClassStatus `json:"classes"`
 }
 
 // ClassStatus is one admission class's counters and windowed latency.
@@ -136,7 +134,6 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 		})
 	}
 	resp.Admission = s.admissionStatus()
-	resp.Shadow = s.shadow.status()
 	writeJSON(w, http.StatusOK, resp)
 }
 
@@ -144,9 +141,6 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 // first (the reverse of shed order).
 func (s *Server) admissionStatus() AdmissionStatus {
 	st := AdmissionStatus{Enabled: s.adm != nil}
-	if s.adm != nil {
-		st.TargetP99Seconds = s.adm.target
-	}
 	shed := map[string]map[string]uint64{}
 	s.metrics.shed.Each(func(values []string, count uint64) {
 		byCause := shed[values[0]]

@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
-# Tier-1 verification gate: build, vet, formatting, the full test suite
+# Tier-1 verification gate: build, vet (of this module and of the
+# perfbench module, which imports it), formatting, the full test suite
 # (which includes the build-contract matrix, internal/experiment
 # TestBuildContracts, the simulator golden digests and adaptd's open-loop
-# admission/shadow test, cmd/adaptd TestOpenLoopAdmissionShadow), and the
-# concurrent packages under the race detector.
+# admission test, cmd/adaptd TestOpenLoopAdmission), and the concurrent
+# packages under the race detector.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -12,6 +13,12 @@ go build ./...
 
 echo "== go vet =="
 go vet ./...
+
+echo "== go vet (perfbench) =="
+# perfbench is its own module over this one's internal packages: vetting
+# it type-checks every call it makes, so an API change that breaks the
+# benchmark fails here rather than in a benchmark run.
+go -C perfbench vet ./...
 
 echo "== gofmt =="
 unformatted=$(gofmt -l .)
@@ -26,9 +33,8 @@ go test ./...
 
 echo "== go test -race =="
 # The packages with real concurrency: the build's simulation pool and
-# the contract matrix (experiment), request handling and the shadow
-# worker (serve, and adaptd's open-loop test), the atomic metrics and
-# the store.
+# the contract matrix (experiment), request handling and admission
+# (serve, and adaptd's open-loop test), the atomic metrics and the store.
 go test -race ./internal/experiment ./internal/serve ./cmd/adaptd \
     ./internal/obs ./internal/store
 # The default worker count is GOMAXPROCS: race-check the default build's

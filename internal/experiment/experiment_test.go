@@ -403,9 +403,8 @@ func (r *foldRecorder) Predict(x []float64) arch.Config {
 // two-program groups on the TestScale dataset. Every phase must be
 // predicted exactly once, by a fold that trained on every phase of the
 // other programs and none of its own. The soft-max fitter on ablated
-// features (EvaluateModelAblated's folds, whose group of six would hold out
-// every TestScale program) must predict every phase and record fourteen
-// models per fold.
+// features (EvaluateModelAblated's folds) must predict every phase and
+// record fourteen models per fold.
 func TestHeldOutFolds(t *testing.T) {
 	ds := testDataset(t)
 	index := map[PhaseID][]float64{}
@@ -456,7 +455,44 @@ func TestHeldOutFolds(t *testing.T) {
 			}
 		}
 	}
-	if _, err := ds.EvaluateModelAblated("caches/"); err == nil {
-		t.Error("a group of six held out every TestScale program, yet the ablation trained")
+}
+
+// TestAblationFoldsTrain: EvaluateModelAblated holds programs out six at a
+// time at the default scale, but never all of them, so on the four-program
+// TestScale dataset every fold trains on at least one phase and every
+// phase is predicted.
+func TestAblationFoldsTrain(t *testing.T) {
+	ds := testDataset(t)
+	if got := ablationGroup(len(DefaultScale().Programs)); got != 6 {
+		t.Errorf("default-scale ablation group = %d, want 6", got)
+	}
+	size := ablationGroup(len(ds.Programs()))
+	folds := 0
+	_, err := ds.heldOut(context.Background(), "test", counters.Advanced, size, ds.FeaturesAdv,
+		func(_ context.Context, train []PhaseID, _ map[PhaseID][]float64) (altmodel.Predictor, error) {
+			folds++
+			if len(train) == 0 {
+				t.Errorf("ablation fold %d trains on no phase", folds)
+			}
+			return constPredictor{}, nil
+		})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if folds < 2 {
+		t.Errorf("%d ablation folds over %d programs, want at least 2", folds, len(ds.Programs()))
+	}
+	ev, err := ds.EvaluateModelAblated("caches/")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ev.Predicted) != len(ds.Phases) || len(ev.FoldStats) != folds*int(arch.NumParams) {
+		t.Errorf("ablation: %d predictions for %d phases, %d fold models for %d folds",
+			len(ev.Predicted), len(ds.Phases), len(ev.FoldStats), folds)
 	}
 }
+
+// constPredictor predicts the baseline for every phase.
+type constPredictor struct{}
+
+func (constPredictor) Predict([]float64) arch.Config { return arch.Baseline() }

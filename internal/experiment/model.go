@@ -145,8 +145,13 @@ func (ds *Dataset) EvaluateModelCtx(ctx context.Context, set counters.Set) (*Eva
 // five-family sweep affordable; predictions remain honest (a program's
 // phases are never in its own training set).
 func (ds *Dataset) EvaluateModelAblated(prefix string) (*Evaluation, error) {
-	return ds.evaluateAblated(prefix, 6)
+	return ds.evaluateAblated(prefix, ablationGroup(len(ds.Programs())))
 }
+
+// ablationGroup is the ablation's held-out group size for a dataset of
+// the given number of programs: six, but never every program, so each
+// fold keeps at least one program to train on.
+func ablationGroup(programs int) int { return max(1, min(6, programs-1)) }
 
 // evaluateAblated is EvaluateModelAblated with groupSize programs held out
 // per fold.

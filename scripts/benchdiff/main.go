@@ -18,7 +18,11 @@
 //
 // Lines that do not start with "Benchmark" are ignored, so raw `go test`
 // output works directly. The CPU-count suffix ("-8") is stripped from
-// names, letting files recorded on different GOMAXPROCS compare. With
+// names, letting files recorded on different GOMAXPROCS compare. Every
+// line is one sample: a file holding several runs of a benchmark
+// (`-count N`, or runs appended one after another) is compared on each
+// metric's median over its samples, and each side's run count n is
+// printed beside its values. With
 // -json the comparison is emitted as a machine-readable document: per
 // benchmark every metric of both sides, the speedup on the headline
 // metric (ns/inst when present, ns/op otherwise), and the geometric mean
@@ -39,24 +43,27 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+
+	"repro/internal/stats"
 )
 
-// bench is one parsed benchmark line: a name plus metric values by unit.
+// bench is one benchmark's runs in a file: how many lines it had, and the
+// median of each metric over the lines that reported it.
 type bench struct {
-	name    string
-	iters   int64
+	runs    int
 	metrics map[string]float64
 }
 
-// parseFile reads `go test -bench` output, keeping the last occurrence of
-// each benchmark name (reruns supersede earlier lines).
+// parseFile reads `go test -bench` output, collecting every line of each
+// benchmark name as one sample and reducing each metric to its median.
 func parseFile(path string) (map[string]bench, []string, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, nil, err
 	}
 	defer f.Close()
-	out := map[string]bench{}
+	runs := map[string]int{}
+	samples := map[string]map[string][]float64{}
 	var order []string
 	sc := bufio.NewScanner(f)
 	for sc.Scan() {
@@ -64,21 +71,28 @@ func parseFile(path string) (map[string]bench, []string, error) {
 		if len(fields) < 4 || !strings.HasPrefix(fields[0], "Benchmark") {
 			continue
 		}
-		name := trimCPUSuffix(fields[0])
-		iters, err := strconv.ParseInt(fields[1], 10, 64)
-		if err != nil {
+		if _, err := strconv.ParseInt(fields[1], 10, 64); err != nil {
 			continue
 		}
-		b := bench{name: name, iters: iters, metrics: map[string]float64{}}
+		name := trimCPUSuffix(fields[0])
+		if _, seen := samples[name]; !seen {
+			order = append(order, name)
+			samples[name] = map[string][]float64{}
+		}
+		runs[name]++
 		for i := 2; i+1 < len(fields); i += 2 {
 			v, err := strconv.ParseFloat(fields[i], 64)
 			if err != nil {
 				break
 			}
-			b.metrics[fields[i+1]] = v
+			samples[name][fields[i+1]] = append(samples[name][fields[i+1]], v)
 		}
-		if _, seen := out[name]; !seen {
-			order = append(order, name)
+	}
+	out := make(map[string]bench, len(samples))
+	for name, byUnit := range samples {
+		b := bench{runs: runs[name], metrics: map[string]float64{}}
+		for unit, xs := range byUnit {
+			b.metrics[unit] = stats.Quantile(xs, 0.5)
 		}
 		out[name] = b
 	}
@@ -110,10 +124,14 @@ func headline(b bench) string {
 	return "ns/op"
 }
 
+// jsonBench is one benchmark's comparison: per-metric medians of each
+// side and each side's run count.
 type jsonBench struct {
 	Name     string             `json:"name"`
 	Old      map[string]float64 `json:"old,omitempty"`
+	OldN     int                `json:"old_n,omitempty"`
 	New      map[string]float64 `json:"new"`
+	NewN     int                `json:"new_n,omitempty"`
 	Headline string             `json:"headline_metric"`
 	Speedup  float64            `json:"speedup,omitempty"` // old/new on the headline metric
 }
@@ -177,19 +195,19 @@ func main() {
 
 	w := newTable()
 	if oldPath == "" {
-		w.row("benchmark", "metric", "value")
+		w.row("benchmark", "metric", "value", "n")
 		for _, jb := range doc.Benchmarks {
 			for _, unit := range sortedUnits(jb.New) {
-				w.row(jb.Name, unit, fmt.Sprintf("%.6g", jb.New[unit]))
+				w.row(jb.Name, unit, fmt.Sprintf("%.6g", jb.New[unit]), strconv.Itoa(jb.NewN))
 			}
 		}
 	} else {
-		w.row("benchmark", "metric", "old", "new", "delta")
+		w.row("benchmark", "metric", "old", "n", "new", "n", "delta")
 		for _, r := range diffRows(doc) {
 			w.row(r...)
 		}
 		if doc.GeomeanSpeedup > 0 {
-			w.row("GEOMEAN", "", "", "", fmt.Sprintf("%.2fx", doc.GeomeanSpeedup))
+			w.row("GEOMEAN", "", "", "", "", "", fmt.Sprintf("%.2fx", doc.GeomeanSpeedup))
 		}
 	}
 	w.flush(os.Stdout)
@@ -205,9 +223,9 @@ func buildDoc(oldB, newB map[string]bench, order []string) jsonDoc {
 	logSum, logN := 0.0, 0
 	for _, name := range order {
 		nb := newB[name]
-		jb := jsonBench{Name: name, New: nb.metrics, Headline: headline(nb)}
+		jb := jsonBench{Name: name, New: nb.metrics, NewN: nb.runs, Headline: headline(nb)}
 		if ob, ok := oldB[name]; ok {
-			jb.Old = ob.metrics
+			jb.Old, jb.OldN = ob.metrics, ob.runs
 			o, n := ob.metrics[jb.Headline], nb.metrics[jb.Headline]
 			if o > 0 && n > 0 {
 				jb.Speedup = o / n
@@ -226,7 +244,7 @@ func buildDoc(oldB, newB map[string]bench, order []string) jsonDoc {
 	sort.Strings(oldOnly)
 	for _, name := range oldOnly {
 		ob := oldB[name]
-		doc.Benchmarks = append(doc.Benchmarks, jsonBench{Name: name, Old: ob.metrics, Headline: headline(ob)})
+		doc.Benchmarks = append(doc.Benchmarks, jsonBench{Name: name, Old: ob.metrics, OldN: ob.runs, Headline: headline(ob)})
 	}
 	if logN > 0 {
 		doc.GeomeanSpeedup = math.Exp(logSum / float64(logN))
@@ -234,9 +252,11 @@ func buildDoc(oldB, newB map[string]bench, order []string) jsonDoc {
 	return doc
 }
 
-// diffRows renders the before/after table body. A metric present on only
-// one side gets a one-sided row ("-" on the missing side, "old only" /
-// "new only" in the delta column) instead of being dropped.
+// diffRows renders the before/after table body: per metric the old
+// median and run count, the new median and run count, and the delta. A
+// metric present on only one side gets a one-sided row ("-" on the
+// missing side, "old only" / "new only" in the delta column) instead of
+// being dropped.
 func diffRows(doc jsonDoc) [][]string {
 	var rows [][]string
 	for _, jb := range doc.Benchmarks {
@@ -252,14 +272,15 @@ func diffRows(doc jsonDoc) [][]string {
 			sorted = append(sorted, u)
 		}
 		sort.Strings(sorted)
+		oldN, newN := strconv.Itoa(jb.OldN), strconv.Itoa(jb.NewN)
 		for _, unit := range sorted {
 			o, haveOld := jb.Old[unit]
 			n, haveNew := jb.New[unit]
 			switch {
 			case !haveOld:
-				rows = append(rows, []string{jb.Name, unit, "-", fmt.Sprintf("%.6g", n), "new only"})
+				rows = append(rows, []string{jb.Name, unit, "-", "", fmt.Sprintf("%.6g", n), newN, "new only"})
 			case !haveNew:
-				rows = append(rows, []string{jb.Name, unit, fmt.Sprintf("%.6g", o), "-", "old only"})
+				rows = append(rows, []string{jb.Name, unit, fmt.Sprintf("%.6g", o), oldN, "-", "", "old only"})
 			default:
 				delta := "~"
 				if o > 0 {
@@ -268,7 +289,7 @@ func diffRows(doc jsonDoc) [][]string {
 						delta += fmt.Sprintf(" (%.2fx)", o/n)
 					}
 				}
-				rows = append(rows, []string{jb.Name, unit, fmt.Sprintf("%.6g", o), fmt.Sprintf("%.6g", n), delta})
+				rows = append(rows, []string{jb.Name, unit, fmt.Sprintf("%.6g", o), oldN, fmt.Sprintf("%.6g", n), newN, delta})
 			}
 		}
 	}

@@ -84,3 +84,48 @@ BenchmarkAdded-4       100  50.0 ns/op
 		t.Errorf("one-sided metric of a shared benchmark dropped: %q", sharedBop)
 	}
 }
+
+// TestMultiRunMedians: a file holding several runs of a benchmark is
+// compared on every metric's median over all its lines, not on its last
+// line, and each side's run count is reported.
+func TestMultiRunMedians(t *testing.T) {
+	oldPath := writeBench(t, `
+goos: linux
+BenchmarkTrain-2      10  300.0 ns/op  64 B/op
+BenchmarkTrain-2      10  100.0 ns/op  64 B/op
+PASS
+goos: linux
+BenchmarkTrain-2      10  200.0 ns/op  32 B/op
+`)
+	newPath := writeBench(t, `
+BenchmarkTrain-2      10  150.0 ns/op  16 B/op
+BenchmarkTrain-2      10  50.0 ns/op   16 B/op
+`)
+	oldB, _, err := parseFile(oldPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	newB, order, err := parseFile(newPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc := buildDoc(oldB, newB, order)
+	if len(doc.Benchmarks) != 1 {
+		t.Fatalf("got %d benchmarks, want 1", len(doc.Benchmarks))
+	}
+	jb := doc.Benchmarks[0]
+	if jb.OldN != 3 || jb.NewN != 2 {
+		t.Errorf("runs old=%d new=%d, want 3 and 2", jb.OldN, jb.NewN)
+	}
+	if jb.Old["ns/op"] != 200 || jb.Old["B/op"] != 64 || jb.New["ns/op"] != 100 || jb.New["B/op"] != 16 {
+		t.Errorf("medians old=%v new=%v, want ns/op 200 -> 100 and B/op 64 -> 16", jb.Old, jb.New)
+	}
+	if jb.Speedup != 2 {
+		t.Errorf("speedup = %v, want 2 (median over median)", jb.Speedup)
+	}
+	for _, r := range diffRows(doc) {
+		if r[1] == "ns/op" && strings.Join(r, " ") != "BenchmarkTrain ns/op 200 3 100 2 -50.0% (2.00x)" {
+			t.Errorf("ns/op row = %q", strings.Join(r, " "))
+		}
+	}
+}

@@ -64,8 +64,8 @@ type ClassPolicy struct {
 
 // AdmissionConfig configures per-class admission control.
 type AdmissionConfig struct {
-	// Classes overrides the per-class policies; classes absent from the
-	// map keep the defaults (see DefaultAdmissionConfig).
+	// Classes holds the per-class policies; a class absent from the map
+	// has the zero policy.
 	Classes map[Class]ClassPolicy
 }
 
@@ -103,13 +103,8 @@ type admission struct {
 // newAdmission resolves the config against the server's inflight bound.
 func newAdmission(cfg AdmissionConfig, maxInflight int) *admission {
 	a := &admission{}
-	defaults := DefaultAdmissionConfig().Classes
 	for c := Class(0); c < NumClasses; c++ {
-		pol, ok := cfg.Classes[c]
-		if !ok {
-			pol = defaults[c]
-		}
-		if pol.MaxShare > 0 && pol.MaxShare < 1 {
+		if pol := cfg.Classes[c]; pol.MaxShare > 0 && pol.MaxShare < 1 {
 			a.classes[c].capInflight = int64(math.Max(1, math.Floor(pol.MaxShare*float64(maxInflight))))
 		}
 	}

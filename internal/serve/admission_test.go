@@ -108,6 +108,14 @@ func TestAdmissionShareCapProtectsInteractive(t *testing.T) {
 	if got := resp.Header.Get(shedHeader); got != "background:inflight-share" {
 		t.Errorf("shed header = %q, want background:inflight-share", got)
 	}
+	// Background's full share sheds only background: the next rung up is
+	// admitted.
+	if got := s.adm.classes[ClassBatch].capInflight; got != 3 {
+		t.Errorf("batch capInflight = %d, want 3 (0.75 * 4)", got)
+	}
+	if resp := postClassed(t, ts.URL, body, "batch"); resp.StatusCode != http.StatusOK {
+		t.Errorf("batch with background parked -> %d, want 200", resp.StatusCode)
+	}
 	// The two slots background cannot take keep interactive admissible.
 	for i := 0; i < 4; i++ {
 		if resp := postClassed(t, ts.URL, body, "interactive"); resp.StatusCode != http.StatusOK {

@@ -153,12 +153,12 @@ func TestParseFloatMatchesStrconv(t *testing.T) {
 // request after decodePredict has returned the decoder to the pool. Each
 // result must still hold exactly the vectors its body carried.
 func TestDecodedRequestOwnsItsFeatures(t *testing.T) {
-	vecs := SyntheticFeatures(counters.Dim(counters.Basic), 8, 3)
+	vecs := SyntheticFeatures(counters.Dim(counters.Basic), 24, 3)
 	var want, got []PredictRequest
-	for i, v := range vecs {
+	for i, v := range vecs[:8] {
 		req := PredictRequest{Features: v}
 		if i%2 == 1 {
-			req = PredictRequest{Batch: vecs[i-1 : i+1]}
+			req = PredictRequest{Batch: vecs[8+2*i : 10+2*i]}
 		}
 		body, err := json.Marshal(req)
 		if err != nil {

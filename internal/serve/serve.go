@@ -71,8 +71,8 @@ func New(e *Engine, opts ...Option) *Server {
 	return s
 }
 
-// Close releases nothing: a Server starts no goroutine of its own. It is
-// kept so callers can defer it whatever the server holds.
+// Close is a no-op: a Server starts no goroutine and holds nothing to
+// release. Callers defer it so that shutdown stays one call.
 func (s *Server) Close() {}
 
 // Engine returns the currently serving engine.

@@ -8,19 +8,15 @@
 // model"):
 //
 //	POST /v1/predict        counter feature vector -> predicted
-//	                        configuration ({"batch": [...]} evaluates many
-//	                        vectors in one batched kernel call and streams
-//	                        per-item results; ?probs=1 adds the
-//	                        per-parameter soft-max probabilities; the
-//	                        X-Request-Class header or "class" field tags
-//	                        the admission class)
+//	                        configuration (?probs=1 adds the per-parameter
+//	                        soft-max probabilities; the X-Request-Class
+//	                        header or "class" field tags the admission
+//	                        class)
 //	GET  /v1/designspace    Table I metadata and the serving model's shape
-//	GET  /v1/status         SLO snapshot: model fingerprint, per-(path,
-//	                        code) request counters, error rates, cache and
-//	                        batch stats, windowed per-route latency
-//	                        p50/p99/p999, per-class admission counters and
-//	                        quantiles — uptime-free, so snapshots diff
-//	                        cleanly
+//	GET  /v1/status         counter snapshot: model fingerprint, per-(path,
+//	                        code) request counters, error rates, cache
+//	                        stats, per-class admission counters —
+//	                        uptime-free, so snapshots diff cleanly
 //	GET  /healthz           liveness + model info + cache stats
 //	GET  /metrics           Prometheus text: request counts, latency
 //	                        histogram, cache hit rate, saturation and shed

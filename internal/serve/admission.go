@@ -82,10 +82,6 @@ func DefaultAdmissionConfig() AdmissionConfig {
 	}
 }
 
-// admitReasonShare names why a request was shed; it labels the
-// adaptd_admission_shed_total counter and the X-Adaptd-Shed header.
-const admitReasonShare = "inflight-share"
-
 // classGate is one class's runtime admission state.
 type classGate struct {
 	capInflight int64 // resolved MaxShare cap; 0 = uncapped

@@ -84,8 +84,8 @@ func TestAdmissionInvalidClassRejected(t *testing.T) {
 // TestAdmissionShareCapProtectsInteractive pins the headroom guarantee:
 // with background capped at half the in-flight slots, a fully parked
 // background load can never make the semaphore 429 an admitted interactive
-// request. The shed is counted per class and reason on /metrics and
-// /v1/status, whose class rows come most important first.
+// request. The shed is counted per class on /metrics and /v1/status,
+// whose class rows come most important first.
 func TestAdmissionShareCapProtectsInteractive(t *testing.T) {
 	s, ts := newTestServer(t, WithAdmission(DefaultAdmissionConfig()), WithMaxInflight(4))
 	// Park two background requests: occupy their admitted inflight share
@@ -105,8 +105,8 @@ func TestAdmissionShareCapProtectsInteractive(t *testing.T) {
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("background over its share -> %d, want 429", resp.StatusCode)
 	}
-	if got := resp.Header.Get(shedHeader); got != "background:inflight-share" {
-		t.Errorf("shed header = %q, want background:inflight-share", got)
+	if got := resp.Header.Get(shedHeader); got != "background" {
+		t.Errorf("shed header = %q, want background", got)
 	}
 	// Background's full share sheds only background: the next rung up is
 	// admitted.
@@ -125,8 +125,8 @@ func TestAdmissionShareCapProtectsInteractive(t *testing.T) {
 	if s.metrics.saturated.Value() != 0 {
 		t.Error("semaphore 429'd an admitted request despite the share cap")
 	}
-	if !strings.Contains(s.MetricsText(), `adaptd_admission_shed_total{class="background",reason="inflight-share"} 1`) {
-		t.Error("shed not counted per class/reason in metrics")
+	if !strings.Contains(s.MetricsText(), `adaptd_admission_shed_total{class="background"} 1`) {
+		t.Error("shed not counted per class in metrics")
 	}
 
 	sr := getStatus(t, ts.URL)
@@ -137,14 +137,14 @@ func TestAdmissionShareCapProtectsInteractive(t *testing.T) {
 	for _, c := range sr.Admission.Classes {
 		rows[c.Class] = c
 	}
-	if rows["background"].Shed != 1 || rows["background"].ShedByCause["inflight-share"] != 1 || rows["background"].Inflight != 2 {
-		t.Errorf("background row = %+v, want 1 inflight-share shed and 2 parked", rows["background"])
+	if rows["background"].Shed != 1 || rows["background"].Inflight != 2 {
+		t.Errorf("background row = %+v, want 1 shed and 2 parked", rows["background"])
 	}
 	if rows["batch"].Shed != 0 || rows["interactive"].Shed != 0 {
 		t.Errorf("higher classes shed: batch=%+v interactive=%+v", rows["batch"], rows["interactive"])
 	}
-	if rows["interactive"].Requests != 4 || rows["interactive"].P50Seconds <= 0 || rows["interactive"].P99Seconds <= 0 {
-		t.Errorf("interactive row = %+v, want 4 requests and positive quantiles", rows["interactive"])
+	if rows["interactive"].Requests != 4 {
+		t.Errorf("interactive row = %+v, want 4 requests", rows["interactive"])
 	}
 	if sr.Admission.Classes[0].Class != "interactive" || sr.Admission.Classes[2].Class != "background" {
 		t.Errorf("class rows not in importance order: %+v", sr.Admission.Classes)
@@ -152,7 +152,7 @@ func TestAdmissionShareCapProtectsInteractive(t *testing.T) {
 }
 
 // TestAdmissionDisabledByDefault: without WithAdmission nothing sheds and
-// the status section says so (class latency rows still render).
+// the status section says so (class request rows still render).
 func TestAdmissionDisabledByDefault(t *testing.T) {
 	_, ts := newTestServer(t)
 	d := counters.Dim(counters.Basic)
@@ -175,20 +175,21 @@ func TestAdmissionDisabledByDefault(t *testing.T) {
 	}
 }
 
-// TestLoadGenCountsShedSeparately drives the loadgen against a server
-// whose background in-flight share is parked full: background 429s land
-// in Shed (the X-Adaptd-Shed header distinguishes them), never in
-// Rejected.
+// TestLoadGenCountsShedSeparately drives the open loop, at a rate far
+// below the server's limits, against a server whose background in-flight
+// share is parked full: only background sheds, and its 429s land in Shed
+// (the X-Adaptd-Shed header distinguishes them), never in Rejected.
 func TestLoadGenCountsShedSeparately(t *testing.T) {
 	s, ts := newTestServer(t, WithAdmission(DefaultAdmissionConfig()), WithCacheSize(64), WithMaxInflight(32))
 	bg := &s.adm.classes[ClassBackground]
 	bg.inflight.Add(bg.capInflight)
 	defer bg.inflight.Add(-bg.capInflight)
 	lg := LoadGen{
-		Requests:    90,
-		Concurrency: 4,
-		Seed:        7,
-		Pool:        SyntheticFeatures(counters.Dim(counters.Basic), 8, 7),
+		Requests: 90,
+		Seed:     7,
+		Pool:     SyntheticFeatures(counters.Dim(counters.Basic), 8, 7),
+		Mode:     "open",
+		RPS:      500,
 	}
 	rep, err := lg.Run(ts.URL, nil)
 	if err != nil {

@@ -43,10 +43,6 @@ func newDecisionCache(max int) *decisionCache {
 	return &decisionCache{max: max, order: list.New(), items: map[string]*list.Element{}}
 }
 
-// enabled reports whether the cache stores anything at all; the batch path
-// uses it to decide whether intra-batch duplicates would have hit.
-func (c *decisionCache) enabled() bool { return c.max > 0 }
-
 // keyQuantBits is the fixed-point resolution of the cache key: features
 // (normalised into roughly [0,1]) are rounded to 1/2^keyQuantBits. Coarse
 // enough to absorb measurement jitter, fine enough that genuinely

@@ -9,8 +9,8 @@ import (
 )
 
 // maxPooledBody caps the buffer capacity a predict decoder returns to the
-// pool: a one-off 1 MiB batch body must not pin its buffer for the
-// process lifetime. An advanced-set single vector is about 9 KB.
+// pool: a one-off body near the 1 MiB limit must not pin its buffer for
+// the process lifetime. An advanced-set vector is about 9 KB.
 const maxPooledBody = 64 << 10
 
 // predictDecoder is the pooled state of one /v1/predict body decode: the
@@ -65,7 +65,7 @@ func (d *predictDecoder) scan(b []byte) (req PredictRequest, ok bool) {
 	if i < len(b) && b[i] == '}' {
 		return req, true
 	}
-	var seen [4]bool
+	var seen [3]bool
 	for {
 		end := scanString(b, i)
 		if end < 0 {
@@ -82,14 +82,11 @@ func (d *predictDecoder) scan(b []byte) (req PredictRequest, ok bool) {
 		case `"features"`:
 			field = 0
 			req.Features, i = d.scanFloats(b, i)
-		case `"batch"`:
-			field = 1
-			req.Batch, i = d.scanBatch(b, i)
 		case `"set"`:
-			field = 2
+			field = 1
 			req.Set, i = scanText(b, i)
 		case `"class"`:
-			field = 3
+			field = 2
 			req.Class, i = scanText(b, i)
 		default:
 			return req, false
@@ -109,37 +106,6 @@ func (d *predictDecoder) scan(b []byte) (req PredictRequest, ok bool) {
 			return req, true
 		default:
 			return req, false
-		}
-	}
-}
-
-// scanBatch scans an array of number arrays starting at b[i]. It returns
-// the end offset, or -1 when the value is outside the fast path.
-func (d *predictDecoder) scanBatch(b []byte, i int) ([][]float64, int) {
-	if i >= len(b) || b[i] != '[' {
-		return nil, -1
-	}
-	rows := [][]float64{}
-	i = skipSpace(b, i+1)
-	if i < len(b) && b[i] == ']' {
-		return rows, i + 1
-	}
-	for {
-		var row []float64
-		if row, i = d.scanFloats(b, i); i < 0 {
-			return nil, -1
-		}
-		rows = append(rows, row)
-		if i = skipSpace(b, i); i >= len(b) {
-			return nil, -1
-		}
-		switch b[i] {
-		case ',':
-			i = skipSpace(b, i+1)
-		case ']':
-			return rows, i + 1
-		default:
-			return nil, -1
 		}
 	}
 }

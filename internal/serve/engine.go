@@ -5,7 +5,6 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"sync"
 
 	"repro/internal/arch"
 	"repro/internal/core"
@@ -71,74 +70,33 @@ func (e *Engine) Quantized() bool { return e.quantized }
 // WeightCount returns the model's total weight count.
 func (e *Engine) WeightCount() int { return e.pred.WeightCount() }
 
-// batchScratch is the reusable per-call working set of PredictBatch: the
-// n x K score matrix the kernels write into. Pooled so a serving hot loop
-// issuing batch after batch allocates nothing for scratch.
-type batchScratch struct {
-	scores []float64
-}
-
-var scratchPool = sync.Pool{New: func() any { return new(batchScratch) }}
-
 // Predict returns the predicted configuration and, for every parameter,
-// the soft-max distribution over its domain values. It is the batch-of-one
-// special case of PredictBatch, so single and batched requests run the
-// exact same float operations.
+// the soft-max distribution over its domain values: each parameter's
+// scores become its probability row, normalised in place. Softmax
+// preserves the argmax, so the decision is read from the normalised row.
+// features must have length Dim.
 func (e *Engine) Predict(features []float64) (arch.Config, [arch.NumParams][]float64) {
-	cfgs, probs := e.PredictBatch([][]float64{features})
-	return cfgs[0], probs[0]
-}
-
-// PredictBatch evaluates n feature vectors together: per parameter, one
-// batched pass over the weight matrix scores every vector (the weight rows
-// stay hot instead of being re-streamed n times), then each vector gets
-// its argmax decision and soft-max distribution. Every vector must have
-// length Dim. Results are bit-identical to n Predict calls — batching is
-// an amortisation, never an approximation — so callers may freely group
-// and regroup requests.
-func (e *Engine) PredictBatch(features [][]float64) ([]arch.Config, [][arch.NumParams][]float64) {
-	n := len(features)
-	for i, f := range features {
-		if len(f) != e.dim {
-			panic(fmt.Sprintf("serve: batch item %d has dimension %d, engine expects %d", i, len(f), e.dim))
-		}
+	if len(features) != e.dim {
+		panic(fmt.Sprintf("serve: feature vector has dimension %d, engine expects %d", len(features), e.dim))
 	}
-	configs := make([]arch.Config, n)
-	probs := make([][arch.NumParams][]float64, n)
-	indices := make([][arch.NumParams]int, n)
-	sc := scratchPool.Get().(*batchScratch)
-	defer scratchPool.Put(sc)
+	var probs [arch.NumParams][]float64
+	var indices [arch.NumParams]int
 	for param := arch.Param(0); param < arch.NumParams; param++ {
-		var k int
+		var row []float64
 		if e.quantized {
-			m := e.quant.Models[param]
-			k = m.K
-			sc.scores = m.ScoresBatch(features, sc.scores)
+			row = e.quant.Models[param].Scores(features, nil)
 		} else {
-			m := e.pred.Models[param]
-			k = m.K
-			sc.scores = m.ScoresBatch(features, sc.scores)
+			row = e.pred.Models[param].Scores(features, nil)
 		}
-		// One backing array per parameter holds every vector's
-		// distribution: softmax preserves the argmax, so the decision is
-		// read from the normalised row exactly as Predict always has.
-		flat := make([]float64, n*k)
-		copy(flat, sc.scores)
-		for i := 0; i < n; i++ {
-			row := flat[i*k : i*k+k]
-			softmax.SoftmaxInPlace(row)
-			best, bi := -1.0, 0
-			for j, p := range row {
-				if p > best {
-					best, bi = p, j
-				}
+		softmax.SoftmaxInPlace(row)
+		best, bi := -1.0, 0
+		for j, p := range row {
+			if p > best {
+				best, bi = p, j
 			}
-			probs[i][param] = row
-			indices[i][param] = bi
 		}
+		probs[param] = row
+		indices[param] = bi
 	}
-	for i := range configs {
-		configs[i] = arch.FromIndices(indices[i])
-	}
-	return configs, probs
+	return arch.FromIndices(indices), probs
 }

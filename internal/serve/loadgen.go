@@ -22,37 +22,23 @@ import (
 // the same seed always issues the same requests with the same class mix
 // (only the measured timings differ between runs).
 //
-// Two replay modes. The default closed loop ("closed") keeps Concurrency
-// workers busy back-to-back — throughput is bounded by the server, so an
-// overloaded server just slows the generator down. The open loop ("open")
-// dispatches each request at its scheduled arrival time regardless of
-// whether earlier ones finished — the offered load stays at RPS even when
-// the server cannot keep up, which is what exposes queueing, saturation
-// and admission shedding the way production traffic does.
+// The replay is an open loop: each request is dispatched at its scheduled
+// arrival time regardless of whether earlier ones finished, so the
+// offered load stays at RPS even when the server cannot keep up, which is
+// what exposes queueing, saturation and admission shedding the way
+// independent callers do.
 type LoadGen struct {
 	// Requests is the total number of predict calls to issue.
 	Requests int
-	// Concurrency is the number of closed-loop worker goroutines. Keep it
-	// at or below the server's MaxInflight for a zero-429 run. Open-loop
-	// runs ignore it (concurrency there is however many arrivals overlap).
-	Concurrency int
 	// Seed drives the request schedule.
 	Seed uint64
 	// Pool is the feature vectors sampled from. Smaller pools mean more
 	// repeats and a hotter decision cache.
 	Pool [][]float64
-	// Batch, when >= 2, groups the schedule into batch requests of this
-	// size (the final one may be smaller): each POST carries Batch feature
-	// vectors and streams back one result document per vector. All report
-	// counts stay per-vector, so batched and unbatched runs compare
-	// directly. Batched runs are closed-loop and all-interactive (one
-	// class per POST).
-	Batch int
 
-	// Mode selects the replay discipline: "closed" (default) or "open".
+	// Mode must be "open", the only replay discipline.
 	Mode string
-	// RPS is the open-loop target arrival rate (required when Mode is
-	// "open", ignored otherwise).
+	// RPS is the target arrival rate.
 	RPS float64
 	// ZipfS, when > 0, skews pool selection with a Zipf(s) popularity law
 	// (lower indices are hotter) instead of uniform draws — phases repeat
@@ -75,8 +61,7 @@ func DefaultClassMix() ClassMix {
 }
 
 // Arrival is one scheduled request: when it is dispatched (offset from
-// the run start; always 0 in closed mode), which pool vector it carries,
-// and its admission class.
+// the run start), which pool vector it carries, and its admission class.
 type Arrival struct {
 	At    time.Duration
 	Index int
@@ -97,19 +82,11 @@ func (lg LoadGen) Schedule() ([]Arrival, error) {
 	if n <= 0 {
 		n = 1000
 	}
-	open := false
-	switch lg.Mode {
-	case "", "closed":
-	case "open":
-		open = true
-		if !(lg.RPS > 0) || math.IsInf(lg.RPS, 1) {
-			return nil, fmt.Errorf("serve: open-loop loadgen needs a finite -rps > 0, got %v", lg.RPS)
-		}
-		if lg.Batch > 1 {
-			return nil, fmt.Errorf("serve: open-loop loadgen does not support batch payloads")
-		}
-	default:
-		return nil, fmt.Errorf("serve: unknown loadgen mode %q (want closed or open)", lg.Mode)
+	if lg.Mode != "open" {
+		return nil, fmt.Errorf("serve: unknown loadgen mode %q (want open)", lg.Mode)
+	}
+	if !(lg.RPS > 0) || math.IsInf(lg.RPS, 1) {
+		return nil, fmt.Errorf("serve: open-loop loadgen needs a finite -rps > 0, got %v", lg.RPS)
 	}
 	// Zipf popularity over pool indices via the inverse CDF: cumulative
 	// weights once, a binary search per draw. ZipfS <= 0 keeps the legacy
@@ -135,40 +112,31 @@ func (lg LoadGen) Schedule() ([]Arrival, error) {
 		mixCum[c] = mixTotal
 	}
 
-	// Per arrival the rng is consumed in a fixed order — exponential gap
-	// (open mode only), pool index, class (unbatched only) — so every
-	// configuration knob changes the schedule deterministically.
+	// Per arrival the rng is consumed in a fixed order — exponential gap,
+	// pool index, class — so every configuration knob changes the
+	// schedule deterministically.
 	rng := rand.New(rand.NewPCG(lg.Seed, loadgenStream))
-	mean := 0.0
-	if open {
-		mean = 1 / lg.RPS
-	}
+	mean := 1 / lg.RPS
 	arrivals := make([]Arrival, n)
 	at := 0.0
 	for i := range arrivals {
-		if open {
-			at += rng.ExpFloat64() * mean
-			arrivals[i].At = time.Duration(at * float64(time.Second))
-		}
+		at += rng.ExpFloat64() * mean
+		arrivals[i].At = time.Duration(at * float64(time.Second))
 		if cum != nil {
 			u := rng.Float64() * cum[len(cum)-1]
 			arrivals[i].Index = sort.SearchFloat64s(cum, u)
 		} else {
 			arrivals[i].Index = rng.IntN(len(lg.Pool))
 		}
-		if lg.Batch > 1 {
-			arrivals[i].Class = ClassInteractive
-		} else {
-			u := rng.Float64() * mixTotal
-			c := ClassInteractive
-			for k := Class(0); k < NumClasses; k++ {
-				if u < mixCum[k] {
-					c = k
-					break
-				}
+		u := rng.Float64() * mixTotal
+		c := ClassInteractive
+		for k := Class(0); k < NumClasses; k++ {
+			if u < mixCum[k] {
+				c = k
+				break
 			}
-			arrivals[i].Class = c
 		}
+		arrivals[i].Class = c
 	}
 	return arrivals, nil
 }
@@ -177,14 +145,13 @@ func (lg LoadGen) Schedule() ([]Arrival, error) {
 // pure function of (Seed, Requests, Pool) and the server's limits;
 // the latency fields are wall-clock measurements.
 type LoadReport struct {
-	Requests  int // predictions issued (batch items count individually)
-	Batches   int // HTTP calls that carried a batch payload (0 unbatched)
+	Requests  int // predictions issued
 	OK        int // 200
 	Shed      int // 429 by admission control (X-Adaptd-Shed present)
 	Rejected  int // 429 by the concurrency limiter
 	ClientErr int // other 4xx
 	ServerErr int // 5xx
-	Transport int // transport-level failures (and truncated batch streams)
+	Transport int // transport-level failures (and undecodable 200 bodies)
 	CacheHits int // responses answered from the decision cache
 
 	Elapsed        time.Duration
@@ -213,9 +180,9 @@ type ClassReport struct {
 func (r LoadReport) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b,
-		"requests=%d ok=%d rejected=%d clientErr=%d serverErr=%d transportErr=%d batches=%d shed=%d\n"+
+		"requests=%d ok=%d rejected=%d clientErr=%d serverErr=%d transportErr=%d shed=%d\n"+
 			"throughput=%.0f pred/s  p50=%v p95=%v max=%v  cacheHits=%d",
-		r.Requests, r.OK, r.Rejected, r.ClientErr, r.ServerErr, r.Transport, r.Batches, r.Shed,
+		r.Requests, r.OK, r.Rejected, r.ClientErr, r.ServerErr, r.Transport, r.Shed,
 		r.RequestsPerSec, r.P50.Round(time.Microsecond), r.P95.Round(time.Microsecond),
 		r.Max.Round(time.Microsecond), r.CacheHits)
 	for _, c := range r.Classes {
@@ -244,15 +211,6 @@ func SyntheticFeatures(dim, n int, seed uint64) [][]float64 {
 	return pool
 }
 
-// loadgenJob is one HTTP call of the replay.
-type loadgenJob struct {
-	body  []byte
-	items int
-	batch bool
-	class Class
-	at    time.Duration
-}
-
 // loadgenTally accumulates outcomes under one mutex (the generator is not
 // the thing under measurement).
 type loadgenTally struct {
@@ -266,90 +224,48 @@ type loadgenTally struct {
 }
 
 // Run replays the schedule against baseURL (e.g. "http://127.0.0.1:8080")
-// using client (http.DefaultClient if nil) and aggregates the outcome.
+// using client (nil for one whose transport keeps enough idle connections
+// for the overlapping arrivals) and aggregates the outcome.
 func (lg LoadGen) Run(baseURL string, client *http.Client) (LoadReport, error) {
 	schedule, err := lg.Schedule()
 	if err != nil {
 		return LoadReport{}, err
 	}
 	if client == nil {
-		client = http.DefaultClient
-		if lg.Mode == "open" {
-			// The open loop runs as many connections as arrivals overlap;
-			// the default transport keeps only 2 idle conns per host and
-			// would churn sockets under burst.
-			tr := http.DefaultTransport.(*http.Transport).Clone()
-			tr.MaxIdleConnsPerHost = 256
-			client = &http.Client{Transport: tr}
-		}
+		// The open loop runs as many connections as arrivals overlap; the
+		// default transport keeps only 2 idle conns per host and would
+		// churn sockets under burst.
+		tr := http.DefaultTransport.(*http.Transport).Clone()
+		tr.MaxIdleConnsPerHost = 256
+		client = &http.Client{Transport: tr}
 	}
 
 	// Pre-encode every request body up front, so the request stream is a
 	// pure function of the configuration regardless of interleaving.
-	var jobsList []loadgenJob
-	if lg.Batch > 1 {
-		for start := 0; start < len(schedule); start += lg.Batch {
-			end := min(start+lg.Batch, len(schedule))
-			b := make([][]float64, 0, end-start)
-			for _, a := range schedule[start:end] {
-				b = append(b, lg.Pool[a.Index])
-			}
-			body, err := json.Marshal(PredictRequest{Batch: b})
-			if err != nil {
-				return LoadReport{}, err
-			}
-			jobsList = append(jobsList, loadgenJob{body: body, items: end - start, batch: true, class: ClassInteractive})
+	bodies := make([][]byte, len(lg.Pool))
+	for i, f := range lg.Pool {
+		b, err := json.Marshal(PredictRequest{Features: f})
+		if err != nil {
+			return LoadReport{}, err
 		}
-	} else {
-		bodies := make([][]byte, len(lg.Pool))
-		for i, f := range lg.Pool {
-			b, err := json.Marshal(PredictRequest{Features: f})
-			if err != nil {
-				return LoadReport{}, err
-			}
-			bodies[i] = b
-		}
-		for _, a := range schedule {
-			jobsList = append(jobsList, loadgenJob{body: bodies[a.Index], items: 1, class: a.Class, at: a.At})
-		}
+		bodies[i] = b
 	}
 
 	tally := &loadgenTally{}
 	url := baseURL + "/v1/predict"
 	var wg sync.WaitGroup
 	start := time.Now()
-	if lg.Mode == "open" {
-		// Open loop: fire each request at its scheduled arrival offset, on
-		// its own goroutine, whether or not earlier ones have finished.
-		for _, j := range jobsList {
-			if wait := j.at - time.Since(start); wait > 0 {
-				time.Sleep(wait)
-			}
-			wg.Add(1)
-			go func(j loadgenJob) {
-				defer wg.Done()
-				lg.do(client, url, j, tally)
-			}(j)
+	// Fire each request at its scheduled arrival offset, on its own
+	// goroutine, whether or not earlier ones have finished.
+	for _, a := range schedule {
+		if wait := a.At - time.Since(start); wait > 0 {
+			time.Sleep(wait)
 		}
-	} else {
-		conc := lg.Concurrency
-		if conc <= 0 {
-			conc = 4
-		}
-		jobs := make(chan loadgenJob)
-		for w := 0; w < conc; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for j := range jobs {
-					lg.do(client, url, j, tally)
-				}
-			}()
-		}
-		for _, j := range jobsList {
-			jobs <- j
-		}
-		close(jobs)
+		wg.Add(1)
+		go func(a Arrival) {
+			defer wg.Done()
+			sendPredict(client, url, bodies[a.Index], a.Class, tally)
+		}(a)
 	}
 	wg.Wait()
 
@@ -375,12 +291,12 @@ func (lg LoadGen) Run(baseURL string, client *http.Client) (LoadReport, error) {
 	return rep, nil
 }
 
-// do issues one HTTP call and records its outcome.
-func (lg LoadGen) do(client *http.Client, url string, j loadgenJob, tally *loadgenTally) {
-	req, err := http.NewRequest(http.MethodPost, url, bytes.NewReader(j.body))
+// sendPredict issues one predict call and records its outcome.
+func sendPredict(client *http.Client, url string, body []byte, class Class, tally *loadgenTally) {
+	req, err := http.NewRequest(http.MethodPost, url, bytes.NewReader(body))
 	if err == nil {
 		req.Header.Set("Content-Type", "application/json")
-		req.Header.Set("X-Request-Class", j.class.String())
+		req.Header.Set("X-Request-Class", class.String())
 	}
 	t0 := time.Now()
 	var resp *http.Response
@@ -392,59 +308,49 @@ func (lg LoadGen) do(client *http.Client, url string, j loadgenJob, tally *loadg
 	tally.mu.Lock()
 	defer tally.mu.Unlock()
 	rep := &tally.rep
-	pc := &tally.perClass[j.class]
-	rep.Requests += j.items
-	pc.r.Requests += j.items
-	if j.batch {
-		rep.Batches++
-	}
+	pc := &tally.perClass[class]
+	rep.Requests++
+	pc.r.Requests++
 	tally.latencies = append(tally.latencies, float64(lat))
 	pc.latencies = append(pc.latencies, float64(lat))
 	if err != nil {
-		rep.Transport += j.items
-		pc.r.Errors += j.items
+		rep.Transport++
+		pc.r.Errors++
 		return
 	}
 	defer resp.Body.Close()
 	switch {
 	case resp.StatusCode == http.StatusOK:
-		// Single responses are one JSON document; batch responses stream
-		// one per item. The same decode loop reads both. Only the cached
-		// flag is inspected, so the decode target skips the
-		// config/probability maps and the client stays cheap relative to
-		// the server under measurement.
-		dec := json.NewDecoder(resp.Body)
-		n := 0
-		for n < j.items {
-			var pr struct {
-				Cached bool `json:"cached"`
-			}
-			if dec.Decode(&pr) != nil {
-				break
-			}
-			n++
-			if pr.Cached {
-				rep.CacheHits++
-				pc.r.CacheHits++
-			}
+		// Only the cached flag is inspected, so the decode target skips
+		// the config/probability maps and the client stays cheap relative
+		// to the server under measurement.
+		var pr struct {
+			Cached bool `json:"cached"`
 		}
-		rep.OK += n
-		pc.r.OK += n
-		rep.Transport += j.items - n // truncated stream
-		pc.r.Errors += j.items - n
+		if json.NewDecoder(resp.Body).Decode(&pr) != nil {
+			rep.Transport++
+			pc.r.Errors++
+			return
+		}
+		rep.OK++
+		pc.r.OK++
+		if pr.Cached {
+			rep.CacheHits++
+			pc.r.CacheHits++
+		}
 	case resp.StatusCode == http.StatusTooManyRequests:
 		if resp.Header.Get(shedHeader) != "" {
-			rep.Shed += j.items
-			pc.r.Shed += j.items
+			rep.Shed++
+			pc.r.Shed++
 		} else {
-			rep.Rejected += j.items
-			pc.r.Rejected += j.items
+			rep.Rejected++
+			pc.r.Rejected++
 		}
 	case resp.StatusCode >= 500:
-		rep.ServerErr += j.items
-		pc.r.Errors += j.items
+		rep.ServerErr++
+		pc.r.Errors++
 	default:
-		rep.ClientErr += j.items
-		pc.r.Errors += j.items
+		rep.ClientErr++
+		pc.r.Errors++
 	}
 }

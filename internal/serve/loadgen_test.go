@@ -33,36 +33,8 @@ func TestSyntheticFeaturesDeterministic(t *testing.T) {
 	}
 }
 
-func TestLoadGenDeterministicCounts(t *testing.T) {
-	run := func() LoadReport {
-		_, ts := newTestServer(t, WithCacheSize(64), WithMaxInflight(32))
-		lg := LoadGen{
-			Requests:    120,
-			Concurrency: 4,
-			Seed:        42,
-			Pool:        SyntheticFeatures(counters.Dim(counters.Basic), 8, 42),
-		}
-		rep, err := lg.Run(ts.URL, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rep
-	}
-	r1, r2 := run(), run()
-	if r1.Requests != 120 || r1.OK != 120 || r1.Rejected != 0 || r1.ServerErr != 0 || r1.Transport != 0 {
-		t.Errorf("unexpected counts: %+v", r1)
-	}
-	if r1.Requests != r2.Requests || r1.OK != r2.OK {
-		t.Errorf("seeded runs disagree: %d/%d vs %d/%d", r1.Requests, r1.OK, r2.Requests, r2.OK)
-	}
-	// 120 requests over an 8-vector pool: the cache must get hot.
-	if r1.CacheHits == 0 {
-		t.Error("no cache hits on a heavily repeated pool")
-	}
-}
-
 func TestLoadGenEmptyPool(t *testing.T) {
-	if _, err := (LoadGen{Requests: 1}).Run("http://127.0.0.1:0", nil); err == nil {
+	if _, err := (LoadGen{Requests: 1, Mode: "open", RPS: 10}).Run("http://127.0.0.1:0", nil); err == nil {
 		t.Error("empty pool accepted")
 	}
 }
@@ -157,6 +129,8 @@ func TestLoadGenScheduleClassMix(t *testing.T) {
 		Requests: 1000,
 		Seed:     3,
 		Pool:     SyntheticFeatures(counters.Dim(counters.Basic), 8, 3),
+		Mode:     "open",
+		RPS:      1000,
 	}
 	sched, err := lg.Schedule()
 	if err != nil {
@@ -183,6 +157,8 @@ func TestLoadGenZipfSkew(t *testing.T) {
 		Requests: 2000,
 		Seed:     4,
 		Pool:     SyntheticFeatures(counters.Dim(counters.Basic), 64, 4),
+		Mode:     "open",
+		RPS:      1000,
 		ZipfS:    1.2,
 	}
 	sched, err := lg.Schedule()
@@ -204,7 +180,8 @@ func TestLoadGenZipfSkew(t *testing.T) {
 
 // TestLoadGenOpenLoopDeterministicCounts runs the open loop twice against
 // unsaturated servers: every count — total and per class — must repeat
-// exactly, with nothing shed or rejected.
+// exactly, with nothing shed or rejected, and a small, heavily repeated
+// pool must warm the decision cache.
 func TestLoadGenOpenLoopDeterministicCounts(t *testing.T) {
 	run := func() LoadReport {
 		_, ts := newTestServer(t, WithCacheSize(64), WithMaxInflight(64))
@@ -226,6 +203,10 @@ func TestLoadGenOpenLoopDeterministicCounts(t *testing.T) {
 	if r1.Requests != 150 || r1.OK != 150 || r1.Shed != 0 || r1.Rejected != 0 || r1.Transport != 0 {
 		t.Fatalf("unexpected counts: %+v", r1)
 	}
+	// 150 requests over an 8-vector pool: the cache must get hot.
+	if r1.CacheHits == 0 {
+		t.Error("no cache hits on a heavily repeated pool")
+	}
 	if len(r1.Classes) != len(r2.Classes) {
 		t.Fatalf("class row counts differ: %d vs %d", len(r1.Classes), len(r2.Classes))
 	}
@@ -241,14 +222,15 @@ func TestLoadGenOpenLoopDeterministicCounts(t *testing.T) {
 func TestLoadGenValidation(t *testing.T) {
 	pool := SyntheticFeatures(counters.Dim(counters.Basic), 2, 1)
 	cases := []LoadGen{
-		{Requests: 1, Pool: pool, Mode: "open"},                    // no RPS
-		{Requests: 1, Pool: pool, Mode: "open", RPS: 10, Batch: 4}, // open + batch
-		{Requests: 1, Pool: pool, Mode: "ajar"},                    // unknown mode
+		{Requests: 1, Pool: pool, Mode: "open"},            // no RPS
+		{Requests: 1, Pool: pool, RPS: 10},                 // no mode
+		{Requests: 1, Pool: pool, Mode: "closed", RPS: 10}, // no closed loop
+		{Requests: 1, Pool: pool, Mode: "ajar", RPS: 10},   // unknown mode
 		// Non-finite values would give a NaN or zero mean gap.
 		{Requests: 1, Pool: pool, Mode: "open", RPS: math.NaN()},
 		{Requests: 1, Pool: pool, Mode: "open", RPS: math.Inf(1)},
-		{Requests: 1, Pool: pool, ZipfS: math.NaN()},
-		{Requests: 1, Pool: pool, ZipfS: math.Inf(1)},
+		{Requests: 1, Pool: pool, Mode: "open", RPS: 10, ZipfS: math.NaN()},
+		{Requests: 1, Pool: pool, Mode: "open", RPS: 10, ZipfS: math.Inf(1)},
 	}
 	for i, lg := range cases {
 		if _, err := lg.Schedule(); err == nil {

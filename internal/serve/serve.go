@@ -127,23 +127,20 @@ func (w *statusWriter) WriteHeader(code int) {
 	w.ResponseWriter.WriteHeader(code)
 }
 
-// instrument wraps a handler with per-(path, status) request counting,
-// the route's windowed latency histogram (the /v1/status quantiles) and,
-// when a tracer is attached and enabled, a detached span per request.
+// instrument wraps a handler with per-(path, status) request counting
+// and, when a tracer is attached and enabled, a detached span per request.
 func (s *Server) instrument(path string, h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		var sp *obs.Span
 		if s.opt.tracer != nil {
 			sp = s.opt.tracer.StartDetached("http " + path)
 		}
-		started := time.Now()
 		sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
 		h(sw, r)
 		if sp != nil {
 			sp.SetArg("code", strconv.Itoa(sw.code)).Finish()
 		}
 		s.metrics.observeRequest(path, sw.code)
-		s.metrics.observeLatency(path, time.Since(started).Seconds())
 	}
 }
 
@@ -178,16 +175,15 @@ func allowMethod(w http.ResponseWriter, r *http.Request, method string) bool {
 	return false
 }
 
-// PredictRequest is the POST /v1/predict payload: either one counter
-// feature vector (Features) or several (Batch) — never both — optionally
-// tagged with the counter set they were built from so the server can
-// reject features from the wrong encoding, and with an admission class
-// (the X-Request-Class header wins when both are present).
+// PredictRequest is the POST /v1/predict payload: one counter feature
+// vector, optionally tagged with the counter set it was built from so the
+// server can reject features from the wrong encoding, and with an
+// admission class (the X-Request-Class header wins when both are
+// present).
 type PredictRequest struct {
-	Features []float64   `json:"features,omitempty"`
-	Batch    [][]float64 `json:"batch,omitempty"`
-	Set      string      `json:"set,omitempty"`
-	Class    string      `json:"class,omitempty"`
+	Features []float64 `json:"features,omitempty"`
+	Set      string    `json:"set,omitempty"`
+	Class    string    `json:"class,omitempty"`
 }
 
 // PredictResponse is the decision: the predicted configuration (parameter
@@ -203,11 +199,11 @@ type PredictResponse struct {
 }
 
 // shedHeader tells shed clients (and the load generator) which class was
-// refused and why, without parsing the error body.
+// refused, without parsing the error body.
 const shedHeader = "X-Adaptd-Shed"
 
-// handlePredict answers one feature vector — or a batch of them — with
-// configuration decisions. The pipeline is: decode, resolve the admission
+// handlePredict answers one feature vector with a configuration
+// decision. The pipeline is: decode, resolve the admission
 // class, per-class admission (shed with 429 + X-Adaptd-Shed), the shared
 // concurrency semaphore (429 when saturated), then the kernel. Admission
 // runs ahead of the semaphore so a shed costs a JSON decode, never a
@@ -243,9 +239,9 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	s.metrics.classRequests.With(class.String()).Inc()
 	if s.adm != nil {
 		if !s.adm.admit(class) {
-			s.metrics.shed.With(class.String(), admitReasonShare).Inc()
-			w.Header().Set(shedHeader, class.String()+":"+admitReasonShare)
-			writeError(w, http.StatusTooManyRequests, "request class %q shed (%s); retry", class, admitReasonShare)
+			s.metrics.shed.With(class.String()).Inc()
+			w.Header().Set(shedHeader, class.String())
+			writeError(w, http.StatusTooManyRequests, "request class %q shed (inflight-share); retry", class)
 			return
 		}
 		defer s.adm.release(class)
@@ -258,21 +254,10 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusTooManyRequests, "server saturated (%d predicts in flight); retry", s.opt.maxInflight)
 		return
 	}
-	defer func() {
-		s.metrics.observeClassLatency(class, time.Since(started).Seconds())
-	}()
 
 	eng := s.engine.Load()
 	if req.Set != "" && req.Set != eng.Set().String() {
 		writeError(w, http.StatusBadRequest, "features are from the %q counter set but the model serves %q", req.Set, eng.Set())
-		return
-	}
-	if req.Batch != nil {
-		if req.Features != nil {
-			writeError(w, http.StatusBadRequest, `"features" and "batch" are mutually exclusive`)
-			return
-		}
-		s.handlePredictBatch(w, eng, req.Batch, wantProbs, started)
 		return
 	}
 	if len(req.Features) != eng.Dim() {
@@ -280,16 +265,16 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	entry, hit := s.resolveSingle(eng, req.Features)
+	entry, hit := s.resolve(eng, req.Features)
 	s.metrics.latency.Observe(time.Since(started).Seconds())
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusOK)
 	_, _ = w.Write(s.renderResponse(eng, entry, hit, wantProbs))
 }
 
-// resolveSingle answers one feature vector through the decision cache and,
+// resolve answers one feature vector through the decision cache and,
 // on a miss, the kernel.
-func (s *Server) resolveSingle(eng *Engine, features []float64) (entry *cacheEntry, hit bool) {
+func (s *Server) resolve(eng *Engine, features []float64) (entry *cacheEntry, hit bool) {
 	if entry, hit := s.cache.get(cacheKey(features)); hit && entry.eng == eng {
 		s.metrics.hits.Inc()
 		return entry, true
@@ -299,98 +284,6 @@ func (s *Server) resolveSingle(eng *Engine, features []float64) (entry *cacheEnt
 	s.cache.put(entry)
 	s.metrics.misses.Inc()
 	return entry, false
-}
-
-// handlePredictBatch answers a validated batch request: items are resolved
-// against the decision cache individually, every miss is evaluated in one
-// batched kernel call, and the results stream back as one JSON document
-// per item (NDJSON) — each document byte-identical to the response a
-// single-vector request for that item would have produced, cached flag
-// included. A dimension error anywhere rejects the whole batch, naming the
-// offending index.
-func (s *Server) handlePredictBatch(w http.ResponseWriter, eng *Engine, batch [][]float64, wantProbs bool, started time.Time) {
-	if len(batch) == 0 {
-		writeError(w, http.StatusBadRequest, "empty batch")
-		return
-	}
-	for i, f := range batch {
-		if len(f) != eng.Dim() {
-			writeError(w, http.StatusBadRequest, "batch item %d has dimension %d, model expects %d (%s counter set); whole batch rejected", i, len(f), eng.Dim(), eng.Set())
-			return
-		}
-	}
-	s.metrics.batchRequests.Inc()
-	s.metrics.batchItems.Add(uint64(len(batch)))
-
-	type batchSlot struct {
-		entry  *cacheEntry
-		cached bool
-	}
-	slots := make([]batchSlot, len(batch))
-	var missFeats [][]float64
-	var missEntries []*cacheEntry
-	// firstMiss makes intra-batch duplicates behave exactly as sequential
-	// single requests would: the first occurrence computes, later ones
-	// report cached — but only while the cache is enabled, because with it
-	// disabled sequential singles recompute every time.
-	var firstMiss map[string]*cacheEntry
-	if s.cache.enabled() {
-		firstMiss = map[string]*cacheEntry{}
-	}
-	for i, f := range batch {
-		key := cacheKey(f)
-		if entry, hit := s.cache.get(key); hit && entry.eng == eng {
-			s.metrics.hits.Inc()
-			slots[i] = batchSlot{entry, true}
-			continue
-		}
-		if entry, dup := firstMiss[key]; dup {
-			s.metrics.hits.Inc()
-			slots[i] = batchSlot{entry, true}
-			continue
-		}
-		entry := &cacheEntry{key: key, eng: eng}
-		if firstMiss != nil {
-			firstMiss[key] = entry
-		}
-		missFeats = append(missFeats, f)
-		missEntries = append(missEntries, entry)
-		slots[i] = batchSlot{entry, false}
-	}
-
-	if len(missFeats) > 0 {
-		var sp *obs.Span
-		if s.opt.tracer != nil {
-			sp = s.opt.tracer.StartDetached("predict batch")
-		}
-		configs, probs := eng.PredictBatch(missFeats)
-		if sp != nil {
-			sp.SetArg("mode", "batch").SetArg("n", strconv.Itoa(len(missFeats))).Finish()
-		}
-		s.metrics.batchSize.Observe(float64(len(missFeats)))
-		s.metrics.batches.Inc()
-		for i, entry := range missEntries {
-			entry.config = configs[i]
-			entry.probs = probs[i]
-			s.cache.put(entry)
-			s.metrics.misses.Inc()
-		}
-	}
-
-	s.metrics.latency.Observe(time.Since(started).Seconds())
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	// Flush periodically rather than per item: one flush per item is one
-	// syscall per item, which on a single-core host erases the batching
-	// win. Chunks of 64 keep results streaming on huge batches while the
-	// common case goes out in one write.
-	flusher, _ := w.(http.Flusher)
-	for i, slot := range slots {
-		_, _ = w.Write(s.renderResponse(eng, slot.entry, slot.cached, wantProbs))
-		if flusher != nil && (i+1)%64 == 0 {
-			flusher.Flush()
-		}
-	}
 }
 
 // renderResponse returns the JSON body for one decision — exactly the bytes

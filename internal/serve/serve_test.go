@@ -260,6 +260,52 @@ func TestPredictMethodNotAllowed(t *testing.T) {
 	}
 }
 
+// TestErrorEnvelopeAndAllow is the table-driven contract for the unified
+// error surface: every route answers a disallowed method with 405, the
+// JSON {"error": ...} envelope, and a correct Allow header.
+func TestErrorEnvelopeAndAllow(t *testing.T) {
+	_, ts := newTestServer(t)
+	cases := []struct {
+		path   string
+		method string // the wrong method to send
+		allow  string // what Allow must advertise
+	}{
+		{"/v1/predict", http.MethodGet, http.MethodPost},
+		{"/v1/designspace", http.MethodPost, http.MethodGet},
+		{"/v1/reload", http.MethodGet, http.MethodPost},
+		{"/v1/status", http.MethodPost, http.MethodGet},
+		{"/healthz", http.MethodDelete, http.MethodGet},
+		{"/metrics", http.MethodPost, http.MethodGet},
+	}
+	for _, tc := range cases {
+		t.Run(tc.method+" "+tc.path, func(t *testing.T) {
+			req, err := http.NewRequest(tc.method, ts.URL+tc.path, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			data, _ := io.ReadAll(resp.Body)
+			if resp.StatusCode != http.StatusMethodNotAllowed {
+				t.Fatalf("status %d, want 405: %s", resp.StatusCode, data)
+			}
+			if got := resp.Header.Get("Allow"); got != tc.allow {
+				t.Errorf("Allow = %q, want %q", got, tc.allow)
+			}
+			if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
+				t.Errorf("Content-Type = %q, want application/json", ct)
+			}
+			var eb errorBody
+			if err := json.Unmarshal(data, &eb); err != nil || eb.Error == "" {
+				t.Errorf("no JSON error envelope: %s", data)
+			}
+		})
+	}
+}
+
 func TestPredictSaturationReturns429(t *testing.T) {
 	// MaxInflight 1 plus a request that parks inside the handler forces
 	// the next request onto the backpressure path.
@@ -526,18 +572,25 @@ func TestEngineRejectsInvalidPredictor(t *testing.T) {
 
 func TestEnginePredictMatchesCore(t *testing.T) {
 	pred := trainTestPredictor(t, counters.Basic)
-	eng, err := NewEngine(pred, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := counters.Dim(counters.Basic)
-	for trial := 0; trial < 10; trial++ {
-		f := make([]float64, d)
-		f[trial%d] = 1
-		f[d-1] = 1
-		got, _ := eng.Predict(f)
-		if want := pred.Predict(f); got != want {
-			t.Errorf("engine decision %v != core decision %v", got, want)
+	quant := pred.Quantize()
+	for _, quantized := range []bool{false, true} {
+		eng, err := NewEngine(pred, quantized)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d := counters.Dim(counters.Basic)
+		for trial := 0; trial < 10; trial++ {
+			f := make([]float64, d)
+			f[trial%d] = 1
+			f[d-1] = 1
+			got, _ := eng.Predict(f)
+			want := pred.Predict(f)
+			if quantized {
+				want = quant.Predict(f)
+			}
+			if got != want {
+				t.Errorf("quantized=%v: engine decision %v != core decision %v", quantized, got, want)
+			}
 		}
 	}
 }

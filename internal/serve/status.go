@@ -5,10 +5,11 @@ import (
 	"strconv"
 )
 
-// StatusResponse is the GET /v1/status payload: the SLO view of the
-// server. Unlike /healthz it carries no uptime — every field is either a
-// monotonic counter, a derived rate, or a windowed latency quantile, so
-// two status snapshots diff cleanly without a wall-clock term.
+// StatusResponse is the GET /v1/status payload: the server's counters.
+// Unlike /healthz it carries no uptime — every field is either a
+// monotonic counter, a gauge or a derived rate, so two status snapshots
+// diff cleanly without a wall-clock term. Latency lives in the
+// adaptd_predict_latency_seconds histogram on /metrics.
 type StatusResponse struct {
 	Status   string         `json:"status"`
 	Model    ModelInfo      `json:"model"`
@@ -20,8 +21,6 @@ type StatusResponse struct {
 	Saturated       uint64          `json:"saturated"`
 	Reloads         uint64          `json:"reloads"`
 	Cache           CacheStatus     `json:"cache"`
-	Batch           BatchStatus     `json:"batch"`
-	Latency         []RouteLatency  `json:"latency"`
 	Admission       AdmissionStatus `json:"admission"`
 }
 
@@ -40,49 +39,24 @@ type CacheStatus struct {
 	HitRate float64 `json:"hitRate"`
 }
 
-// BatchStatus summarises batch payloads and batched kernel calls.
-type BatchStatus struct {
-	Requests uint64 `json:"requests"`
-	Items    uint64 `json:"items"`
-	Kernels  uint64 `json:"kernels"`
-}
-
-// RouteLatency is one route's windowed latency quantiles (seconds, over
-// roughly the last minute of traffic) plus its window and lifetime counts.
-type RouteLatency struct {
-	Path        string  `json:"path"`
-	WindowCount uint64  `json:"windowCount"`
-	TotalCount  uint64  `json:"totalCount"`
-	P50Seconds  float64 `json:"p50Seconds"`
-	P99Seconds  float64 `json:"p99Seconds"`
-	P999Seconds float64 `json:"p999Seconds"`
-}
-
-// AdmissionStatus is the per-class admission view: one row per class in
-// shed order (most important first), with per-class windowed latency even
-// when admission control itself is disabled.
+// AdmissionStatus is the per-class admission view: one row per class,
+// most important first, with per-class request counts even when
+// admission control itself is disabled.
 type AdmissionStatus struct {
 	Enabled bool          `json:"enabled"`
 	Classes []ClassStatus `json:"classes"`
 }
 
-// ClassStatus is one admission class's counters and windowed latency.
+// ClassStatus is one admission class's counters.
 type ClassStatus struct {
-	Class       string            `json:"class"`
-	Requests    uint64            `json:"requests"`
-	Shed        uint64            `json:"shed"`
-	ShedByCause map[string]uint64 `json:"shedByCause,omitempty"`
-	Inflight    int64             `json:"inflight"`
-	WindowCount uint64            `json:"windowCount"`
-	TotalCount  uint64            `json:"totalCount"`
-	P50Seconds  float64           `json:"p50Seconds"`
-	P99Seconds  float64           `json:"p99Seconds"`
+	Class    string `json:"class"`
+	Requests uint64 `json:"requests"`
+	Shed     uint64 `json:"shed"`
+	Inflight int64  `json:"inflight"`
 }
 
-// handleStatus serves the SLO snapshot. Request counts come from the same
-// vec /metrics exposes (CounterVec.Each iterates deterministically), and
-// each route's three quantiles are read from one consistent histogram
-// snapshot so a p50/p99/p999 row can never be torn.
+// handleStatus serves the counter snapshot. Request counts come from the
+// same vec /metrics exposes (CounterVec.Each iterates deterministically).
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	if !allowMethod(w, r, http.MethodGet) {
 		return
@@ -97,11 +71,6 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 			Hits:    s.metrics.hits.Value(),
 			Misses:  s.metrics.misses.Value(),
 			HitRate: s.metrics.hitRate(),
-		},
-		Batch: BatchStatus{
-			Requests: s.metrics.batchRequests.Value(),
-			Items:    s.metrics.batchItems.Value(),
-			Kernels:  s.metrics.batches.Value(),
 		},
 	}
 	var total, errs, serverErrs uint64
@@ -121,18 +90,6 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 		resp.ErrorRate = float64(errs) / float64(total)
 		resp.ServerErrorRate = float64(serverErrs) / float64(total)
 	}
-	for _, path := range routePaths {
-		h := s.metrics.routeLat[path]
-		qs := h.Quantiles(0.5, 0.99, 0.999)
-		resp.Latency = append(resp.Latency, RouteLatency{
-			Path:        path,
-			WindowCount: h.Count(),
-			TotalCount:  h.TotalCount(),
-			P50Seconds:  qs[0],
-			P99Seconds:  qs[1],
-			P999Seconds: qs[2],
-		})
-	}
 	resp.Admission = s.admissionStatus()
 	writeJSON(w, http.StatusOK, resp)
 }
@@ -141,14 +98,9 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 // first (the reverse of shed order).
 func (s *Server) admissionStatus() AdmissionStatus {
 	st := AdmissionStatus{Enabled: s.adm != nil}
-	shed := map[string]map[string]uint64{}
+	shed := map[string]uint64{}
 	s.metrics.shed.Each(func(values []string, count uint64) {
-		byCause := shed[values[0]]
-		if byCause == nil {
-			byCause = map[string]uint64{}
-			shed[values[0]] = byCause
-		}
-		byCause[values[1]] += count
+		shed[values[0]] += count
 	})
 	requests := map[string]uint64{}
 	s.metrics.classRequests.Each(func(values []string, count uint64) {
@@ -157,20 +109,7 @@ func (s *Server) admissionStatus() AdmissionStatus {
 	for c := NumClasses; c > 0; {
 		c--
 		name := c.String()
-		h := s.metrics.classLat[c]
-		qs := h.Quantiles(0.5, 0.99)
-		row := ClassStatus{
-			Class:       name,
-			Requests:    requests[name],
-			ShedByCause: shed[name],
-			WindowCount: h.Count(),
-			TotalCount:  h.TotalCount(),
-			P50Seconds:  qs[0],
-			P99Seconds:  qs[1],
-		}
-		for _, n := range row.ShedByCause {
-			row.Shed += n
-		}
+		row := ClassStatus{Class: name, Requests: requests[name], Shed: shed[name]}
 		if s.adm != nil {
 			row.Inflight = s.adm.inflightOf(c)
 		}

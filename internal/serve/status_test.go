@@ -32,8 +32,8 @@ func getStatus(t *testing.T, url string) StatusResponse {
 }
 
 // TestStatusEndpoint drives traffic (good and bad) through the server and
-// asserts /v1/status reports counts, error rates, cache stats, the model
-// fingerprint and non-zero windowed latency quantiles.
+// asserts /v1/status reports counts, error rates, cache stats and the
+// model fingerprint.
 func TestStatusEndpoint(t *testing.T) {
 	s, ts := newTestServer(t, WithCacheSize(16))
 	d := counters.Dim(counters.Basic)
@@ -68,25 +68,6 @@ func TestStatusEndpoint(t *testing.T) {
 	}
 	if sr.Cache.Hits != 2 || sr.Cache.Misses != 1 || sr.Cache.Entries != 1 {
 		t.Errorf("cache = %+v, want 2 hits / 1 miss / 1 entry", sr.Cache)
-	}
-
-	var predictLat *RouteLatency
-	for i := range sr.Latency {
-		if sr.Latency[i].Path == "/v1/predict" {
-			predictLat = &sr.Latency[i]
-		}
-	}
-	if predictLat == nil {
-		t.Fatal("no /v1/predict latency row")
-	}
-	if predictLat.WindowCount != 4 || predictLat.TotalCount != 4 {
-		t.Errorf("latency counts = %d/%d, want 4/4", predictLat.WindowCount, predictLat.TotalCount)
-	}
-	if predictLat.P50Seconds <= 0 || predictLat.P99Seconds <= 0 || predictLat.P999Seconds <= 0 {
-		t.Errorf("latency quantiles not positive: %+v", predictLat)
-	}
-	if predictLat.P50Seconds > predictLat.P99Seconds || predictLat.P99Seconds > predictLat.P999Seconds {
-		t.Errorf("latency quantiles not monotone: %+v", predictLat)
 	}
 
 	// The status request itself shows up on the next snapshot.

@@ -33,6 +33,38 @@ func TestSyntheticFeaturesDeterministic(t *testing.T) {
 	}
 }
 
+// TestLoadGenDeterministicCounts replays a seeded schedule twice: every
+// request succeeds, the totals agree between runs and the decision cache
+// gets hot on a heavily repeated pool.
+func TestLoadGenDeterministicCounts(t *testing.T) {
+	run := func() LoadReport {
+		_, ts := newTestServer(t, WithCacheSize(64), WithMaxInflight(32))
+		lg := LoadGen{
+			Requests: 120,
+			Seed:     42,
+			Pool:     SyntheticFeatures(counters.Dim(counters.Basic), 8, 42),
+			Mode:     "open",
+			RPS:      2000,
+		}
+		rep, err := lg.Run(ts.URL, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep
+	}
+	r1, r2 := run(), run()
+	if r1.Requests != 120 || r1.OK != 120 || r1.Rejected != 0 || r1.ServerErr != 0 || r1.Transport != 0 {
+		t.Errorf("unexpected counts: %+v", r1)
+	}
+	if r1.Requests != r2.Requests || r1.OK != r2.OK {
+		t.Errorf("seeded runs disagree: %d/%d vs %d/%d", r1.Requests, r1.OK, r2.Requests, r2.OK)
+	}
+	// 120 requests over an 8-vector pool: the cache must get hot.
+	if r1.CacheHits == 0 {
+		t.Error("no cache hits on a heavily repeated pool")
+	}
+}
+
 func TestLoadGenEmptyPool(t *testing.T) {
 	if _, err := (LoadGen{Requests: 1, Mode: "open", RPS: 10}).Run("http://127.0.0.1:0", nil); err == nil {
 		t.Error("empty pool accepted")
@@ -180,8 +212,7 @@ func TestLoadGenZipfSkew(t *testing.T) {
 
 // TestLoadGenOpenLoopDeterministicCounts runs the open loop twice against
 // unsaturated servers: every count — total and per class — must repeat
-// exactly, with nothing shed or rejected, and a small, heavily repeated
-// pool must warm the decision cache.
+// exactly, with nothing shed or rejected.
 func TestLoadGenOpenLoopDeterministicCounts(t *testing.T) {
 	run := func() LoadReport {
 		_, ts := newTestServer(t, WithCacheSize(64), WithMaxInflight(64))
@@ -202,10 +233,6 @@ func TestLoadGenOpenLoopDeterministicCounts(t *testing.T) {
 	r1, r2 := run(), run()
 	if r1.Requests != 150 || r1.OK != 150 || r1.Shed != 0 || r1.Rejected != 0 || r1.Transport != 0 {
 		t.Fatalf("unexpected counts: %+v", r1)
-	}
-	// 150 requests over an 8-vector pool: the cache must get hot.
-	if r1.CacheHits == 0 {
-		t.Error("no cache hits on a heavily repeated pool")
 	}
 	if len(r1.Classes) != len(r2.Classes) {
 		t.Fatalf("class row counts differ: %d vs %d", len(r1.Classes), len(r2.Classes))

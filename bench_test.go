@@ -209,12 +209,14 @@ func BenchmarkTableIII_BestStatic(b *testing.B) {
 }
 
 // BenchmarkFigure1_OptimalSizeOverTime regenerates Figure 1: the
-// efficiency-optimal IQ and RF sizes over time for widths 8 and 4.
+// efficiency-optimal IQ and RF sizes over time for widths 8 and 4. Its
+// runs are dataset measurements, so under REPRO_CACHE_DIR they replay and
+// resume like every other table's.
 func BenchmarkFigure1_OptimalSizeOverTime(b *testing.B) {
-	sc := benchScale()
+	ds, _, _, _ := pipeline(b)
 	var body string
 	for _, prog := range []string{"gap", "applu", "apsi"} {
-		rep, err := experiment.Figure1(prog, 1, sc.IntervalInsts, sc.WarmupInsts)
+		rep, err := ds.Figure1(prog)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -228,10 +230,19 @@ func BenchmarkFigure1_OptimalSizeOverTime(b *testing.B) {
 }
 
 // BenchmarkFigure3_LSQCounters regenerates Figure 3: LSQ efficiency sweeps
-// and the profiling counters for the paper's four example programs.
+// and the profiling counters for the first dataset phase of each of the
+// paper's four example programs that the scale includes.
 func BenchmarkFigure3_LSQCounters(b *testing.B) {
 	ds, _, _, _ := pipeline(b)
-	ids := []experiment.PhaseID{{Program: "mgrid"}, {Program: "swim"}, {Program: "parser"}, {Program: "vortex"}}
+	var ids []experiment.PhaseID
+	for _, prog := range []string{"mgrid", "swim", "parser", "vortex"} {
+		if phases := ds.ProgramPhases(prog); len(phases) > 0 {
+			ids = append(ids, phases[0])
+		}
+	}
+	if len(ids) == 0 {
+		b.Skip("none of Figure 3's example programs is in the dataset")
+	}
 	rep, err := ds.Figure3(ids)
 	if err != nil {
 		b.Fatal(err)

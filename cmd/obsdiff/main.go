@@ -97,7 +97,7 @@ func pctChange(old, new float64) float64 {
 
 // renderField resolves a dotted path ("deterministic.scale.seed", "tool")
 // into the value it names, for the mismatch report. Manifest keys may
-// themselves contain dots ("flags.skipSlow"), so each level consumes the
+// themselves contain dots ("flags.scale"), so each level consumes the
 // longest prefix of the remaining path that is an existing key. Paths it
 // cannot walk (array indices, missing keys) render as "<absent>".
 func renderField(m *obs.Manifest, path string) string {

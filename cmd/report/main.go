@@ -5,7 +5,7 @@
 // Usage:
 //
 //	report [-scale test|default] [-programs mcf,swim,...] [-phases N]
-//	       [-interval N] [-uniform N] [-skip-slow] [-cache-dir DIR]
+//	       [-interval N] [-uniform N] [-cache-dir DIR]
 //	       [-trace out.json] [-manifest out.json] [-span-summary]
 //	       [-log-json] [-log-level info]
 //	       [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
@@ -50,7 +50,6 @@ func main() {
 		phases    = flag.Int("phases", 0, "phases per program (default: preset)")
 		interval  = flag.Int("interval", 0, "instructions per phase interval (default: preset)")
 		uniform   = flag.Int("uniform", 0, "shared uniform samples (default: preset)")
-		skipSlow  = flag.Bool("skip-slow", false, "skip Figure 1 and Table IV (the slowest experiments)")
 		cacheDir  = flag.String("cache-dir", "", "persistent result-store directory (reused across runs; empty disables)")
 		tracePath = flag.String("trace", "", "write a Chrome trace_event JSON of the run to this file")
 		manifest  = flag.String("manifest", "", "write a run manifest (deterministic + timing sections) to this file; defaults to manifest-report.json under -cache-dir")
@@ -234,13 +233,10 @@ func main() {
 		fmt.Println(ds.Figure8(p).Render())
 	}
 
-	fig3Phases := []experiment.PhaseID{}
-	for _, want := range []string{"mgrid", "swim", "parser", "vortex"} {
-		for _, id := range ds.Phases {
-			if id.Program == want {
-				fig3Phases = append(fig3Phases, id)
-				break
-			}
+	var fig3Phases []experiment.PhaseID
+	for _, prog := range []string{"mgrid", "swim", "parser", "vortex"} {
+		if phases := ds.ProgramPhases(prog); len(phases) > 0 {
+			fig3Phases = append(fig3Phases, phases[0])
 		}
 	}
 	if len(fig3Phases) > 0 {
@@ -279,29 +275,27 @@ func main() {
 	}
 	fmt.Println()
 
-	if !*skipSlow {
-		logger.Info("running Table IV sampling sweep")
-		t4, err := ds.TableIV([]int{4, 16, 64, 256}, 12)
+	logger.Info("running Table IV sampling sweep")
+	t4, err := ds.TableIV([]int{4, 16, 64, 256}, 12)
+	if err != nil {
+		die(err)
+	}
+	fmt.Println(t4.Render())
+
+	logger.Info("running Figure 1 sweeps")
+	for _, prog := range []string{"gap", "applu", "apsi"} {
+		f1, err := ds.Figure1(prog)
 		if err != nil {
 			die(err)
 		}
-		fmt.Println(t4.Render())
-
-		logger.Info("running Figure 1 sweeps")
-		for _, prog := range []string{"gap", "applu", "apsi"} {
-			f1, err := experiment.Figure1(prog, 1, sc.IntervalInsts, sc.WarmupInsts)
-			if err != nil {
-				die(err)
-			}
-			fmt.Println(f1.Render())
-			var iq8, iq4 []float64
-			for _, pt := range f1.Points {
-				iq8 = append(iq8, float64(pt.BestIQ[8]))
-				iq4 = append(iq4, float64(pt.BestIQ[4]))
-			}
-			fmt.Printf("  IQ(w=8) over time: %s\n  IQ(w=4) over time: %s\n\n",
-				render.Sparkline(iq8), render.Sparkline(iq4))
+		fmt.Println(f1.Render())
+		var iq8, iq4 []float64
+		for _, pt := range f1.Points {
+			iq8 = append(iq8, float64(pt.BestIQ[8]))
+			iq4 = append(iq4, float64(pt.BestIQ[4]))
 		}
+		fmt.Printf("  IQ(w=8) over time: %s\n  IQ(w=4) over time: %s\n\n",
+			render.Sparkline(iq8), render.Sparkline(iq4))
 	}
 
 	hits, sims := experiment.MemoStats()
@@ -326,7 +320,6 @@ func main() {
 	if manifestPath != "" {
 		m := obs.NewManifest("report")
 		m.SetDet("flags.scale", *scaleName)
-		m.SetDet("flags.skipSlow", *skipSlow)
 		experiment.FillBuildManifest(m, ds)
 		experiment.FillEvalManifest(m, adv)
 		experiment.FillEvalManifest(m, basic)

@@ -17,6 +17,7 @@ import (
 	"repro/internal/experiment"
 	"repro/internal/obs"
 	"repro/internal/store"
+	"repro/internal/trace"
 )
 
 // storeState is a contract cell's store axis.
@@ -64,14 +65,23 @@ type contractBuild struct {
 	digest   string
 	manifest *obs.Manifest
 	render   string // Table III + suite + Figure 7; empty when not rendered
+	figures  string // Table IV + Figure 1, rendered in every cell
 }
 
+// newContractBuild records ds's digest and manifest, renders the pipeline
+// if asked (its per-program statics join the sample space), then Table IV
+// and Figure 1, which must leave the digest as they found it.
 func newContractBuild(t *testing.T, ds *experiment.Dataset, render bool) contractBuild {
 	t.Helper()
 	b := contractBuild{ds: ds, digest: ds.Digest(), manifest: obs.NewManifest("report")}
 	experiment.FillBuildManifest(b.manifest, ds)
 	if render {
 		b.render = renderPipeline(t, ds)
+	}
+	before := ds.Digest()
+	b.figures = renderFigures(t, ds)
+	if after := ds.Digest(); after != before {
+		t.Errorf("Table IV and Figure 1 moved the dataset digest from %s to %s", before, after)
 	}
 	return b
 }
@@ -93,13 +103,48 @@ func renderPipeline(t *testing.T, ds *experiment.Dataset) string {
 	return ds.TableIII().Render() + ds.Suite(ev, ev).Render() + fig7.Render()
 }
 
-// contractScale is TestScale with three programs and one stage-3 sweep:
-// all three search stages batched across workers, and small enough that
-// the LOOCV behind each rendered cell stays cheap.
+// figure1Program is in contractScale's dataset, so Figure 1 answers its
+// first phases' shared configurations from the memo and simulates the
+// rest of its trace.PhasesPerProgram phases on traces of its own.
+const figure1Program = "mcf"
+
+// renderFigures runs Table IV and Figure 1, the experiments that queue
+// their own simulations on a pool after the build, and renders both.
+func renderFigures(t *testing.T, ds *experiment.Dataset) string {
+	t.Helper()
+	t4, err := ds.TableIV([]int{4, 64}, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(t4.Rows) != 2 {
+		t.Fatalf("Table IV has %d rows, want 2", len(t4.Rows))
+	}
+	f1, err := ds.Figure1(figure1Program)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(f1.Points) != trace.PhasesPerProgram {
+		t.Fatalf("Figure 1 has %d points, want one per phase (%d)", len(f1.Points), trace.PhasesPerProgram)
+	}
+	for _, pt := range f1.Points {
+		for _, w := range []int{4, 8} {
+			if arch.IndexOf(arch.IQSize, pt.BestIQ[w]) < 0 || arch.IndexOf(arch.RFSize, pt.BestRF[w]) < 0 {
+				t.Errorf("Figure 1 interval %d width %d: IQ %d, RF %d outside their domains", pt.Interval, w, pt.BestIQ[w], pt.BestRF[w])
+			}
+		}
+	}
+	return t4.Render() + f1.Render()
+}
+
+// contractScale is TestScale with three programs, one stage-3 sweep and
+// shorter intervals: all three search stages batched across workers, and
+// small enough that the LOOCV behind each rendered cell and Figure 1's
+// ten-phase sweep in every cell stay cheap.
 func contractScale() experiment.Scale {
 	sc := experiment.TestScale()
 	sc.Programs = sc.Programs[:3]
 	sc.SweepParams = []arch.Param{arch.Width}
+	sc.IntervalInsts, sc.WarmupInsts = 1000, 500
 	return sc
 }
 
@@ -109,14 +154,16 @@ func contractScale() experiment.Scale {
 // same Dataset.Digest, manifest deterministic section, good sets,
 // profiling results and features, and the same fresh search simulations
 // — paid by the build (no store, cold) or not at all (warm replays, which
-// never miss the store and simulate nothing, profiling runs and rendered
-// predictions included). Each phase's trace is generated exactly once,
-// and not at all by a warm replay. Store logs are byte-identical
-// across worker counts, every store's hit and miss counts match the
-// workers=1 cell's, every store directory passes store.CheckDir with one
-// live record per indexed record, and the rendered tables are
-// byte-identical for every store state. One cell runs with the process
-// tracer on and checks its Chrome trace export.
+// never miss the store and simulate nothing, profiling runs, rendered
+// predictions, Table IV and Figure 1 included). Each phase's trace, Figure
+// 1's phases outside the dataset included, is generated exactly once, and
+// not at all by a warm replay. Store logs are byte-identical across worker
+// counts, every store's hit and miss counts match the workers=1 cell's,
+// every store directory passes store.CheckDir with one live record per
+// indexed record, the rendered tables are byte-identical for every store
+// state, and Table IV and Figure 1 render byte-identically in every cell
+// without moving the digest. One cell runs with the process tracer on and
+// checks its Chrome trace export.
 func TestBuildContracts(t *testing.T) {
 	sc := contractScale()
 	ctx := context.Background()
@@ -145,6 +192,33 @@ func TestBuildContracts(t *testing.T) {
 		t.Fatal("reference paid no search sims; the matrix cannot discriminate")
 	}
 	ref := newContractBuild(t, refDS, true)
+	// Figure 1's runs are dataset measurements (same trace, warmup and
+	// store key), in a phase of the dataset and in one outside it alike:
+	// each equals a direct simulation of the phase's interval.
+	for _, ph := range []int{0, trace.PhasesPerProgram - 1} {
+		id := experiment.PhaseID{Program: figure1Program, Phase: ph}
+		cfg := arch.Baseline().With(arch.Width, 8).With(arch.IQSize, arch.Domain(arch.IQSize)[0])
+		got, err := refDS.Result(id, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, err := trace.NewGenerator(id.Program, id.Phase)
+		if err != nil {
+			t.Fatal(err)
+		}
+		insts := g.Interval(sc.IntervalInsts)
+		sim, err := cpu.New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := sim.Run(cpu.NewSliceSource(insts), len(insts), cpu.Options{WarmupInsts: sc.WarmupInsts})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(*got, *want) {
+			t.Errorf("Figure 1's %s run under %s differs from a direct simulation of the phase", id, cfg)
+		}
+	}
 
 	// Store directories live under the parent test, so a warm cell replays
 	// what its cold cell wrote; twins holds each workers=1 cell's store log
@@ -188,20 +262,21 @@ func TestBuildContracts(t *testing.T) {
 			ds, paid := build(t, st, opts)
 			got := newContractBuild(t, ds, c.store != noStore)
 			if simulated := cpu.SimulatedInstructions() - insts; c.store == warmStore && simulated != 0 {
-				t.Errorf("warm build and render simulated %d instructions, want none", simulated)
+				t.Errorf("warm build, render and figures simulated %d instructions, want none", simulated)
 			}
-			// A trace is generated once, on its phase's first store miss.
-			wantTraces := uint64(len(ds.Phases))
+			// A trace is generated once, on its phase's first store miss:
+			// the build's, then those of Figure 1's phases outside it.
+			wantTraces := uint64(len(ds.Phases) + trace.PhasesPerProgram - sc.PhasesPerProgram)
 			if c.store == warmStore {
 				wantTraces = 0
 			}
 			if generated := experiment.TraceCount() - traces; generated != wantTraces {
-				t.Errorf("build and render generated %d traces over %d phases, want %d", generated, len(ds.Phases), wantTraces)
+				t.Errorf("build, render and figures generated %d traces over %d dataset phases, want %d", generated, len(ds.Phases), wantTraces)
 			}
 			if st != nil {
 				trail.stats = st.Stats()
 				if c.store == warmStore && trail.stats.Misses != 0 {
-					t.Errorf("warm build missed the store %d times", trail.stats.Misses)
+					t.Errorf("warm build, render and figures missed the store %d times", trail.stats.Misses)
 				}
 				if err := st.Close(); err != nil {
 					t.Fatal(err)
@@ -241,6 +316,9 @@ func TestBuildContracts(t *testing.T) {
 			}
 			if got.render != "" && got.render != ref.render {
 				t.Errorf("rendered tables differ from the reference:\n--- reference ---\n%s\n--- got ---\n%s", ref.render, got.render)
+			}
+			if got.figures != ref.figures {
+				t.Errorf("Table IV and Figure 1 differ from the reference:\n--- reference ---\n%s\n--- got ---\n%s", ref.figures, got.figures)
 			}
 
 			if c.store == noStore {

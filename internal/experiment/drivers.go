@@ -1,12 +1,14 @@
 package experiment
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
 	"repro/internal/arch"
 	"repro/internal/counters"
 	"repro/internal/cpu"
+	"repro/internal/obs"
 	"repro/internal/trace"
 )
 
@@ -28,58 +30,59 @@ type Figure1Report struct {
 	Points  []Figure1Point
 }
 
-// Figure1 sweeps the IQ and RF sizes per interval of the program's
-// phase sequence at widths 4 and 8, everything else held at the baseline.
-func Figure1(program string, intervalsPerPhase, intervalInsts, warmup int) (*Figure1Report, error) {
+// Figure1 sweeps the IQ and RF sizes on each of the program's
+// trace.PhasesPerProgram phases at widths 4 and 8, everything else held at
+// the baseline. Each run is the dataset measurement of its phase and
+// configuration (same trace, warmup and store key), answered by the memo
+// or the store when they can; a phase's runs are a batch on a pool as wide
+// as the build's, and they join the memo out of sample, in the sequential
+// order, so Best, Good and Digest do not move.
+func (ds *Dataset) Figure1(program string) (*Figure1Report, error) {
+	sp := obs.DefaultTracer().Start("experiment.figure1 " + program)
+	defer sp.Finish()
+	widths, params := []int{4, 8}, []arch.Param{arch.IQSize, arch.RFSize}
+	var cfgs []arch.Config
+	for _, w := range widths {
+		for _, p := range params {
+			for _, v := range arch.Domain(p) {
+				cfgs = append(cfgs, arch.Baseline().With(arch.Width, w).With(p, v))
+			}
+		}
+	}
+	ds.pool = newSimPool(context.Background(), ds.workers)
+	defer ds.pool.close()
 	rep := &Figure1Report{Program: program}
-	widths := []int{4, 8}
-	idx := 0
 	for ph := 0; ph < trace.PhasesPerProgram; ph++ {
-		g, err := trace.NewGenerator(program, ph)
-		if err != nil {
+		id := PhaseID{program, ph}
+		if ds.traces[id] == nil {
+			tj, err := newTraceJob(id, ds.Scale.IntervalInsts)
+			if err != nil {
+				return nil, err
+			}
+			ds.traces[id] = tj
+		}
+		if err := ds.runBatch(id, cfgs, false); err != nil {
 			return nil, err
 		}
-		for iv := 0; iv < intervalsPerPhase; iv++ {
-			insts := g.Interval(intervalInsts)
-			pt := Figure1Point{Interval: idx, BestIQ: map[int]int{}, BestRF: map[int]int{}}
-			idx++
-			for _, w := range widths {
-				base := arch.Baseline().With(arch.Width, w)
-				bi, err := bestValue(insts, base, arch.IQSize, warmup)
-				if err != nil {
-					return nil, err
+		pt := Figure1Point{Interval: ph, BestIQ: map[int]int{}, BestRF: map[int]int{}}
+		k := 0
+		for _, w := range widths {
+			for _, p := range params {
+				best, bestEff := pt.BestIQ, -1.0
+				if p == arch.RFSize {
+					best = pt.BestRF
 				}
-				br, err := bestValue(insts, base, arch.RFSize, warmup)
-				if err != nil {
-					return nil, err
+				for _, v := range arch.Domain(p) {
+					if eff := ds.results[id][cfgs[k]].res.Efficiency; eff > bestEff {
+						best[w], bestEff = v, eff
+					}
+					k++
 				}
-				pt.BestIQ[w] = bi
-				pt.BestRF[w] = br
 			}
-			rep.Points = append(rep.Points, pt)
 		}
+		rep.Points = append(rep.Points, pt)
 	}
 	return rep, nil
-}
-
-// bestValue returns the value of p maximising efficiency on insts with all
-// other parameters from base.
-func bestValue(insts []trace.Inst, base arch.Config, p arch.Param, warmup int) (int, error) {
-	bestEff, bestV := -1.0, 0
-	for _, v := range arch.Domain(p) {
-		sim, err := cpu.New(base.With(p, v))
-		if err != nil {
-			return 0, err
-		}
-		res, err := sim.Run(cpu.NewSliceSource(insts), len(insts), cpu.Options{WarmupInsts: warmup})
-		if err != nil {
-			return 0, err
-		}
-		if res.Efficiency > bestEff {
-			bestEff, bestV = res.Efficiency, v
-		}
-	}
-	return bestV, nil
 }
 
 // Render formats the time series.
@@ -191,18 +194,20 @@ type TableIVRow struct {
 // TableIVReport is the sampling sweep plus the chosen level.
 type TableIVReport struct {
 	Rows      []TableIVRow
-	Chosen    int     // smallest level with Agreement >= Target
-	Target    float64 // agreement target
+	Chosen    int     // smallest level with EffPreserved >= Target
+	Target    float64 // efficiency-preserved target
 	PaperNote string
 }
 
 // TableIV sweeps global profiling set-sampling levels on a subset of
-// phases and finds the smallest level that keeps the model's predictions
-// in agreement with full profiling. (The paper tunes per-cache, per-feature
-// sampling — Table IV; our profiler exposes one global level, so this
-// reproduces the mechanism and the conclusion that aggressive sampling
-// preserves accuracy.)
+// phases and finds the smallest level whose predictions preserve the
+// efficiency of the predictions from full profiling. (The paper tunes
+// per-cache, per-feature sampling — Table IV; our profiler exposes one
+// global level, so this reproduces the mechanism and the conclusion that
+// aggressive sampling preserves accuracy.)
 func (ds *Dataset) TableIV(levels []int, maxPhases int) (*TableIVReport, error) {
+	sp := obs.DefaultTracer().Start("experiment.tableiv")
+	defer sp.Finish()
 	pred, err := ds.TrainAll(counters.Advanced)
 	if err != nil {
 		return nil, err
@@ -211,37 +216,38 @@ func (ds *Dataset) TableIV(levels []int, maxPhases int) (*TableIVReport, error) 
 	if maxPhases > 0 && len(phases) > maxPhases {
 		phases = phases[:maxPhases]
 	}
-	// Reference predictions come from *unsampled* profiling (all sets
-	// monitored), so each sweep level is judged against the true full
-	// histograms rather than the dataset's own sampled ones.
-	full := map[PhaseID]arch.Config{}
-	for _, id := range phases {
-		res, err := ds.simulate(id, arch.Profiling(), cpu.Options{
-			Collect:     true,
-			WarmupInsts: ds.Scale.WarmupInsts,
-		}, false)
-		if err != nil {
+	// Profile every phase at every level on a pool as wide as the build's,
+	// applying the runs in order. Reference predictions come first, from
+	// *unsampled* profiling (SampledSets 0: all sets monitored), so each
+	// level is judged against the true full histograms rather than the
+	// dataset's own sampled ones.
+	ds.pool = newSimPool(context.Background(), ds.workers)
+	defer ds.pool.close()
+	var runs []*simJob
+	for _, sets := range append([]int{0}, levels...) {
+		for _, id := range phases {
+			opts := cpu.Options{Collect: true, SampledSets: sets, WarmupInsts: ds.Scale.WarmupInsts}
+			runs = append(runs, ds.spawn(new(simJob), false, id, arch.Profiling(), opts))
+		}
+	}
+	preds := make([]arch.Config, len(runs))
+	for k, j := range runs {
+		await(ds.pool, runs, k)
+		if err := ds.apply(j, false); err != nil {
 			return nil, err
 		}
-		full[id] = pred.Predict(counters.Features(res, counters.Advanced))
+		preds[k] = pred.Predict(counters.Features(j.res, counters.Advanced))
 	}
+	full := preds[:len(phases)]
 	rep := &TableIVReport{Target: 0.95, PaperNote: "paper Table IV: 4..256 sets suffice per cache/feature"}
 	rep.Chosen = -1
-	for _, lvl := range levels {
+	for l, lvl := range levels {
 		agree, preserved := 0.0, 0.0
-		for _, id := range phases {
-			res, err := ds.simulate(id, arch.Profiling(), cpu.Options{
-				Collect:     true,
-				SampledSets: lvl,
-				WarmupInsts: ds.Scale.WarmupInsts,
-			}, false)
-			if err != nil {
-				return nil, err
-			}
-			pcfg := pred.Predict(counters.Features(res, counters.Advanced))
+		for i, id := range phases {
+			pcfg := preds[(l+1)*len(phases)+i]
 			same := 0
 			for p := arch.Param(0); p < arch.NumParams; p++ {
-				if pcfg[p] == full[id][p] {
+				if pcfg[p] == full[i][p] {
 					same++
 				}
 			}
@@ -250,7 +256,7 @@ func (ds *Dataset) TableIV(levels []int, maxPhases int) (*TableIVReport, error) 
 			if err != nil {
 				return nil, err
 			}
-			fres, err := ds.Result(id, full[id])
+			fres, err := ds.Result(id, full[i])
 			if err != nil {
 				return nil, err
 			}

@@ -174,7 +174,9 @@ type Dataset struct {
 
 	// pool runs the build's independent simulations (see simPool). It is
 	// closed when Build returns; a closed pool runs everything inline.
-	pool *simPool
+	// Figure1 and TableIV each open a fresh one, workers wide like Build's.
+	pool    *simPool
+	workers int
 
 	// inSearch marks the three-stage search window of Build; exact
 	// in-sample simulations inside it are the search budget the
@@ -250,6 +252,7 @@ func Build(ctx context.Context, sc Scale, opts ...Option) (*Dataset, error) {
 		ProfileRes:    map[PhaseID]*cpu.Result{},
 		store:         bo.store,
 		pool:          newSimPool(ctx, bo.workers),
+		workers:       bo.workers,
 	}
 	defer ds.pool.close()
 
@@ -395,7 +398,7 @@ func (ds *Dataset) searchPhase(id PhaseID, rng *rand.Rand, stage1 []*simJob) err
 	// Stage 1: the shared uniform sample. The phase's memo is still empty
 	// and the shared configurations are distinct, so every job is the
 	// lookup the sequential SampleResult loop would make.
-	if err := ds.applyBatch(id, ds.SharedConfigs, stage1); err != nil {
+	if err := ds.applyBatch(id, ds.SharedConfigs, stage1, true); err != nil {
 		return err
 	}
 	// Stage 2: local neighbours of the incumbent. Inherently sequential:
@@ -410,19 +413,19 @@ func (ds *Dataset) searchPhase(id PhaseID, rng *rand.Rand, stage1 []*simJob) err
 	// exactly like the sequential loop (Best can only move between
 	// parameters, never mid-sweep input).
 	for _, p := range ds.Scale.SweepParams {
-		if err := ds.runBatch(id, arch.Sweep(ds.Best[id], p)); err != nil {
+		if err := ds.runBatch(id, arch.Sweep(ds.Best[id], p), true); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// runBatch evaluates cfgs on one phase in sample mode, with exactly the
-// effects of the sequential SampleResult loop: every configuration that is
-// neither memoised nor a repeat within the batch is evaluated on the pool,
-// ahead of the work queued at the start of the build, and applyBatch
-// applies the results in cfgs order.
-func (ds *Dataset) runBatch(id PhaseID, cfgs []arch.Config) error {
+// runBatch evaluates cfgs on one phase, in sample mode or out of sample,
+// with exactly the effects of the sequential SampleResult (or Result)
+// loop: every configuration that is neither memoised nor a repeat within
+// the batch is evaluated on the pool, ahead of the work queued at the
+// start of the build, and applyBatch applies the results in cfgs order.
+func (ds *Dataset) runBatch(id PhaseID, cfgs []arch.Config, inSample bool) error {
 	if _, ok := ds.traces[id]; !ok {
 		return fmt.Errorf("experiment: unknown phase %s", id)
 	}
@@ -438,16 +441,17 @@ func (ds *Dataset) runBatch(id PhaseID, cfgs []arch.Config) error {
 			jobs[i] = ds.spawn(new(simJob), true, id, cfg, measure)
 		}
 	}
-	return ds.applyBatch(id, cfgs, jobs)
+	return ds.applyBatch(id, cfgs, jobs, inSample)
 }
 
-// applyBatch applies the side effects of evaluating cfgs on one phase in
-// sample mode — sample-space promotion, best updates, memo inserts and
-// store appends — strictly in cfgs order, so the dataset and the store log
-// come out byte-identical for any worker count. jobs[i] is cfgs[i]'s
-// evaluation on the pool, or nil for a memo hit or a repeat within the
-// batch, which SampleResult replays once its first occurrence has landed.
-func (ds *Dataset) applyBatch(id PhaseID, cfgs []arch.Config, jobs []*simJob) error {
+// applyBatch applies the side effects of evaluating cfgs on one phase —
+// in sample mode sample-space promotion and best updates, and in either
+// mode memo inserts and store appends — strictly in cfgs order, so the
+// dataset and the store log come out byte-identical for any worker count.
+// jobs[i] is cfgs[i]'s evaluation on the pool, or nil for a memo hit or a
+// repeat within the batch, which SampleResult (Result out of sample)
+// replays once its first occurrence has landed.
+func (ds *Dataset) applyBatch(id PhaseID, cfgs []arch.Config, jobs []*simJob, inSample bool) error {
 	queued := make([]*simJob, 0, len(jobs))
 	for _, j := range jobs {
 		if j != nil {
@@ -457,14 +461,14 @@ func (ds *Dataset) applyBatch(id PhaseID, cfgs []arch.Config, jobs []*simJob) er
 	k := 0
 	for i, j := range jobs {
 		if j == nil {
-			if _, err := ds.SampleResult(id, cfgs[i]); err != nil {
+			if _, err := ds.result(id, cfgs[i], inSample); err != nil {
 				return err
 			}
 			continue
 		}
 		await(ds.pool, queued, k)
 		k++
-		if err := ds.apply(j, true); err != nil {
+		if err := ds.apply(j, inSample); err != nil {
 			return err
 		}
 	}
@@ -595,22 +599,25 @@ func (ds *Dataset) apply(j *simJob, inSample bool) error {
 // measurement options and no counter collection. Results obtained this way
 // do not join the sample space (use SampleResult for that).
 func (ds *Dataset) Result(id PhaseID, cfg arch.Config) (*cpu.Result, error) {
-	if m := ds.results[id]; m != nil {
-		if e, ok := m[cfg]; ok {
-			obsMemoHits.Inc()
-			return e.res, nil
-		}
-	}
-	return ds.simulate(id, cfg, cpu.Options{WarmupInsts: ds.Scale.WarmupInsts}, false)
+	return ds.result(id, cfg, false)
 }
 
 // SampleResult is Result, but the configuration joins the phase's sample
 // space and may become its new Best.
 func (ds *Dataset) SampleResult(id PhaseID, cfg arch.Config) (*cpu.Result, error) {
+	return ds.result(id, cfg, true)
+}
+
+// result answers one measurement from the memo, promoting it into the
+// sample space if inSample asks, or else runs and memoises it on the
+// calling goroutine. With a store attached, every run is
+// read-through/write-behind: a stored result short-circuits the simulator
+// (and the phase's trace), a fresh one is appended to the log right away.
+func (ds *Dataset) result(id PhaseID, cfg arch.Config, inSample bool) (*cpu.Result, error) {
 	if m := ds.results[id]; m != nil {
 		if e, ok := m[cfg]; ok {
 			obsMemoHits.Inc()
-			if !e.inSample {
+			if inSample && !e.inSample {
 				e.inSample = true
 				m[cfg] = e
 				obsSampleConfigs.Inc()
@@ -619,7 +626,16 @@ func (ds *Dataset) SampleResult(id PhaseID, cfg arch.Config) (*cpu.Result, error
 			return e.res, nil
 		}
 	}
-	return ds.simulate(id, cfg, cpu.Options{WarmupInsts: ds.Scale.WarmupInsts}, true)
+	tj, ok := ds.traces[id]
+	if !ok {
+		return nil, fmt.Errorf("experiment: unknown phase %s", id)
+	}
+	j := &simJob{st: ds.store, id: id, cfg: cfg, opts: cpu.Options{WarmupInsts: ds.Scale.WarmupInsts}, trace: tj}
+	j.runTask()
+	if err := ds.apply(j, inSample); err != nil {
+		return nil, err
+	}
+	return j.res, nil
 }
 
 // updateBest promotes cfg to the phase's best if it wins.
@@ -632,24 +648,6 @@ func (ds *Dataset) updateBest(id PhaseID, cfg arch.Config, res *cpu.Result) {
 	if e, ok := ds.results[id][cur]; !ok || res.Efficiency > e.res.Efficiency {
 		ds.Best[id] = cfg
 	}
-}
-
-// simulate runs and memoises one (phase, config) simulation on the
-// calling goroutine. With a store attached, every run is
-// read-through/write-behind: a stored result short-circuits the simulator
-// (and the phase's trace), a fresh one is appended to the log right away.
-// Profiling runs (opts.Collect) are stored but never memoised (see apply).
-func (ds *Dataset) simulate(id PhaseID, cfg arch.Config, opts cpu.Options, inSample bool) (*cpu.Result, error) {
-	tj, ok := ds.traces[id]
-	if !ok {
-		return nil, fmt.Errorf("experiment: unknown phase %s", id)
-	}
-	j := &simJob{st: ds.store, id: id, cfg: cfg, opts: opts, trace: tj}
-	j.runTask()
-	if err := ds.apply(j, inSample); err != nil {
-		return nil, err
-	}
-	return j.res, nil
 }
 
 // memoize records one measurement-mode result in the in-memory table,

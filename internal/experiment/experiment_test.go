@@ -286,29 +286,6 @@ func TestStorageAnalysis(t *testing.T) {
 	}
 }
 
-func TestFigure1Small(t *testing.T) {
-	rep, err := Figure1("gap", 1, 2000, 800)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Points) != 10 { // 10 phases x 1 interval
-		t.Fatalf("%d points, want 10", len(rep.Points))
-	}
-	for _, pt := range rep.Points {
-		for _, w := range []int{4, 8} {
-			if arch.IndexOf(arch.IQSize, pt.BestIQ[w]) < 0 {
-				t.Errorf("interval %d width %d: bad IQ %d", pt.Interval, w, pt.BestIQ[w])
-			}
-			if arch.IndexOf(arch.RFSize, pt.BestRF[w]) < 0 {
-				t.Errorf("interval %d width %d: bad RF %d", pt.Interval, w, pt.BestRF[w])
-			}
-		}
-	}
-	if rep.Render() == "" {
-		t.Error("empty render")
-	}
-}
-
 func TestScaleDefaults(t *testing.T) {
 	var sc Scale
 	d := sc.withDefaults()

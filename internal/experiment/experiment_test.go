@@ -8,6 +8,7 @@ import (
 	"repro/internal/altmodel"
 	"repro/internal/arch"
 	"repro/internal/counters"
+	"repro/internal/trace"
 )
 
 // The dataset build is the expensive step; share one across tests.
@@ -280,6 +281,31 @@ func TestStorageAnalysis(t *testing.T) {
 	}
 	if rep.AgreementPct < 50 {
 		t.Errorf("8-bit agreement only %.1f%%", rep.AgreementPct)
+	}
+	if rep.Render() == "" {
+		t.Error("empty render")
+	}
+}
+
+// TestFigure1Small sweeps a program outside the dataset, so Figure 1
+// generates the traces of all its phases itself.
+func TestFigure1Small(t *testing.T) {
+	rep, err := testDataset(t).Figure1("gap")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Points) != trace.PhasesPerProgram {
+		t.Fatalf("%d points, want one per phase (%d)", len(rep.Points), trace.PhasesPerProgram)
+	}
+	for _, pt := range rep.Points {
+		for _, w := range []int{4, 8} {
+			if arch.IndexOf(arch.IQSize, pt.BestIQ[w]) < 0 {
+				t.Errorf("interval %d width %d: bad IQ %d", pt.Interval, w, pt.BestIQ[w])
+			}
+			if arch.IndexOf(arch.RFSize, pt.BestRF[w]) < 0 {
+				t.Errorf("interval %d width %d: bad RF %d", pt.Interval, w, pt.BestRF[w])
+			}
+		}
 	}
 	if rep.Render() == "" {
 		t.Error("empty render")

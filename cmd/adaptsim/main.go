@@ -13,12 +13,13 @@
 // With -cache-dir, the training dataset is built against the persistent
 // simulation-result store (internal/store), so repeated adaptsim runs —
 // even for different -program values, which train on overlapping
-// benchmark subsets — reuse each other's simulations.
+// benchmark subsets — reuse each other's simulations. A warm store
+// replays the build without simulating, and retraining yields the same
+// predictor and best static configuration as the first run.
 package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -41,7 +42,6 @@ func main() {
 		setName   = flag.String("counter-set", "advanced", "counter set: advanced or basic")
 		cadence   = flag.Int("cadence", 0, "if > 0, caches adapt only every Nth reconfiguration")
 		ovScale   = flag.Float64("overhead-scale", 0.02, "reconfiguration overhead scale (1 = paper-absolute)")
-		modelPath = flag.String("model-cache", "", "path to save/load the trained predictor (skips retraining)")
 		cacheDir  = flag.String("cache-dir", "", "persistent simulation-result store for the training build (empty disables)")
 		logJSON   = flag.Bool("log-json", false, "emit logs as JSON instead of text")
 		logLevel  = flag.String("log-level", "info", "log level: debug, info, warn or error")
@@ -55,9 +55,14 @@ func main() {
 	if !trace.IsBenchmark(*program) {
 		die(fmt.Errorf("unknown benchmark %q (choose from %v)", *program, trace.Benchmarks()))
 	}
-	set := counters.Advanced
-	if *setName == "basic" {
+	var set counters.Set
+	switch *setName {
+	case "advanced":
+		set = counters.Advanced
+	case "basic":
 		set = counters.Basic
+	default:
+		die(fmt.Errorf("unknown -counter-set %q (want advanced or basic)", *setName))
 	}
 
 	// Train on a scaled dataset that excludes the target program —
@@ -71,72 +76,36 @@ func main() {
 		}
 	}
 	sc.Programs = progs
-	var pred *core.Predictor
-	var bestStatic = arch.Baseline()
-	if *modelPath != "" {
-		f, err := os.Open(*modelPath)
-		switch {
-		case err == nil:
-			pred, err = core.LoadPredictor(f)
-			f.Close()
-			if err != nil {
-				die(fmt.Errorf("loading cached model %s: %w (delete it to retrain)", *modelPath, err))
-			}
-			// A cached predictor must match the requested counter set, or
-			// every prediction would be mis-dimensioned (LoadPredictor has
-			// already validated the file against its own declared set).
-			if pred.Set != set {
-				die(fmt.Errorf("cached model %s was trained on the %q counter set but -counter-set is %q; delete the cache or pass -counter-set %s",
-					*modelPath, pred.Set, set, pred.Set))
-			}
-			logger.Info("loaded trained predictor", "path", *modelPath)
-		case !errors.Is(err, os.ErrNotExist):
-			die(fmt.Errorf("opening model cache %s: %w", *modelPath, err))
+	var st *store.Store
+	if *cacheDir != "" {
+		var err error
+		if st, err = store.Open(*cacheDir); err != nil {
+			die(fmt.Errorf("opening -cache-dir: %w", err))
 		}
+		defer st.Close()
+		logger.Info("result store open", "dir", *cacheDir, "records", st.Len())
 	}
-	if pred == nil {
-		var st *store.Store
-		if *cacheDir != "" {
-			var err error
-			if st, err = store.Open(*cacheDir); err != nil {
-				die(fmt.Errorf("opening -cache-dir: %w", err))
-			}
-			defer st.Close()
-			logger.Info("result store open", "dir", *cacheDir, "records", st.Len())
-		}
-		logger.Info("building training dataset", "programs", len(progs), "phasesPerProgram", sc.PhasesPerProgram)
-		prog := &obs.Progress{Logger: logger}
-		experiment.SetProgress(func(stage string, done, total int) {
-			prog.Observe(stage, done, total)
-		})
-		ds, err := experiment.Build(context.Background(), sc, experiment.WithStore(st))
-		if err != nil {
-			die(err)
-		}
-		experiment.SetProgress(nil)
-		if st != nil {
-			s := st.Stats()
-			logger.Info("store stats", "storeHits", s.Hits, "storeMisses", s.Misses,
-				"records", s.Records, "bytesWritten", s.BytesWritten)
-		}
-		logger.Info("training predictor", "counters", set.String())
-		pred, err = ds.TrainAll(set)
-		if err != nil {
-			die(err)
-		}
-		bestStatic = ds.BestStatic
-		if *modelPath != "" {
-			f, err := os.Create(*modelPath)
-			if err != nil {
-				die(err)
-			}
-			if err := pred.Save(f); err != nil {
-				die(err)
-			}
-			f.Close()
-			logger.Info("saved trained predictor", "path", *modelPath)
-		}
+	logger.Info("building training dataset", "programs", len(progs), "phasesPerProgram", sc.PhasesPerProgram)
+	prog := &obs.Progress{Logger: logger}
+	experiment.SetProgress(func(stage string, done, total int) {
+		prog.Observe(stage, done, total)
+	})
+	ds, err := experiment.Build(context.Background(), sc, experiment.WithStore(st))
+	if err != nil {
+		die(err)
 	}
+	experiment.SetProgress(nil)
+	if st != nil {
+		s := st.Stats()
+		logger.Info("store stats", "storeHits", s.Hits, "storeMisses", s.Misses,
+			"records", s.Records, "bytesWritten", s.BytesWritten)
+	}
+	logger.Info("training predictor", "counters", set.String())
+	pred, err := ds.TrainAll(set)
+	if err != nil {
+		die(err)
+	}
+	bestStatic := ds.BestStatic
 
 	opts := core.DefaultOptions()
 	opts.Interval = *ivInsts
@@ -222,11 +191,4 @@ func (w *phaseWalker) Next() trace.Inst {
 	}
 	w.n++
 	return w.gen.Next()
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

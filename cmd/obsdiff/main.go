@@ -1,8 +1,8 @@
-// Command obsdiff compares two run manifests written by report, adaptd
-// or the bench harness (-manifest / REPRO_MANIFEST). The deterministic
-// sections must match exactly — the first differing field is named and
-// the command exits 1, which is how two replays of the same configuration
-// (cold and warm store, say) are shown to describe the same computation.
+// Command obsdiff compares two run manifests written by report or adaptd
+// (-manifest). The deterministic sections must match exactly — the first
+// differing field is named and the command exits 1, which is how two
+// replays of the same configuration (cold and warm store, say) are shown
+// to describe the same computation.
 // Timing sections are informational: shared keys are printed as a
 // before/after table, and wall-clock keys ("...Seconds") are summarised
 // as a benchdiff-style geometric-mean speedup.

@@ -8,6 +8,6 @@
 //
 // See README.md for the layout, DESIGN.md for the system inventory and
 // per-experiment index, and EXPERIMENTS.md for paper-vs-measured results.
-// The benchmark harness in bench_test.go regenerates every table and
-// figure of the paper's evaluation.
+// cmd/report regenerates every table and figure of the paper's
+// evaluation, its ablations and the multicore extension.
 package repro

@@ -73,7 +73,7 @@ func TestScale() Scale {
 	}
 }
 
-// DefaultScale returns the benchmark-harness scale: the full suite at a
+// DefaultScale returns `report -scale default`: the full suite at a
 // budget a small host can sustain.
 func DefaultScale() Scale {
 	return Scale{
@@ -88,6 +88,20 @@ func DefaultScale() Scale {
 		SampledSets:      32,
 		Seed:             2010,
 	}
+}
+
+// MidScale returns `report -scale mid`, the shape behind EXPERIMENTS.md:
+// the full suite at four phases per program and 6,000-instruction
+// intervals, with a smaller search that does not sweep pipeline depth.
+func MidScale() Scale {
+	sc := DefaultScale()
+	sc.PhasesPerProgram = 4
+	sc.IntervalInsts = 6000
+	sc.WarmupInsts = 6000
+	sc.UniformSamples = 28
+	sc.LocalSamples = 8
+	sc.SweepParams = []arch.Param{arch.Width, arch.IQSize, arch.ICacheKB, arch.L2CacheKB}
+	return sc
 }
 
 func (sc Scale) withDefaults() Scale {

@@ -51,7 +51,7 @@ type ProgressFunc func(stage string, done, total int)
 var progressFn atomic.Pointer[ProgressFunc]
 
 // SetProgress installs (or, with nil, removes) the process-wide progress
-// callback. cmd/report and the benchmark harness use it for live
+// callback. cmd/report, adaptd and adaptsim use it for live
 // progress/ETA lines; it has no effect on results.
 func SetProgress(fn ProgressFunc) {
 	if fn == nil {

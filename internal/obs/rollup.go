@@ -82,6 +82,28 @@ func (t *Tracer) Rollup() []RollupRow {
 	return out
 }
 
+// RootSeconds returns the summed wall-clock duration of the root spans
+// (detached spans are roots too). Every other span nests inside a root,
+// and pool work overlaps, so a sum of self-times would overcount; for a
+// run whose roots follow one another, this is the traced share of its
+// wall clock. Unfinished spans extend to the call instant.
+func (t *Tracer) RootSeconds() float64 {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	now := time.Now()
+	var d time.Duration
+	for _, s := range t.spans {
+		switch {
+		case s.parent >= 0:
+		case s.finished:
+			d += s.dur
+		default:
+			d += now.Sub(s.start)
+		}
+	}
+	return d.Seconds()
+}
+
 // WriteRollup renders the rollup as an aligned text table (the
 // `report -span-summary` output).
 func (t *Tracer) WriteRollup(w io.Writer) {

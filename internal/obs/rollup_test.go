@@ -1,8 +1,10 @@
 package obs
 
 import (
+	"math"
 	"strings"
 	"testing"
+	"time"
 )
 
 // TestRollupStages asserts the stage grouping (first name token), counts,
@@ -84,5 +86,32 @@ func TestTreeDigestDeterministic(t *testing.T) {
 	}
 	if len(build("v")) != 64 {
 		t.Errorf("digest length %d, want 64 hex chars", len(build("v")))
+	}
+}
+
+// TestRootSeconds asserts that only root spans count: a child's time is
+// inside its parent's, and a detached span is a root of its own.
+func TestRootSeconds(t *testing.T) {
+	tr := NewTracer()
+	tr.Enable()
+	a := tr.Start("a")
+	b := tr.Start("b")
+	time.Sleep(2 * time.Millisecond)
+	b.Finish()
+	a.Finish()
+	c := tr.StartDetached("c")
+	time.Sleep(time.Millisecond)
+	c.Finish()
+
+	total := map[string]int64{}
+	for _, r := range tr.Rollup() {
+		total[r.Stage] = r.TotalNS
+	}
+	want := float64(total["a"]+total["c"]) / 1e9
+	if got := tr.RootSeconds(); math.Abs(got-want) > 1e-12 {
+		t.Errorf("RootSeconds = %v, want a+c = %v", got, want)
+	}
+	if total["b"] < int64(2*time.Millisecond) {
+		t.Errorf("child b total %d ns, want >= 2ms", total["b"])
 	}
 }

@@ -3,9 +3,9 @@
 # perfbench module, which imports it), formatting, the full test suite
 # (which includes the build-contract matrix, internal/experiment
 # TestBuildContracts, the simulator golden digests and adaptd's open-loop
-# admission test, cmd/adaptd TestOpenLoopAdmission), a TestScale run of
-# the paper harness's benchmarks, and the concurrent packages under the
-# race detector.
+# admission test, cmd/adaptd TestOpenLoopAdmission, and the report's
+# cold/warm run, cmd/report TestReportColdWarm), and the concurrent
+# packages under the race detector.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -31,12 +31,6 @@ fi
 
 echo "== go test =="
 go test ./...
-
-echo "== paper harness smoke =="
-# Every table and figure benchmark of bench_test.go, once, at TestScale
-# (seconds). Nothing else runs these benchmarks, so without this step one
-# that fails at the smoke scale goes unnoticed.
-REPRO_BENCH_SCALE=test go test -run '^$' -bench . -benchtime 1x .
 
 echo "== go test -race =="
 # The packages with real concurrency: the build's simulation pool and

@@ -31,7 +31,7 @@
 // Usage:
 //
 //	adaptd [-addr :8080] [-model adaptd.model] [-counter-set advanced|basic]
-//	       [-quantized] [-train-scale test|default] [-cache-dir DIR]
+//	       [-quantized] [-train-scale test|mid|default] [-cache-dir DIR]
 //	       [-cache 4096] [-max-inflight 64] [-timeout 5s] [-max-body N]
 //	       [-admission] [-debug] [-log-json] [-log-level info] [-manifest out.json]
 //
@@ -46,6 +46,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log/slog"
 	"net/http"
 	"os"
@@ -63,38 +64,61 @@ import (
 )
 
 func main() {
-	var (
-		addr       = flag.String("addr", ":8080", "listen address")
-		modelPath  = flag.String("model", "adaptd.model", "predictor file: loaded if present, else trained and saved")
-		setName    = flag.String("counter-set", "advanced", "counter set: advanced or basic")
-		quantized  = flag.Bool("quantized", false, "serve the 8-bit quantized model (§VIII hardware form)")
-		trainScale = flag.String("train-scale", "test", "first-boot training scale: test or default")
-		cacheDir   = flag.String("cache-dir", "", "persistent simulation-result store for first-boot training (empty disables)")
-		cacheSize  = flag.Int("cache", 4096, "LRU decision-cache entries (0 disables)")
-		maxInfl    = flag.Int("max-inflight", 64, "concurrent predicts before 429 backpressure")
-		timeout    = flag.Duration("timeout", 5*time.Second, "per-request deadline")
-		maxBody    = flag.Int64("max-body", 1<<20, "request body byte limit")
-		debug      = flag.Bool("debug", false, "mount /debug/pprof/, /debug/vars and /debug/trace")
-		logJSON    = flag.Bool("log-json", false, "emit logs as JSON instead of text")
-		logLevel   = flag.String("log-level", "info", "log level: debug, info, warn or error")
-		admission  = flag.Bool("admission", false, "enable per-class admission control with the default shed-lowest-first ladder")
-		manifest   = flag.String("manifest", "", "write a run manifest to this file; defaults to manifest-adaptd.json under -cache-dir")
-	)
-	flag.Parse()
-
-	logger := obs.NewLogger(os.Stderr, *logJSON, obs.ParseLevel(*logLevel))
-	die := func(err error) {
-		logger.Error("fatal", "err", err)
+	// The signal context exists before first-boot training so a SIGINT
+	// during the (potentially long) dataset build exits promptly instead of
+	// waiting for training to finish.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	err := run(ctx, os.Args[1:], os.Stderr)
+	stop()
+	if err != nil && !errors.Is(err, flag.ErrHelp) {
 		os.Exit(1)
 	}
+}
 
-	set := counters.Advanced
-	switch *setName {
-	case "advanced":
-	case "basic":
-		set = counters.Basic
-	default:
-		die(fmt.Errorf("unknown -counter-set %q (want advanced or basic)", *setName))
+// run is the whole daemon: it parses args, logs to stderr and serves
+// until ctx is done, then drains. An error is logged before it is
+// returned; a flag syntax error is printed by the flag set instead. Every
+// flag value is checked before the model file is opened.
+func run(ctx context.Context, args []string, stderr io.Writer) (err error) {
+	fs := flag.NewFlagSet("adaptd", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		addr       = fs.String("addr", ":8080", "listen address")
+		modelPath  = fs.String("model", "adaptd.model", "predictor file: loaded if present, else trained and saved")
+		setName    = fs.String("counter-set", "advanced", "counter set: advanced or basic")
+		quantized  = fs.Bool("quantized", false, "serve the 8-bit quantized model (§VIII hardware form)")
+		trainScale = fs.String("train-scale", "test", "first-boot training scale: test, mid or default")
+		cacheDir   = fs.String("cache-dir", "", "persistent simulation-result store for first-boot training (empty disables)")
+		cacheSize  = fs.Int("cache", 4096, "LRU decision-cache entries (0 disables)")
+		maxInfl    = fs.Int("max-inflight", 64, "concurrent predicts before 429 backpressure")
+		timeout    = fs.Duration("timeout", 5*time.Second, "per-request deadline")
+		maxBody    = fs.Int64("max-body", 1<<20, "request body byte limit")
+		debug      = fs.Bool("debug", false, "mount /debug/pprof/, /debug/vars and /debug/trace")
+		logJSON    = fs.Bool("log-json", false, "emit logs as JSON instead of text")
+		logLevel   = fs.String("log-level", "info", "log level: debug, info, warn or error")
+		admission  = fs.Bool("admission", false, "enable per-class admission control with the default shed-lowest-first ladder")
+		manifest   = fs.String("manifest", "", "write a run manifest to this file; defaults to manifest-adaptd.json under -cache-dir")
+	)
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	level, levelErr := obs.ParseLevel(*logLevel)
+	logger := obs.NewLogger(stderr, *logJSON, level)
+	defer func() {
+		if err != nil {
+			logger.Error("fatal", "err", err)
+		}
+	}()
+	if levelErr != nil {
+		return fmt.Errorf("-log-level: %w", levelErr)
+	}
+	set, err := counters.ParseSet(*setName)
+	if err != nil {
+		return fmt.Errorf("-counter-set: %w", err)
+	}
+	sc, err := experiment.ScaleByName(*trainScale)
+	if err != nil {
+		return fmt.Errorf("-train-scale: %w", err)
 	}
 
 	var tracer *obs.Tracer
@@ -108,20 +132,14 @@ func main() {
 		manifestPath = filepath.Join(*cacheDir, "manifest-adaptd.json")
 	}
 
-	// The signal context exists before first-boot training so a SIGINT
-	// during the (potentially long) dataset build exits promptly instead of
-	// waiting for training to finish.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
 	bootStart := time.Now()
-	pred, trained, err := bootPredictor(ctx, logger, *modelPath, set, *trainScale, *cacheDir)
+	pred, trained, err := bootPredictor(ctx, logger, *modelPath, set, sc, *cacheDir)
 	if err != nil {
-		die(err)
+		return err
 	}
 	eng, err := serve.NewEngine(pred, *quantized)
 	if err != nil {
-		die(err)
+		return err
 	}
 	opts := []serve.Option{
 		serve.WithModelPath(*modelPath),
@@ -184,24 +202,25 @@ func main() {
 	}()
 	select {
 	case err := <-errCh:
-		die(err)
+		return err
 	case <-ctx.Done():
 	}
 	logger.Info("signal received; draining connections")
 	shutCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	if err := httpSrv.Shutdown(shutCtx); err != nil {
-		die(fmt.Errorf("shutdown: %w", err))
+		return fmt.Errorf("shutdown: %w", err)
 	}
 	logger.Info("shut down cleanly", "cacheHitRate", fmt.Sprintf("%.1f%%", 100*srv.HitRate()))
+	return nil
 }
 
 // bootPredictor loads the model file if it exists; otherwise it trains one
-// through the experiment harness at the requested scale (cancellable via
-// ctx), saves it and reports that it trained. With cacheDir, the training
+// through the experiment harness at scale sc (cancellable via ctx), saves
+// it and reports that it trained. With cacheDir, the training
 // dataset is built against the persistent result store there, so an
 // interrupted first boot resumes mid-dataset instead of restarting.
-func bootPredictor(ctx context.Context, logger *slog.Logger, path string, set counters.Set, scaleName, cacheDir string) (*core.Predictor, bool, error) {
+func bootPredictor(ctx context.Context, logger *slog.Logger, path string, set counters.Set, sc experiment.Scale, cacheDir string) (*core.Predictor, bool, error) {
 	if f, err := os.Open(path); err == nil {
 		defer f.Close()
 		pred, err := core.LoadPredictor(f)
@@ -217,10 +236,6 @@ func bootPredictor(ctx context.Context, logger *slog.Logger, path string, set co
 		return nil, false, fmt.Errorf("opening %s: %w", path, err)
 	}
 
-	sc := experiment.TestScale()
-	if scaleName == "default" {
-		sc = experiment.DefaultScale()
-	}
 	var st *store.Store
 	if cacheDir != "" {
 		var err error
@@ -232,7 +247,7 @@ func bootPredictor(ctx context.Context, logger *slog.Logger, path string, set co
 		defer st.Close()
 		logger.Info("result store open", "dir", cacheDir, "records", st.Len())
 	}
-	logger.Info("no model; training", "path", path, "scale", scaleName,
+	logger.Info("no model; training", "path", path,
 		"programs", len(sc.Programs), "phasesPerProgram", sc.PhasesPerProgram)
 	prog := &obs.Progress{Logger: logger}
 	experiment.SetProgress(func(stage string, done, total int) {

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/counters"
+	"repro/internal/experiment"
 	"repro/internal/serve"
 )
 
@@ -23,7 +24,7 @@ import (
 func TestOpenLoopAdmission(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "adaptd.model")
 	logger := slog.New(slog.NewTextHandler(io.Discard, nil))
-	pred, trained, err := bootPredictor(context.Background(), logger, path, counters.Basic, "test", "")
+	pred, trained, err := bootPredictor(context.Background(), logger, path, counters.Basic, experiment.TestScale(), "")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,7 +8,12 @@
 // Usage:
 //
 //	adaptsim [-program mcf] [-intervals 20] [-interval-insts 20000]
-//	         [-counter-set advanced|basic] [-cadence N] [-cache-dir DIR]
+//	         [-counter-set advanced|basic] [-cadence N] [-overhead-scale 0.02]
+//	         [-cache-dir DIR] [-log-json] [-log-level info]
+//
+// The program walks its phases in order, -intervals/10 intervals per
+// phase (at least one), so a run of fewer than ten intervals visits only
+// the first -intervals phases.
 //
 // With -cache-dir, the training dataset is built against the persistent
 // simulation-result store (internal/store), so repeated adaptsim runs —
@@ -20,9 +25,12 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"slices"
 
 	"repro/internal/arch"
 	"repro/internal/core"
@@ -35,75 +43,100 @@ import (
 )
 
 func main() {
-	var (
-		program   = flag.String("program", "mcf", "benchmark to run under the controller")
-		intervals = flag.Int("intervals", 20, "monitoring intervals to execute")
-		ivInsts   = flag.Int("interval-insts", 20000, "instructions per monitoring interval")
-		setName   = flag.String("counter-set", "advanced", "counter set: advanced or basic")
-		cadence   = flag.Int("cadence", 0, "if > 0, caches adapt only every Nth reconfiguration")
-		ovScale   = flag.Float64("overhead-scale", 0.02, "reconfiguration overhead scale (1 = paper-absolute)")
-		cacheDir  = flag.String("cache-dir", "", "persistent simulation-result store for the training build (empty disables)")
-		logJSON   = flag.Bool("log-json", false, "emit logs as JSON instead of text")
-		logLevel  = flag.String("log-level", "info", "log level: debug, info, warn or error")
-	)
-	flag.Parse()
-	logger := obs.NewLogger(os.Stderr, *logJSON, obs.ParseLevel(*logLevel))
-	die := func(err error) {
-		logger.Error("fatal", "err", err)
+	if err := run(context.Background(), os.Args[1:], os.Stdout, os.Stderr); err != nil && !errors.Is(err, flag.ErrHelp) {
 		os.Exit(1)
 	}
-	if !trace.IsBenchmark(*program) {
-		die(fmt.Errorf("unknown benchmark %q (choose from %v)", *program, trace.Benchmarks()))
-	}
-	var set counters.Set
-	switch *setName {
-	case "advanced":
-		set = counters.Advanced
-	case "basic":
-		set = counters.Basic
-	default:
-		die(fmt.Errorf("unknown -counter-set %q (want advanced or basic)", *setName))
-	}
+}
 
-	// Train on a scaled dataset that excludes the target program —
-	// honest held-out prediction, as in the paper's evaluation.
+// trainingScale is the scale of the training dataset before the target
+// program is held out of it: the full suite at three phases per program.
+var trainingScale = func() experiment.Scale {
 	sc := experiment.DefaultScale()
 	sc.PhasesPerProgram = 3
-	var progs []string
-	for _, p := range trace.Benchmarks() {
-		if p != *program {
-			progs = append(progs, p)
-		}
+	return sc
+}
+
+// run is the whole command: it parses args, writes the interval trace and
+// the comparison to stdout and logs to stderr. An error is logged before
+// it is returned; a flag syntax error is printed by the flag set instead.
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err error) {
+	fs := flag.NewFlagSet("adaptsim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		program   = fs.String("program", "mcf", "benchmark to run under the controller")
+		intervals = fs.Int("intervals", 20, "monitoring intervals to execute")
+		ivInsts   = fs.Int("interval-insts", 20000, "instructions per monitoring interval")
+		setName   = fs.String("counter-set", "advanced", "counter set: advanced or basic")
+		cadence   = fs.Int("cadence", 0, "if > 0, caches adapt only every Nth reconfiguration")
+		ovScale   = fs.Float64("overhead-scale", 0.02, "reconfiguration overhead scale (1 = paper-absolute)")
+		cacheDir  = fs.String("cache-dir", "", "persistent simulation-result store for the training build (empty disables)")
+		logJSON   = fs.Bool("log-json", false, "emit logs as JSON instead of text")
+		logLevel  = fs.String("log-level", "info", "log level: debug, info, warn or error")
+	)
+	if err := fs.Parse(args); err != nil {
+		return err
 	}
-	sc.Programs = progs
+	level, levelErr := obs.ParseLevel(*logLevel)
+	logger := obs.NewLogger(stderr, *logJSON, level)
+	defer func() {
+		if err != nil {
+			logger.Error("fatal", "err", err)
+		}
+	}()
+	switch {
+	case levelErr != nil:
+		return fmt.Errorf("-log-level: %w", levelErr)
+	case *intervals <= 0:
+		return fmt.Errorf("-intervals %d: want > 0", *intervals)
+	case *ivInsts <= 0:
+		return fmt.Errorf("-interval-insts %d: want > 0", *ivInsts)
+	case *cadence < 0:
+		return fmt.Errorf("-cadence %d: want >= 0", *cadence)
+	case *ovScale < 0:
+		return fmt.Errorf("-overhead-scale %v: want >= 0", *ovScale)
+	case !trace.IsBenchmark(*program):
+		return fmt.Errorf("unknown benchmark %q (choose from %v)", *program, trace.Benchmarks())
+	}
+	set, err := counters.ParseSet(*setName)
+	if err != nil {
+		return fmt.Errorf("-counter-set: %w", err)
+	}
+
+	// Train on a dataset that excludes the target program — honest
+	// held-out prediction, as in the paper's evaluation.
+	sc := trainingScale()
+	sc.Programs = slices.DeleteFunc(slices.Clone(sc.Programs), func(p string) bool { return p == *program })
 	var st *store.Store
 	if *cacheDir != "" {
-		var err error
 		if st, err = store.Open(*cacheDir); err != nil {
-			die(fmt.Errorf("opening -cache-dir: %w", err))
+			return fmt.Errorf("opening -cache-dir: %w", err)
 		}
-		defer st.Close()
+		defer func() {
+			if cerr := st.Close(); cerr != nil && err == nil {
+				err = fmt.Errorf("closing -cache-dir: %w", cerr)
+			}
+		}()
 		logger.Info("result store open", "dir", *cacheDir, "records", st.Len())
 	}
-	logger.Info("building training dataset", "programs", len(progs), "phasesPerProgram", sc.PhasesPerProgram)
+	logger.Info("building training dataset", "programs", len(sc.Programs), "phasesPerProgram", sc.PhasesPerProgram)
 	prog := &obs.Progress{Logger: logger}
 	experiment.SetProgress(func(stage string, done, total int) {
 		prog.Observe(stage, done, total)
 	})
-	ds, err := experiment.Build(context.Background(), sc, experiment.WithStore(st))
+	defer experiment.SetProgress(nil)
+	ds, err := experiment.Build(ctx, sc, experiment.WithStore(st))
 	if err != nil {
-		die(err)
+		return err
 	}
-	experiment.SetProgress(nil)
 	if st != nil {
 		s := st.Stats()
 		logger.Info("store stats", "storeHits", s.Hits, "storeMisses", s.Misses,
 			"records", s.Records, "bytesWritten", s.BytesWritten)
 	}
 	logger.Info("training predictor", "counters", set.String())
-	pred, err := ds.TrainAll(set)
+	pred, err := ds.TrainAllCtx(ctx, set)
 	if err != nil {
-		die(err)
+		return err
 	}
 	bestStatic := ds.BestStatic
 
@@ -120,19 +153,13 @@ func main() {
 	}
 	ctl, err := core.NewController(pred, opts)
 	if err != nil {
-		die(err)
+		return err
 	}
-
-	g, err := trace.NewGenerator(*program, 0)
-	if err != nil {
-		die(err)
-	}
-	src := &phaseWalker{program: *program, gen: g, perPhase: max(1, *intervals/trace.PhasesPerProgram**ivInsts)}
 
 	logger.Info("running controller", "program", *program, "intervals", *intervals, "intervalInsts", *ivInsts)
-	rep, err := ctl.Run(src, *intervals)
+	rep, err := ctl.Run(newPhaseWalker(*program, *intervals, *ivInsts), *intervals)
 	if err != nil {
-		die(err)
+		return err
 	}
 	for _, r := range rep.Records {
 		tag := " "
@@ -143,30 +170,29 @@ func main() {
 		if r.PhaseChange {
 			ch = "*"
 		}
-		fmt.Printf("interval %3d %s%s cycles=%7d  E=%8.2eJ  eff=%9.3e  cfg: W=%d ROB=%d IQ=%d D$=%dK L2=%dK FO4=%d\n",
+		fmt.Fprintf(stdout, "interval %3d %s%s cycles=%7d  E=%8.2eJ  eff=%9.3e  cfg: W=%d ROB=%d IQ=%d D$=%dK L2=%dK FO4=%d\n",
 			r.Index, tag, ch, r.Cycles, r.EnergyJ, r.Efficiency,
 			r.Config[arch.Width], r.Config[arch.ROBSize], r.Config[arch.IQSize],
 			r.Config[arch.DCacheKB], r.Config[arch.L2CacheKB], r.Config[arch.DepthFO4])
 	}
-	fmt.Printf("\ncontroller: %d phase changes, %d profiles, %d reconfigurations\n",
+	fmt.Fprintf(stdout, "\ncontroller: %d phase changes, %d profiles, %d reconfigurations\n",
 		rep.PhaseChanges, rep.Profiles, rep.Reconfigs)
-	fmt.Printf("aggregate: %.3e ips, %.1f W, efficiency %.3e ips^3/W\n", rep.IPS, rep.Watts, rep.Efficiency)
+	fmt.Fprintf(stdout, "aggregate: %.3e ips, %.1f W, efficiency %.3e ips^3/W\n", rep.IPS, rep.Watts, rep.Efficiency)
 
 	// Static reference: run the same stream on the best static config.
-	g2, _ := trace.NewGenerator(*program, 0)
-	src2 := &phaseWalker{program: *program, gen: g2, perPhase: src.perPhase}
 	sim, err := cpu.New(bestStatic)
 	if err != nil {
-		die(err)
+		return err
 	}
-	res, err := sim.Run(src2, *intervals**ivInsts, cpu.Options{})
+	res, err := sim.Run(newPhaseWalker(*program, *intervals, *ivInsts), *intervals**ivInsts, cpu.Options{})
 	if err != nil {
-		die(err)
+		return err
 	}
-	fmt.Printf("best static (%v):\n  efficiency %.3e ips^3/W\n", bestStatic, res.Efficiency)
+	fmt.Fprintf(stdout, "best static (%v):\n  efficiency %.3e ips^3/W\n", bestStatic, res.Efficiency)
 	if res.Efficiency > 0 {
-		fmt.Printf("adaptive / static efficiency ratio: %.2fx\n", rep.Efficiency/res.Efficiency)
+		fmt.Fprintf(stdout, "adaptive / static efficiency ratio: %.2fx\n", rep.Efficiency/res.Efficiency)
 	}
+	return nil
 }
 
 // phaseWalker streams a program's phases in order, advancing to the next
@@ -177,6 +203,17 @@ type phaseWalker struct {
 	perPhase int
 	n        int
 	phase    int
+}
+
+// newPhaseWalker walks program's phases over a run of intervals
+// intervals of ivInsts instructions each: intervals/10 whole intervals
+// per phase, at least one. program must be a benchmark.
+func newPhaseWalker(program string, intervals, ivInsts int) *phaseWalker {
+	g, err := trace.NewGenerator(program, 0)
+	if err != nil {
+		panic(err) // run checked trace.IsBenchmark
+	}
+	return &phaseWalker{program: program, gen: g, perPhase: max(1, intervals/trace.PhasesPerProgram) * ivInsts}
 }
 
 // Next returns the next instruction, switching phases periodically.

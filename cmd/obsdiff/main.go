@@ -18,8 +18,11 @@
 package main
 
 import (
+	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -27,63 +30,89 @@ import (
 )
 
 func main() {
-	threshold := flag.Float64("threshold", 0, "exit 1 when the geomean wall-clock speedup falls below 1-PCT/100 (0 disables)")
-	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: obsdiff [-threshold PCT] old.json new.json\n")
-		flag.PrintDefaults()
-	}
-	flag.Parse()
-	if flag.NArg() != 2 {
-		flag.Usage()
+	err := run(context.Background(), os.Args[1:], os.Stdout, os.Stderr)
+	switch {
+	case errors.Is(err, errUsage):
 		os.Exit(2)
+	case err != nil && !errors.Is(err, flag.ErrHelp):
+		os.Exit(1)
+	}
+}
+
+// errUsage is returned, after the usage text is printed, for a command
+// line that does not name exactly two manifests.
+var errUsage = errors.New("obsdiff: want two manifests")
+
+// run is the whole command: it parses args, writes the comparison to
+// stdout and returns an error when the deterministic sections differ or
+// the wall clock regressed past -threshold. Errors other than those two
+// verdicts, which stdout already reports, are printed to stderr. Comparing
+// two files is quick, so it takes no context.
+func run(_ context.Context, args []string, stdout, stderr io.Writer) (err error) {
+	fs := flag.NewFlagSet("obsdiff", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	threshold := fs.Float64("threshold", 0, "exit 1 when the geomean wall-clock speedup falls below 1-PCT/100 (0 disables)")
+	fs.Usage = func() {
+		fmt.Fprintf(stderr, "usage: obsdiff [-threshold PCT] old.json new.json\n")
+		fs.PrintDefaults()
+	}
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	if fs.NArg() != 2 {
+		fs.Usage()
+		return errUsage
 	}
 
-	old, err := obs.LoadManifest(flag.Arg(0))
+	old, err := obs.LoadManifest(fs.Arg(0))
 	if err != nil {
-		die(err)
+		fmt.Fprintln(stderr, "obsdiff:", err)
+		return err
 	}
-	new, err := obs.LoadManifest(flag.Arg(1))
+	new, err := obs.LoadManifest(fs.Arg(1))
 	if err != nil {
-		die(err)
+		fmt.Fprintln(stderr, "obsdiff:", err)
+		return err
 	}
 
 	if field := obs.DiffDeterministic(old, new); field != "" {
-		fmt.Printf("DETERMINISTIC MISMATCH at %s\n", field)
-		fmt.Printf("  old: %s\n", renderField(old, field))
-		fmt.Printf("  new: %s\n", renderField(new, field))
-		os.Exit(1)
+		fmt.Fprintf(stdout, "DETERMINISTIC MISMATCH at %s\n", field)
+		fmt.Fprintf(stdout, "  old: %s\n", renderField(old, field))
+		fmt.Fprintf(stdout, "  new: %s\n", renderField(new, field))
+		return fmt.Errorf("deterministic mismatch at %s", field)
 	}
-	fmt.Printf("deterministic sections match (%d fields)\n", len(old.Deterministic))
+	fmt.Fprintf(stdout, "deterministic sections match (%d fields)\n", len(old.Deterministic))
 
 	deltas := obs.TimingDeltas(old, new)
 	onlyOld, onlyNew := obs.TimingOnly(old, new)
 	if len(deltas)+len(onlyOld)+len(onlyNew) > 0 {
-		fmt.Printf("\n%-40s %14s %14s %9s\n", "timing", "old", "new", "delta")
+		fmt.Fprintf(stdout, "\n%-40s %14s %14s %9s\n", "timing", "old", "new", "delta")
 		for _, d := range deltas {
-			fmt.Printf("%-40s %14.6g %14.6g %+8.1f%%\n", d.Key, d.Old, d.New, pctChange(d.Old, d.New))
+			fmt.Fprintf(stdout, "%-40s %14.6g %14.6g %+8.1f%%\n", d.Key, d.Old, d.New, pctChange(d.Old, d.New))
 		}
 		// One-sided keys (e.g. store composition counters a newer build
 		// records and an older one predates) are shown, never gated.
 		for _, k := range onlyOld {
-			fmt.Printf("%-40s %14.6g %14s\n", k, old.Timing[k], "-")
+			fmt.Fprintf(stdout, "%-40s %14.6g %14s\n", k, old.Timing[k], "-")
 		}
 		for _, k := range onlyNew {
-			fmt.Printf("%-40s %14s %14.6g\n", k, "-", new.Timing[k])
+			fmt.Fprintf(stdout, "%-40s %14s %14.6g\n", k, "-", new.Timing[k])
 		}
 	}
 	geomean := obs.TimingGeomeanSpeedup(deltas)
 	if geomean > 0 {
-		fmt.Printf("\ngeomean wall-clock speedup: %.3fx\n", geomean)
+		fmt.Fprintf(stdout, "\ngeomean wall-clock speedup: %.3fx\n", geomean)
 	}
 
 	if *threshold > 0 && geomean > 0 {
 		floor := 1 - *threshold/100
 		if geomean < floor {
-			fmt.Printf("REGRESSION: geomean speedup %.3fx below threshold %.3fx\n", geomean, floor)
-			os.Exit(1)
+			fmt.Fprintf(stdout, "REGRESSION: geomean speedup %.3fx below threshold %.3fx\n", geomean, floor)
+			return fmt.Errorf("geomean speedup %.3fx below %.3fx", geomean, floor)
 		}
-		fmt.Printf("within threshold (floor %.3fx)\n", floor)
+		fmt.Fprintf(stdout, "within threshold (floor %.3fx)\n", floor)
 	}
+	return nil
 }
 
 // pctChange returns the relative change new vs old in percent, 0 when old
@@ -131,9 +160,4 @@ func longestKey(mp map[string]any, path string) (key, rest string, ok bool) {
 		}
 	}
 	return "", "", false
-}
-
-func die(err error) {
-	fmt.Fprintln(os.Stderr, "obsdiff:", err)
-	os.Exit(1)
 }

@@ -58,13 +58,6 @@ func main() {
 	}
 }
 
-// presets are the scales -scale selects by name.
-var presets = map[string]func() experiment.Scale{
-	"test":    experiment.TestScale,
-	"mid":     experiment.MidScale,
-	"default": experiment.DefaultScale,
-}
-
 // run is the whole command: it parses args, writes the report to stdout
 // and logs to stderr. An error is logged before it is returned; a flag
 // syntax error is printed by the flag set instead.
@@ -90,15 +83,19 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err erro
 		return err
 	}
 
-	logger := obs.NewLogger(stderr, *logJSON, obs.ParseLevel(*logLevel))
+	level, levelErr := obs.ParseLevel(*logLevel)
+	logger := obs.NewLogger(stderr, *logJSON, level)
 	defer func() {
 		if err != nil {
 			logger.Error("fatal", "err", err)
 		}
 	}()
-	preset := presets[*scaleName]
-	if preset == nil {
-		return fmt.Errorf("unknown scale %q (want test, mid or default)", *scaleName)
+	if levelErr != nil {
+		return fmt.Errorf("-log-level: %w", levelErr)
+	}
+	sc, err := experiment.ScaleByName(*scaleName)
+	if err != nil {
+		return err
 	}
 
 	// Both profiles are flushed on the error path too, so a run killed by
@@ -143,7 +140,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err erro
 		defer writeTrace(tr, *tracePath, logger)
 	}
 
-	sc := preset()
 	if *programs != "" {
 		sc.Programs = strings.Split(*programs, ",")
 	}
@@ -410,7 +406,7 @@ func writePaper(ctx context.Context, w io.Writer, logger *slog.Logger, ds *exper
 // calls out (§IX, §X) and the multicore extension. They share one
 // advanced predictor trained on every phase. The controller, the
 // hill-climber and the multicore system simulate live, outside the
-// dataset and its store.
+// dataset and its store, each under its own root span.
 func writeAblations(ctx context.Context, w io.Writer, ds *experiment.Dataset, suite experiment.SuiteReport) error {
 	// Counter families: the efficiency each Table II family is worth,
 	// removed one at a time from the advanced set.
@@ -443,6 +439,7 @@ func writeAblations(ctx context.Context, w io.Writer, ds *experiment.Dataset, su
 	// configuration over 6,000-instruction intervals of a program's first
 	// phase, with set adjusting its options.
 	runController := func(program string, intervals int, set func(*core.Options)) (*core.Report, error) {
+		defer obs.DefaultTracer().Start("core.controller " + program).Finish()
 		opts := core.DefaultOptions()
 		opts.Interval = 6000
 		opts.SampledSets = 32
@@ -501,17 +498,20 @@ func writeAblations(ctx context.Context, w io.Writer, ds *experiment.Dataset, su
 	if err != nil {
 		return err
 	}
-	hc, err := core.NewHillClimber(core.HillClimbOptions{
-		Interval: 6000, Start: ds.BestStatic, Seed: 11, OverheadScale: 0.02,
-	})
-	if err != nil {
-		return err
-	}
-	g, err := trace.NewGenerator(searchProgram, 0)
-	if err != nil {
-		return err
-	}
-	searched, err := hc.Run(g, searchIntervals)
+	searched, err := func() (*core.Report, error) {
+		defer obs.DefaultTracer().Start("core.hillclimb").Finish()
+		hc, err := core.NewHillClimber(core.HillClimbOptions{
+			Interval: 6000, Start: ds.BestStatic, Seed: 11, OverheadScale: 0.02,
+		})
+		if err != nil {
+			return nil, err
+		}
+		g, err := trace.NewGenerator(searchProgram, 0)
+		if err != nil {
+			return nil, err
+		}
+		return hc.Run(g, searchIntervals)
+	}()
 	if err != nil {
 		return err
 	}
@@ -523,16 +523,19 @@ func writeAblations(ctx context.Context, w io.Writer, ds *experiment.Dataset, su
 
 	// Multicore: per-core adaptivity on a chip with a shared L2 and
 	// memory bandwidth.
-	mcOpts := multicore.DefaultOptions()
-	mcOpts.Interval = 5000
-	mcOpts.Start = ds.BestStatic.With(arch.L2CacheKB, 1024)
-	sys, err := multicore.New([]multicore.CoreSpec{
-		{Program: "equake"}, {Program: "lucas"}, {Program: "twolf"}, {Program: "mesa"},
-	}, pred, mcOpts)
-	if err != nil {
-		return err
-	}
-	mc, err := sys.Run(6)
+	mc, err := func() (*multicore.Report, error) {
+		defer obs.DefaultTracer().Start("multicore.run").Finish()
+		mcOpts := multicore.DefaultOptions()
+		mcOpts.Interval = 5000
+		mcOpts.Start = ds.BestStatic.With(arch.L2CacheKB, 1024)
+		sys, err := multicore.New([]multicore.CoreSpec{
+			{Program: "equake"}, {Program: "lucas"}, {Program: "twolf"}, {Program: "mesa"},
+		}, pred, mcOpts)
+		if err != nil {
+			return nil, err
+		}
+		return sys.Run(6)
+	}()
 	if err != nil {
 		return err
 	}

@@ -71,7 +71,8 @@ func runReport(t *testing.T, dir, name string) reportRun {
 
 // TestReportColdWarm runs the report cold and then warm into one store:
 // both runs print the same bytes with every section once and in order,
-// and each manifest accounts for its whole wall clock.
+// each manifest accounts for its whole wall clock, and the ablations'
+// live runs appear in the trace as spans of their own.
 func TestReportColdWarm(t *testing.T) {
 	dir := t.TempDir()
 	cold := runReport(t, dir, "cold")
@@ -116,16 +117,22 @@ func TestReportColdWarm(t *testing.T) {
 		if unattributed < 0 {
 			t.Errorf("unattributedSeconds = %v, want >= 0", unattributed)
 		}
-		roots := rootSpanSeconds(t, r.trace)
+		roots, names := traceSpans(t, r.trace)
 		if math.Abs(roots+unattributed-total) > 1e-6 {
 			t.Errorf("root spans %.9f s + unattributed %.9f s != total %.9f s", roots, unattributed, total)
+		}
+		for _, want := range []string{"core.controller galgel", "core.controller apsi", "core.hillclimb", "multicore.run"} {
+			if !names[want] {
+				t.Errorf("trace %s has no %q span", r.trace, want)
+			}
 		}
 	}
 }
 
-// rootSpanSeconds sums the durations of the root spans in a Chrome trace:
-// the spans not nested inside an earlier one.
-func rootSpanSeconds(t *testing.T, path string) float64 {
+// traceSpans reads a Chrome trace and returns the summed duration of its
+// root spans (the spans not nested inside an earlier one) and the set of
+// span names.
+func traceSpans(t *testing.T, path string) (rootSeconds float64, names map[string]bool) {
 	t.Helper()
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -133,6 +140,7 @@ func rootSpanSeconds(t *testing.T, path string) float64 {
 	}
 	var tr struct {
 		TraceEvents []struct {
+			Name    string
 			Ts, Dur float64
 		} `json:"traceEvents"`
 	}
@@ -145,29 +153,37 @@ func rootSpanSeconds(t *testing.T, path string) float64 {
 	// Events are in start order, a parent before its children, and a
 	// child ends before its parent does.
 	sumUS, end := 0.0, math.Inf(-1)
+	names = map[string]bool{}
 	for _, e := range tr.TraceEvents {
+		names[e.Name] = true
 		if e.Ts >= end {
 			sumUS += e.Dur
 			end = e.Ts + e.Dur
 		}
 	}
-	return sumUS / 1e6
+	return sumUS / 1e6, names
 }
 
-// TestReportRejectsUnknownScale checks that -scale names a preset rather
-// than falling back to the default scale. The context is cancelled, so a
-// fallback fails fast instead of building the default scale.
+// TestReportRejectsUnknownScale checks that -scale names a preset and
+// -log-level a level rather than either falling back to a default. The
+// context is cancelled, so a fallback fails fast instead of building the
+// default scale.
 func TestReportRejectsUnknownScale(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	var stdout, stderr bytes.Buffer
-	if err := run(ctx, []string{"-scale", "foo"}, &stdout, &stderr); err == nil {
-		t.Fatal("-scale foo accepted")
-	}
-	if stdout.Len() != 0 {
-		t.Errorf("-scale foo printed a report:\n%s", stdout.String())
-	}
-	if !strings.Contains(stderr.String(), "unknown scale") || !strings.Contains(stderr.String(), "foo") {
-		t.Errorf("stderr does not name the bad scale:\n%s", stderr.String())
+	for _, tc := range []struct{ flag, value, want string }{
+		{"-scale", "foo", "unknown scale"},
+		{"-log-level", "debgu", "unknown log level"},
+	} {
+		var stdout, stderr bytes.Buffer
+		if err := run(ctx, []string{tc.flag, tc.value}, &stdout, &stderr); err == nil {
+			t.Fatalf("%s %s accepted", tc.flag, tc.value)
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("%s %s printed a report:\n%s", tc.flag, tc.value, stdout.String())
+		}
+		if !strings.Contains(stderr.String(), tc.want) || !strings.Contains(stderr.String(), tc.value) {
+			t.Errorf("stderr does not name the bad %s:\n%s", tc.flag, stderr.String())
+		}
 	}
 }

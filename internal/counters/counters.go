@@ -46,6 +46,16 @@ func (s Set) String() string {
 	}
 }
 
+// ParseSet returns the set String names: advanced or basic.
+func ParseSet(name string) (Set, error) {
+	for _, s := range []Set{Advanced, Basic} {
+		if name == s.String() {
+			return s, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown counter set %q (want advanced or basic)", name)
+}
+
 // Features builds the feature vector for res under the given set. The
 // result must come from a run with counter collection enabled
 // (res.Counters != nil); Features panics otherwise, as that is a

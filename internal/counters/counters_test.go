@@ -35,6 +35,14 @@ func TestSetStrings(t *testing.T) {
 	if Set(9).String() != "Set(9)" {
 		t.Error("unknown set name wrong")
 	}
+	for _, s := range []Set{Basic, Advanced} {
+		if got, err := ParseSet(s.String()); got != s || err != nil {
+			t.Errorf("ParseSet(%q) = %v, %v", s, got, err)
+		}
+	}
+	if _, err := ParseSet("Set(9)"); err == nil {
+		t.Error("ParseSet accepted an unknown name")
+	}
 }
 
 func TestDimsStableAndDistinct(t *testing.T) {

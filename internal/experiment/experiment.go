@@ -104,6 +104,20 @@ func MidScale() Scale {
 	return sc
 }
 
+// ScaleByName returns the preset a -scale flag names: test, mid or
+// default.
+func ScaleByName(name string) (Scale, error) {
+	switch name {
+	case "test":
+		return TestScale(), nil
+	case "mid":
+		return MidScale(), nil
+	case "default":
+		return DefaultScale(), nil
+	}
+	return Scale{}, fmt.Errorf("unknown scale %q (want test, mid or default)", name)
+}
+
 func (sc Scale) withDefaults() Scale {
 	if len(sc.Programs) == 0 {
 		sc.Programs = trace.Benchmarks()

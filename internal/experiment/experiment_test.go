@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"context"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -320,6 +321,17 @@ func TestScaleDefaults(t *testing.T) {
 	}
 	if PhaseID.String(PhaseID{"mcf", 3}) != "mcf/3" {
 		t.Error("PhaseID string wrong")
+	}
+}
+
+func TestScaleByName(t *testing.T) {
+	for name, want := range map[string]Scale{"test": TestScale(), "mid": MidScale(), "default": DefaultScale()} {
+		if got, err := ScaleByName(name); err != nil || !reflect.DeepEqual(got, want) {
+			t.Errorf("ScaleByName(%q) = %+v, %v", name, got, err)
+		}
+	}
+	if _, err := ScaleByName("Test"); err == nil {
+		t.Error(`ScaleByName("Test") accepted`)
 	}
 }
 

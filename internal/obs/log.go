@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"fmt"
 	"io"
 	"log/slog"
 	"strings"
@@ -26,17 +27,19 @@ func NewLogger(w io.Writer, jsonFormat bool, level slog.Leveler) *slog.Logger {
 }
 
 // ParseLevel maps a -log-level flag value (debug, info, warn, error;
-// case-insensitive) to a slog.Level, defaulting to Info for anything
-// unrecognised.
-func ParseLevel(s string) slog.Level {
+// case-insensitive) to a slog.Level. An unknown value is an error naming
+// it; the level returned with the error is Info, so a caller can still
+// build a logger to report the error with.
+func ParseLevel(s string) (slog.Level, error) {
 	switch strings.ToLower(s) {
 	case "debug":
-		return slog.LevelDebug
+		return slog.LevelDebug, nil
+	case "info":
+		return slog.LevelInfo, nil
 	case "warn", "warning":
-		return slog.LevelWarn
+		return slog.LevelWarn, nil
 	case "error":
-		return slog.LevelError
-	default:
-		return slog.LevelInfo
+		return slog.LevelError, nil
 	}
+	return slog.LevelInfo, fmt.Errorf("unknown log level %q (want debug, info, warn or error)", s)
 }

@@ -188,11 +188,11 @@ func TestLoggerAndProgress(t *testing.T) {
 		t.Errorf("json line: %v", js)
 	}
 
-	if got := ParseLevel("DEBUG"); got != slog.LevelDebug {
-		t.Errorf("ParseLevel(DEBUG) = %v", got)
+	if got, err := ParseLevel("DEBUG"); got != slog.LevelDebug || err != nil {
+		t.Errorf("ParseLevel(DEBUG) = %v, %v", got, err)
 	}
-	if got := ParseLevel("bogus"); got != slog.LevelInfo {
-		t.Errorf("ParseLevel(bogus) = %v", got)
+	if got, err := ParseLevel("debgu"); got != slog.LevelInfo || err == nil || !strings.Contains(err.Error(), `"debgu"`) {
+		t.Errorf("ParseLevel(debgu) = %v, %v; want Info and an error naming the value", got, err)
 	}
 
 	buf.Reset()

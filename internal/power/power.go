@@ -227,15 +227,6 @@ type Account struct {
 // Add charges pj picojoules of dynamic energy to structure s.
 func (a *Account) Add(s Structure, pj float64) { a.DynamicPJ[s] += pj }
 
-// TotalDynamicPJ returns the total dynamic energy charged so far.
-func (a *Account) TotalDynamicPJ() float64 {
-	t := 0.0
-	for _, v := range a.DynamicPJ {
-		t += v
-	}
-	return t
-}
-
 // Summary converts an account plus elapsed cycles into joules, adding
 // leakage for the elapsed wall-clock time.
 type Summary struct {

@@ -3,9 +3,10 @@
 # perfbench module, which imports it), formatting, the full test suite
 # (which includes the build-contract matrix, internal/experiment
 # TestBuildContracts, the simulator golden digests and adaptd's open-loop
-# admission test, cmd/adaptd TestOpenLoopAdmission, and the report's
-# cold/warm run, cmd/report TestReportColdWarm), and the concurrent
-# packages under the race detector.
+# admission test, cmd/adaptd TestOpenLoopAdmission, the report's
+# cold/warm run, cmd/report TestReportColdWarm, and every other command's
+# in-process main_test.go), and the concurrent packages under the race
+# detector.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
